@@ -47,17 +47,7 @@ def main(argv=None):
         ):
             profile = builder(params, cache_dir=args.cache)
             path = os.path.join(args.out, f"profile_{which}_{tag}.csv")
-            profile.values.save(
-                path,
-                extra_metadata={
-                    "which": which,
-                    "alpha": params.alpha,
-                    "beta": params.beta,
-                    "dim": params.dim,
-                    "kappa": profile.kappa,
-                    "constant_A": profile.constant_A,
-                },
-            )
+            profile.save(path)
             print(f"  wrote {path}")
             if which == "G":
                 c2b = riesz_constant(2.0 * params.beta, params.dim)

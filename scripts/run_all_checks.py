@@ -10,7 +10,7 @@ where the correction converges fast enough to observe), gamma < 1
 bound/decay estimates.
 
 Usage:
-    python scripts/run_all_checks.py --out reports/ [--cache DIR] [--quick]
+    python scripts/run_all_checks.py --out reports/ [--cache DIR]
 """
 
 import argparse
@@ -23,11 +23,11 @@ from fracasym.solver import ForcingSpec
 from fracasym.verify import VerifyConfig, run_check
 
 
-def configs(cache_dir, quick=False):
+def configs(cache_dir):
     ref = FracParams(0.5, 0.5, 3)
     mk = lambda gamma: ForcingSpec("gaussian", gamma=gamma, dim=3)
     short = (1e2, 1e3, 1e4)
-    long = short if quick else (1e4, 1e6, 1e8)
+    long = (1e4, 1e6, 1e8)
     yield "compact", VerifyConfig(
         params=ref, forcing=mk(2.0), theorem="compact", p=math.inf,
         scale=ScaleSpec(kind="compact", radius=1.0), times=short,
@@ -70,16 +70,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="reports", help="report output directory")
     ap.add_argument("--cache", default=None, help="profile cache directory")
-    ap.add_argument(
-        "--quick", action="store_true",
-        help="cap intermediate-scale checkpoints at t = 1e4 (faster, the "
-        "final errors will sit above the long-horizon values)",
-    )
     args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
     failures = 0
-    for label, cfg in configs(args.cache, quick=args.quick):
+    for label, cfg in configs(args.cache):
         report = run_check(cfg)
         path = os.path.join(args.out, f"report_{label}.json")
         report.save(path)

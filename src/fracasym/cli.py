@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    fracasym <command> --config <path> [--out <dir>] [--cache <dir>] [--threads N]
+    fracasym <command> --config <path> [--out <dir>] [--cache <dir>]
 
 Commands: kernel, potential, solve, rates, verify.  Configuration is strict
 INI with sections [problem], [forcing], [grid], [verify]; unknown sections or
@@ -23,13 +23,14 @@ from .params import (
     FracParams,
     ParameterError,
     ScaleSpec,
+    classify_scale,
     derive_exponents,
+    intermediate_rate_exponents,
+    outer_rate_exponents,
     rate_compact,
-    rate_outer,
-    sigma_p,
 )
 from .radialtransform import RadialGrid, TransformError
-from .reporting import _atomic
+from .reporting import atomic_write
 from .solver import ForcingSpec, SolverError, solve_duhamel
 from .potentials import PotentialError, riesz_potential
 from .verify import VerifyConfig, VerifyError, run_check
@@ -212,18 +213,7 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     for which, builder in (("G", kernels.build_y_profile), ("F", kernels.build_z_profile)):
         profile = builder(cfg.params, grid=cfg.grid, cache_dir=cfg.cache_dir)
         path = os.path.join(cfg.out_dir, f"profile_{which}.csv")
-        profile.values.save(
-            path,
-            extra_metadata={
-                "which": which,
-                "alpha": cfg.params.alpha,
-                "beta": cfg.params.beta,
-                "dim": cfg.params.dim,
-                "kappa": profile.kappa,
-                "kappa_variation": profile.kappa_variation,
-                "constant_A": profile.constant_A,
-            },
-        )
+        profile.save(path)
         print(f"wrote {path}")
     return 0
 
@@ -259,35 +249,20 @@ def _cmd_rates(cfg: RunConfig) -> int:
     gamma, p = fs.gamma, cfg.p
     rows = ["regime,p,gamma,t_exponent,log_power"]
     if cfg.scale.kind == "compact":
-        rows.append(f"compact,{p:g},{gamma:.17g},{-rate_compact(gamma, cfg.params.alpha):.17g},0")
+        regime, t_exp, log_pow = "compact", -rate_compact(gamma, cfg.params.alpha), 0
     elif cfg.scale.kind == "outer":
-        sp = sigma_p(exps, p)
-        if gamma < 1.0:
-            rows.append(f"outer,{p:g},{gamma:.17g},{1.0 - gamma - sp:.17g},0")
-        elif gamma == 1.0:
-            rows.append(f"outer,{p:g},{gamma:.17g},{-sp:.17g},1")
-        else:
-            rows.append(f"outer,{p:g},{gamma:.17g},{-sp:.17g},0")
+        regime = "outer"
+        t_exp, log_pow = outer_rate_exponents(exps, p, gamma)
     else:
-        sp = sigma_p(exps, p)
-        e, l = cfg.scale.exponent, cfg.scale.log_exponent
-        # phi(t) = t^e (log t)^l; rate exponents follow by substitution
-        from .params import ScaleClass, classify_scale, rate_intermediate  # noqa: F401
-
         klass = classify_scale(gamma, exps, cfg.scale)
-        if klass.value in ("S", "C1", "C"):
-            t_exp = -gamma + e * (1.0 - sp) / exps.theta
-            log_pow = l * (1.0 - sp) / exps.theta
-        else:
-            t_exp = -(1.0 + cfg.params.alpha) + e * (1.0 + cfg.params.alpha - sp) / exps.theta
-            log_pow = l * (1.0 + cfg.params.alpha - sp) / exps.theta
-            if klass.value == "F1":
-                log_pow += 1.0
-        rows.append(
-            f"intermediate-{klass.value},{p:g},{gamma:.17g},{t_exp:.17g},{log_pow:.17g}"
-        )
+        regime = f"intermediate-{klass.value}"
+        e, l, k = intermediate_rate_exponents(exps, p, gamma, klass)
+        # phi(t) ~ t^exponent (log t)^log_exponent folded into the t and log powers
+        t_exp = e + k * cfg.scale.exponent
+        log_pow = l + k * cfg.scale.log_exponent
+    rows.append(f"{regime},{p:g},{gamma:.17g},{t_exp:.17g},{log_pow:.17g}")
     path = os.path.join(cfg.out_dir, "rates.csv")
-    _atomic(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
     print(f"wrote {path}")
     return 0
 
@@ -338,12 +313,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--cache", default=None, help="kernel cache directory")
-    parser.add_argument("--threads", type=int, default=None, help="thread budget")
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     try:
         with open(args.config) as fh:

@@ -12,22 +12,21 @@ Profiles are built once per (alpha, beta, N, grid) and cached on disk.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .params import Exponents, FracParams, derive_exponents
+from .potentials import riesz_constant
 from .radialtransform import (
     RadialFunction,
     RadialGrid,
-    TransformError,
     radial_fourier_inverse,
 )
-from .special import gamma_fn, mittag_leffler, ml_tail_coefficient
+from .special import gl_panels, mittag_leffler, ml_tail_coefficient
 
 
 class KernelError(RuntimeError):
@@ -38,6 +37,10 @@ def default_cache_dir() -> str:
     return os.environ.get(
         "FRACASYM_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "fracasym")
     )
+
+
+# fitted constants a profile carries besides its values (sidecar keys)
+_FITTED = ("kappa", "kappa_variation", "constant_A", "bound_report")
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,14 @@ class KernelProfile:
     kappa_variation: float | None = None
     constant_A: float | None = None
     bound_report: dict | None = None
+
+    def save(self, csv_path):
+        """Values CSV plus a JSON sidecar with the profile's identity
+        (which, alpha, beta, dim) and its fitted constants."""
+        p = self.params
+        meta = {"which": self.which, "alpha": p.alpha, "beta": p.beta, "dim": p.dim}
+        meta.update({k: getattr(self, k) for k in _FITTED})
+        self.values.save(csv_path, extra_metadata=meta)
 
 
 def _symbol(params: FracParams, which: str):
@@ -75,7 +86,7 @@ def _grid_key(grid: RadialGrid) -> str:
 
 def _cache_path(params: FracParams, which: str, grid: RadialGrid, cache_dir: str) -> str:
     name = (
-        f"profile_{which}_a{params.alpha:g}_b{params.beta:g}_N{params.dim}"
+        f"profile_{which}_a{params.alpha!r}_b{params.beta!r}_N{params.dim}"
         f"_{_grid_key(grid)}.csv"
     )
     return os.path.join(cache_dir, name)
@@ -89,16 +100,12 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
     path = _cache_path(params, which, grid, cache_dir) if cache_dir else None
     if path and os.path.exists(path):
         values, meta = RadialFunction.load(path)
-        return KernelProfile(
-            params=params,
-            exps=exps,
-            which=which,
-            values=values,
-            kappa=meta.get("kappa"),
-            kappa_variation=meta.get("kappa_variation"),
-            constant_A=meta.get("constant_A"),
-            bound_report=meta.get("bound_report"),
-        )
+        # a sidecar written for other parameters is a miss: rebuild over it
+        request = {"which": which, "alpha": params.alpha, "beta": params.beta,
+                   "dim": params.dim}
+        if {k: meta.get(k) for k in request} == request:
+            fitted = {k: meta.get(k) for k in _FITTED}
+            return KernelProfile(params, exps, which, values, **fitted)
 
     values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)
     if params.beta == 1.0:
@@ -116,30 +123,15 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
         )
         a_const = constant_A(profile)
         report = validate_bounds(profile) if params.alpha < 1.0 else None
-        profile = KernelProfile(
-            params=params,
-            exps=exps,
-            which=which,
-            values=values,
+        profile = replace(
+            profile,
             kappa=kappa,
             kappa_variation=variation,
             constant_A=a_const,
             bound_report=report,
         )
     if path:
-        values.save(
-            path,
-            extra_metadata={
-                "which": which,
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "dim": params.dim,
-                "kappa": profile.kappa,
-                "kappa_variation": profile.kappa_variation,
-                "constant_A": profile.constant_A,
-                "bound_report": profile.bound_report,
-            },
-        )
+        profile.save(path)
     return profile
 
 
@@ -180,23 +172,13 @@ def build_y_profile_subtracted(params: FracParams, grid: RadialGrid | None = Non
         return base(r_arr) - c_tail * r_arr ** (-4.0 * b)
 
     rem = radial_fourier_inverse(residual, n, grid)
-    c4b = riesz_constant_local(4.0 * b, n)
+    c4b = riesz_constant(4.0 * b, n)
     samples = rem.samples + c_tail * c4b * grid.nodes ** (4.0 * b - n)
     return KernelProfile(
         params=params,
         exps=derive_exponents(params),
         which="G",
         values=RadialFunction(grid, samples),
-    )
-
-
-def riesz_constant_local(mu: float, dim: int) -> float:
-    """c_mu = Gamma((N-mu)/2) / (pi^{N/2} 2^mu Gamma(mu/2)) (local copy; the
-    potentials module re-exports it as the public API)."""
-    if not 0.0 < mu < dim:
-        raise KernelError(f"mu must be in (0, N), got mu={mu}, N={dim}")
-    return gamma_fn((dim - mu) / 2.0) / (
-        math.pi ** (dim / 2.0) * 2.0**mu * gamma_fn(mu / 2.0)
     )
 
 
@@ -246,12 +228,9 @@ def constant_A(profile: KernelProfile) -> float:
     g = v.grid
 
     # integrand in log coordinates: rho^{N-2b} G(rho)
-    edges = np.log(g.nodes)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rho = np.exp(mid + half * _GL12[0])
-        total += half * float(np.dot(_GL12[1], v(rho) * rho ** (n - 2.0 * b)))
+    x, w = gl_panels(np.log(g.nodes), *_GL12)
+    rho = np.exp(x)
+    total = float(np.dot(w, v(rho) * rho ** (n - 2.0 * b)))
 
     e_in = (n - 2.0 * b) + v.inner_exponent
     if e_in <= 0:
@@ -273,10 +252,11 @@ def constant_A(profile: KernelProfile) -> float:
 
 
 def evaluate_Y(profile: KernelProfile, rho, t):
-    """Y(rho, t) = t^{-sigma_*} G(rho t^{-theta})."""
+    """Y(rho, t) = t^{-sigma_*} G(rho t^{-theta}), for arrays of rho or of t."""
     _require_g(profile)
     e = profile.exps
-    if t <= 0:
+    t = np.asarray(t, dtype=float)  # one power routine for scalar and array t
+    if np.any(t <= 0):
         raise KernelError("t must be positive")
     return t**-e.sigma_star * profile.values(np.asarray(rho) * t**-e.theta)
 

@@ -178,6 +178,23 @@ def classify_scale(gamma: float, exps: Exponents, scale: ScaleSpec) -> ScaleClas
     return ScaleClass.FAST
 
 
+def intermediate_rate_exponents(
+    exps: Exponents, p: float, gamma: float, scale_class: ScaleClass
+) -> tuple:
+    """(t-exponent, log-power, phi-exponent) of the sharp intermediate-scale
+    rate t^e (log t)^l phi(t)^k."""
+    sp = sigma_p(exps, p)
+    a = exps.params.alpha
+    theta = exps.theta
+    if scale_class in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
+        return -gamma, 0, (1.0 - sp) / theta
+    if scale_class is ScaleClass.FAST1:
+        return -(1.0 + a), 1, (1.0 + a - sp) / theta
+    if scale_class is ScaleClass.FAST:
+        return -(1.0 + a), 0, (1.0 + a - sp) / theta
+    raise ParameterError(f"{scale_class} is not an intermediate class")
+
+
 def rate_intermediate(
     exps: Exponents,
     p: float,
@@ -187,26 +204,22 @@ def rate_intermediate(
     t: float,
 ) -> float:
     """Sharp decay rate for the annulus norm at an intermediate scale."""
+    e, l, k = intermediate_rate_exponents(exps, p, gamma, scale_class)
+    return t**e * math.log(t) ** l * phi_at_t**k
+
+
+def outer_rate_exponents(exps: Exponents, p: float, gamma: float) -> tuple:
+    """(t-exponent, log-power) of the sharp exterior rate t^e (log t)^l."""
     sp = sigma_p(exps, p)
-    a = exps.params.alpha
-    theta = exps.theta
-    if scale_class in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
-        return t**-gamma * phi_at_t ** ((1.0 - sp) / theta)
-    if scale_class is ScaleClass.FAST1:
-        return t ** -(1.0 + a) * math.log(t) * phi_at_t ** ((1.0 + a - sp) / theta)
-    if scale_class is ScaleClass.FAST:
-        return t ** -(1.0 + a) * phi_at_t ** ((1.0 + a - sp) / theta)
-    raise ParameterError(f"{scale_class} is not an intermediate class")
+    if gamma < 1.0:
+        return 1.0 - gamma - sp, 0
+    return -sp, 1 if gamma == 1.0 else 0
 
 
 def rate_outer(exps: Exponents, p: float, gamma: float, t: float) -> float:
     """Sharp decay rate for the exterior norm over |x| > nu t^theta."""
-    sp = sigma_p(exps, p)
-    if gamma < 1.0:
-        return t ** (1.0 - gamma - sp)
-    if gamma == 1.0:
-        return t**-sp * math.log(t)
-    return t**-sp
+    e, l = outer_rate_exponents(exps, p, gamma)
+    return t**e * math.log(t) ** l
 
 
 def rate_compact(gamma: float, alpha: float) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +30,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline, make_interp_spline
 
-from .special import bessel_j_half
+from .reporting import atomic_write
+from .special import bessel_j_half, gl_panels
 
 _CONVENTION = "angular-frequency, (2pi)^{-N} inverse"
 
@@ -175,11 +175,11 @@ class RadialFunction:
         lines += [
             f"{rho:.17g},{val:.17g}" for rho, val in zip(self.grid.nodes, self.samples)
         ]
-        _atomic_write(csv_path, "\n".join(lines) + "\n")
+        atomic_write(csv_path, "\n".join(lines) + "\n")
         meta = self.metadata()
         if extra_metadata:
             meta.update(extra_metadata)
-        _atomic_write(
+        atomic_write(
             os.path.splitext(csv_path)[0] + ".json", json.dumps(meta, indent=2) + "\n"
         )
 
@@ -192,20 +192,6 @@ class RadialFunction:
         if not np.allclose(data[:, 0], grid.nodes, rtol=1e-12):
             raise TransformError(f"grid mismatch in {csv_path}")
         return cls(grid, data[:, 1]), meta
-
-
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # --- Hankel quadrature engine ------------------------------------------------
@@ -265,11 +251,7 @@ class _HankelEngine:
         )
         breaks = np.concatenate([head_breaks, zeros[1:]])
 
-        xg, wg = _leggauss_extended(self.GL_PTS)
-        mid = 0.5 * (breaks[1:] + breaks[:-1])
-        half = 0.5 * (breaks[1:] - breaks[:-1])
-        x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
+        x, w = gl_panels(breaks, *_leggauss_extended(self.GL_PTS))
 
         jx = self._bessel_extended(x)
         self.x = x
@@ -406,28 +388,15 @@ def radial_integral(u: RadialFunction, dim: int) -> float:
         if e <= 0:
             return math.copysign(math.inf, u.samples[0])
         total += u.samples[0] * g.rho_min**dim / e
-    xg, wg = _GL8
-    edges = np.log(g.nodes)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    rho = np.exp(mids[:, None] + halfs[:, None] * xg[None, :])
-    total += float((halfs[:, None] * wg[None, :] * u(rho) * rho**dim).sum())
+    x, w = gl_panels(np.log(g.nodes), *_GL8)
+    rho = np.exp(x)
+    total += float((w * u(rho) * rho**dim).sum())
     if abs(u.samples[-1]) > 0:
         e = u.outer_exponent + dim
         if e >= 0:
             return math.copysign(math.inf, u.samples[-1])
         total += u.samples[-1] * g.rho_max**dim / (-e)
     return omega_n(dim) * total
-
-
-def _segment_integral(u, p, dim, lo, hi):
-    """int_lo^hi |u|^p rho^{N-1} drho via Gauss-Legendre in log rho."""
-    ulo, uhi = math.log(lo), math.log(hi)
-    mid, half = 0.5 * (uhi + ulo), 0.5 * (uhi - ulo)
-    xn = mid + half * _GL8[0]
-    rho = np.exp(xn)
-    vals = np.abs(u(rho)) ** p * rho**dim
-    return half * float(np.dot(_GL8[1], vals))
 
 
 def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -> float:
@@ -471,10 +440,11 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
         lo = g.rho_min
     hi = min(b, g.rho_max)
     if hi > lo:
+        # Gauss-Legendre in log rho on every grid cell the range meets
         nodes = g.nodes[(g.nodes > lo) & (g.nodes < hi)]
-        edges = np.concatenate([[lo], nodes, [hi]])
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            total += _segment_integral(u, p, dim, s0, s1)
+        x, w = gl_panels(np.log(np.concatenate([[lo], nodes, [hi]])), *_GL8)
+        rho = np.exp(x)
+        total += float(np.dot(w, np.abs(u(rho)) ** p * rho**dim))
     # analytic outer piece above the grid
     if b > g.rho_max and abs(u.samples[-1]) > 0:
         e = p * u.outer_exponent + dim

@@ -55,16 +55,18 @@ class ConvergenceReport:
 
     def save(self, json_path: str):
         """Report JSON plus a plot-ready CSV of the error series."""
-        _atomic(json_path, json.dumps(self.to_dict(), indent=2) + "\n")
+        atomic_write(json_path, json.dumps(self.to_dict(), indent=2) + "\n")
         rows = ["checkpoint,raw_error,normalized_error"]
         rows += [
             f"{t:.17g},{r:.17g},{n:.17g}"
             for t, r, n in zip(self.checkpoints, self.raw_errors, self.normalized_errors)
         ]
-        _atomic(os.path.splitext(json_path)[0] + ".csv", "\n".join(rows) + "\n")
+        atomic_write(os.path.splitext(json_path)[0] + ".csv", "\n".join(rows) + "\n")
 
 
-def _atomic(path, text):
+def atomic_write(path, text):
+    """Write text to path through a temporary file and os.replace, so readers
+    never see a partial file."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")

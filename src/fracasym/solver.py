@@ -29,8 +29,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import jv
 
 from .params import Exponents, FracParams, derive_exponents
-from .radialtransform import RadialFunction, RadialGrid, omega_n, radial_fourier_inverse
-from .special import gamma_fn, mittag_leffler
+from .radialtransform import RadialFunction, RadialGrid, radial_fourier_inverse
+from .special import gamma_fn, gl_panels, mittag_leffler
 
 
 class SolverError(ValueError):
@@ -165,15 +165,6 @@ _PTS_PER_DECADE = 60
 _GL_TAU = leggauss(12)
 
 
-def _panel_nodes(edges):
-    xg, wg = _GL_TAU
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
-
-
 def _duhamel_nodes(alpha: float, gamma: float, t: float):
     """Discretize int_0^t (1+s)^{-gamma} (t-s)^{alpha-1} E_{aa}(-lam (t-s)^alpha) ds
     as sum_k c_k E_{aa}(-lam a_k), lam-independent nodes a_k = (t-s_k)^alpha.
@@ -185,13 +176,13 @@ def _duhamel_nodes(alpha: float, gamma: float, t: float):
     """
     # old-forcing half: s in [0, t/2], graded toward s = 0
     s_edges = 0.5 * t * 10.0 ** np.linspace(-26.0, 0.0, 53)
-    s_nodes, s_w = _panel_nodes(s_edges)
+    s_nodes, s_w = gl_panels(s_edges, *_GL_TAU)
     a_s = (t - s_nodes) ** alpha
     c_s = (1.0 + s_nodes) ** (-gamma) * (t - s_nodes) ** (alpha - 1.0) * s_w
     # recent half: tau in [0, (t/2)^alpha], graded toward tau = 0
     V = (0.5 * t) ** alpha
     tau_edges = V * 10.0 ** np.linspace(-26.0, 0.0, 53)
-    tau_nodes, tau_w = _panel_nodes(tau_edges)
+    tau_nodes, tau_w = gl_panels(tau_edges, *_GL_TAU)
     c_tau = (1.0 + t - tau_nodes ** (1.0 / alpha)) ** (-gamma) * tau_w / alpha
     # stubs: [0, s_min] and [0, tau_min], integrands constant to ~1e-16 there
     a = np.concatenate([a_s, tau_nodes, [t**alpha, 0.0]])

@@ -54,23 +54,23 @@ _ASYMP_CUT = 40.0
 _R_CUT = 45.0  # e^{-45} ~ 3e-20: truncation of the contour integral
 
 
-def _gl_panels(breaks, npts):
-    """Concatenated Gauss-Legendre nodes/weights over consecutive panels."""
-    xg, wg = leggauss(npts)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+def gl_panels(breaks, xg, wg):
+    """Gauss-Legendre rule (xg, wg) on [-1, 1] mapped onto each panel of
+    `breaks`: flattened nodes and weights, in the dtype of the inputs."""
+    breaks = np.asarray(breaks)
+    mid = 0.5 * (breaks[1:] + breaks[:-1])
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    weights = (half[:, None] * wg[None, :]).ravel()
+    return nodes, weights
 
 
 # Panels for the contour integral: [0,1] in the substituted variable v
 # (graded toward 0), then [1, R_CUT] in r (graded for the e^{-r} decay).
-_V_NODES, _V_WEIGHTS = _gl_panels(
-    [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0], 24
+_V_NODES, _V_WEIGHTS = gl_panels(
+    [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0], *leggauss(24)
 )
-_R_NODES, _R_WEIGHTS = _gl_panels([1.0, 2.0, 4.0, 8.0, 16.0, 28.0, _R_CUT], 32)
+_R_NODES, _R_WEIGHTS = gl_panels([1.0, 2.0, 4.0, 8.0, 16.0, 28.0, _R_CUT], *leggauss(32))
 
 
 def _ml_series(a, b, y):

@@ -32,7 +32,6 @@ from numpy.polynomial.legendre import leggauss
 from . import kernels
 from .params import (
     FracParams,
-    ParameterError,
     ScaleClass,
     ScaleSpec,
     classify_scale,
@@ -50,8 +49,8 @@ from .radialtransform import (
     radial_fourier_inverse,
 )
 from .reporting import ConvergenceReport, make_report
-from .solver import ForcingSpec, solution_mass, time_weight
-from .special import gamma_fn, mittag_leffler
+from .solver import ForcingSpec, outer_reference, solution_mass, time_weight
+from .special import gamma_fn, gl_panels, mittag_leffler
 
 
 class VerifyError(ValueError):
@@ -103,6 +102,18 @@ def _difference_slice(cfg: VerifyConfig, t: float, profile_symbol):
         return fs.amplitude * fs.ghat(r) * w_fn(r**two_beta) - profile_symbol(r)
 
     return radial_fourier_inverse(symbol, params.dim, cfg.grid)
+
+
+def _y_hat(params: FracParams, t: float):
+    """r -> Y-hat(r, t) = t^{a-1} E_{a,a}(-r^{2b} t^a), the Duhamel kernel's symbol."""
+    a, two_b = params.alpha, 2.0 * params.beta
+    ta = t**a
+
+    def symbol(r):
+        r = np.asarray(r, dtype=float)
+        return t ** (a - 1.0) * mittag_leffler(a, a, -(r**two_b) * ta)
+
+    return symbol
 
 
 def _zero_report(cfg, theorem, extra=None):
@@ -334,6 +345,7 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
         w_fn = time_weight(params.alpha, fs.gamma, t)
         two_b = 2.0 * params.beta
 
+        # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
         def symbol(r, w_fn=w_fn):
             r = np.asarray(r, dtype=float)
             return fs.amplitude * (fs.ghat(r) - mass_g) * w_fn(r**two_b)
@@ -370,20 +382,11 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
         / abs(M_inf)
         for t in cfg.times
     ]
-    two_b = 2.0 * params.beta
     sp = sigma_p(exps, cfg.p)
     raw, norm = [], []
     for t in cfg.times:
-        w_fn = time_weight(params.alpha, fs.gamma, t)
-        ta = t**a
-
-        def symbol(r, w_fn=w_fn, ta=ta, t=t):
-            r = np.asarray(r, dtype=float)
-            lam = r**two_b
-            y_hat = t ** (a - 1.0) * mittag_leffler(a, a, -lam * ta)
-            return fs.amplitude * fs.ghat(r) * w_fn(lam) - M_inf * y_hat
-
-        diff = radial_fourier_inverse(symbol, params.dim, cfg.grid)
+        y_hat = _y_hat(params, t)
+        diff = _difference_slice(cfg, t, lambda r, y_hat=y_hat: M_inf * y_hat(r))
         lo, hi = _outer_annulus(cfg, t)
         err = lp_norm_annulus(diff, cfg.p, params.dim, lo, hi)
         raw.append(err)
@@ -425,7 +428,6 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
         for t in cfg.times
     ]
     exps = derive_exponents(params)
-    two_b = 2.0 * params.beta
     sp = sigma_p(exps, cfg.p)
     theta = exps.theta
     kernel_times = [
@@ -435,17 +437,11 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     ]
     kernel_series = []
     for t in kernel_times:
-        w_fn = time_weight(params.alpha, fs.gamma, t)
-        ta = t**a
+        y_hat = _y_hat(params, t)
         log_t = math.log(t)
-
-        def symbol(r, w_fn=w_fn, ta=ta, t=t, log_t=log_t):
-            r = np.asarray(r, dtype=float)
-            lam = r**two_b
-            y_hat = t ** (a - 1.0) * mittag_leffler(a, a, -lam * ta)
-            return fs.amplitude * fs.ghat(r) * w_fn(lam) - M0 * log_t * y_hat
-
-        diff = radial_fourier_inverse(symbol, params.dim, cfg.grid)
+        diff = _difference_slice(
+            cfg, t, lambda r, y_hat=y_hat, log_t=log_t: M0 * log_t * y_hat(r)
+        )
         lo, hi = _outer_annulus(cfg, t)
         err = lp_norm_annulus(diff, cfg.p, params.dim, lo, hi)
         kernel_series.append(t**sp * err / log_t)
@@ -493,12 +489,7 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
         rho = xi * t**exps.theta
         if not cfg.grid.rho_min <= rho <= cfg.grid.rho_max:
             raise VerifyError(f"evaluation radius {rho:g} outside the grid")
-        w_fn = time_weight(params.alpha, fs.gamma, t)
-        ref = radial_fourier_inverse(
-            lambda r, w_fn=w_fn: M0 * w_fn(np.asarray(r, dtype=float) ** two_b),
-            n,
-            cfg.grid,
-        )
+        ref = outer_reference(fs, params, t, cfg.grid)
         target = t**-fs.gamma * M0 * c2b * rho ** (two_b - n)
         errs.append(abs(float(ref(rho)) / target - 1.0))
     rep = make_report(
@@ -517,14 +508,8 @@ _GL8 = leggauss(8)
 
 def _y_time_integral(profile, T: float) -> float:
     """int_0^T Y(1, s) ds by geometric-panel quadrature in s."""
-    edges = T * 10.0 ** np.linspace(-12.0, 0.0, 49)
-    xg, wg = _GL8
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    y = np.array([float(kernels.evaluate_Y(profile, 1.0, si)) for si in s])
-    return float(np.sum(y * w))
+    s, w = gl_panels(T * 10.0 ** np.linspace(-12.0, 0.0, 49), *_GL8)
+    return float(np.sum(kernels.evaluate_Y(profile, 1.0, s) * w))
 
 
 def verify_constant_identity(cfg: VerifyConfig) -> ConvergenceReport:
@@ -565,17 +550,10 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     bounds = profile.bound_report or kernels.validate_bounds(profile)
     # fresh inverse transform per time (not a rescaling of the t=1 profile),
     # on a grid wide enough that both power-law tails are asymptotically clean
-    a, two_b = params.alpha, 2.0 * params.beta
     wide = RadialGrid(1e-3, 1e5, cfg.grid.points)
     norms = []
     for t in cfg.times:
-        ta = t**a
-
-        def y_symbol(r, ta=ta, t=t):
-            r = np.asarray(r, dtype=float)
-            return t ** (a - 1.0) * mittag_leffler(a, a, -(r**two_b) * ta)
-
-        u = radial_fourier_inverse(y_symbol, params.dim, wide)
+        u = radial_fourier_inverse(_y_hat(params, t), params.dim, wide)
         norms.append(lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9))
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
     sp = sigma_p(exps, cfg.p)

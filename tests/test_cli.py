@@ -1,11 +1,24 @@
+import glob
 import json
 import math
 import os
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
 
 from fracasym.cli import ConfigError, main, parse_config
+from fracasym.params import (
+    FracParams,
+    ScaleClass,
+    derive_exponents,
+    rate_compact,
+    rate_intermediate,
+    rate_outer,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 MINIMAL = """
@@ -108,15 +121,40 @@ def test_exit_code_missing_config(tmp_path, capsys):
 
 
 def test_rates_command(tmp_path):
-    path = _write(tmp_path, FULL)
-    out = tmp_path / "out"
-    assert main(["rates", "--config", path, "--out", str(out)]) == 0
-    rows = (out / "rates.csv").read_text().strip().splitlines()
-    assert rows[0] == "regime,p,gamma,t_exponent,log_power"
-    regime, p, gamma, t_exp, log_pow = rows[1].split(",")
-    assert regime == "outer"
-    # gamma = 1/2 < 1, p = inf: exponent 1 - gamma - sigma_* = 0.5 - 2 = -1.5
-    assert float(t_exp) == pytest.approx(-1.5, abs=1e-12)
+    # FULL: p = inf, (alpha, beta, N) = (0.5, 0.5, 3), so sigma_* = 2, theta = 1/2
+    exps = derive_exponents(FracParams(0.5, 0.5, 3))
+    outer = FULL.replace("theorem = coherence", "theorem = outer-general")
+    intermediate = outer.replace("kind = outer", "kind = intermediate").replace(
+        "nu = 1.0", "nu = 1.0\nexponent = 0.5\nlog_exponent = -0.5"
+    )
+    t = 1e3
+    cases = [
+        # gamma = 1/2 < 1: exponent 1 - gamma - sigma_* = 0.5 - 2 = -1.5
+        (FULL, "outer", -1.5, 0, rate_outer(exps, math.inf, 0.5, t)),
+        (outer.replace("gamma = 0.5", "gamma = 1.0"), "outer", -2.0, 1,
+         rate_outer(exps, math.inf, 1.0, t)),
+        # compact: t^{-min(gamma, 1 + alpha)}
+        (outer.replace("kind = outer", "kind = compact").replace(
+            "gamma = 0.5", "gamma = 2.0"), "compact", -rate_compact(2.0, 0.5), 0,
+         t ** -rate_compact(2.0, 0.5)),
+        # F1 at phi = t^theta (log t)^{-1/2}: t^{-3/2} log t phi^{-1}
+        (intermediate.replace("gamma = 0.5", "gamma = 1.0"), "intermediate-F1", -2.0,
+         1.5, rate_intermediate(exps, math.inf, 1.0, ScaleClass.FAST1,
+                                t**0.5 * math.log(t) ** -0.5, t)),
+    ]
+    for i, (text, regime, t_exp, log_pow, rate) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        path = _write(tmp_path, text, name=f"config{i}.ini")
+        assert main(["rates", "--config", path, "--out", str(out)]) == 0
+        rows = (out / "rates.csv").read_text().strip().splitlines()
+        assert rows[0] == "regime,p,gamma,t_exponent,log_power"
+        fields = rows[1].split(",")
+        assert fields[0] == regime
+        assert float(fields[3]) == pytest.approx(t_exp, abs=1e-12)
+        assert float(fields[4]) == pytest.approx(log_pow, abs=1e-12)
+        # the printed exponents reproduce the rate the checks normalize by
+        got = t ** float(fields[3]) * math.log(t) ** float(fields[4])
+        assert got == pytest.approx(rate, rel=1e-12)
 
 
 def test_verify_command_exit_zero(tmp_path, cache_dir):
@@ -175,6 +213,28 @@ def test_kernel_command_and_cache(tmp_path):
     out2 = tmp_path / "out2"
     assert main(["kernel", "--config", path, "--out", str(out2), "--cache", cache]) == 0
     assert (out2 / "profile_G.csv").read_bytes() == g1
+
+
+def test_profile_metadata_one_key_set(tmp_path, cache_dir, g_profile_heat, f_profile_heat):
+    # the session cache holds both validation-mode profiles: nothing is rebuilt
+    cfg = MINIMAL.replace("alpha = 0.5", "alpha = 1.0\nvalidation_mode = true")
+    cfg = cfg.replace("beta = 0.5", "beta = 1.0").replace("dim = 3", "dim = 5")
+    path = _write(tmp_path, cfg)
+    cli_out, script_out = tmp_path / "cli", tmp_path / "script"
+    assert main(["kernel", "--config", path, "--out", str(cli_out), "--cache", cache_dir]) == 0
+    script = runpy.run_path(os.path.join(ROOT, "scripts", "build_profiles.py"))
+    argv = ["--out", str(script_out), "--cache", cache_dir, "--params", "1,1,5"]
+    assert script["main"](argv) == 0
+    for which in "GF":
+        (sidecar,) = glob.glob(os.path.join(cache_dir, f"profile_{which}_a1.0_b1.0_N5_*.json"))
+        cached, cli_meta, script_meta = [
+            json.loads(pathlib.Path(f).read_text())
+            for f in (sidecar, cli_out / f"profile_{which}.json",
+                      script_out / f"profile_{which}_a1_b1_N5.json")
+        ]
+        assert {"which", "alpha", "beta", "dim", "kappa", "kappa_variation",
+                "constant_A", "bound_report"} <= cached.keys()
+        assert cli_meta == cached and script_meta == cached
 
 
 def test_requires_forcing(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from fracasym import kernels
 from fracasym.params import FracParams
 from fracasym.potentials import riesz_constant
-from fracasym.radialtransform import radial_integral
+from fracasym.radialtransform import RadialFunction, RadialGrid, radial_integral
 from fracasym.special import mittag_leffler, ml_tail_coefficient
 
 
@@ -171,6 +171,49 @@ def test_cache_reuse(params_ref, tmp_path):
     assert p2.bound_report["exterior_slope"] == pytest.approx(
         p1.bound_report["exterior_slope"], rel=1e-12
     )
+
+
+def test_cache_keys_exact_parameters(params_ref, tmp_path, monkeypatch):
+    # a planted profile stands in for a build: no transform runs in this test
+    grid = RadialGrid()
+    planted = kernels.KernelProfile(
+        params=params_ref,
+        exps=None,
+        which="G",
+        values=RadialFunction(grid, np.exp(-grid.nodes)),
+        constant_A=1.0,
+    )
+    near = FracParams(0.5000001, 0.5, 3)
+    cdir = str(tmp_path)
+    ref_path = kernels._cache_path(params_ref, "G", grid, cdir)
+    near_path = kernels._cache_path(near, "G", grid, cdir)
+    assert near_path != ref_path
+    assert "_a0.5_b0.5_N3_" in ref_path  # names of short decimals are unchanged
+
+    class Rebuilt(Exception):
+        pass
+
+    def no_transform(*args, **kwargs):
+        raise Rebuilt
+
+    monkeypatch.setattr(kernels, "radial_fourier_inverse", no_transform)
+    planted.save(ref_path)
+    hit = kernels.build_y_profile(params_ref, cache_dir=cdir)
+    assert np.array_equal(hit.values.samples, planted.values.samples)
+    assert hit.constant_A == 1.0
+    # the same files under another request's name: the sidecar's alpha differs
+    planted.save(near_path)
+    with pytest.raises(Rebuilt):
+        kernels.build_y_profile(near, cache_dir=cdir)
+
+
+def test_evaluate_Y_array_t_matches_scalar_calls(g_profile_ref):
+    t = np.geomspace(1e-8, 1e4, 41)
+    vec = kernels.evaluate_Y(g_profile_ref, 1.0, t)
+    one_by_one = [kernels.evaluate_Y(g_profile_ref, 1.0, float(s)) for s in t]
+    np.testing.assert_array_equal(vec, one_by_one)
+    with pytest.raises(kernels.KernelError):
+        kernels.evaluate_Y(g_profile_ref, 1.0, np.array([1.0, 0.0]))
 
 
 def test_profile_positivity(g_profile_ref, g_profile_beta1):

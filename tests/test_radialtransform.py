@@ -127,6 +127,25 @@ def test_lp_norm_power_law_exact():
     assert lp_norm_annulus(u, math.inf, 3, 1.0, 2.0) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_lp_norm_matches_per_cell_loop():
+    # reference: one 8-point Gauss-Legendre rule in log rho per grid cell,
+    # summed cell by cell; only the order of the floating-point sum differs
+    grid = RadialGrid(1e-2, 1e2, 128)
+    u = RadialFunction(grid, np.exp(-grid.nodes) / (1.0 + grid.nodes**2))
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    for p, a, b in ((1.0, 0.0173, 37.0), (2.5, 0.5, 0.6)):
+        inner = grid.nodes[(grid.nodes > a) & (grid.nodes < b)]
+        edges = np.log(np.concatenate([[a], inner, [b]]))
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (hi - lo)
+            rho = np.exp(0.5 * (hi + lo) + half * xg)
+            total += half * np.dot(wg, np.abs(u(rho)) ** p * rho**3)
+        expected = (omega_n(3) * total) ** (1.0 / p)
+        got = lp_norm_annulus(u, p, 3, a, b)
+        assert got == pytest.approx(expected, rel=1000 * np.finfo(float).eps)
+
+
 def test_lp_norm_zero_function():
     grid = RadialGrid(1e-3, 1e3, 128)
     z = RadialFunction(grid, np.zeros(grid.points))

@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erfcx
 
+from fracasym.radialtransform import _leggauss_extended
 from fracasym.special import (
     SpecialFunctionError,
     bessel_j_half,
     gamma_fn,
+    gl_panels,
     ml_tail_coefficient,
     mittag_leffler,
 )
@@ -164,3 +168,24 @@ def test_ml_derivative_identity(a, lam, t):
     ) / (2.0 * h)
     ana = -lam * t ** (a - 1.0) * mittag_leffler(a, a, -lam * t**a)
     assert num == pytest.approx(ana, rel=1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("rule", [leggauss, _leggauss_extended])
+def test_gl_panels_exact_for_degree_2n_minus_1(rule):
+    # an n-point rule integrates degree 2n-1 exactly on every panel, so the
+    # panel sum is exact over [0, b] however unevenly the breaks fall
+    n = 16
+    xg, wg = rule(n)
+    breaks = np.array([0.0, 0.013, 0.2, 0.21, 0.9, 1.7], dtype=xg.dtype)
+    x, w = gl_panels(breaks, xg, wg)
+    assert x.dtype == w.dtype == xg.dtype
+    assert x.shape == w.shape == (5 * n,)
+    coeffs = [1.0 / (k + 1) for k in range(2 * n)]
+    vals = np.zeros_like(x)
+    for c in reversed(coeffs):  # Horner, in the rule's precision
+        vals = vals * x + c
+    got = np.sum(w * vals)
+    b = Fraction(float(breaks[-1]))
+    exact = sum(Fraction(c) * b ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+    err = abs(Fraction(*got.as_integer_ratio()) - exact) / exact
+    assert float(err) < 100 * np.finfo(xg.dtype).eps
