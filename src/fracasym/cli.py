@@ -5,8 +5,14 @@
 Commands: kernel, potential, solve, rates, verify.  Configuration is strict
 INI with sections [problem], [forcing], [grid], [verify]; unknown sections or
 keys are fatal (a silent typo in gamma or beta would invalidate conclusions).
-Exit status: 0 success/pass, 1 check failure, 2 configuration error.  All
-diagnostics go to stderr with machine-parseable ``code=`` prefixes.
+An absent key takes the default of the library object it configures
+(FracParams, ForcingSpec, RadialGrid, ScaleSpec, VerifyConfig); only the scale
+kind, inferred from the theorem, and the Riesz order mu = 2 beta are set here.
+Without --cache, profiles are cached in kernels.default_cache_dir().
+Exit status: 0 success/pass, 1 check failure, 2 configuration error: a value
+any of those objects rejects, or a forcing gamma outside the theorem's regime
+(verify.check_gamma), exits 2 at parse time.  All diagnostics go to stderr
+with machine-parseable ``code=`` prefixes.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from . import kernels
 from .params import (
@@ -33,7 +39,7 @@ from .radialtransform import RadialGrid, TransformError
 from .reporting import atomic_write
 from .solver import ForcingSpec, SolverError, solve_duhamel
 from .potentials import PotentialError, riesz_potential
-from .verify import VerifyConfig, VerifyError, run_check
+from .verify import VerifyConfig, VerifyError, check_gamma, run_check
 
 
 class ConfigError(ValueError):
@@ -45,52 +51,14 @@ class RunConfig:
     params: FracParams
     forcing: ForcingSpec | None
     grid: RadialGrid
-    theorem: str
-    p: float
-    times: tuple
-    tolerance: float
     scale: ScaleSpec
     mu: float
+    theorem: str = VerifyConfig.theorem
+    p: float = VerifyConfig.p
+    times: tuple = VerifyConfig.times
+    tolerance: float = VerifyConfig.tolerance
     out_dir: str = "."
     cache_dir: str | None = None
-
-
-_SECTION_KEYS = {
-    "problem": {"alpha", "beta", "dim", "validation_mode"},
-    "forcing": {"family", "gamma", "amplitude", "width"},
-    "grid": {"rho_min", "rho_max", "points"},
-    "verify": {
-        "theorem",
-        "p",
-        "times",
-        "tolerance",
-        "kind",
-        "radius",
-        "nu",
-        "mu_outer",
-        "exponent",
-        "log_exponent",
-        "mu",
-    },
-}
-
-_THEOREM_GAMMA_RULES = {
-    "outer-mass": ("outer-mass requires gamma > 1", lambda g: g > 1.0),
-    "outer-log": ("outer-log requires gamma = 1", lambda g: g == 1.0),
-    "coherence": ("coherence requires gamma < 1", lambda g: g < 1.0),
-}
-
-
-def _get(cp, section, key, cast, default=None, required=False):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
 def _parse_p(raw: str) -> float:
@@ -112,6 +80,50 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+# [section] -> key -> cast.  [problem], [forcing] and [grid] configure
+# FracParams, ForcingSpec and RadialGrid; in [verify], keys named after a
+# RunConfig field configure the run and the rest ScaleSpec (mu_outer is its mu).
+_KEYS = {
+    "problem": {"alpha": float, "beta": float, "dim": int, "validation_mode": _parse_bool},
+    "forcing": {"family": str, "gamma": float, "amplitude": float, "width": float},
+    "grid": {"rho_min": float, "rho_max": float, "points": int},
+    "verify": {
+        "theorem": str,
+        "p": _parse_p,
+        "times": _parse_times,
+        "tolerance": float,
+        "mu": float,
+        "kind": str,
+        "radius": float,
+        "nu": float,
+        "mu_outer": float,
+        "exponent": float,
+        "log_exponent": float,
+    },
+}
+
+
+def _section(cp, section) -> dict:
+    """The keys given in [section], cast; an absent section gives none."""
+    out = {}
+    for key in cp.options(section) if cp.has_section(section) else ():
+        raw = cp.get(section, key)
+        try:
+            out[key] = _KEYS[section][key](raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    return out
+
+
+def _make(cls, section, given, **fixed):
+    """cls(**given, **fixed); a field of cls without a default is required."""
+    kwargs = {**given, **fixed}
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key [{section}] {f.name}")
+    return cls(**kwargs)
+
+
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -120,9 +132,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(cp.options(section)) - _SECTION_KEYS[section]
+        unknown = set(cp.options(section)) - _KEYS[section].keys()
         if unknown:
             raise ConfigError(
                 f"unknown keys in [{section}]: {', '.join(sorted(unknown))}"
@@ -130,77 +142,28 @@ def parse_config(text: str) -> RunConfig:
     if not cp.has_section("problem"):
         raise ConfigError("missing required section [problem]")
 
+    problem, forcing, grid, scale = (_section(cp, section) for section in _KEYS)
+    run = {k: scale.pop(k) for k in list(scale) if k in RunConfig.__dataclass_fields__}
+    if "mu_outer" in scale:
+        scale["mu"] = scale.pop("mu_outer")
+    theorem = run.get("theorem", VerifyConfig.theorem)
+    if "kind" not in scale:
+        scale["kind"] = ("intermediate" if theorem == "intermediate"
+                         else "outer" if theorem.startswith("outer") else "compact")
     try:
-        params = FracParams(
-            alpha=_get(cp, "problem", "alpha", float, required=True),
-            beta=_get(cp, "problem", "beta", float, required=True),
-            dim=_get(cp, "problem", "dim", int, required=True),
-            validation_mode=_get(cp, "problem", "validation_mode", _parse_bool, False),
-        )
-    except ParameterError as exc:
+        params = _make(FracParams, "problem", problem)
+        if cp.has_section("forcing"):
+            forcing = _make(ForcingSpec, "forcing", forcing, dim=params.dim)
+        else:
+            forcing = None
+        run.setdefault("mu", 2.0 * params.beta)
+        cfg = RunConfig(params=params, forcing=forcing, grid=RadialGrid(**grid),
+                        scale=ScaleSpec(**scale), **run)
+        if forcing is not None:
+            check_gamma(theorem, forcing.gamma)
+    except (ParameterError, SolverError, TransformError, VerifyError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    forcing = None
-    if cp.has_section("forcing"):
-        try:
-            forcing = ForcingSpec(
-                family=_get(cp, "forcing", "family", str, required=True),
-                gamma=_get(cp, "forcing", "gamma", float, required=True),
-                amplitude=_get(cp, "forcing", "amplitude", float, 1.0),
-                width=_get(cp, "forcing", "width", float, 1.0),
-                dim=params.dim,
-            )
-        except SolverError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    grid = RadialGrid(
-        rho_min=_get(cp, "grid", "rho_min", float, 1e-3) if cp.has_section("grid") else 1e-3,
-        rho_max=_get(cp, "grid", "rho_max", float, 1e3) if cp.has_section("grid") else 1e3,
-        points=_get(cp, "grid", "points", int, 768) if cp.has_section("grid") else 768,
-    )
-
-    has_v = cp.has_section("verify")
-    theorem = _get(cp, "verify", "theorem", str, "compact") if has_v else "compact"
-    p_norm = _get(cp, "verify", "p", _parse_p, 1.0) if has_v else 1.0
-    times = (
-        _get(cp, "verify", "times", _parse_times, (1e2, 1e3, 1e4)) if has_v else (1e2, 1e3, 1e4)
-    )
-    tolerance = _get(cp, "verify", "tolerance", float, 5e-2) if has_v else 5e-2
-    kind = _get(cp, "verify", "kind", str, None) if has_v else None
-    if kind is None:
-        kind = {
-            "compact": "compact",
-            "intermediate": "intermediate",
-        }.get(theorem, "outer" if theorem.startswith("outer") else "compact")
-    try:
-        scale = ScaleSpec(
-            kind=kind,
-            radius=_get(cp, "verify", "radius", float, 1.0) if has_v else 1.0,
-            nu=_get(cp, "verify", "nu", float, 1.0) if has_v else 1.0,
-            mu=_get(cp, "verify", "mu_outer", float, 2.0) if has_v else 2.0,
-            exponent=_get(cp, "verify", "exponent", float, 0.0) if has_v else 0.0,
-            log_exponent=_get(cp, "verify", "log_exponent", float, 0.0) if has_v else 0.0,
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    mu = _get(cp, "verify", "mu", float, 2.0 * params.beta) if has_v else 2.0 * params.beta
-
-    if theorem in _THEOREM_GAMMA_RULES and forcing is not None:
-        message, rule = _THEOREM_GAMMA_RULES[theorem]
-        if not rule(forcing.gamma):
-            raise ConfigError(message)
-
-    return RunConfig(
-        params=params,
-        forcing=forcing,
-        grid=grid,
-        theorem=theorem,
-        p=p_norm,
-        times=times,
-        tolerance=tolerance,
-        scale=scale,
-        mu=mu,
-    )
+    return cfg
 
 
 def _require_forcing(cfg: RunConfig):
@@ -328,10 +291,7 @@ def main(argv=None) -> int:
         print(f"code=config {exc}", file=sys.stderr)
         return 2
 
-    cfg.out_dir = args.out
-    cfg.cache_dir = (
-        args.cache if args.cache is not None else os.environ.get("FRACASYM_CACHE")
-    )
+    cfg.out_dir, cfg.cache_dir = args.out, args.cache
 
     try:
         return run_command(args.command, cfg)

@@ -6,24 +6,29 @@ t^{a-1} E_{a,a}(-|w|^{2b} t^a); its t=1 slice is the profile G.  Both are
 positive, with G ~ kappa rho^{4b-N} at the origin and an algebraic
 rho^{-(N+2b)} tail for b < 1 (exponential-type for b = 1).
 
-Profiles are built once per (alpha, beta, N, grid) and cached on disk.
+Profiles are built once per (alpha, beta, N, grid) and cached on disk; the
+cache is also keyed on the engine source, and a corrupt file is a miss.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import radialtransform, special
 from .params import Exponents, FracParams, derive_exponents
 from .potentials import riesz_constant
 from .radialtransform import (
     RadialFunction,
     RadialGrid,
+    TransformError,
     radial_fourier_inverse,
 )
 from .special import gl_panels, mittag_leffler, ml_tail_coefficient
@@ -41,6 +46,14 @@ def default_cache_dir() -> str:
 
 # fitted constants a profile carries besides its values (sidecar keys)
 _FITTED = ("kappa", "kappa_variation", "constant_A", "bound_report")
+
+
+@functools.cache
+def _engine() -> str:
+    """sha256 of the source that computes profile values, so that a profile
+    cached by other code is a miss."""
+    sources = (special.__file__, radialtransform.__file__, __file__)
+    return hashlib.sha256(b"".join(Path(f).read_bytes() for f in sources)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -61,9 +74,10 @@ class KernelProfile:
 
     def save(self, csv_path):
         """Values CSV plus a JSON sidecar with the profile's identity
-        (which, alpha, beta, dim) and its fitted constants."""
+        (which, alpha, beta, dim, engine) and its fitted constants."""
         p = self.params
-        meta = {"which": self.which, "alpha": p.alpha, "beta": p.beta, "dim": p.dim}
+        meta = {"which": self.which, "alpha": p.alpha, "beta": p.beta, "dim": p.dim,
+                "engine": _engine()}
         meta.update({k: getattr(self, k) for k in _FITTED})
         self.values.save(csv_path, extra_metadata=meta)
 
@@ -99,20 +113,24 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
 
     path = _cache_path(params, which, grid, cache_dir) if cache_dir else None
     if path and os.path.exists(path):
-        values, meta = RadialFunction.load(path)
-        # a sidecar written for other parameters is a miss: rebuild over it
+        try:
+            values, meta = RadialFunction.load(path)
+        except (OSError, ValueError, KeyError, IndexError, TypeError, TransformError):
+            meta = {}  # a corrupt CSV or sidecar is a miss
+        # a sidecar written for other parameters or by other engine code is a
+        # miss: rebuild over it
         request = {"which": which, "alpha": params.alpha, "beta": params.beta,
-                   "dim": params.dim}
+                   "dim": params.dim, "engine": _engine()}
         if {k: meta.get(k) for k in request} == request:
             fitted = {k: meta.get(k) for k in _FITTED}
             return KernelProfile(params, exps, which, values, **fitted)
 
     values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)
     if params.beta == 1.0:
-        # exponential-type spatial tail: below ~1e-13 of the peak the samples
-        # are oscillatory quadrature residue, not signal
+        # exponential-type spatial tail: the profile is positive, so from the
+        # first non-positive sample on the samples are quadrature residue
         samples = values.samples.copy()
-        samples[np.abs(samples) < 1e-13 * samples.max()] = 0.0
+        samples[np.logical_or.accumulate(samples <= 0.0)] = 0.0
         values = RadialFunction(grid, samples)
     if np.any(values.samples < 0) or values.samples[0] <= 0:
         raise KernelError(f"{which}-profile not positive on the grid")

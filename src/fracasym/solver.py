@@ -260,14 +260,18 @@ def time_weight(alpha: float, gamma: float, t: float):
     return w_interp
 
 
-def duhamel_symbol(fs: ForcingSpec, params: FracParams, t: float):
-    """r -> u-hat(r, t) = amplitude g-hat(r) W(r^{2 beta}, t)."""
+def duhamel_symbol(fs: ForcingSpec, params: FracParams, t: float, spatial_hat=None):
+    """r -> spatial_hat(r) W(r^{2 beta}, t), the transform of the Duhamel
+    solution at time t for the spatial factor whose transform is spatial_hat;
+    the default amplitude g-hat gives u-hat(r, t)."""
+    if spatial_hat is None:
+        spatial_hat = lambda r: fs.amplitude * fs.ghat(r)
     w_fn = time_weight(params.alpha, fs.gamma, t)
     two_beta = 2.0 * params.beta
 
     def symbol(r):
         r = np.asarray(r, dtype=float)
-        return fs.amplitude * fs.ghat(r) * w_fn(r**two_beta)
+        return spatial_hat(r) * w_fn(r**two_beta)
 
     return symbol
 
@@ -316,15 +320,10 @@ def outer_reference(
     grid = grid or RadialGrid()
     if fs.amplitude == 0.0:
         return RadialFunction(grid, np.zeros(grid.points))
-    w_fn = time_weight(params.alpha, fs.gamma, t)
-    two_beta = 2.0 * params.beta
     M0 = fs.M0
-
-    def symbol(r):
-        r = np.asarray(r, dtype=float)
-        return M0 * w_fn(r**two_beta)
-
-    return radial_fourier_inverse(symbol, params.dim, grid)
+    return radial_fourier_inverse(
+        duhamel_symbol(fs, params, t, lambda r: M0), params.dim, grid
+    )
 
 
 def solution_mass(fs: ForcingSpec, params: FracParams, t: float) -> float:

@@ -6,7 +6,12 @@ tolerance.  All solution-minus-profile differences are formed as a single
 Fourier symbol before the inverse transform (never as a difference of two
 separately transformed functions), so the far-field cancellation between u
 and its limit profile is exact in the symbol and the quadrature error budget
-stays at the level of the difference itself.
+stays at the level of the difference itself.  The solution's symbol is always
+solver.duhamel_symbol.
+
+run_check is the one entry point: it applies the gamma precondition of the
+exterior checks (check_gamma, which the CLI also applies at parse time), times
+the check, and stamps the problem parameters and runtime on the report.
 
 Checks
 ------
@@ -49,7 +54,7 @@ from .radialtransform import (
     radial_fourier_inverse,
 )
 from .reporting import ConvergenceReport, make_report
-from .solver import ForcingSpec, outer_reference, solution_mass, time_weight
+from .solver import ForcingSpec, duhamel_symbol, outer_reference, solution_mass
 from .special import gamma_fn, gl_panels, mittag_leffler
 
 
@@ -93,15 +98,13 @@ def _difference_slice(cfg: VerifyConfig, t: float, profile_symbol):
     profile_symbol(r) must return the transform of the comparison profile,
     already including amplitude/mass factors.
     """
-    fs, params = cfg.forcing, cfg.params
-    w_fn = time_weight(params.alpha, fs.gamma, t)
-    two_beta = 2.0 * params.beta
+    u_hat = duhamel_symbol(cfg.forcing, cfg.params, t)
 
     def symbol(r):
         r = np.asarray(r, dtype=float)
-        return fs.amplitude * fs.ghat(r) * w_fn(r**two_beta) - profile_symbol(r)
+        return u_hat(r) - profile_symbol(r)
 
-    return radial_fourier_inverse(symbol, params.dim, cfg.grid)
+    return radial_fourier_inverse(symbol, cfg.params.dim, cfg.grid)
 
 
 def _y_hat(params: FracParams, t: float):
@@ -120,16 +123,11 @@ def _zero_report(cfg, theorem, extra=None):
     zeros = [0.0] * len(cfg.times)
     rep = make_report(
         theorem, cfg.times, zeros, zeros, cfg.tolerance,
-        params=_param_dict(cfg), forcing=_forcing_dict(cfg), p=cfg.p,
+        forcing=_forcing_dict(cfg), p=cfg.p,
     )
     if extra:
         rep.notes.update(extra)
     return rep
-
-
-def _param_dict(cfg):
-    p = cfg.params
-    return {"alpha": p.alpha, "beta": p.beta, "dim": p.dim}
 
 
 def _forcing_dict(cfg):
@@ -189,7 +187,6 @@ def _compact_profile_symbol(cfg: VerifyConfig):
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     """||t^{min(gamma,1+alpha)} u(., t) - L||_{L^p(rho <= K)} -> 0."""
-    t0 = time.time()
     if cfg.scale.kind != "compact":
         raise VerifyError("verify_compact requires a compact scale")
     fs, params = cfg.forcing, cfg.params
@@ -205,13 +202,11 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
             cfg, t, lambda r, tm=tm: fs.amplitude * fs.ghat(r) * prof_sym(r) / tm
         )
         errs.append(tm * lp_norm_annulus(diff, cfg.p, params.dim, cfg.grid.rho_min, K))
-    rep = make_report(
+    return make_report(
         "compact", cfg.times, errs, errs, cfg.tolerance,
-        params=_param_dict(cfg), forcing=_forcing_dict(cfg), p=cfg.p,
+        forcing=_forcing_dict(cfg), p=cfg.p,
         scale={"kind": "compact", "radius": K},
     )
-    rep.runtime_seconds = time.time() - t0
-    return rep
 
 
 # --- intermediate scales ------------------------------------------------------
@@ -245,7 +240,6 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     """u vs the class profile over nu phi(t) < rho < mu phi(t), normalized by
     the sharp rate; also reproduces the exact annulus power law of the Riesz
     kernels (reported in notes)."""
-    t0 = time.time()
     fs, params = cfg.forcing, cfg.params
     exps = derive_exponents(params)
     klass = classify_scale(fs.gamma, exps, cfg.scale)
@@ -280,7 +274,7 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
         prof_norms.append(lp_norm_annulus(prof, cfg.p, n, lo, hi))
     rep = make_report(
         "intermediate", cfg.times, raw, norm, cfg.tolerance,
-        params=_param_dict(cfg), forcing=_forcing_dict(cfg), p=cfg.p,
+        forcing=_forcing_dict(cfg), p=cfg.p,
         scale={
             "kind": "intermediate", "class": klass.value,
             "exponent": cfg.scale.exponent, "log_exponent": cfg.scale.log_exponent,
@@ -289,7 +283,6 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     )
     rep.notes["profile_norms"] = prof_norms
     rep.notes["annulus_power_law"] = _annulus_power_law(cfg)
-    rep.runtime_seconds = time.time() - t0
     return rep
 
 
@@ -333,7 +326,6 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     """u vs the mass convolution int_0^t M_f(s) Y(., t-s) ds on the exterior.
 
     The difference symbol is amplitude (g-hat(r) - mass_g) W(r^{2b}, t)."""
-    t0 = time.time()
     fs, params = cfg.forcing, cfg.params
     exps = derive_exponents(params)
     if fs.amplitude == 0.0:
@@ -342,36 +334,27 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     raw, norm = [], []
     trunc = cfg.grid.rho_max
     for t in cfg.times:
-        w_fn = time_weight(params.alpha, fs.gamma, t)
-        two_b = 2.0 * params.beta
-
         # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
-        def symbol(r, w_fn=w_fn):
-            r = np.asarray(r, dtype=float)
-            return fs.amplitude * (fs.ghat(r) - mass_g) * w_fn(r**two_b)
-
+        symbol = duhamel_symbol(
+            fs, params, t, lambda r: fs.amplitude * (fs.ghat(r) - mass_g)
+        )
         diff = radial_fourier_inverse(symbol, params.dim, cfg.grid)
         lo, hi = _outer_annulus(cfg, t)
         err = lp_norm_annulus(diff, cfg.p, params.dim, lo, hi)
         raw.append(err)
         norm.append(err / rate_outer(exps, cfg.p, fs.gamma, t))
-    rep = make_report(
+    return make_report(
         "outer-general", cfg.times, raw, norm, cfg.tolerance,
-        params=_param_dict(cfg), forcing=_forcing_dict(cfg), p=cfg.p,
+        forcing=_forcing_dict(cfg), p=cfg.p,
         scale={"kind": "outer", "nu": cfg.scale.nu},
         truncation_radius=trunc,
     )
-    rep.runtime_seconds = time.time() - t0
-    return rep
 
 
 def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma > 1: scalar law Gamma(alpha) M(t) t^{1-alpha} -> M_inf, and
     t^{sigma(p)} ||u - M_inf Y|| -> 0 on the exterior; both must decrease."""
-    t0 = time.time()
     fs, params = cfg.forcing, cfg.params
-    if fs.gamma <= 1.0:
-        raise VerifyError("outer-mass requires gamma > 1")
     exps = derive_exponents(params)
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "outer-mass")
@@ -393,7 +376,7 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
         norm.append(t**sp * err)
     rep = make_report(
         "outer-mass", cfg.times, raw, norm, cfg.tolerance,
-        params=_param_dict(cfg), forcing=_forcing_dict(cfg), p=cfg.p,
+        forcing=_forcing_dict(cfg), p=cfg.p,
         scale={"kind": "outer", "nu": cfg.scale.nu},
         truncation_radius=cfg.grid.rho_max,
     )
@@ -402,7 +385,6 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     rep.notes["scalar_decreasing"] = scalar_ok
     if rep.verdict == "pass" and not scalar_ok:
         rep.verdict = "fail"
-    rep.runtime_seconds = time.time() - t0
     return rep
 
 
@@ -411,10 +393,7 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     times may extend to 1e6); the exterior kernel comparison
     (t^{sigma(p)}/log t) ||u - M0 log t Y|| is reported in notes for the
     checkpoints at or below 1e4."""
-    t0 = time.time()
     fs, params = cfg.forcing, cfg.params
-    if fs.gamma != 1.0:
-        raise VerifyError("outer-log requires gamma = 1")
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "outer-log")
     a = params.alpha
@@ -447,13 +426,12 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
         kernel_series.append(t**sp * err / log_t)
     rep = make_report(
         "outer-log", cfg.times, scalar, scalar, cfg.tolerance,
-        params=_param_dict(cfg), forcing=_forcing_dict(cfg), p=cfg.p,
+        forcing=_forcing_dict(cfg), p=cfg.p,
         scale={"kind": "outer", "nu": cfg.scale.nu},
         truncation_radius=cfg.grid.rho_max,
     )
     rep.notes["kernel_times"] = kernel_times
     rep.notes["kernel_series"] = kernel_series
-    rep.runtime_seconds = time.time() - t0
     return rep
 
 
@@ -466,10 +444,7 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma < 1: the mass convolution evaluated at |x| = xi t^theta with
     xi -> 0 along t -> infinity matches t^{-gamma} M0 c_{2b} E_{2b}(x); the
     report series is |ratio - 1| over paired (xi_k, t_k)."""
-    t0 = time.time()
     fs, params = cfg.forcing, cfg.params
-    if fs.gamma >= 1.0:
-        raise VerifyError("coherence requires gamma < 1")
     if len(cfg.times) != len(_COHERENCE_XI):
         raise VerifyError(
             f"coherence pairs {len(_COHERENCE_XI)} xi-values with as many times"
@@ -492,13 +467,11 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
         ref = outer_reference(fs, params, t, cfg.grid)
         target = t**-fs.gamma * M0 * c2b * rho ** (two_b - n)
         errs.append(abs(float(ref(rho)) / target - 1.0))
-    rep = make_report(
+    return make_report(
         "coherence", cfg.times, errs, errs, cfg.tolerance,
-        params=_param_dict(cfg), forcing=_forcing_dict(cfg),
+        forcing=_forcing_dict(cfg),
         scale={"xi": list(_COHERENCE_XI)},
     )
-    rep.runtime_seconds = time.time() - t0
-    return rep
 
 
 # --- constants and kernel estimates -------------------------------------------
@@ -515,7 +488,6 @@ def _y_time_integral(profile, T: float) -> float:
 def verify_constant_identity(cfg: VerifyConfig) -> ConvergenceReport:
     """|A/c_{2b} - 1| < 1e-3 and int_0^T Y(1,s) ds -> c_{2b} E_{2b}(1) with a
     strictly decreasing T-indexed relative-error series."""
-    t0 = time.time()
     params = cfg.params
     profile = _y_profile(cfg)
     c2b = riesz_constant(2.0 * params.beta, params.dim)
@@ -524,16 +496,12 @@ def verify_constant_identity(cfg: VerifyConfig) -> ConvergenceReport:
     series = [
         abs(_y_time_integral(profile, T) / target - 1.0) for T in cfg.times
     ]
-    rep = make_report(
-        "constant-identity", cfg.times, series, series, cfg.tolerance,
-        params=_param_dict(cfg),
-    )
+    rep = make_report("constant-identity", cfg.times, series, series, cfg.tolerance)
     rep.notes["A"] = profile.constant_A
     rep.notes["c_2beta"] = c2b
     rep.notes["A_relative_error"] = a_ratio
     if a_ratio >= 1e-3:
         rep.verdict = "fail"
-    rep.runtime_seconds = time.time() - t0
     return rep
 
 
@@ -541,7 +509,6 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     """Profile bound report (interior two-sided bound, kappa plateau, exterior
     slope) plus the ||Y(., t)||_{L^p} time-decay slope -sigma(p) fitted over
     the checkpoints; slope agreement within 1% is gated."""
-    t0 = time.time()
     params = cfg.params
     if params.alpha >= 1.0:
         raise VerifyError("kernel estimates apply to alpha < 1 only")
@@ -564,7 +531,6 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
         raw_errors=norms,
         normalized_errors=[slope_err],
         tolerance=1e-2,
-        params=_param_dict(cfg),
         p=cfg.p,
     )
     rep.slope = slope
@@ -581,7 +547,6 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
         and (profile.kappa_variation is None or profile.kappa_variation < 1e-2)
     )
     rep.verdict = "pass" if ok else "fail"
-    rep.runtime_seconds = time.time() - t0
     return rep
 
 
@@ -597,9 +562,31 @@ _CHECKS = {
 }
 
 
+# the forcing regime of each exterior check: theorem -> (message, rule on gamma)
+_GAMMA_RULES = {
+    "outer-mass": ("outer-mass requires gamma > 1", lambda g: g > 1.0),
+    "outer-log": ("outer-log requires gamma = 1", lambda g: g == 1.0),
+    "coherence": ("coherence requires gamma < 1", lambda g: g < 1.0),
+}
+
+
+def check_gamma(theorem: str, gamma: float):
+    """Raise VerifyError when gamma lies outside the regime of `theorem`."""
+    if theorem in _GAMMA_RULES and not _GAMMA_RULES[theorem][1](gamma):
+        raise VerifyError(_GAMMA_RULES[theorem][0])
+
+
 def run_check(cfg: VerifyConfig) -> ConvergenceReport:
+    """Run the check of cfg.theorem after its gamma precondition; the report
+    carries the problem parameters and the check's wall time."""
     if cfg.theorem not in _CHECKS:
         raise VerifyError(
             f"unknown theorem {cfg.theorem!r}; options: {sorted(_CHECKS)}"
         )
-    return _CHECKS[cfg.theorem](cfg)
+    check_gamma(cfg.theorem, cfg.forcing.gamma)
+    t0 = time.perf_counter()
+    rep = _CHECKS[cfg.theorem](cfg)
+    rep.runtime_seconds = time.perf_counter() - t0
+    p = cfg.params
+    rep.params = {"alpha": p.alpha, "beta": p.beta, "dim": p.dim}
+    return rep

@@ -99,6 +99,9 @@ def test_gamma_rules():
     bad = FULL.replace("theorem = coherence", "theorem = outer-log")
     with pytest.raises(ConfigError, match="gamma = 1"):
         parse_config(bad)
+    bad = FULL.replace("gamma = 0.5", "gamma = 2.0")
+    with pytest.raises(ConfigError, match="gamma < 1"):
+        parse_config(bad)
 
 
 def _write(tmp_path, text, name="config.ini"):
@@ -108,10 +111,11 @@ def _write(tmp_path, text, name="config.ini"):
 
 
 def test_exit_code_config_error(tmp_path, capsys):
-    path = _write(tmp_path, MINIMAL + "\n[bogus]\nx = 1\n")
-    code = main(["rates", "--config", path, "--out", str(tmp_path)])
-    assert code == 2
-    assert "code=config" in capsys.readouterr().err
+    for i, extra in enumerate(["[bogus]\nx = 1", "[grid]\npoints = 10"]):
+        path = _write(tmp_path, MINIMAL + "\n" + extra + "\n", name=f"config{i}.ini")
+        code = main(["rates", "--config", path, "--out", str(tmp_path)])
+        assert code == 2
+        assert "code=config" in capsys.readouterr().err
 
 
 def test_exit_code_missing_config(tmp_path, capsys):

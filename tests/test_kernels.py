@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ def test_g_profile_mass_ref(g_profile_ref):
 
 def test_g_profile_mass_beta1(g_profile_beta1):
     mass = radial_integral(g_profile_beta1.values, 5)
-    assert mass == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-6)
+    assert mass == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-9)
+
+
+def test_f_profile_mass_beta1(params_beta1, cache_dir):
+    # E_alpha(0) = 1; the exponential-type tail must survive the beta = 1 trim
+    f = kernels.build_z_profile(params_beta1, cache_dir=cache_dir)
+    assert radial_integral(f.values, 5) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_kappa_ref(g_profile_ref):
@@ -173,30 +181,37 @@ def test_cache_reuse(params_ref, tmp_path):
     )
 
 
-def test_cache_keys_exact_parameters(params_ref, tmp_path, monkeypatch):
-    # a planted profile stands in for a build: no transform runs in this test
-    grid = RadialGrid()
-    planted = kernels.KernelProfile(
-        params=params_ref,
-        exps=None,
-        which="G",
-        values=RadialFunction(grid, np.exp(-grid.nodes)),
-        constant_A=1.0,
-    )
-    near = FracParams(0.5000001, 0.5, 3)
-    cdir = str(tmp_path)
-    ref_path = kernels._cache_path(params_ref, "G", grid, cdir)
-    near_path = kernels._cache_path(near, "G", grid, cdir)
-    assert near_path != ref_path
-    assert "_a0.5_b0.5_N3_" in ref_path  # names of short decimals are unchanged
+class Rebuilt(Exception):
+    pass
 
-    class Rebuilt(Exception):
-        pass
+
+def _planted_profile(params, monkeypatch):
+    """A profile to plant in a cache in place of a build; from here on any
+    transform raises Rebuilt, so a cache miss shows without running one."""
 
     def no_transform(*args, **kwargs):
         raise Rebuilt
 
     monkeypatch.setattr(kernels, "radial_fourier_inverse", no_transform)
+    grid = RadialGrid()
+    return kernels.KernelProfile(
+        params=params,
+        exps=None,
+        which="G",
+        values=RadialFunction(grid, np.exp(-grid.nodes)),
+        constant_A=1.0,
+    )
+
+
+def test_cache_keys_exact_parameters(params_ref, tmp_path, monkeypatch):
+    planted = _planted_profile(params_ref, monkeypatch)
+    near = FracParams(0.5000001, 0.5, 3)
+    cdir = str(tmp_path)
+    ref_path = kernels._cache_path(params_ref, "G", RadialGrid(), cdir)
+    near_path = kernels._cache_path(near, "G", RadialGrid(), cdir)
+    assert near_path != ref_path
+    assert "_a0.5_b0.5_N3_" in ref_path  # names of short decimals are unchanged
+
     planted.save(ref_path)
     hit = kernels.build_y_profile(params_ref, cache_dir=cdir)
     assert np.array_equal(hit.values.samples, planted.values.samples)
@@ -205,6 +220,25 @@ def test_cache_keys_exact_parameters(params_ref, tmp_path, monkeypatch):
     planted.save(near_path)
     with pytest.raises(Rebuilt):
         kernels.build_y_profile(near, cache_dir=cdir)
+
+
+def test_cache_stale_engine_or_corrupt_file_is_a_miss(params_ref, tmp_path, monkeypatch):
+    planted = _planted_profile(params_ref, monkeypatch)
+    cdir = str(tmp_path)
+    csv_path = kernels._cache_path(params_ref, "G", RadialGrid(), cdir)
+    sidecar = pathlib.Path(csv_path).with_suffix(".json")
+    planted.save(csv_path)
+    assert kernels.build_y_profile(params_ref, cache_dir=cdir).constant_A == 1.0
+    stale = {**json.loads(sidecar.read_text()), "engine": "0" * 64}
+    for path, text in [
+        (sidecar, json.dumps(stale)),  # a profile built by other engine code
+        (sidecar, "{"),  # truncated sidecar
+        (csv_path, "rho,value\n1,"),  # truncated values
+    ]:
+        planted.save(csv_path)
+        pathlib.Path(path).write_text(text)
+        with pytest.raises(Rebuilt):
+            kernels.build_y_profile(params_ref, cache_dir=cdir)
 
 
 def test_evaluate_Y_array_t_matches_scalar_calls(g_profile_ref):
