@@ -29,9 +29,10 @@ from .radialtransform import (
     RadialFunction,
     RadialGrid,
     TransformError,
+    _moment,
     radial_fourier_inverse,
 )
-from .special import gl_panels, mittag_leffler, ml_tail_coefficient
+from .special import mittag_leffler, ml_tail_coefficient
 
 
 class KernelError(RuntimeError):
@@ -82,13 +83,16 @@ class KernelProfile:
         self.values.save(csv_path, extra_metadata=meta)
 
 
-def _symbol(params: FracParams, which: str):
-    a, b = params.alpha, params.beta
-    second = 1.0 if which == "F" else a
+def _symbol(params: FracParams, which: str, t: float = 1.0):
+    """r -> the kernel symbol at time t: Z-hat = E_a(-r^{2b} t^a) for "F",
+    Y-hat = t^{a-1} E_{a,a}(-r^{2b} t^a) for "G" (at a = 1 both are exp)."""
+    a, two_b = params.alpha, 2.0 * params.beta
+    second, scale = (1.0, 1.0) if which == "F" else (a, t ** (a - 1.0))
+    ta = t**a
 
     def symbol(r):
-        r_arr = np.asarray(r, dtype=float)
-        return mittag_leffler(a, second if a < 1 else 1.0, -(r_arr ** (2.0 * b)))
+        r = np.asarray(r, dtype=float)
+        return scale * mittag_leffler(a, second, -(r**two_b) * ta)
 
     return symbol
 
@@ -237,32 +241,11 @@ _GL12 = leggauss(12)
 
 def constant_A(profile: KernelProfile) -> float:
     """A = (1/theta) int_0^inf rho^{N-1-2b} G(rho) drho, grid quadrature plus
-    closed-form power-law tail corrections from the fitted exponents."""
+    closed-form power-law tail pieces from the fitted exponents."""
     _require_g(profile)
     p = profile.params
-    n, b = p.dim, p.beta
-    theta = p.alpha / (2.0 * b)
-    v = profile.values
-    g = v.grid
-
-    # integrand in log coordinates: rho^{N-2b} G(rho)
-    x, w = gl_panels(np.log(g.nodes), *_GL12)
-    rho = np.exp(x)
-    total = float(np.dot(w, v(rho) * rho ** (n - 2.0 * b)))
-
-    e_in = (n - 2.0 * b) + v.inner_exponent
-    if e_in <= 0:
-        raise KernelError(
-            f"inner exponent {v.inner_exponent:.3g} inconsistent with integrability"
-        )
-    total += v.samples[0] * g.rho_min ** (n - 2.0 * b) / e_in
-    if v.samples[-1] > 0:  # zero-clamped exponential-type tails need no piece
-        e_out = (n - 2.0 * b) + v.outer_exponent
-        if e_out >= 0:
-            raise KernelError(
-                f"outer exponent {v.outer_exponent:.3g} inconsistent with integrability"
-            )
-        total += v.samples[-1] * g.rho_max ** (n - 2.0 * b) / (-e_out)
+    theta = p.alpha / (2.0 * p.beta)
+    total = _moment(profile.values, p.dim - 2.0 * p.beta, 0.0, math.inf, rule=_GL12)
     a_val = total / theta
     if not (a_val > 0 and math.isfinite(a_val)):
         raise KernelError(f"constant A not finite/positive: {a_val}")

@@ -166,7 +166,7 @@ def riesz_tail_check(
     final value below tolerance."""
     if not 0 < nu < mu_outer:
         raise PotentialError("need 0 < nu < mu_outer")
-    t0 = time.time()
+    t0 = time.perf_counter()
     R_list = [float(R) for R in R_list]
     if g is not None and g.is_zero:
         zeros = [0.0] * len(R_list)
@@ -195,5 +195,5 @@ def riesz_tail_check(
         params={"mu": mu, "dim": dim, "mass": mass},
         p=p, scale={"nu": nu, "mu_outer": mu_outer},
     )
-    rep.runtime_seconds = time.time() - t0
+    rep.runtime_seconds = time.perf_counter() - t0
     return rep

@@ -13,8 +13,13 @@ the partial sums of the alternating panel series.  Substituting x = r*rho puts
 all Bessel evaluations at rho-independent abscissas, so the kernel
 J_nu(x) x^{N/2} w is precomputed once per dimension (in extended precision:
 the panel sums cancel by many orders of magnitude where the output is small).
+Both directions share one finish: integrate, zero what lies below 8x the
+rounding noise, scale by (2pi)^{-+N/2} r^{-N}.
 
-Also provides L^p norms over annuli with the N-dimensional radial weight.
+One radial moment, int_a^b |u|^p rho^{k-1} drho (or the signed int of u) over
+the grid plus the fitted power-law pieces beyond it in closed form, serves
+radial_integral, the finite-p lp_norm_annulus (L^p norms over annuli with the
+N-dimensional radial weight) and kernels.constant_A.
 """
 
 from __future__ import annotations
@@ -200,19 +205,20 @@ class RadialFunction:
 def _leggauss_extended(n):
     """Gauss-Legendre nodes/weights in extended precision: Newton-refine the
     double-precision nodes against the long-double Legendre recurrence."""
-    x = leggauss(n)[0].astype(np.longdouble)
-    for _ in range(3):
+
+    def legendre(x):
+        """P_n(x) and P_n'(x) by the three-term recurrence."""
         p_prev, p = np.ones_like(x), x.copy()
         for k in range(2, n + 1):
             p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    x = leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        p, dp = legendre(x)
         x = x - p / dp
-    p_prev, p = np.ones_like(x), x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return x, w
+    dp = legendre(x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 class _HankelEngine:
@@ -236,7 +242,6 @@ class _HankelEngine:
             raise TransformError(f"odd dimension required, got {dim}")
         self.dim = dim
         nu = dim / 2.0 - 1.0
-        self.nu = nu
 
         pi_ld = np.longdouble(np.pi)
         zeros = (
@@ -253,32 +258,11 @@ class _HankelEngine:
 
         x, w = gl_panels(breaks, *_leggauss_extended(self.GL_PTS))
 
-        jx = self._bessel_extended(x)
         self.x = x
-        self.kernel = jx * self.x ** np.longdouble(dim / 2.0) * w
+        # long-double abscissas keep the Bessel recurrence in extended precision
+        self.kernel = bessel_j_half(nu, x) * x ** np.longdouble(dim / 2.0) * w
         self.n_panels = len(breaks) - 1
         self.head_panels = self.HEAD_PANELS
-
-    def _bessel_extended(self, x):
-        """J_nu(x) in extended precision: trig recurrence for x > 1.5 (exact
-        closed forms), double-precision ascending series below (no
-        cancellation there)."""
-        xl = x.astype(np.longdouble)
-        out = np.empty_like(xl)
-        small = x <= 1.5
-        if small.any():
-            out[small] = bessel_j_half(self.nu, x[small]).astype(np.longdouble)
-        big = ~small
-        if big.any():
-            xb = xl[big]
-            pref = np.sqrt(np.longdouble(2.0) / (np.longdouble(math.pi) * xb))
-            jm, j = pref * np.cos(xb), pref * np.sin(xb)
-            order = np.longdouble(0.5)
-            for _ in range(int(self.nu - 0.5)):
-                jm, j = j, (2.0 * order / xb) * j - jm
-                order += 1.0
-            out[big] = j
-        return out
 
     def integrate(self, symbol, rho):
         """int_0^inf symbol(x/rho) J_nu(x) x^{N/2} dx for each rho (vector).
@@ -312,6 +296,16 @@ class _HankelEngine:
         noise = 1e-16 * np.sqrt((cf**2).sum(axis=1)) + 5e-17 * cf.sum(axis=1)
         return (direct + tail[:, 0]).astype(float), noise
 
+    def transform(self, symbol, at, sign: int):
+        """(2pi)^{sign N/2} at^{-N} times integrate(symbol, at), with integrals
+        below 8x their rounding noise set to zero: there the cancelled sum is
+        pure noise, and clamping keeps super-exponential tails from polluting
+        downstream integrals.  sign = -1 is the inverse, +1 the forward."""
+        integral, noise = self.integrate(symbol, at)
+        integral[np.abs(integral) < 8.0 * noise] = 0.0
+        scale = (2.0 * math.pi) ** (sign * self.dim / 2.0)
+        return scale * at ** (-float(self.dim)) * integral
+
 
 _ENGINES: dict = {}
 
@@ -340,13 +334,7 @@ def radial_fourier_inverse(symbol, dim: int, grid: RadialGrid | None = None) -> 
     """
     grid = grid or RadialGrid()
     _check_symbol_decay(symbol)
-    eng = _engine(dim)
-    rho = grid.nodes
-    integral, noise = eng.integrate(symbol, rho)
-    # below the rounding floor the cancelled integral is pure noise; clamping
-    # to zero keeps super-exponential tails from polluting downstream integrals
-    integral[np.abs(integral) < 8.0 * noise] = 0.0
-    samples = (2.0 * math.pi) ** (-dim / 2.0) * rho ** (-float(dim)) * integral
+    samples = _engine(dim).transform(symbol, grid.nodes, -1)
     samples[np.abs(samples) < 1e-300] = 0.0  # underflow clamp
     return RadialFunction(grid, samples)
 
@@ -363,40 +351,65 @@ def radial_fourier_forward(h: RadialFunction, dim: int):
 
     def transform(r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        integral, noise = eng.integrate(lambda m: h(np.asarray(m, dtype=float)), r_arr)
-        integral[np.abs(integral) < 8.0 * noise] = 0.0
-        vals = (2.0 * math.pi) ** (dim / 2.0) * r_arr ** (-float(dim)) * integral
+        vals = eng.transform(lambda m: h(np.asarray(m, dtype=float)), r_arr, 1)
         return float(vals[0]) if np.isscalar(r) else vals.reshape(np.shape(r))
 
     return transform
 
 
-# --- annulus norms -----------------------------------------------------------
+# --- radial moments and annulus norms ----------------------------------------
 
 _GL8 = leggauss(8)
 
 
+def _moment(u: RadialFunction, k: float, a: float, b: float, p=None, rule=_GL8) -> float:
+    """int_a^b f(rho) rho^{k-1} drho with f = u for p = None (signed) and
+    f = |u|^p otherwise, for 0 <= a < b <= inf.
+
+    On the grid: the Gauss-Legendre `rule` in log rho on every grid cell the
+    range meets.  Beyond it: the power law fitted at that grid end, integrated
+    in closed form; a divergent piece (exponent sign wrong for its side)
+    returns +-inf at once.  A zero edge sample (a clamped tail) has no piece.
+    """
+    g = u.grid
+
+    def power_law(inner, lo, hi):
+        """int_lo^hi of the power law fitted at the inner or outer grid end."""
+        if inner:
+            s, edge, slope = u.samples[0], g.rho_min, u.inner_exponent
+        else:
+            s, edge, slope = u.samples[-1], g.rho_max, u.outer_exponent
+        f = s if p is None else abs(s) ** p
+        m = slope if p is None else p * slope
+        e = m + k
+        if (e <= 0) if inner else (e >= 0):
+            return math.copysign(math.inf, f)
+        return f / edge**m * (hi**e - lo**e) / e
+
+    total = 0.0
+    lo = a
+    if a < g.rho_min:
+        if u.samples[0] != 0:
+            total += power_law(True, a, min(b, g.rho_min))  # may end below the grid
+            if math.isinf(total):
+                return total
+        lo = g.rho_min
+    hi = min(b, g.rho_max)
+    if hi > lo:
+        nodes = g.nodes[(g.nodes > lo) & (g.nodes < hi)]
+        x, w = gl_panels(np.log(np.concatenate([[lo], nodes, [hi]])), *rule)
+        rho = np.exp(x)
+        f = u(rho) if p is None else np.abs(u(rho)) ** p
+        total += float(np.dot(w, f * rho**k))
+    if b > g.rho_max and u.samples[-1] != 0:
+        total += power_law(False, max(a, g.rho_max), b)  # may start beyond the grid
+    return total
+
+
 def radial_integral(u: RadialFunction, dim: int) -> float:
     """Signed total integral omega_N int_0^inf u(rho) rho^{N-1} drho, with
-    power-law tail pieces beyond the grid."""
-    g = u.grid
-    if u.is_zero:
-        return 0.0
-    total = 0.0
-    if abs(u.samples[0]) > 0:
-        e = u.inner_exponent + dim
-        if e <= 0:
-            return math.copysign(math.inf, u.samples[0])
-        total += u.samples[0] * g.rho_min**dim / e
-    x, w = gl_panels(np.log(g.nodes), *_GL8)
-    rho = np.exp(x)
-    total += float((w * u(rho) * rho**dim).sum())
-    if abs(u.samples[-1]) > 0:
-        e = u.outer_exponent + dim
-        if e >= 0:
-            return math.copysign(math.inf, u.samples[-1])
-        total += u.samples[-1] * g.rho_max**dim / (-e)
-    return omega_n(dim) * total
+    power-law tail pieces beyond the grid (+-inf for a divergent tail)."""
+    return omega_n(dim) * _moment(u, dim, 0.0, math.inf)
 
 
 def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -> float:
@@ -424,33 +437,4 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
         if a > 0:
             sup = max(sup, abs(u(a)))
         return sup
-
-    total = 0.0
-    # analytic inner piece below the grid via the fitted power law
-    lo = a
-    if a < g.rho_min:
-        if abs(u.samples[0]) > 0:
-            e = p * u.inner_exponent + dim
-            c = abs(u.samples[0]) ** p / g.rho_min ** (p * u.inner_exponent)
-            if e <= 0:
-                return math.inf
-            amin = a if a > 0 else 0.0
-            stop = min(b, g.rho_min)  # the annulus may end below the grid
-            total += c * (stop**e - amin**e) / e
-        lo = g.rho_min
-    hi = min(b, g.rho_max)
-    if hi > lo:
-        # Gauss-Legendre in log rho on every grid cell the range meets
-        nodes = g.nodes[(g.nodes > lo) & (g.nodes < hi)]
-        x, w = gl_panels(np.log(np.concatenate([[lo], nodes, [hi]])), *_GL8)
-        rho = np.exp(x)
-        total += float(np.dot(w, np.abs(u(rho)) ** p * rho**dim))
-    # analytic outer piece above the grid
-    if b > g.rho_max and abs(u.samples[-1]) > 0:
-        e = p * u.outer_exponent + dim
-        c = abs(u.samples[-1]) ** p / g.rho_max ** (p * u.outer_exponent)
-        if e >= 0:
-            return math.inf
-        start = max(a, g.rho_max)  # the annulus may start beyond the grid
-        total += c * (start**e - b**e) / (-e)
-    return (omega_n(dim) * total) ** (1.0 / p)
+    return (omega_n(dim) * _moment(u, dim, a, b, p)) ** (1.0 / p)

@@ -179,14 +179,19 @@ def mittag_leffler(a: float, b: float, x):
 
 def bessel_j_half(order: float, x):
     """J_{k+1/2}(x) for x > 0 via the closed trigonometric forms, with an
-    ascending-series fallback for small x to avoid cancellation."""
+    ascending-series fallback for small x to avoid cancellation.
+
+    The recurrence (x > 1.5) runs in the input's precision, so long-double
+    abscissas get extended-precision values; the series (no cancellation
+    there) runs in double."""
     k = order - 0.5
     if k < 0 or k != math.floor(k):
         raise SpecialFunctionError(
             f"order must be a half-integer k + 1/2 with k >= 0, got {order}"
         )
     k = int(k)
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = np.asarray(x)
+    x_arr = x_arr.astype(np.promote_types(x_arr.dtype, np.float64), copy=False)
     if np.any(x_arr <= 0):
         raise SpecialFunctionError("bessel_j_half requires x > 0")
 
@@ -195,7 +200,7 @@ def bessel_j_half(order: float, x):
 
     small = xf <= 1.5
     if small.any():
-        xs = xf[small]
+        xs = xf[small].astype(float)
         z = -0.25 * xs * xs
         term = np.ones_like(xs)
         total = np.full_like(xs, _rgamma(order + 1.0))

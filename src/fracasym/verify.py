@@ -55,7 +55,7 @@ from .radialtransform import (
 )
 from .reporting import ConvergenceReport, make_report
 from .solver import ForcingSpec, duhamel_symbol, outer_reference, solution_mass
-from .special import gamma_fn, gl_panels, mittag_leffler
+from .special import gamma_fn, gl_panels
 
 
 class VerifyError(ValueError):
@@ -105,18 +105,6 @@ def _difference_slice(cfg: VerifyConfig, t: float, profile_symbol):
         return u_hat(r) - profile_symbol(r)
 
     return radial_fourier_inverse(symbol, cfg.params.dim, cfg.grid)
-
-
-def _y_hat(params: FracParams, t: float):
-    """r -> Y-hat(r, t) = t^{a-1} E_{a,a}(-r^{2b} t^a), the Duhamel kernel's symbol."""
-    a, two_b = params.alpha, 2.0 * params.beta
-    ta = t**a
-
-    def symbol(r):
-        r = np.asarray(r, dtype=float)
-        return t ** (a - 1.0) * mittag_leffler(a, a, -(r**two_b) * ta)
-
-    return symbol
 
 
 def _zero_report(cfg, theorem, extra=None):
@@ -368,7 +356,7 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     sp = sigma_p(exps, cfg.p)
     raw, norm = [], []
     for t in cfg.times:
-        y_hat = _y_hat(params, t)
+        y_hat = kernels._symbol(params, "G", t)
         diff = _difference_slice(cfg, t, lambda r, y_hat=y_hat: M_inf * y_hat(r))
         lo, hi = _outer_annulus(cfg, t)
         err = lp_norm_annulus(diff, cfg.p, params.dim, lo, hi)
@@ -391,8 +379,10 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
 def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma = 1: Gamma(alpha) M(t) / (t^{alpha-1} log t) -> M0 (scalar, cheap,
     times may extend to 1e6); the exterior kernel comparison
-    (t^{sigma(p)}/log t) ||u - M0 log t Y|| is reported in notes for the
-    checkpoints at or below 1e4."""
+    (t^{sigma(p)}/log t) ||u - M0 log t Y|| is reported in notes
+    (kernel_times, kernel_series) for the checkpoints with t <= 1e4 and
+    nu t^theta <= rho_max/2, i.e. whose exterior region starts well inside
+    the grid; the lists are empty when no checkpoint qualifies."""
     fs, params = cfg.forcing, cfg.params
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "outer-log")
@@ -416,7 +406,7 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     ]
     kernel_series = []
     for t in kernel_times:
-        y_hat = _y_hat(params, t)
+        y_hat = kernels._symbol(params, "G", t)
         log_t = math.log(t)
         diff = _difference_slice(
             cfg, t, lambda r, y_hat=y_hat, log_t=log_t: M0 * log_t * y_hat(r)
@@ -520,7 +510,7 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     wide = RadialGrid(1e-3, 1e5, cfg.grid.points)
     norms = []
     for t in cfg.times:
-        u = radial_fourier_inverse(_y_hat(params, t), params.dim, wide)
+        u = radial_fourier_inverse(kernels._symbol(params, "G", t), params.dim, wide)
         norms.append(lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9))
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
     sp = sigma_p(exps, cfg.p)

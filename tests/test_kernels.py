@@ -61,6 +61,19 @@ def test_constant_A_beta1(g_profile_beta1):
     )
 
 
+def test_constant_A_closed_form(params_ref):
+    # planted G = exp(-rho^2) at (0.5, 0.5, 3): theta = 1/2 and
+    # A = 2 int_0^inf rho exp(-rho^2) drho = 1 exactly
+    grid = RadialGrid(1e-4, 50.0, 512)
+    planted = kernels.KernelProfile(
+        params=params_ref,
+        exps=None,
+        which="G",
+        values=RadialFunction(grid, np.exp(-grid.nodes**2)),
+    )
+    assert abs(kernels.constant_A(planted) - 1.0) < 1e-11
+
+
 def test_constant_A_validation_mode(g_profile_heat):
     # alpha = beta = 1, N = 5: the identity A = c_2 = 1/(8 pi^2) holds with
     # classical kernels and is reproduced to quadrature accuracy

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracasym.radialtransform import (
+    ExtrapolationWarning,
     RadialFunction,
     RadialGrid,
     TransformError,
@@ -178,6 +180,20 @@ def test_radial_integral_gaussian():
     u = RadialFunction(grid, np.exp(-grid.nodes**2))
     assert radial_integral(u, 3) == pytest.approx(math.pi**1.5, rel=1e-6)
     assert radial_integral(u, 5) == pytest.approx(math.pi**2.5, rel=1e-6)
+
+
+def test_radial_integral_is_l1_norm_of_positive_function():
+    # one moment serves both: for u > 0 the signed integral is the L^1 norm;
+    # only lp_norm_annulus warns about the power-law pieces
+    grid = RadialGrid(1e-3, 1e3, 256)
+    u = RadialFunction(grid, grid.nodes**-1.0 / (1.0 + grid.nodes**6))
+    for dim in (3, 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = radial_integral(u, dim)
+        with pytest.warns(ExtrapolationWarning):
+            norm = lp_norm_annulus(u, 1.0, dim, 0.0, math.inf)
+        assert abs(total - norm) <= 4 * np.spacing(norm)
 
 
 def test_fitted_exponents():

@@ -126,6 +126,15 @@ def test_bessel_series_matches_recurrence():
     for order in (0.5, 1.5, 2.5, 3.5):
         got = bessel_j_half(order, x)
         assert np.max(np.abs(got - jv(order, x))) < 1e-12
+    # long-double input keeps its precision on the recurrence branch (x > 1.5)
+    xl = np.geomspace(np.longdouble(1.6), np.longdouble(260.0), 40)
+    with mpmath.workdps(30):
+        for order in (0.5, 1.5, 2.5):
+            got = bessel_j_half(order, xl)
+            assert got.dtype == np.longdouble
+            ref = [mpmath.besselj(order, mpmath.mpf(str(v))) for v in xl]
+            err = max(abs(mpmath.mpf(str(g)) - r) for g, r in zip(got, ref))
+            assert err < 5e-17
 
 
 def test_bessel_domain_errors():

@@ -87,6 +87,24 @@ def test_coherence_check_passes(cache_dir):
     assert rep.verdict == "pass"
 
 
+def test_outer_log_kernel_comparison_runs(cache_dir):
+    # the exterior comparison runs where t <= 1e4 and nu t^theta <= rho_max/2
+    rep = run_check(
+        _cfg(
+            theorem="outer-log",
+            forcing=ForcingSpec("gaussian", gamma=1.0, dim=3),
+            scale=ScaleSpec(kind="outer"),
+            times=(1e2, 1e3),
+            grid=RadialGrid(1e-3, 1e3, 128),
+            cache_dir=cache_dir,
+        )
+    )
+    assert rep.notes["kernel_times"] == [1e2, 1e3]
+    series = rep.notes["kernel_series"]
+    assert all(math.isfinite(v) and v > 0 for v in series)
+    assert all(b < a for a, b in zip(series[:-1], series[1:]))
+
+
 def test_constant_identity(cache_dir, g_profile_ref):
     rep = run_check(
         _cfg(theorem="constant", tolerance=1e-2, cache_dir=cache_dir)
