@@ -94,27 +94,22 @@ def riesz_potential(
     grid: RadialGrid | None = None,
     ghat=None,
 ) -> RadialFunction:
-    """I_mu[g] = F^{-1}(g-hat(r) r^{-mu}) / c_mu on the given grid.
+    """I_mu[g] = F^{-1}(g-hat(r) r^{-mu}) / c_mu on the given grid: the
+    deviation I_mu[g] - M E_mu with M = 0.
 
     Pass the closed-form Fourier transform via `ghat` when available (the
     forcing families provide one); otherwise it is computed numerically.
     """
-    kern = RieszKernel(mu, dim)
+    c_mu = riesz_constant(mu, dim)
     grid = grid or (g.grid if g is not None else RadialGrid())
     if g is not None and g.is_zero:
         return RadialFunction(grid, np.zeros(grid.points))
     if ghat is None:
         ghat = _ghat_from_samples(g, dim)
-
-    def symbol(r):
-        r_arr = np.asarray(r, dtype=float)
-        return ghat(r_arr) * r_arr**-mu
-
     try:
-        out = radial_fourier_inverse(symbol, dim, grid)
+        return _deviation(ghat, 0.0, mu, dim, grid, c_mu)
     except TransformError as exc:
         raise PotentialError(f"potential transform failed: {exc}") from exc
-    return RadialFunction(grid, out.samples / kern.c_mu)
 
 
 def potential_deviation(
@@ -123,7 +118,7 @@ def potential_deviation(
     """I_mu[g] - M E_mu computed through the single difference symbol
     (g-hat(r) - M) r^{-mu} / c_mu, avoiding catastrophic cancellation in the
     far field.  Returns (deviation: RadialFunction, M)."""
-    kern = RieszKernel(mu, dim)
+    c_mu = riesz_constant(mu, dim)
     grid = grid or (g.grid if g is not None else RadialGrid())
     if ghat is not None:
         # g-hat(0) is the mass by definition of the transform; using it keeps
@@ -141,13 +136,19 @@ def potential_deviation(
     else:
         ghat = _ghat_from_samples(g, dim)
         mass = radial_integral(g, dim)
+    return _deviation(ghat, mass, mu, dim, grid, c_mu), mass
+
+
+def _deviation(ghat, mass, mu, dim, grid, c_mu):
+    """I_mu[g] - mass E_mu on grid: the inverse transform of the one symbol
+    (g-hat(r) - mass) r^{-mu}, divided by c_mu."""
 
     def symbol(r):
         r_arr = np.asarray(r, dtype=float)
         return (ghat(r_arr) - mass) * r_arr**-mu
 
     out = radial_fourier_inverse(symbol, dim, grid)
-    return RadialFunction(grid, out.samples / kern.c_mu), mass
+    return RadialFunction(grid, out.samples / c_mu)
 
 
 def riesz_tail_check(

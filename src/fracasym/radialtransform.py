@@ -29,7 +29,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -307,13 +307,9 @@ class _HankelEngine:
         return scale * at ** (-float(self.dim)) * integral
 
 
-_ENGINES: dict = {}
-
-
+@cache
 def _engine(dim: int) -> _HankelEngine:
-    if dim not in _ENGINES:
-        _ENGINES[dim] = _HankelEngine(dim)
-    return _ENGINES[dim]
+    return _HankelEngine(dim)
 
 
 def _check_symbol_decay(symbol):
@@ -368,8 +364,9 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None, rule=_GL8) 
 
     On the grid: the Gauss-Legendre `rule` in log rho on every grid cell the
     range meets.  Beyond it: the power law fitted at that grid end, integrated
-    in closed form; a divergent piece (exponent sign wrong for its side)
-    returns +-inf at once.  A zero edge sample (a clamped tail) has no piece.
+    in closed form.  Only a piece that reaches 0 or inf can diverge, and one
+    that does returns +-inf at once.  A zero edge sample (a clamped tail) has
+    no piece.
     """
     g = u.grid
 
@@ -382,9 +379,17 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None, rule=_GL8) 
         f = s if p is None else abs(s) ** p
         m = slope if p is None else p * slope
         e = m + k
-        if (e <= 0) if inner else (e >= 0):
+        if (e > 0) if inner else (e < 0):  # integrable toward the open end
+            return f / edge**m * (hi**e - lo**e) / e
+        if lo == 0 or math.isinf(hi):
             return math.copysign(math.inf, f)
-        return f / edge**m * (hi**e - lo**e) / e
+        # a finite range: lo^e (e^{eL} - 1)/e with L = log(hi/lo), which stays
+        # accurate as e -> 0 (a fitted exponent is never exactly 0)
+        L = math.log(hi / lo)
+        try:
+            return f / edge**m * lo**e * (math.expm1(e * L) / e if e else L)
+        except OverflowError:  # beyond the double range
+            return math.copysign(math.inf, f)
 
     total = 0.0
     lo = a

@@ -2,12 +2,16 @@
 
 Each check evaluates the literal o(1) statement of one limit theorem at
 geometric time checkpoints and reports strict monotone decrease plus a final
-tolerance.  All solution-minus-profile differences are formed as a single
-Fourier symbol before the inverse transform (never as a difference of two
-separately transformed functions), so the far-field cancellation between u
-and its limit profile is exact in the symbol and the quadrature error budget
-stays at the level of the difference itself.  The solution's symbol is always
-solver.duhamel_symbol.
+tolerance.  Each annulus check (compact, intermediate, exterior) runs one
+checkpoint series: at each t it takes one difference symbol u-hat minus
+profile-hat, applies the inverse transform, takes the L^p norm over its
+region and divides by the sharp rate from fracasym.params (t^{-rate_compact},
+rate_intermediate or rate_outer).  Forming the difference in the symbol, never
+as a difference of two transformed functions, makes the far-field
+cancellation between u and its limit profile exact, so the quadrature error
+budget stays at the level of the difference itself.  The solution's symbol is
+always solver.duhamel_symbol; the Riesz profiles c2 E_{2b} + c4 E_{4b} come
+from one builder, and outer-mass and outer-log share one mass law.
 
 run_check is the one entry point: it applies the gamma precondition of the
 exterior checks (check_gamma, which the CLI also applies at parse time), times
@@ -92,27 +96,64 @@ def _y_profile(cfg: VerifyConfig):
     return kernels.build_y_profile(cfg.params, cache_dir=cfg.cache_dir)
 
 
-def _difference_slice(cfg: VerifyConfig, t: float, profile_symbol):
-    """Inverse transform of (u-hat - profile-hat) at time t.
-
-    profile_symbol(r) must return the transform of the comparison profile,
-    already including amplitude/mass factors.
-    """
+def _difference_symbol(cfg: VerifyConfig, t: float, profile_symbol):
+    """r -> u-hat(r, t) - profile_symbol(r), the one symbol whose inverse
+    transform is u(., t) minus the comparison profile; profile_symbol must
+    already include amplitude/mass factors."""
     u_hat = duhamel_symbol(cfg.forcing, cfg.params, t)
 
     def symbol(r):
         r = np.asarray(r, dtype=float)
         return u_hat(r) - profile_symbol(r)
 
-    return radial_fourier_inverse(symbol, cfg.params.dim, cfg.grid)
+    return symbol
+
+
+def _checkpoint_series(cfg: VerifyConfig, times, symbol_at, region_at, rate_at):
+    """At each checkpoint t: the L^p norm over region_at(t) = (lo, hi) of the
+    inverse transform of symbol_at(t), and that norm divided by the sharp
+    rate rate_at(t).  Returns (raw, normalized)."""
+    n = cfg.params.dim
+    raw, norm = [], []
+    for t in times:
+        lo, hi = region_at(t)
+        diff = radial_fourier_inverse(symbol_at(t), n, cfg.grid)
+        err = lp_norm_annulus(diff, cfg.p, n, lo, hi)
+        raw.append(err)
+        norm.append(err / rate_at(t))
+    return raw, norm
+
+
+def _riesz_profile(params: FracParams, c2: float, c4: float):
+    """The profile c2 E_{2b} + c4 E_{4b} as (symbol, values): E_mu has the
+    transform r^{-mu}/c_mu, so symbol(r) = (c2/c_{2b}) r^{-2b} +
+    (c4/c_{4b}) r^{-4b}, and values(rho) = c2 rho^{2b-N} + c4 rho^{4b-N}.
+    A zero coefficient drops its term."""
+    n = params.dim
+    terms = [(c, k * params.beta) for c, k in ((c2, 2.0), (c4, 4.0)) if c]
+    spectral = [(c / riesz_constant(mu, n), mu) for c, mu in terms]
+
+    def symbol(r):
+        r = np.asarray(r, dtype=float)
+        return sum(c * r**-mu for c, mu in spectral)
+
+    def values(rho):
+        return sum(c * rho ** (mu - n) for c, mu in terms)
+
+    return symbol, values
+
+
+def _report(cfg, theorem, raw, norm, **kw):
+    """make_report over cfg.times, stamped with the forcing and p of cfg."""
+    return make_report(
+        theorem, cfg.times, raw, norm, cfg.tolerance,
+        forcing=_forcing_dict(cfg), p=cfg.p, **kw,
+    )
 
 
 def _zero_report(cfg, theorem, extra=None):
     zeros = [0.0] * len(cfg.times)
-    rep = make_report(
-        theorem, cfg.times, zeros, zeros, cfg.tolerance,
-        forcing=_forcing_dict(cfg), p=cfg.p,
-    )
+    rep = _report(cfg, theorem, zeros, zeros)
     if extra:
         rep.notes.update(extra)
     return rep
@@ -143,7 +184,7 @@ def limit_profile_compact(cfg: VerifyConfig, grid: RadialGrid | None = None):
     grid = grid or cfg.grid
     if fs.amplitude == 0.0:
         return RadialFunction(grid, np.zeros(grid.points))
-    sym = _compact_profile_symbol(cfg)
+    sym = _riesz_profile(params, *_compact_profile_coeffs(cfg))[0]
     return radial_fourier_inverse(
         lambda r: fs.amplitude * fs.ghat(np.asarray(r, dtype=float)) * sym(r),
         params.dim,
@@ -151,77 +192,59 @@ def limit_profile_compact(cfg: VerifyConfig, grid: RadialGrid | None = None):
     )
 
 
-def _compact_profile_symbol(cfg: VerifyConfig):
-    """Transform of the compact profile divided by (amplitude * g-hat)."""
-    fs, params = cfg.forcing, cfg.params
-    a, b, n = params.alpha, params.beta, params.dim
-    gam = fs.gamma
-    two_b, four_b = 2.0 * b, 4.0 * b
-    need_kappa = gam >= 1.0 + a
-    if need_kappa:
-        kappa = _y_profile(cfg).kappa
-        c4 = riesz_constant(four_b, n)
+def _compact_profile_coeffs(cfg: VerifyConfig):
+    """(c2, c4) of the compact limit c2 I_{2b}[g] + c4 I_{4b}[g] per unit
+    amplitude, as tabulated in limit_profile_compact.  I_mu[g] = g * E_mu, so
+    the limit's symbol is amplitude g-hat times that of c2 E_{2b} + c4 E_{4b}."""
+    a, gam = cfg.params.alpha, cfg.forcing.gamma
+    c2b = riesz_constant(2.0 * cfg.params.beta, cfg.params.dim)
     if gam < 1.0 + a:
-        return lambda r: np.asarray(r, dtype=float) ** -two_b
+        return c2b, 0.0
+    kappa = _y_profile(cfg).kappa
     if gam == 1.0 + a:
-        k_over = kappa / (a * c4)
-        return lambda r: (
-            np.asarray(r, dtype=float) ** -two_b
-            + k_over * np.asarray(r, dtype=float) ** -four_b
-        )
-    k_over = kappa / ((gam - 1.0) * c4)
-    return lambda r: k_over * np.asarray(r, dtype=float) ** -four_b
+        return c2b, kappa / a
+    return 0.0, kappa / (gam - 1.0)
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
-    """||t^{min(gamma,1+alpha)} u(., t) - L||_{L^p(rho <= K)} -> 0."""
+    """||t^{min(gamma,1+alpha)} u(., t) - L||_{L^p(rho <= K)} -> 0, i.e. the
+    norm of u - L t^{-m} divided by the rate t^{-m}, m = min(gamma,1+alpha)."""
     if cfg.scale.kind != "compact":
         raise VerifyError("verify_compact requires a compact scale")
     fs, params = cfg.forcing, cfg.params
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "compact")
     m = rate_compact(fs.gamma, params.alpha)
-    prof_sym = _compact_profile_symbol(cfg)
+    prof_sym = _riesz_profile(params, *_compact_profile_coeffs(cfg))[0]
     K = cfg.scale.radius
-    errs = []
-    for t in cfg.times:
+
+    def symbol_at(t):
         tm = t**m
-        diff = _difference_slice(
-            cfg, t, lambda r, tm=tm: fs.amplitude * fs.ghat(r) * prof_sym(r) / tm
-        )
-        errs.append(tm * lp_norm_annulus(diff, cfg.p, params.dim, cfg.grid.rho_min, K))
-    return make_report(
-        "compact", cfg.times, errs, errs, cfg.tolerance,
-        forcing=_forcing_dict(cfg), p=cfg.p,
-        scale={"kind": "compact", "radius": K},
+        return _difference_symbol(cfg, t, lambda r: fs.amplitude * fs.ghat(r) * prof_sym(r) / tm)
+
+    _, errs = _checkpoint_series(
+        cfg, cfg.times, symbol_at, lambda t: (cfg.grid.rho_min, K), lambda t: t**-m
     )
+    return _report(cfg, "compact", errs, errs, scale={"kind": "compact", "radius": K})
 
 
 # --- intermediate scales ------------------------------------------------------
 
 
 def _intermediate_profile_coeffs(cfg: VerifyConfig, klass: ScaleClass, t: float):
-    """Coefficients (c2, c4) of the class profile c2 E_{2b} + c4 E_{4b} at time t."""
+    """Coefficients (c2, c4) of the class profile c2 E_{2b} + c4 E_{4b} at time t:
+    c2 = t^{-gamma} M0 c_{2b} on S, C1 and C, and c4 = t^{-(1+alpha)} (log t)^l
+    M* kappa on C1, C, F1 and F, with (M*, l) from _limit_mass."""
+    if klass in (ScaleClass.COMPACT, ScaleClass.OUTER):
+        raise VerifyError(f"{klass} is not an intermediate class")
     fs, params = cfg.forcing, cfg.params
-    a = params.alpha
-    M0 = fs.M0
-    c2b = riesz_constant(2.0 * params.beta, params.dim)
-    kappa = None
-    if klass in (ScaleClass.CRITICAL1, ScaleClass.CRITICAL, ScaleClass.FAST1, ScaleClass.FAST):
-        kappa = _y_profile(cfg).kappa
-    if klass is ScaleClass.SLOW:
-        return t**-fs.gamma * M0 * c2b, 0.0
-    if klass is ScaleClass.CRITICAL1:
-        return t**-1.0 * M0 * c2b, t ** -(1.0 + a) * math.log(t) * M0 * kappa
-    if klass is ScaleClass.CRITICAL:
-        M_inf = M0 / (fs.gamma - 1.0)
-        return t**-fs.gamma * M0 * c2b, t ** -(1.0 + a) * M_inf * kappa
-    if klass is ScaleClass.FAST1:
-        return 0.0, t ** -(1.0 + a) * math.log(t) * M0 * kappa
-    if klass is ScaleClass.FAST:
-        M_inf = M0 / (fs.gamma - 1.0)
-        return 0.0, t ** -(1.0 + a) * M_inf * kappa
-    raise VerifyError(f"{klass} is not an intermediate class")
+    c2 = c4 = 0.0
+    if klass in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
+        c2 = t**-fs.gamma * fs.M0 * riesz_constant(2.0 * params.beta, params.dim)
+    if klass is not ScaleClass.SLOW:
+        limit, l = _limit_mass(fs)
+        c4 = t ** -(1.0 + params.alpha) * math.log(t) ** l * limit * _y_profile(cfg).kappa
+    return c2, c4
 
 
 def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
@@ -233,36 +256,26 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     klass = classify_scale(fs.gamma, exps, cfg.scale)
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "intermediate", {"scale_class": klass.value})
-    b, n = params.beta, params.dim
-    two_b, four_b = 2.0 * b, 4.0 * b
-    c2b = riesz_constant(two_b, n)
-    c4b = riesz_constant(four_b, n)
-    raw, norm, prof_norms = [], [], []
-    for t in cfg.times:
-        c2, c4 = _intermediate_profile_coeffs(cfg, klass, t)
+    profiles = {t: _riesz_profile(params, *_intermediate_profile_coeffs(cfg, klass, t))
+                for t in cfg.times}
 
-        # L = c2 E_{2b} + c4 E_{4b}; transform of E_mu is r^{-mu}/c_mu
-        def prof_sym(r, c2=c2, c4=c4):
-            r = np.asarray(r, dtype=float)
-            out = (c2 / c2b) * r**-two_b
-            if c4:
-                out = out + (c4 / c4b) * r**-four_b
-            return out
-
-        diff = _difference_slice(cfg, t, prof_sym)
+    def annulus(t):
         phi = cfg.scale.phi(t)
-        lo, hi = cfg.scale.nu * phi, cfg.scale.mu * phi
-        err = lp_norm_annulus(diff, cfg.p, n, lo, hi)
-        raw.append(err)
-        norm.append(err / rate_intermediate(exps, cfg.p, fs.gamma, klass, phi, t))
-        prof = RadialFunction(
-            cfg.grid,
-            c2 * cfg.grid.nodes ** (two_b - n) + c4 * cfg.grid.nodes ** (four_b - n),
-        )
-        prof_norms.append(lp_norm_annulus(prof, cfg.p, n, lo, hi))
-    rep = make_report(
-        "intermediate", cfg.times, raw, norm, cfg.tolerance,
-        forcing=_forcing_dict(cfg), p=cfg.p,
+        return cfg.scale.nu * phi, cfg.scale.mu * phi
+
+    raw, norm = _checkpoint_series(
+        cfg, cfg.times,
+        lambda t: _difference_symbol(cfg, t, profiles[t][0]),
+        annulus,
+        lambda t: rate_intermediate(exps, cfg.p, fs.gamma, klass, cfg.scale.phi(t), t),
+    )
+    prof_norms = [
+        lp_norm_annulus(RadialFunction(cfg.grid, profiles[t][1](cfg.grid.nodes)),
+                        cfg.p, params.dim, *annulus(t))
+        for t in cfg.times
+    ]
+    rep = _report(
+        cfg, "intermediate", raw, norm,
         scale={
             "kind": "intermediate", "class": klass.value,
             "exponent": cfg.scale.exponent, "log_exponent": cfg.scale.log_exponent,
@@ -279,12 +292,11 @@ def _annulus_power_law(cfg: VerifyConfig) -> dict:
     exponent (m - sigma-like) = mu - N + N/p; measure it from the annulus-norm
     routine over the checkpoint phis and report measured vs exact."""
     params = cfg.params
-    exps = derive_exponents(params)
     n = params.dim
+    phis = [cfg.scale.phi(t) for t in cfg.times]
     out = {}
-    for mu in (2.0 * params.beta, 4.0 * params.beta):
-        kern = RadialFunction(cfg.grid, cfg.grid.nodes ** (mu - n))
-        phis = [cfg.scale.phi(t) for t in cfg.times]
+    for mu, coeffs in ((2.0 * params.beta, (1.0, 0.0)), (4.0 * params.beta, (0.0, 1.0))):
+        kern = RadialFunction(cfg.grid, _riesz_profile(params, *coeffs)[1](cfg.grid.nodes))
         norms = [
             lp_norm_annulus(kern, cfg.p, n, cfg.scale.nu * f, cfg.scale.mu * f)
             for f in phis
@@ -296,6 +308,12 @@ def _annulus_power_law(cfg: VerifyConfig) -> dict:
 
 
 # --- outer scales -------------------------------------------------------------
+
+
+def _outer_scale(cfg: VerifyConfig) -> dict:
+    """The report fields of an exterior check."""
+    return {"scale": {"kind": "outer", "nu": cfg.scale.nu},
+            "truncation_radius": cfg.grid.rho_max}
 
 
 def _outer_annulus(cfg: VerifyConfig, t: float):
@@ -319,55 +337,55 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "outer-general")
     mass_g = fs.mass_g
-    raw, norm = [], []
-    trunc = cfg.grid.rho_max
-    for t in cfg.times:
+    raw, norm = _checkpoint_series(
+        cfg, cfg.times,
         # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
-        symbol = duhamel_symbol(
-            fs, params, t, lambda r: fs.amplitude * (fs.ghat(r) - mass_g)
-        )
-        diff = radial_fourier_inverse(symbol, params.dim, cfg.grid)
-        lo, hi = _outer_annulus(cfg, t)
-        err = lp_norm_annulus(diff, cfg.p, params.dim, lo, hi)
-        raw.append(err)
-        norm.append(err / rate_outer(exps, cfg.p, fs.gamma, t))
-    return make_report(
-        "outer-general", cfg.times, raw, norm, cfg.tolerance,
-        forcing=_forcing_dict(cfg), p=cfg.p,
-        scale={"kind": "outer", "nu": cfg.scale.nu},
-        truncation_radius=trunc,
+        lambda t: duhamel_symbol(fs, params, t, lambda r: fs.amplitude * (fs.ghat(r) - mass_g)),
+        lambda t: _outer_annulus(cfg, t),
+        lambda t: rate_outer(exps, cfg.p, fs.gamma, t),
     )
+    return _report(cfg, "outer-general", raw, norm, **_outer_scale(cfg))
+
+
+def _limit_mass(fs: ForcingSpec):
+    """(M*, l) of the gamma >= 1 mass law Gamma(alpha) M(t) ~ M* t^{alpha-1}
+    (log t)^l: (M0, 1) at gamma = 1 and (M_inf, 0) = (M0/(gamma-1), 0) above."""
+    return (fs.M0, 1) if fs.gamma == 1.0 else (fs.M0 / (fs.gamma - 1.0), 0)
+
+
+def _mass_law(cfg: VerifyConfig, kernel_times):
+    """The mass law of _limit_mass: the scalar series
+    |Gamma(alpha) M(t) / (t^{alpha-1} (log t)^l) - M*| / |M*| at every
+    checkpoint, and at kernel_times the exterior norms of u - M* (log t)^l Y
+    (raw, and divided by rate_outer).  Returns (scalar, raw, normalized)."""
+    fs, params = cfg.forcing, cfg.params
+    a = params.alpha
+    limit, l = _limit_mass(fs)
+    law = [gamma_fn(a) * solution_mass(fs, params, t) / (t ** (a - 1.0) * math.log(t) ** l)
+           for t in cfg.times]
+    scalar = [abs(m - limit) / abs(limit) for m in law]
+
+    def symbol_at(t):
+        y_hat, amp = kernels._symbol(params, "G", t), limit * math.log(t) ** l
+        return _difference_symbol(cfg, t, lambda r: amp * y_hat(r))
+
+    exps = derive_exponents(params)
+    raw, norm = _checkpoint_series(
+        cfg, kernel_times, symbol_at,
+        lambda t: _outer_annulus(cfg, t),
+        lambda t: rate_outer(exps, cfg.p, fs.gamma, t),
+    )
+    return scalar, raw, norm
 
 
 def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma > 1: scalar law Gamma(alpha) M(t) t^{1-alpha} -> M_inf, and
-    t^{sigma(p)} ||u - M_inf Y|| -> 0 on the exterior; both must decrease."""
-    fs, params = cfg.forcing, cfg.params
-    exps = derive_exponents(params)
+    ||u - M_inf Y|| / rate_outer -> 0 on the exterior; both must decrease."""
+    fs = cfg.forcing
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "outer-mass")
-    M_inf = fs.M0 / (fs.gamma - 1.0)
-    a = params.alpha
-    scalar = [
-        abs(gamma_fn(a) * solution_mass(fs, params, t) * t ** (1.0 - a) - M_inf)
-        / abs(M_inf)
-        for t in cfg.times
-    ]
-    sp = sigma_p(exps, cfg.p)
-    raw, norm = [], []
-    for t in cfg.times:
-        y_hat = kernels._symbol(params, "G", t)
-        diff = _difference_slice(cfg, t, lambda r, y_hat=y_hat: M_inf * y_hat(r))
-        lo, hi = _outer_annulus(cfg, t)
-        err = lp_norm_annulus(diff, cfg.p, params.dim, lo, hi)
-        raw.append(err)
-        norm.append(t**sp * err)
-    rep = make_report(
-        "outer-mass", cfg.times, raw, norm, cfg.tolerance,
-        forcing=_forcing_dict(cfg), p=cfg.p,
-        scale={"kind": "outer", "nu": cfg.scale.nu},
-        truncation_radius=cfg.grid.rho_max,
-    )
+    scalar, raw, norm = _mass_law(cfg, cfg.times)
+    rep = _report(cfg, "outer-mass", raw, norm, **_outer_scale(cfg))
     scalar_ok = all(b < a_ for a_, b in zip(scalar[:-1], scalar[1:]))
     rep.notes["scalar_series"] = scalar
     rep.notes["scalar_decreasing"] = scalar_ok
@@ -379,47 +397,21 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
 def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma = 1: Gamma(alpha) M(t) / (t^{alpha-1} log t) -> M0 (scalar, cheap,
     times may extend to 1e6); the exterior kernel comparison
-    (t^{sigma(p)}/log t) ||u - M0 log t Y|| is reported in notes
+    ||u - M0 log t Y|| / rate_outer is reported in notes
     (kernel_times, kernel_series) for the checkpoints with t <= 1e4 and
     nu t^theta <= rho_max/2, i.e. whose exterior region starts well inside
     the grid; the lists are empty when no checkpoint qualifies."""
-    fs, params = cfg.forcing, cfg.params
+    fs = cfg.forcing
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "outer-log")
-    a = params.alpha
-    M0 = fs.M0
-    scalar = [
-        abs(
-            gamma_fn(a) * solution_mass(fs, params, t) / (t ** (a - 1.0) * math.log(t))
-            - M0
-        )
-        / abs(M0)
-        for t in cfg.times
-    ]
-    exps = derive_exponents(params)
-    sp = sigma_p(exps, cfg.p)
-    theta = exps.theta
+    theta = derive_exponents(cfg.params).theta
     kernel_times = [
         t
         for t in cfg.times
         if t <= 1e4 and cfg.scale.nu * t**theta <= 0.5 * cfg.grid.rho_max
     ]
-    kernel_series = []
-    for t in kernel_times:
-        y_hat = kernels._symbol(params, "G", t)
-        log_t = math.log(t)
-        diff = _difference_slice(
-            cfg, t, lambda r, y_hat=y_hat, log_t=log_t: M0 * log_t * y_hat(r)
-        )
-        lo, hi = _outer_annulus(cfg, t)
-        err = lp_norm_annulus(diff, cfg.p, params.dim, lo, hi)
-        kernel_series.append(t**sp * err / log_t)
-    rep = make_report(
-        "outer-log", cfg.times, scalar, scalar, cfg.tolerance,
-        forcing=_forcing_dict(cfg), p=cfg.p,
-        scale={"kind": "outer", "nu": cfg.scale.nu},
-        truncation_radius=cfg.grid.rho_max,
-    )
+    scalar, _, kernel_series = _mass_law(cfg, kernel_times)
+    rep = _report(cfg, "outer-log", scalar, scalar, **_outer_scale(cfg))
     rep.notes["kernel_times"] = kernel_times
     rep.notes["kernel_series"] = kernel_series
     return rep
@@ -444,18 +436,15 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
         rep.verdict = "not-applicable"
         rep.notes["reason"] = "zero forcing: ratio is 0/0"
         return rep
-    exps = derive_exponents(params)
-    n, b = params.dim, params.beta
-    two_b = 2.0 * b
-    c2b = riesz_constant(two_b, n)
-    M0 = fs.M0
+    theta = derive_exponents(params).theta
     errs = []
     for xi, t in zip(_COHERENCE_XI, cfg.times):
-        rho = xi * t**exps.theta
+        rho = xi * t**theta
         if not cfg.grid.rho_min <= rho <= cfg.grid.rho_max:
             raise VerifyError(f"evaluation radius {rho:g} outside the grid")
         ref = outer_reference(fs, params, t, cfg.grid)
-        target = t**-fs.gamma * M0 * c2b * rho ** (two_b - n)
+        coeffs = _intermediate_profile_coeffs(cfg, ScaleClass.SLOW, t)
+        target = _riesz_profile(params, *coeffs)[1](rho)
         errs.append(abs(float(ref(rho)) / target - 1.0))
     return make_report(
         "coherence", cfg.times, errs, errs, cfg.tolerance,

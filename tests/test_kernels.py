@@ -263,6 +263,19 @@ def test_evaluate_Y_array_t_matches_scalar_calls(g_profile_ref):
         kernels.evaluate_Y(g_profile_ref, 1.0, np.array([1.0, 0.0]))
 
 
+def test_evaluate_Z_array_t_and_profile_guards(f_profile_heat, g_profile_heat):
+    t = np.array([1.0, 2.0])
+    vec = kernels.evaluate_Z(f_profile_heat, 1.0, t)
+    one_by_one = [kernels.evaluate_Z(f_profile_heat, 1.0, float(s)) for s in t]
+    np.testing.assert_array_equal(vec, one_by_one)
+    with pytest.raises(kernels.KernelError):
+        kernels.evaluate_Z(f_profile_heat, 1.0, np.array([1.0, 0.0]))
+    with pytest.raises(kernels.KernelError):
+        kernels.evaluate_Z(g_profile_heat, 1.0, 1.0)
+    with pytest.raises(kernels.KernelError):
+        kernels.evaluate_Y(f_profile_heat, 1.0, 1.0)
+
+
 def test_profile_positivity(g_profile_ref, g_profile_beta1):
     for prof in (g_profile_ref, g_profile_beta1):
         assert prof.values.samples[0] > 0

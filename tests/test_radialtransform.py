@@ -166,6 +166,19 @@ def test_lp_norm_tail_extrapolation():
     assert got == pytest.approx(ref, rel=1e-6)
 
 
+def test_lp_norm_finite_range_beyond_grid():
+    # a power-law piece over a finite range beyond the grid is finite, whatever
+    # the sign of its exponent; e = 0 (rho^{-3} in N = 3) takes the log form
+    grid = RadialGrid(1e-3, 1e3, 256)
+    for k, a, b, ref in (
+        (-4.0, 1e-4, 1e-2, 4.0 * math.pi * (1e4 - 1e2)),
+        (-1.0, 1e2, 1e4, 2.0 * math.pi * (1e8 - 1e4)),
+        (-3.0, 1e-4, 1e-2, 4.0 * math.pi * math.log(100.0)),
+    ):
+        u = RadialFunction(grid, grid.nodes**k)
+        assert lp_norm_annulus(u, 1.0, 3, a, b) == pytest.approx(ref, rel=1e-12)
+
+
 def test_lp_norm_argument_errors():
     grid = RadialGrid(1e-3, 1e3, 128)
     u = RadialFunction(grid, np.exp(-grid.nodes))

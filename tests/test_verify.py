@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fracasym.params import FracParams, ScaleSpec
+from fracasym.params import (
+    FracParams,
+    ScaleSpec,
+    classify_scale,
+    derive_exponents,
+    rate_intermediate,
+    rate_outer,
+)
 from fracasym.potentials import riesz_constant
 from fracasym.radialtransform import RadialGrid
 from fracasym.solver import ForcingSpec
@@ -143,6 +150,30 @@ def test_intermediate_normalization_bounded(cache_dir, g_profile_ref):
     # annulus norms of the Riesz kernels follow the exact power law
     for entry in rep.notes["annulus_power_law"].values():
         assert entry["measured"] == pytest.approx(entry["exact"], abs=1e-10)
+
+
+def test_normalization_is_the_params_rate(cache_dir):
+    # each annulus check divides its raw norm by the sharp rate of params
+    grid = RadialGrid(1e-3, 1e3, 128)
+    exps = derive_exponents(FracParams(0.5, 0.5, 3))
+    for theorem, gamma, scale in (
+        ("intermediate", 0.5, ScaleSpec(kind="intermediate", exponent=0.25)),
+        ("outer-general", 0.5, ScaleSpec(kind="outer")),
+        ("outer-mass", 2.0, ScaleSpec(kind="outer")),
+    ):
+        cfg = _cfg(
+            theorem=theorem, forcing=ForcingSpec("gaussian", gamma=gamma, dim=3),
+            scale=scale, grid=grid, cache_dir=cache_dir,
+        )
+        rep = run_check(cfg)
+        assert all(e > 0 for e in rep.raw_errors)
+        for t, raw, norm in zip(cfg.times, rep.raw_errors, rep.normalized_errors):
+            if theorem == "intermediate":
+                klass = classify_scale(gamma, exps, scale)
+                rate = rate_intermediate(exps, cfg.p, gamma, klass, scale.phi(t), t)
+            else:
+                rate = rate_outer(exps, cfg.p, gamma, t)
+            assert norm == pytest.approx(raw / rate, rel=1e-14)
 
 
 def test_cross_regime_coherence_of_compact_profile(cache_dir):
