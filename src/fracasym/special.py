@@ -117,26 +117,39 @@ def _ml_integral(a, b, y):
 
 def _ml_asymptotic(a, b, y, kmax=60):
     """E_{a,b}(-y) ~ sum_{k>=1} (-1)^{k+1} y^{-k} / Gamma(b - a k), truncated
-    adaptively at the smallest term."""
+    adaptively at the smallest term of the envelope y^{-k} g_k, where
+    g_k = Gamma(1 + |a k - b|) / pi.
+
+    The envelope bounds each term up to a factor of order one (reflection:
+    1/Gamma(-x) = -sin(pi x) Gamma(1 + x) / pi). Truncating on the terms
+    themselves would stop early wherever b - a k lies near a Gamma pole, since
+    a small coefficient there is followed by a larger term.
+    """
     inv = 1.0 / y
     total = np.zeros_like(y)
     term = np.ones_like(y)
-    prev_mag = np.full_like(y, np.inf)
-    active = np.ones(y.shape, dtype=bool)
+    y_lo = float(y.min())
+    # y^{-k} g_k <= y^{-(k-1)} g_{k-1} iff y >= g_k / g_{k-1}: a row's envelope
+    # has passed its smallest term once y falls below the running maximum y_cut
+    y_cut = 0.0
+    g_prev = math.inf
     sign = 1.0
     for k in range(1, kmax + 1):
         term = term * inv
-        coeff = float(_rgamma(b - a * k))
-        this_sign, sign = sign, -sign
-        if coeff == 0.0:  # Gamma pole: term vanishes identically
-            continue
-        contrib = this_sign * term * coeff
-        mag = np.abs(contrib)
-        # freeze rows once terms stop decreasing (divergent-tail guard)
-        active &= mag <= prev_mag
-        total[active] += contrib[active]
-        prev_mag = mag
-        if not active.any() or np.max(mag[active], initial=0.0) < 1e-18:
+        g = math.gamma(1.0 + abs(a * k - b)) / math.pi
+        y_cut = max(y_cut, g / g_prev)
+        g_prev = g
+        c = sign * float(_rgamma(b - a * k))
+        sign = -sign
+        if y_cut <= y_lo:
+            total += c * term
+        else:
+            active = y >= y_cut
+            if not active.any():
+                break
+            total[active] += c * term[active]
+        # every row still summing has y >= max(y_cut, y_lo)
+        if g * max(y_cut, y_lo) ** (-k) < 1e-18:
             break
     return total
 

@@ -55,6 +55,19 @@ def test_ml_vs_mpmath(a, second):
         assert g == pytest.approx(ref, rel=1e-8, abs=1e-14)
 
 
+@pytest.mark.parametrize("a", [0.49609375, 0.33203125, 0.2490234375])
+@pytest.mark.parametrize("second", ["one", "a"])
+def test_ml_asymptotic_branch_near_gamma_poles(a, second):
+    # b - a k lands next to a Gamma pole for small k, so one term of the large-y
+    # series is tiny and the next is not; the series must run past it
+    b = 1.0 if second == "one" else a
+    xs = np.array([40.0, 40.736, 100.0, 1000.0])
+    got = mittag_leffler(a, b, -xs)
+    for x, g in zip(xs, got):
+        ref = float(_mp_ml_int(a, b, -x))
+        assert g == pytest.approx(ref, rel=1e-10)
+
+
 def _mp_ml(a, b, z):
     with mpmath.workdps(40):
         return mpmath.nsum(
