@@ -384,7 +384,7 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None, rule=_GL8) 
         if lo == 0 or math.isinf(hi):
             return math.copysign(math.inf, f)
         # a finite range: lo^e (e^{eL} - 1)/e with L = log(hi/lo), which stays
-        # accurate as e -> 0 (a fitted exponent is never exactly 0)
+        # accurate as e -> 0; e == 0 takes L directly
         L = math.log(hi / lo)
         try:
             return f / edge**m * lo**e * (math.expm1(e * L) / e if e else L)

@@ -117,14 +117,10 @@ def _ml_integral(a, b, y):
 
 def _ml_asymptotic(a, b, y, kmax=60):
     """E_{a,b}(-y) ~ sum_{k>=1} (-1)^{k+1} y^{-k} / Gamma(b - a k), truncated
-    adaptively at the smallest term of the envelope y^{-k} g_k, where
-    g_k = Gamma(1 + |a k - b|) / pi.
-
-    The envelope bounds each term up to a factor of order one (reflection:
-    1/Gamma(-x) = -sin(pi x) Gamma(1 + x) / pi). Truncating on the terms
-    themselves would stop early wherever b - a k lies near a Gamma pole, since
-    a small coefficient there is followed by a larger term.
-    """
+    at the smallest term of the envelope y^{-k} g_k, g_k = Gamma(1 + |a k - b|)
+    / pi, which bounds each term up to a factor of order one (1/Gamma(-x) =
+    -sin(pi x) Gamma(1 + x) / pi).  The terms themselves are tiny next to a
+    Gamma pole of b - a k, so stopping at the first that grows stops early."""
     inv = 1.0 / y
     total = np.zeros_like(y)
     term = np.ones_like(y)
@@ -141,13 +137,10 @@ def _ml_asymptotic(a, b, y, kmax=60):
         g_prev = g
         c = sign * float(_rgamma(b - a * k))
         sign = -sign
-        if y_cut <= y_lo:
-            total += c * term
-        else:
-            active = y >= y_cut
-            if not active.any():
-                break
-            total[active] += c * term[active]
+        active = y >= y_cut
+        if not active.any():
+            break
+        total[active] += c * term[active]
         # every row still summing has y >= max(y_cut, y_lo)
         if g * max(y_cut, y_lo) ** (-k) < 1e-18:
             break

@@ -103,7 +103,7 @@ def _difference_symbol(cfg: VerifyConfig, t: float, profile_symbol):
     u_hat = duhamel_symbol(cfg.forcing, cfg.params, t)
 
     def symbol(r):
-        r = np.asarray(r, dtype=float)
+        r = np.asarray(r, dtype=float)  # the engine passes long-double r
         return u_hat(r) - profile_symbol(r)
 
     return symbol
@@ -180,30 +180,25 @@ def limit_profile_compact(cfg: VerifyConfig, grid: RadialGrid | None = None):
         gamma > 1+alpha:  (kappa/(gamma-1)) I_{4b}[g]
 
     (all times amplitude), built spectrally from the forcing transform."""
-    fs, params = cfg.forcing, cfg.params
     grid = grid or cfg.grid
-    if fs.amplitude == 0.0:
+    if cfg.forcing.amplitude == 0.0:
         return RadialFunction(grid, np.zeros(grid.points))
-    sym = _riesz_profile(params, *_compact_profile_coeffs(cfg))[0]
-    return radial_fourier_inverse(
-        lambda r: fs.amplitude * fs.ghat(np.asarray(r, dtype=float)) * sym(r),
-        params.dim,
-        grid,
-    )
+    return radial_fourier_inverse(_compact_limit_symbol(cfg), cfg.params.dim, grid)
 
 
-def _compact_profile_coeffs(cfg: VerifyConfig):
-    """(c2, c4) of the compact limit c2 I_{2b}[g] + c4 I_{4b}[g] per unit
-    amplitude, as tabulated in limit_profile_compact.  I_mu[g] = g * E_mu, so
-    the limit's symbol is amplitude g-hat times that of c2 E_{2b} + c4 E_{4b}."""
-    a, gam = cfg.params.alpha, cfg.forcing.gamma
+def _compact_limit_symbol(cfg: VerifyConfig):
+    """The symbol of the compact limit L.  I_mu[g] = g * E_mu, so it is
+    amplitude g-hat times that of c2 E_{2b} + c4 E_{4b}, with the (c2, c4) per
+    unit amplitude tabulated in limit_profile_compact."""
+    fs, a = cfg.forcing, cfg.params.alpha
     c2b = riesz_constant(2.0 * cfg.params.beta, cfg.params.dim)
-    if gam < 1.0 + a:
-        return c2b, 0.0
-    kappa = _y_profile(cfg).kappa
-    if gam == 1.0 + a:
-        return c2b, kappa / a
-    return 0.0, kappa / (gam - 1.0)
+    if fs.gamma < 1.0 + a:
+        coeffs = c2b, 0.0
+    else:
+        kappa = _y_profile(cfg).kappa
+        coeffs = (c2b, kappa / a) if fs.gamma == 1.0 + a else (0.0, kappa / (fs.gamma - 1.0))
+    sym = _riesz_profile(cfg.params, *coeffs)[0]
+    return lambda r: fs.amplitude * fs.ghat(np.asarray(r, dtype=float)) * sym(r)
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
@@ -215,12 +210,12 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "compact")
     m = rate_compact(fs.gamma, params.alpha)
-    prof_sym = _riesz_profile(params, *_compact_profile_coeffs(cfg))[0]
+    limit = _compact_limit_symbol(cfg)
     K = cfg.scale.radius
 
     def symbol_at(t):
         tm = t**m
-        return _difference_symbol(cfg, t, lambda r: fs.amplitude * fs.ghat(r) * prof_sym(r) / tm)
+        return _difference_symbol(cfg, t, lambda r: limit(r) / tm)
 
     _, errs = _checkpoint_series(
         cfg, cfg.times, symbol_at, lambda t: (cfg.grid.rho_min, K), lambda t: t**-m
@@ -295,8 +290,8 @@ def _annulus_power_law(cfg: VerifyConfig) -> dict:
     n = params.dim
     phis = [cfg.scale.phi(t) for t in cfg.times]
     out = {}
-    for mu, coeffs in ((2.0 * params.beta, (1.0, 0.0)), (4.0 * params.beta, (0.0, 1.0))):
-        kern = RadialFunction(cfg.grid, _riesz_profile(params, *coeffs)[1](cfg.grid.nodes))
+    for mu in (2.0 * params.beta, 4.0 * params.beta):
+        kern = RadialFunction(cfg.grid, cfg.grid.nodes ** (mu - n))
         norms = [
             lp_norm_annulus(kern, cfg.p, n, cfg.scale.nu * f, cfg.scale.mu * f)
             for f in phis
@@ -381,8 +376,7 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
 def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma > 1: scalar law Gamma(alpha) M(t) t^{1-alpha} -> M_inf, and
     ||u - M_inf Y|| / rate_outer -> 0 on the exterior; both must decrease."""
-    fs = cfg.forcing
-    if fs.amplitude == 0.0:
+    if cfg.forcing.amplitude == 0.0:
         return _zero_report(cfg, "outer-mass")
     scalar, raw, norm = _mass_law(cfg, cfg.times)
     rep = _report(cfg, "outer-mass", raw, norm, **_outer_scale(cfg))
@@ -401,8 +395,7 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     (kernel_times, kernel_series) for the checkpoints with t <= 1e4 and
     nu t^theta <= rho_max/2, i.e. whose exterior region starts well inside
     the grid; the lists are empty when no checkpoint qualifies."""
-    fs = cfg.forcing
-    if fs.amplitude == 0.0:
+    if cfg.forcing.amplitude == 0.0:
         return _zero_report(cfg, "outer-log")
     theta = derive_exponents(cfg.params).theta
     kernel_times = [
