@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Build and cache the self-similar kernel profiles F and G for one or more
-parameter sets, print their fitted constants, and emit plot-ready CSVs.
+parameter sets, print kappa (a closed form), the constant A and the bound
+report, and emit plot-ready CSVs.
 
 Usage:
     python scripts/build_profiles.py --out profiles/ [--cache ~/.cache/fracasym]

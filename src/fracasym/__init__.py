@@ -35,7 +35,6 @@ from .kernels import (
 )
 from .potentials import (
     PotentialError,
-    RieszKernel,
     riesz_constant,
     riesz_potential,
     riesz_tail_check,

@@ -4,10 +4,13 @@ Z (fundamental kernel) has Fourier transform E_alpha(-|w|^{2b} t^a); its t=1
 radial slice is the profile F.  Y (the Duhamel kernel) has Fourier transform
 t^{a-1} E_{a,a}(-|w|^{2b} t^a); its t=1 slice is the profile G.  Both are
 positive, with G ~ kappa rho^{4b-N} at the origin and an algebraic
-rho^{-(N+2b)} tail for b < 1 (exponential-type for b = 1).
+rho^{-(N+2b)} tail for b < 1 (exponential-type for b = 1).  kappa is known in
+closed form (estimate_kappa); validate_bounds measures the profile against it.
 
 Profiles are built once per (alpha, beta, N, grid) and cached on disk; the
-cache is also keyed on the engine source, and a corrupt file is a miss.
+cache is also keyed on the engine source, and a corrupt file is a miss.  A
+profile is its samples and identity: the constants derived from them (kappa,
+A, the bound report) are worked out on first use, never read back from disk.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import functools
 import hashlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +48,6 @@ def default_cache_dir() -> str:
     )
 
 
-# fitted constants a profile carries besides its values (sidecar keys)
-_FITTED = ("kappa", "kappa_variation", "constant_A", "bound_report")
-
-
 @functools.cache
 def _engine() -> str:
     """sha256 of the source that computes profile values, so that a profile
@@ -59,27 +58,39 @@ def _engine() -> str:
 
 @dataclass(frozen=True)
 class KernelProfile:
-    """A t=1 kernel slice with its fitted constants.
+    """A t=1 kernel slice: its samples and their identity.
 
-    kappa is None in validation mode (alpha = 1: the profile is bounded and
-    rho^{N-4b} G -> 0, so the limit is not applicable)."""
+    kappa, constant_A and bound_report are worked out on first use through
+    the module-level estimate_kappa, constant_A and validate_bounds.  All
+    three are None for F; kappa and bound_report are None in validation mode
+    (alpha = 1: the profile is bounded and rho^{N-4b} G -> 0, so the limit is
+    not applicable)."""
 
     params: FracParams
     exps: Exponents
     which: str  # "F" (Z-profile) or "G" (Y-profile)
     values: RadialFunction
-    kappa: float | None = None
-    kappa_variation: float | None = None
-    constant_A: float | None = None
-    bound_report: dict | None = None
+
+    @functools.cached_property
+    def kappa(self) -> float | None:
+        return estimate_kappa(self.params) if self.which == "G" else None
+
+    @functools.cached_property
+    def constant_A(self) -> float | None:
+        return constant_A(self) if self.which == "G" else None
+
+    @functools.cached_property
+    def bound_report(self) -> dict | None:
+        return validate_bounds(self) if self.kappa is not None else None
 
     def save(self, csv_path):
         """Values CSV plus a JSON sidecar with the profile's identity
-        (which, alpha, beta, dim, engine) and its fitted constants."""
+        (which, alpha, beta, dim, engine) and its derived constants, which
+        a load does not read back."""
         p = self.params
         meta = {"which": self.which, "alpha": p.alpha, "beta": p.beta, "dim": p.dim,
-                "engine": _engine()}
-        meta.update({k: getattr(self, k) for k in _FITTED})
+                "engine": _engine(), "kappa": self.kappa,
+                "constant_A": self.constant_A, "bound_report": self.bound_report}
         self.values.save(csv_path, extra_metadata=meta)
 
 
@@ -126,8 +137,7 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
         request = {"which": which, "alpha": params.alpha, "beta": params.beta,
                    "dim": params.dim, "engine": _engine()}
         if {k: meta.get(k) for k in request} == request:
-            fitted = {k: meta.get(k) for k in _FITTED}
-            return KernelProfile(params, exps, which, values, **fitted)
+            return KernelProfile(params, exps, which, values)
 
     values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)
     if params.beta == 1.0:
@@ -139,19 +149,6 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
     if np.any(values.samples < 0) or values.samples[0] <= 0:
         raise KernelError(f"{which}-profile not positive on the grid")
     profile = KernelProfile(params=params, exps=exps, which=which, values=values)
-    if which == "G":
-        kappa, variation = (
-            estimate_kappa(profile) if params.alpha < 1.0 else (None, None)
-        )
-        a_const = constant_A(profile)
-        report = validate_bounds(profile) if params.alpha < 1.0 else None
-        profile = replace(
-            profile,
-            kappa=kappa,
-            kappa_variation=variation,
-            constant_A=a_const,
-            bound_report=report,
-        )
     if path:
         profile.save(path)
     return profile
@@ -171,12 +168,13 @@ def build_y_profile(params: FracParams, grid: RadialGrid | None = None, cache_di
 def build_y_profile_subtracted(params: FracParams, grid: RadialGrid | None = None):
     """Singular-tail-subtraction route (cross-check for build_y_profile):
 
-        G = F^{-1}[E_{a,a}(-r^{2b}) - c_tail r^{-4b}] + c_tail c_{4b} E_{4b},
+        G = F^{-1}[E_{a,a}(-r^{2b}) - c_tail r^{-4b}] + kappa E_{4b},
 
-    using the exact inverse F^{-1}(|w|^{-mu}) = c_mu |x|^{mu-N}.  The full
-    (uncut) power law keeps the residual symbol smooth; it is integrable at
-    the origin since N > 4b.  Not available for beta = 1, where subtraction
-    would replace the exponential-type tail by an algebraic one.
+    using the exact inverse F^{-1}(|w|^{-mu}) = c_mu |x|^{mu-N}, so that
+    kappa = c_tail c_{4b}.  The full (uncut) power law keeps the residual
+    symbol smooth; it is integrable at the origin since N > 4b.  Not
+    available for beta = 1, where subtraction would replace the
+    exponential-type tail by an algebraic one.
     """
     if params.alpha >= 1.0:
         raise KernelError("subtraction route requires alpha < 1")
@@ -194,8 +192,7 @@ def build_y_profile_subtracted(params: FracParams, grid: RadialGrid | None = Non
         return base(r_arr) - c_tail * r_arr ** (-4.0 * b)
 
     rem = radial_fourier_inverse(residual, n, grid)
-    c4b = riesz_constant(4.0 * b, n)
-    samples = rem.samples + c_tail * c4b * grid.nodes ** (4.0 * b - n)
+    samples = rem.samples + estimate_kappa(params) * grid.nodes ** (4.0 * b - n)
     return KernelProfile(
         params=params,
         exps=derive_exponents(params),
@@ -204,36 +201,13 @@ def build_y_profile_subtracted(params: FracParams, grid: RadialGrid | None = Non
     )
 
 
-def estimate_kappa(profile: KernelProfile):
-    """Plateau fit of rho^{N-4b} G(rho): mean over the lowest decade whose
-    relative variation is below 1% (5% acceptance as a fallback).
-
-    Returns (kappa, variation); raises on fit failure.
-    """
-    _require_g(profile)
-    if profile.params.alpha >= 1.0:
-        return None, None
-    n, b = profile.params.dim, profile.params.beta
-    grid = profile.values.grid
-    scaled = grid.nodes ** (n - 4.0 * b) * profile.values.samples
-
-    best = None
-    for start in np.arange(
-        math.log10(grid.rho_min), math.log10(grid.rho_max) - 1.0, 0.5
-    ):
-        sel = (grid.nodes >= 10.0**start) & (grid.nodes <= 10.0 ** (start + 1.0))
-        window = scaled[sel]
-        mean = float(window.mean())
-        variation = float((window.max() - window.min()) / abs(mean))
-        if variation < 0.01:
-            return mean, variation
-        if best is None or variation < best[1]:
-            best = (mean, variation)
-    if best and best[1] < 0.05:
-        return best
-    raise KernelError(
-        f"kappa plateau fit failed: best variation {best[1]:.3g} over all decades"
-    )
+def estimate_kappa(params: FracParams) -> float | None:
+    """kappa in G ~ kappa rho^{4b-N} at the origin, in closed form: the
+    symbol's tail E_{a,a}(-r^{2b}) ~ C r^{-4b}, C = ml_tail_coefficient(a),
+    inverts to C c_{4b} rho^{4b-N}.  None in validation mode (alpha = 1)."""
+    if params.alpha >= 1.0:
+        return None
+    return ml_tail_coefficient(params.alpha) * riesz_constant(4.0 * params.beta, params.dim)
 
 
 _GL12 = leggauss(12)
@@ -274,8 +248,11 @@ def _self_similar(profile: KernelProfile, rho, t, decay: float):
 
 
 def validate_bounds(profile: KernelProfile) -> dict:
-    """Interior two-sided bound, exterior tail slope, and the global upper
-    bound G <= C rho^{4b-N}; returns a clause-by-clause report."""
+    """Interior two-sided bound, exterior tail slope, the global upper bound
+    G <= C rho^{4b-N}, and the origin limit rho^{N-4b} G -> kappa against the
+    closed form: its relative error at the first node (within 1%) and the
+    log-log order of that error over the grid's first decade, i.e. of the
+    next term of G at the origin.  Returns a clause-by-clause report."""
     _require_g(profile)
     p = profile.params
     if p.alpha >= 1.0:
@@ -293,6 +270,15 @@ def validate_bounds(profile: KernelProfile) -> dict:
         "global_C": float(scaled.max()),
         "global_pass": bool(np.isfinite(scaled.max())),
     }
+
+    rel = scaled / profile.kappa - 1.0
+    first = nodes <= 10.0 * grid.rho_min
+    order = float(np.polyfit(np.log(nodes[first]), np.log(np.abs(rel[first])), 1)[0])
+    report.update(
+        kappa_error=float(rel[0]),
+        kappa_order=order,
+        kappa_pass=bool(abs(rel[0]) < 1e-2),
+    )
 
     if b < 1.0:
         sel = (nodes >= 5.0) & (nodes <= 0.5 * grid.rho_max)

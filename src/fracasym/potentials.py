@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -43,25 +42,6 @@ def riesz_constant(mu: float, dim: int) -> float:
     return gamma_fn((dim - mu) / 2.0) / (
         math.pi ** (dim / 2.0) * 2.0**mu * gamma_fn(mu / 2.0)
     )
-
-
-@dataclass(frozen=True)
-class RieszKernel:
-    """E_mu(x) = |x|^{mu-N} with its normalization constant."""
-
-    mu: float
-    dim: int
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < self.dim:
-            raise PotentialError(f"mu must be in (0, N), got {self.mu}")
-
-    @property
-    def c_mu(self) -> float:
-        return riesz_constant(self.mu, self.dim)
-
-    def __call__(self, rho):
-        return np.asarray(rho, dtype=float) ** (self.mu - self.dim)
 
 
 def _ghat_from_samples(g: RadialFunction, dim: int):

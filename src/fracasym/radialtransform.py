@@ -379,12 +379,13 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None, rule=_GL8) 
         f = s if p is None else abs(s) ** p
         m = slope if p is None else p * slope
         e = m + k
-        if (e > 0) if inner else (e < 0):  # integrable toward the open end
-            return f / edge**m * (hi**e - lo**e) / e
-        if lo == 0 or math.isinf(hi):
+        if lo == 0 or math.isinf(hi):  # the piece reaches the open end
+            if (e > 0) if inner else (e < 0):  # integrable there
+                return f / edge**m * (hi**e - lo**e) / e
             return math.copysign(math.inf, f)
         # a finite range: lo^e (e^{eL} - 1)/e with L = log(hi/lo), which stays
-        # accurate as e -> 0; e == 0 takes L directly
+        # accurate as e -> 0, where (hi^e - lo^e)/e cancels; e == 0 takes L
+        # directly
         L = math.log(hi / lo)
         try:
             return f / edge**m * lo**e * (math.expm1(e * L) / e if e else L)

@@ -37,16 +37,30 @@ def test_kappa_ref(g_profile_ref):
     # 0.2820948 / (4 pi) ~ 0.0224489 for (alpha, beta, N) = (0.5, 0.5, 3)
     expected = ml_tail_coefficient(0.5) * riesz_constant(2.0, 3)
     assert expected == pytest.approx(0.022448390, rel=1e-6)
-    assert g_profile_ref.kappa == pytest.approx(expected, rel=1e-2)
-    assert g_profile_ref.kappa_variation < 1e-2
+    assert g_profile_ref.kappa == pytest.approx(expected, rel=1e-14)
+    # rho^{N-4b} G / kappa - 1 at the first node: G's regular part, O(rho)
+    assert abs(g_profile_ref.bound_report["kappa_error"]) < 2e-3
 
 
 def test_kappa_beta1(g_profile_beta1):
     # 0.2820948 / (16 pi^2) ~ 0.0017865 for (0.5, 1, 5)
     expected = ml_tail_coefficient(0.5) * riesz_constant(4.0, 5)
     assert expected == pytest.approx(0.00178650, rel=1e-4)
-    assert g_profile_beta1.kappa == pytest.approx(expected, rel=1e-2)
-    assert g_profile_beta1.kappa_variation < 1e-2
+    assert g_profile_beta1.kappa == pytest.approx(expected, rel=1e-14)
+    assert abs(g_profile_beta1.bound_report["kappa_error"]) < 1e-3
+
+
+def test_g_profile_without_a_flat_decade(cache_dir):
+    # at (0.8, 0.6, 3) the symbol minus its r^{-4b} tail decays like r^{-6b},
+    # integrable in N = 3, so G = kappa rho^{4b-N} + O(1) and rho^{N-4b} G /
+    # kappa - 1 is O(rho^{0.6}): no decade is flat to 1%, yet G builds, as
+    # kappa is a closed form
+    params = FracParams(0.8, 0.6, 3)
+    g = kernels.build_y_profile(params, cache_dir=cache_dir)
+    mass = radial_integral(g.values, 3)
+    assert abs(math.gamma(0.8) * mass - 1.0) < 1e-6
+    assert abs(g.constant_A / riesz_constant(1.2, 3) - 1.0) < 1e-3
+    assert g.bound_report["kappa_order"] == pytest.approx(0.6, abs=0.05)
 
 
 def test_constant_A_ref(g_profile_ref):
@@ -212,7 +226,6 @@ def _planted_profile(params, monkeypatch):
         exps=None,
         which="G",
         values=RadialFunction(grid, np.exp(-grid.nodes)),
-        constant_A=1.0,
     )
 
 
@@ -228,7 +241,6 @@ def test_cache_keys_exact_parameters(params_ref, tmp_path, monkeypatch):
     planted.save(ref_path)
     hit = kernels.build_y_profile(params_ref, cache_dir=cdir)
     assert np.array_equal(hit.values.samples, planted.values.samples)
-    assert hit.constant_A == 1.0
     # the same files under another request's name: the sidecar's alpha differs
     planted.save(near_path)
     with pytest.raises(Rebuilt):
@@ -241,7 +253,8 @@ def test_cache_stale_engine_or_corrupt_file_is_a_miss(params_ref, tmp_path, monk
     csv_path = kernels._cache_path(params_ref, "G", RadialGrid(), cdir)
     sidecar = pathlib.Path(csv_path).with_suffix(".json")
     planted.save(csv_path)
-    assert kernels.build_y_profile(params_ref, cache_dir=cdir).constant_A == 1.0
+    hit = kernels.build_y_profile(params_ref, cache_dir=cdir)
+    assert np.array_equal(hit.values.samples, planted.values.samples)
     stale = {**json.loads(sidecar.read_text()), "engine": "0" * 64}
     for path, text in [
         (sidecar, json.dumps(stale)),  # a profile built by other engine code

@@ -6,7 +6,6 @@ from scipy.special import erf
 
 from fracasym.potentials import (
     PotentialError,
-    RieszKernel,
     potential_deviation,
     riesz_constant,
     riesz_potential,
@@ -32,14 +31,6 @@ def test_constants():
         riesz_constant(3.0, 3)
     with pytest.raises(PotentialError):
         riesz_constant(-1.0, 3)
-
-
-def test_kernel_object():
-    k = RieszKernel(2.0, 3)
-    assert k.c_mu == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-    assert k(2.0) == pytest.approx(0.5, rel=1e-14)
-    with pytest.raises(PotentialError):
-        RieszKernel(5.0, 3)
 
 
 def test_newtonian_potential_of_gaussian():

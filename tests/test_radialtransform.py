@@ -168,13 +168,15 @@ def test_lp_norm_tail_extrapolation():
 
 def test_lp_norm_finite_range_beyond_grid():
     # a power-law piece over a finite range beyond the grid is finite, whatever
-    # the sign of its exponent; e = 0 (rho^{-3} in N = 3) takes the log form
-    grid = RadialGrid(1e-3, 1e3, 256)
-    for k, a, b, ref in (
-        (-4.0, 1e-4, 1e-2, 4.0 * math.pi * (1e4 - 1e2)),
-        (-1.0, 1e2, 1e4, 2.0 * math.pi * (1e8 - 1e4)),
-        (-3.0, 1e-4, 1e-2, 4.0 * math.pi * math.log(100.0)),
+    # the sign of its exponent; e = 0 (rho^{-3} in N = 3) takes the log form,
+    # and on 203 points the fitted e = 5e-15 must not cancel
+    for points, k, a, b, ref in (
+        (256, -4.0, 1e-4, 1e-2, 4.0 * math.pi * (1e4 - 1e2)),
+        (256, -1.0, 1e2, 1e4, 2.0 * math.pi * (1e8 - 1e4)),
+        (256, -3.0, 1e-4, 1e-2, 4.0 * math.pi * math.log(100.0)),
+        (203, -3.0, 1e-4, 1e-2, 4.0 * math.pi * math.log(100.0)),
     ):
+        grid = RadialGrid(1e-3, 1e3, points)
         u = RadialFunction(grid, grid.nodes**k)
         assert lp_norm_annulus(u, 1.0, 3, a, b) == pytest.approx(ref, rel=1e-12)
 

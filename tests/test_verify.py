@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracasym import kernels
 from fracasym.params import (
     FracParams,
     ScaleSpec,
@@ -174,6 +175,24 @@ def test_normalization_is_the_params_rate(cache_dir):
             else:
                 rate = rate_outer(exps, cfg.p, gamma, t)
             assert norm == pytest.approx(raw / rate, rel=1e-14)
+
+
+def test_compact_and_intermediate_take_kappa_from_params(monkeypatch):
+    # the kappa of the E_{4b} profiles is the closed form: compact at
+    # gamma = 2 > 1 + alpha and intermediate class F build no G profile
+    def no_profile(*args, **kwargs):
+        raise AssertionError("G profile built")
+
+    monkeypatch.setattr(kernels, "build_y_profile", no_profile)
+    grid = RadialGrid(1e-3, 1e3, 128)
+    forcing = ForcingSpec("gaussian", gamma=2.0, dim=3)
+    for theorem, scale in (
+        ("compact", ScaleSpec(kind="compact", radius=1.0)),
+        ("intermediate", ScaleSpec(kind="intermediate", exponent=0.25, nu=1.0, mu=2.0)),
+    ):
+        rep = run_check(_cfg(theorem=theorem, forcing=forcing, scale=scale, grid=grid))
+        assert all(math.isfinite(e) and e > 0 for e in rep.raw_errors)
+    assert rep.scale["class"] == "F"
 
 
 def test_cross_regime_coherence_of_compact_profile(cache_dir):
