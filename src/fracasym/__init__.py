@@ -3,13 +3,11 @@ the fully nonlocal heat equation  d_t^alpha u + (-Laplacian)^beta u = f  in
 dimension N > 4 beta, for radial separable forcings."""
 
 from .params import (
-    Exponents,
     FracParams,
     ParameterError,
     ScaleClass,
     ScaleSpec,
     classify_scale,
-    derive_exponents,
     q_critical,
     sigma_p,
 )

@@ -30,7 +30,6 @@ from .params import (
     ParameterError,
     ScaleSpec,
     classify_scale,
-    derive_exponents,
     intermediate_rate_exponents,
     outer_rate_exponents,
     rate_compact,
@@ -208,18 +207,17 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 def _cmd_rates(cfg: RunConfig) -> int:
     fs = _require_forcing(cfg)
-    exps = derive_exponents(cfg.params)
     gamma, p = fs.gamma, cfg.p
     rows = ["regime,p,gamma,t_exponent,log_power"]
     if cfg.scale.kind == "compact":
         regime, t_exp, log_pow = "compact", -rate_compact(gamma, cfg.params.alpha), 0
     elif cfg.scale.kind == "outer":
         regime = "outer"
-        t_exp, log_pow = outer_rate_exponents(exps, p, gamma)
+        t_exp, log_pow = outer_rate_exponents(cfg.params, p, gamma)
     else:
-        klass = classify_scale(gamma, exps, cfg.scale)
+        klass = classify_scale(gamma, cfg.params, cfg.scale)
         regime = f"intermediate-{klass.value}"
-        e, l, k = intermediate_rate_exponents(exps, p, gamma, klass)
+        e, l, k = intermediate_rate_exponents(cfg.params, p, gamma, klass)
         # phi(t) ~ t^exponent (log t)^log_exponent folded into the t and log powers
         t_exp = e + k * cfg.scale.exponent
         log_pow = l + k * cfg.scale.log_exponent

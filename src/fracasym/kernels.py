@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import radialtransform, special
-from .params import Exponents, FracParams, derive_exponents
+from .params import FracParams
 from .potentials import riesz_constant
 from .radialtransform import (
     RadialFunction,
@@ -67,7 +67,6 @@ class KernelProfile:
     not applicable)."""
 
     params: FracParams
-    exps: Exponents
     which: str  # "F" (Z-profile) or "G" (Y-profile)
     values: RadialFunction
 
@@ -123,7 +122,6 @@ def _cache_path(params: FracParams, which: str, grid: RadialGrid, cache_dir: str
 
 def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
     grid = grid or RadialGrid()
-    exps = derive_exponents(params)
     cache_dir = default_cache_dir() if cache_dir is None else cache_dir
 
     path = _cache_path(params, which, grid, cache_dir) if cache_dir else None
@@ -137,7 +135,7 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
         request = {"which": which, "alpha": params.alpha, "beta": params.beta,
                    "dim": params.dim, "engine": _engine()}
         if {k: meta.get(k) for k in request} == request:
-            return KernelProfile(params, exps, which, values)
+            return KernelProfile(params, which, values)
 
     values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)
     if params.beta == 1.0:
@@ -148,7 +146,7 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
         values = RadialFunction(grid, samples)
     if np.any(values.samples < 0) or values.samples[0] <= 0:
         raise KernelError(f"{which}-profile not positive on the grid")
-    profile = KernelProfile(params=params, exps=exps, which=which, values=values)
+    profile = KernelProfile(params=params, which=which, values=values)
     if path:
         profile.save(path)
     return profile
@@ -193,12 +191,7 @@ def build_y_profile_subtracted(params: FracParams, grid: RadialGrid | None = Non
 
     rem = radial_fourier_inverse(residual, n, grid)
     samples = rem.samples + estimate_kappa(params) * grid.nodes ** (4.0 * b - n)
-    return KernelProfile(
-        params=params,
-        exps=derive_exponents(params),
-        which="G",
-        values=RadialFunction(grid, samples),
-    )
+    return KernelProfile(params=params, which="G", values=RadialFunction(grid, samples))
 
 
 def estimate_kappa(params: FracParams) -> float | None:
@@ -218,9 +211,8 @@ def constant_A(profile: KernelProfile) -> float:
     closed-form power-law tail pieces from the fitted exponents."""
     _require_g(profile)
     p = profile.params
-    theta = p.alpha / (2.0 * p.beta)
     total = _moment(profile.values, p.dim - 2.0 * p.beta, 0.0, math.inf, rule=_GL12)
-    a_val = total / theta
+    a_val = total / p.theta
     if not (a_val > 0 and math.isfinite(a_val)):
         raise KernelError(f"constant A not finite/positive: {a_val}")
     return a_val
@@ -229,14 +221,14 @@ def constant_A(profile: KernelProfile) -> float:
 def evaluate_Y(profile: KernelProfile, rho, t):
     """Y(rho, t) = t^{-sigma_*} G(rho t^{-theta}), for arrays of rho or of t."""
     _require_g(profile)
-    return _self_similar(profile, rho, t, profile.exps.sigma_star)
+    return _self_similar(profile, rho, t, profile.params.sigma_star)
 
 
 def evaluate_Z(profile: KernelProfile, rho, t):
     """Z(rho, t) = t^{-N theta} F(rho t^{-theta}), for arrays of rho or of t."""
     if profile.which != "F":
         raise KernelError("evaluate_Z requires the F-profile")
-    return _self_similar(profile, rho, t, profile.params.dim * profile.exps.theta)
+    return _self_similar(profile, rho, t, profile.params.dim * profile.params.theta)
 
 
 def _self_similar(profile: KernelProfile, rho, t, decay: float):
@@ -244,7 +236,7 @@ def _self_similar(profile: KernelProfile, rho, t, decay: float):
     t = np.asarray(t, dtype=float)  # one power routine for scalar and array t
     if np.any(t <= 0):
         raise KernelError("t must be positive")
-    return t**-decay * profile.values(np.asarray(rho) * t**-profile.exps.theta)
+    return t**-decay * profile.values(np.asarray(rho) * t**-profile.params.theta)
 
 
 def validate_bounds(profile: KernelProfile) -> dict:
@@ -252,7 +244,13 @@ def validate_bounds(profile: KernelProfile) -> dict:
     G <= C rho^{4b-N}, and the origin limit rho^{N-4b} G -> kappa against the
     closed form: its relative error at the first node (within 1%) and the
     log-log order of that error over the grid's first decade, i.e. of the
-    next term of G at the origin.  Returns a clause-by-clause report."""
+    next term of G at the origin.  Returns a clause-by-clause report.
+
+    The 1% clause presumes that next term is below 1% of kappa rho^{4b-N} at
+    rho_min.  Its relative size is O(rho^{min(N-4b, 2b)}), so where that
+    order is small the clause fails on a correct profile: on the default
+    grid kappa_error is 2.2e-2 at (alpha, beta, N) = (0.8, 0.6, 3), 1.9e-2 at
+    (0.4, 0.6, 3) and 1.08e-1 at (0.9, 0.25, 5)."""
     _require_g(profile)
     p = profile.params
     if p.alpha >= 1.0:

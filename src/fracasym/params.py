@@ -1,7 +1,10 @@
-"""Problem parameters, derived exponents and space-time scale classification.
+"""Problem parameters, their exponents and space-time scale classification.
 
 The model is u_t^alpha + (-Laplacian)^beta u = f in dimension N > 4*beta.
-Everything here is exact arithmetic on (alpha, beta, N, gamma); no grids.
+FracParams holds (alpha, beta, N) and derives the exponents theta, sigma_*,
+p_* and p_c from them; ScaleClass is the five intermediate classes S, C1, C,
+F1 and F.  Everything here is exact arithmetic on (alpha, beta, N, gamma);
+no grids.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class FracParams:
-    """Orders of the Caputo derivative and Laplacian power, plus the dimension.
+    """Orders of the Caputo derivative and Laplacian power, plus the dimension,
+    and the exponents theta, sigma_star, p_star and p_crit derived from them.
 
     alpha = 1 is admitted only with validation_mode=True, in which case the
     kernels degenerate to classical (heat-type) ones and the singular-profile
@@ -50,58 +54,54 @@ class FracParams:
                 f"got dim={self.dim}"
             )
 
+    @property
+    def theta(self) -> float:
+        """theta = alpha/(2 beta): space scales like t^theta."""
+        return self.alpha / (2.0 * self.beta)
 
-@dataclass(frozen=True)
-class Exponents:
-    """Derived exponents: theta = alpha/(2 beta), sigma_* = 1 - alpha + N theta,
-    p_* = N/(N - 4 beta), p_c = N/(N - 2 beta)."""
+    @property
+    def sigma_star(self) -> float:
+        """sigma_* = 1 - alpha + N theta."""
+        return 1.0 - self.alpha + self.dim * self.theta
 
-    params: FracParams
-    theta: float
-    sigma_star: float
-    p_star: float
-    p_crit: float
+    @property
+    def p_star(self) -> float:
+        """p_* = N/(N - 4 beta)."""
+        return self.dim / (self.dim - 4.0 * self.beta)
 
-
-def derive_exponents(params: FracParams) -> Exponents:
-    a, b, n = params.alpha, params.beta, params.dim
-    theta = a / (2.0 * b)
-    return Exponents(
-        params=params,
-        theta=theta,
-        sigma_star=1.0 - a + n * theta,
-        p_star=n / (n - 4.0 * b),
-        p_crit=n / (n - 2.0 * b),
-    )
+    @property
+    def p_crit(self) -> float:
+        """p_c = N/(N - 2 beta)."""
+        return self.dim / (self.dim - 2.0 * self.beta)
 
 
-def sigma_p(exps: Exponents, p: float) -> float:
+def sigma_p(params: FracParams, p: float) -> float:
     """L^p decay exponent of the Duhamel kernel: sigma_* - N*theta/p."""
     if p < 1.0:
         raise ParameterError(f"p must be in [1, inf], got {p}")
     if math.isinf(p):
-        return exps.sigma_star
-    return exps.sigma_star - exps.params.dim * exps.theta / p
+        return params.sigma_star
+    return params.sigma_star - params.dim * params.theta / p
 
 
-def q_critical(exps: Exponents, p: float) -> float:
+def q_critical(params: FracParams, p: float) -> float:
     """Integrability threshold q_c(p) = Np/(2 beta p + N), N/(2 beta) at p=inf."""
     if p < 1.0:
         raise ParameterError(f"p must be in [1, inf], got {p}")
-    n, b = exps.params.dim, exps.params.beta
+    n, b = params.dim, params.beta
     if math.isinf(p):
         return n / (2.0 * b)
     return n * p / (2.0 * b * p + n)
 
 
 class ScaleClass(Enum):
+    """The five intermediate scale classes; classify_scale picks one."""
+
     SLOW = "S"
     CRITICAL1 = "C1"
     CRITICAL = "C"
     FAST1 = "F1"
     FAST = "F"
-    COMPACT = "compact"
-    OUTER = "outer"
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,11 @@ class ScaleSpec:
         return self.coeff * t**self.exponent * math.log(t) ** self.log_exponent
 
 
-def _check_intermediate(exps: Exponents, scale: ScaleSpec):
+def _check_intermediate(params: FracParams, scale: ScaleSpec):
     if scale.kind != "intermediate":
         raise ParameterError("classification requires an intermediate scale")
     e, l = scale.exponent, scale.log_exponent
-    theta = exps.theta
+    theta = params.theta
     # phi must grow unboundedly but be o(t^theta)
     if not (e > 0.0 or (e == 0.0 and l > 0.0)):
         raise ParameterError("phi(t) must grow: need e > 0 or (e = 0, l > 0)")
@@ -146,16 +146,16 @@ def _check_intermediate(exps: Exponents, scale: ScaleSpec):
         raise ParameterError("phi(t) must be o(t^theta)")
 
 
-def classify_scale(gamma: float, exps: Exponents, scale: ScaleSpec) -> ScaleClass:
+def classify_scale(gamma: float, params: FracParams, scale: ScaleSpec) -> ScaleClass:
     """Classify an intermediate power-log scale phi(t) = c t^e (log t)^l.
 
     Classification is symbolic on (e, l); multiplicative constants are ignored,
     matching the asymptotic-comparison semantics of the case list.
     """
-    _check_intermediate(exps, scale)
+    _check_intermediate(params, scale)
     e, l = scale.exponent, scale.log_exponent
-    a, b = exps.params.alpha, exps.params.beta
-    theta = exps.theta
+    a, b = params.alpha, params.beta
+    theta = params.theta
 
     if gamma < 1.0:
         return ScaleClass.SLOW
@@ -179,13 +179,13 @@ def classify_scale(gamma: float, exps: Exponents, scale: ScaleSpec) -> ScaleClas
 
 
 def intermediate_rate_exponents(
-    exps: Exponents, p: float, gamma: float, scale_class: ScaleClass
+    params: FracParams, p: float, gamma: float, scale_class: ScaleClass
 ) -> tuple:
     """(t-exponent, log-power, phi-exponent) of the sharp intermediate-scale
     rate t^e (log t)^l phi(t)^k."""
-    sp = sigma_p(exps, p)
-    a = exps.params.alpha
-    theta = exps.theta
+    sp = sigma_p(params, p)
+    a = params.alpha
+    theta = params.theta
     if scale_class in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
         return -gamma, 0, (1.0 - sp) / theta
     if scale_class is ScaleClass.FAST1:
@@ -196,7 +196,7 @@ def intermediate_rate_exponents(
 
 
 def rate_intermediate(
-    exps: Exponents,
+    params: FracParams,
     p: float,
     gamma: float,
     scale_class: ScaleClass,
@@ -204,21 +204,21 @@ def rate_intermediate(
     t: float,
 ) -> float:
     """Sharp decay rate for the annulus norm at an intermediate scale."""
-    e, l, k = intermediate_rate_exponents(exps, p, gamma, scale_class)
+    e, l, k = intermediate_rate_exponents(params, p, gamma, scale_class)
     return t**e * math.log(t) ** l * phi_at_t**k
 
 
-def outer_rate_exponents(exps: Exponents, p: float, gamma: float) -> tuple:
+def outer_rate_exponents(params: FracParams, p: float, gamma: float) -> tuple:
     """(t-exponent, log-power) of the sharp exterior rate t^e (log t)^l."""
-    sp = sigma_p(exps, p)
+    sp = sigma_p(params, p)
     if gamma < 1.0:
         return 1.0 - gamma - sp, 0
     return -sp, 1 if gamma == 1.0 else 0
 
 
-def rate_outer(exps: Exponents, p: float, gamma: float, t: float) -> float:
+def rate_outer(params: FracParams, p: float, gamma: float, t: float) -> float:
     """Sharp decay rate for the exterior norm over |x| > nu t^theta."""
-    e, l = outer_rate_exponents(exps, p, gamma)
+    e, l = outer_rate_exponents(params, p, gamma)
     return t**e * math.log(t) ** l
 
 

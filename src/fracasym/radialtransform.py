@@ -262,7 +262,6 @@ class _HankelEngine:
         # long-double abscissas keep the Bessel recurrence in extended precision
         self.kernel = bessel_j_half(nu, x) * x ** np.longdouble(dim / 2.0) * w
         self.n_panels = len(breaks) - 1
-        self.head_panels = self.HEAD_PANELS
 
     def integrate(self, symbol, rho):
         """int_0^inf symbol(x/rho) J_nu(x) x^{N/2} dx for each rho (vector).
@@ -281,7 +280,7 @@ class _HankelEngine:
         contrib = vals.astype(np.longdouble) * self.kernel[None, :]
         panels = contrib.reshape(len(rho), self.n_panels, self.GL_PTS).sum(axis=2)
 
-        n_fixed = self.head_panels + self.N_DIRECT
+        n_fixed = self.HEAD_PANELS + self.N_DIRECT
         direct = panels[:, :n_fixed].sum(axis=1)
 
         # iterated averaging of the tail partial sums (Euler-type acceleration

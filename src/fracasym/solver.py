@@ -33,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.special import jv
 
-from .params import Exponents, FracParams, derive_exponents
+from .params import FracParams
 from .radialtransform import RadialFunction, RadialGrid, radial_fourier_inverse
 from .special import gamma_fn, gl_panels, mittag_leffler
 
@@ -134,7 +134,6 @@ class SolutionSlice:
     t: float
     u: RadialFunction
     params: FracParams
-    exps: Exponents
     diagnostics: dict = field(default_factory=dict)
 
     def save(self, csv_path):
@@ -288,7 +287,6 @@ def solve_duhamel(
             f"forcing dim {fs.dim} does not match problem dim {params.dim}"
         )
     grid = grid or RadialGrid()
-    exps = derive_exponents(params)
     if fs.amplitude == 0.0:
         u = RadialFunction(grid, np.zeros(grid.points))
     else:
@@ -312,7 +310,7 @@ def solve_duhamel(
         "dim": params.dim,
         "time_weight": "closed-form" if fs.gamma == 0.0 else "spline-table",
     }
-    return SolutionSlice(t=float(t), u=u, params=params, exps=exps, diagnostics=diag)
+    return SolutionSlice(t=float(t), u=u, params=params, diagnostics=diag)
 
 
 def outer_reference(

@@ -52,6 +52,7 @@ def ml_tail_coefficient(a: float) -> float:
 _SERIES_CUT = 0.9
 _ASYMP_CUT = 40.0
 _R_CUT = 45.0  # e^{-45} ~ 3e-20: truncation of the contour integral
+_ASYMP_KMAX = 60  # at most this many terms of the asymptotic expansion
 
 
 def gl_panels(breaks, xg, wg):
@@ -106,16 +107,14 @@ def _ml_integral(a, b, y):
         den = ra * ra + 2.0 * y * ra * cos_a + y * y
         return np.exp(-r) * num / den * ra_btimes_dr
 
-    q = 1.0 + a - b
-    if q <= 0:
-        raise SpecialFunctionError(f"integral branch requires b < 1 + a, got b={b}")
+    q = 1.0 + a - b  # > 0: mittag_leffler admits only b < 1 + a
     r_low = _V_NODES ** (1.0 / q)
     part_low = core(r_low, _V_WEIGHTS / q)
     part_high = core(_R_NODES, _R_NODES ** (a - b) * _R_WEIGHTS)
     return (part_low.sum(axis=1) + part_high.sum(axis=1)) / math.pi
 
 
-def _ml_asymptotic(a, b, y, kmax=60):
+def _ml_asymptotic(a, b, y):
     """E_{a,b}(-y) ~ sum_{k>=1} (-1)^{k+1} y^{-k} / Gamma(b - a k), truncated
     at the smallest term of the envelope y^{-k} g_k, g_k = Gamma(1 + |a k - b|)
     / pi, which bounds each term up to a factor of order one (1/Gamma(-x) =
@@ -130,7 +129,7 @@ def _ml_asymptotic(a, b, y, kmax=60):
     y_cut = 0.0
     g_prev = math.inf
     sign = 1.0
-    for k in range(1, kmax + 1):
+    for k in range(1, _ASYMP_KMAX + 1):
         term = term * inv
         g = math.gamma(1.0 + abs(a * k - b)) / math.pi
         y_cut = max(y_cut, g / g_prev)

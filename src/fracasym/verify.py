@@ -47,7 +47,6 @@ from .params import (
     ScaleClass,
     ScaleSpec,
     classify_scale,
-    derive_exponents,
     rate_compact,
     rate_intermediate,
     rate_outer,
@@ -88,6 +87,12 @@ class VerifyConfig:
         ts = [float(t) for t in self.times]
         if len(ts) < 2 or any(b < 10.0 * a for a, b in zip(ts[:-1], ts[1:])):
             raise VerifyError("times must increase geometrically with ratio >= 10")
+        # every check states a large-time limit, and its rates, mass laws and
+        # scales phi(t) take log t
+        if ts[0] <= 1.0:
+            raise VerifyError(f"checkpoints must exceed t = 1, got t = {ts[0]:g}")
+        if not self.p >= 1.0:
+            raise VerifyError(f"p must be in [1, inf], got {self.p}")
         self.times = tuple(ts)
         if self.forcing.dim != self.params.dim:
             raise VerifyError("forcing dim does not match problem dim")
@@ -233,8 +238,6 @@ def _intermediate_profile_coeffs(cfg: VerifyConfig, klass: ScaleClass, t: float)
     """Coefficients (c2, c4) of the class profile c2 E_{2b} + c4 E_{4b} at time t:
     c2 = t^{-gamma} M0 c_{2b} on S, C1 and C, and c4 = t^{-(1+alpha)} (log t)^l
     M* kappa on C1, C, F1 and F, with (M*, l) from _limit_mass."""
-    if klass in (ScaleClass.COMPACT, ScaleClass.OUTER):
-        raise VerifyError(f"{klass} is not an intermediate class")
     fs, params = cfg.forcing, cfg.params
     c2 = c4 = 0.0
     if klass in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
@@ -251,8 +254,7 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     the sharp rate; also reproduces the exact annulus power law of the Riesz
     kernels (reported in notes)."""
     fs, params = cfg.forcing, cfg.params
-    exps = derive_exponents(params)
-    klass = classify_scale(fs.gamma, exps, cfg.scale)
+    klass = classify_scale(fs.gamma, params, cfg.scale)
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "intermediate", {"scale_class": klass.value})
     profiles = {t: _riesz_profile(params, *_intermediate_profile_coeffs(cfg, klass, t))
@@ -266,7 +268,7 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
         cfg, cfg.times,
         lambda t: _difference_symbol(cfg, t, profiles[t][0]),
         annulus,
-        lambda t: rate_intermediate(exps, cfg.p, fs.gamma, klass, cfg.scale.phi(t), t),
+        lambda t: rate_intermediate(params, cfg.p, fs.gamma, klass, cfg.scale.phi(t), t),
     )
     prof_norms = [
         lp_norm_annulus(RadialFunction(cfg.grid, profiles[t][1](cfg.grid.nodes)),
@@ -317,8 +319,7 @@ def _outer_scale(cfg: VerifyConfig) -> dict:
 
 def _outer_annulus(cfg: VerifyConfig, t: float):
     """Exterior region nu t^theta < rho, truncated at the grid edge."""
-    exps = derive_exponents(cfg.params)
-    lo = cfg.scale.nu * t**exps.theta
+    lo = cfg.scale.nu * t**cfg.params.theta
     hi = cfg.grid.rho_max
     if lo >= hi:
         raise VerifyError(
@@ -332,7 +333,6 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
 
     The difference symbol is amplitude (g-hat(r) - mass_g) W(r^{2b}, t)."""
     fs, params = cfg.forcing, cfg.params
-    exps = derive_exponents(params)
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "outer-general")
     mass_g = fs.mass_g
@@ -341,7 +341,7 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
         # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
         lambda t: duhamel_symbol(fs, params, t, lambda r: fs.amplitude * (fs.ghat(r) - mass_g)),
         lambda t: _outer_annulus(cfg, t),
-        lambda t: rate_outer(exps, cfg.p, fs.gamma, t),
+        lambda t: rate_outer(params, cfg.p, fs.gamma, t),
     )
     return _report(cfg, "outer-general", raw, norm, **_outer_scale(cfg))
 
@@ -368,11 +368,10 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
         y_hat, amp = kernels._symbol(params, "G", t), limit * math.log(t) ** l
         return _difference_symbol(cfg, t, lambda r: amp * y_hat(r))
 
-    exps = derive_exponents(params)
     raw, norm = _checkpoint_series(
         cfg, kernel_times, symbol_at,
         lambda t: _outer_annulus(cfg, t),
-        lambda t: rate_outer(exps, cfg.p, fs.gamma, t),
+        lambda t: rate_outer(params, cfg.p, fs.gamma, t),
     )
     return scalar, raw, norm
 
@@ -401,11 +400,10 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     the grid; the lists are empty when no checkpoint qualifies."""
     if cfg.forcing.amplitude == 0.0:
         return _zero_report(cfg, "outer-log")
-    theta = derive_exponents(cfg.params).theta
     kernel_times = [
         t
         for t in cfg.times
-        if t <= 1e4 and cfg.scale.nu * t**theta <= 0.5 * cfg.grid.rho_max
+        if t <= 1e4 and cfg.scale.nu * t**cfg.params.theta <= 0.5 * cfg.grid.rho_max
     ]
     scalar, _, kernel_series = _mass_law(cfg, kernel_times)
     rep = _report(cfg, "outer-log", scalar, scalar, **_outer_scale(cfg))
@@ -433,10 +431,9 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
         rep.verdict = "not-applicable"
         rep.notes["reason"] = "zero forcing: ratio is 0/0"
         return rep
-    theta = derive_exponents(params).theta
     errs = []
     for xi, t in zip(_COHERENCE_XI, cfg.times):
-        rho = xi * t**theta
+        rho = xi * t**params.theta
         if not cfg.grid.rho_min <= rho <= cfg.grid.rho_max:
             raise VerifyError(f"evaluation radius {rho:g} outside the grid")
         ref = outer_reference(fs, params, t, cfg.grid)
@@ -489,7 +486,6 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     params = cfg.params
     if params.alpha >= 1.0:
         raise VerifyError("kernel estimates apply to alpha < 1 only")
-    exps = derive_exponents(params)
     profile = _y_profile(cfg)
     bounds = profile.bound_report
     # fresh inverse transform per time (not a rescaling of the t=1 profile),
@@ -500,7 +496,7 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
         u = radial_fourier_inverse(kernels._symbol(params, "G", t), params.dim, wide)
         norms.append(lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9))
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
-    sp = sigma_p(exps, cfg.p)
+    sp = sigma_p(params, cfg.p)
     slope_err = abs(slope + sp) / abs(sp)
     rep = ConvergenceReport(
         theorem="kernel-bounds",

@@ -12,7 +12,6 @@ from fracasym.cli import ConfigError, main, parse_config
 from fracasym.params import (
     FracParams,
     ScaleClass,
-    derive_exponents,
     rate_compact,
     rate_intermediate,
     rate_outer,
@@ -124,9 +123,24 @@ def test_exit_code_missing_config(tmp_path, capsys):
     assert "code=config-io" in capsys.readouterr().err
 
 
+def test_verify_precondition_exit_code(tmp_path, cache_dir, capsys):
+    # p < 1 and a checkpoint at t = 1 are rejected before any work is done
+    base = FULL.replace("rho_max = 1e2\npoints = 256", "rho_max = 1e3\npoints = 128")
+    compact = base.replace("theorem = coherence", "theorem = compact").replace(
+        "kind = outer", "kind = compact").replace("p = inf", "p = 0.5")
+    outer_log = base.replace("theorem = coherence", "theorem = outer-log").replace(
+        "gamma = 0.5", "gamma = 1.0").replace("times = 1e2 1e3 1e4", "times = 1 10 100")
+    for i, text in enumerate((compact, outer_log)):
+        path = _write(tmp_path, text, name=f"config{i}.ini")
+        out = str(tmp_path / f"out{i}")
+        code = main(["verify", "--config", path, "--out", out, "--cache", cache_dir])
+        assert code == 2
+        assert "code=precondition" in capsys.readouterr().err
+
+
 def test_rates_command(tmp_path):
     # FULL: p = inf, (alpha, beta, N) = (0.5, 0.5, 3), so sigma_* = 2, theta = 1/2
-    exps = derive_exponents(FracParams(0.5, 0.5, 3))
+    params = FracParams(0.5, 0.5, 3)
     outer = FULL.replace("theorem = coherence", "theorem = outer-general")
     intermediate = outer.replace("kind = outer", "kind = intermediate").replace(
         "nu = 1.0", "nu = 1.0\nexponent = 0.5\nlog_exponent = -0.5"
@@ -134,16 +148,16 @@ def test_rates_command(tmp_path):
     t = 1e3
     cases = [
         # gamma = 1/2 < 1: exponent 1 - gamma - sigma_* = 0.5 - 2 = -1.5
-        (FULL, "outer", -1.5, 0, rate_outer(exps, math.inf, 0.5, t)),
+        (FULL, "outer", -1.5, 0, rate_outer(params, math.inf, 0.5, t)),
         (outer.replace("gamma = 0.5", "gamma = 1.0"), "outer", -2.0, 1,
-         rate_outer(exps, math.inf, 1.0, t)),
+         rate_outer(params, math.inf, 1.0, t)),
         # compact: t^{-min(gamma, 1 + alpha)}
         (outer.replace("kind = outer", "kind = compact").replace(
             "gamma = 0.5", "gamma = 2.0"), "compact", -rate_compact(2.0, 0.5), 0,
          t ** -rate_compact(2.0, 0.5)),
         # F1 at phi = t^theta (log t)^{-1/2}: t^{-3/2} log t phi^{-1}
         (intermediate.replace("gamma = 0.5", "gamma = 1.0"), "intermediate-F1", -2.0,
-         1.5, rate_intermediate(exps, math.inf, 1.0, ScaleClass.FAST1,
+         1.5, rate_intermediate(params, math.inf, 1.0, ScaleClass.FAST1,
                                 t**0.5 * math.log(t) ** -0.5, t)),
     ]
     for i, (text, regime, t_exp, log_pow, rate) in enumerate(cases):

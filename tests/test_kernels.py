@@ -81,7 +81,6 @@ def test_constant_A_closed_form(params_ref):
     grid = RadialGrid(1e-4, 50.0, 512)
     planted = kernels.KernelProfile(
         params=params_ref,
-        exps=None,
         which="G",
         values=RadialFunction(grid, np.exp(-grid.nodes**2)),
     )
@@ -130,9 +129,9 @@ def test_evaluate_Y_self_similarity(g_profile_ref):
     t1, t2 = 4.0, 9.0
     y1 = kernels.evaluate_Y(g_profile_ref, rho, t1)
     # same similarity variable at the second time
-    rho2 = rho * (t2 / t1) ** g_profile_ref.exps.theta
+    rho2 = rho * (t2 / t1) ** g_profile_ref.params.theta
     y2 = kernels.evaluate_Y(g_profile_ref, rho2, t2)
-    ratio = (t2 / t1) ** -g_profile_ref.exps.sigma_star
+    ratio = (t2 / t1) ** -g_profile_ref.params.sigma_star
     assert float(y2) == pytest.approx(float(y1) * ratio, rel=1e-12)
 
 
@@ -153,8 +152,8 @@ def test_evaluate_Y_l1_law(g_profile_ref, params_ref):
 def test_evaluate_Z_scaling(f_profile_heat):
     rho, t = 1.0, 16.0
     z = kernels.evaluate_Z(f_profile_heat, rho, t)
-    e = f_profile_heat.exps
-    ref = t ** (-5.0 * e.theta) * float(f_profile_heat.values(rho * t**-e.theta))
+    params = f_profile_heat.params
+    ref = t ** (-5.0 * params.theta) * float(f_profile_heat.values(rho * t**-params.theta))
     assert float(z) == pytest.approx(ref, rel=1e-12)
 
 
@@ -223,7 +222,6 @@ def _planted_profile(params, monkeypatch):
     grid = RadialGrid()
     return kernels.KernelProfile(
         params=params,
-        exps=None,
         which="G",
         values=RadialFunction(grid, np.exp(-grid.nodes)),
     )

@@ -10,7 +10,6 @@ from fracasym.params import (
     ScaleClass,
     ScaleSpec,
     classify_scale,
-    derive_exponents,
     q_critical,
     rate_compact,
     rate_outer,
@@ -19,27 +18,27 @@ from fracasym.params import (
 
 
 def test_reference_exponents():
-    e = derive_exponents(FracParams(0.5, 0.5, 3))
-    assert e.theta == 0.5
-    assert e.sigma_star == pytest.approx(2.0)
-    assert e.p_star == pytest.approx(3.0)
-    assert e.p_crit == pytest.approx(1.5)
+    params = FracParams(0.5, 0.5, 3)
+    assert params.theta == 0.5
+    assert params.sigma_star == pytest.approx(2.0)
+    assert params.p_star == pytest.approx(3.0)
+    assert params.p_crit == pytest.approx(1.5)
 
 
 def test_beta1_exponents():
-    e = derive_exponents(FracParams(0.5, 1.0, 5))
-    assert e.theta == 0.25
-    assert e.sigma_star == pytest.approx(0.5 + 1.25)
-    assert e.p_star == pytest.approx(5.0)
-    assert e.p_crit == pytest.approx(5.0 / 3.0)
+    params = FracParams(0.5, 1.0, 5)
+    assert params.theta == 0.25
+    assert params.sigma_star == pytest.approx(0.5 + 1.25)
+    assert params.p_star == pytest.approx(5.0)
+    assert params.p_crit == pytest.approx(5.0 / 3.0)
 
 
 def test_sigma_p_values():
-    e = derive_exponents(FracParams(0.5, 0.5, 3))
-    assert sigma_p(e, 1.0) == pytest.approx(0.5)  # 1 - alpha
-    assert sigma_p(e, math.inf) == pytest.approx(2.0)
-    assert q_critical(e, math.inf) == pytest.approx(3.0)
-    assert q_critical(e, 1.0) == pytest.approx(3.0 / 4.0)
+    params = FracParams(0.5, 0.5, 3)
+    assert sigma_p(params, 1.0) == pytest.approx(0.5)  # 1 - alpha
+    assert sigma_p(params, math.inf) == pytest.approx(2.0)
+    assert q_critical(params, math.inf) == pytest.approx(3.0)
+    assert q_critical(params, 1.0) == pytest.approx(3.0 / 4.0)
 
 
 def test_invalid_params():
@@ -68,31 +67,31 @@ def test_invalid_params():
     ],
 )
 def test_classification(gamma, e_exp, l_exp, expected):
-    exps = derive_exponents(FracParams(0.5, 0.5, 3))
+    params = FracParams(0.5, 0.5, 3)
     scale = ScaleSpec(kind="intermediate", exponent=e_exp, log_exponent=l_exp)
-    assert classify_scale(gamma, exps, scale) is expected
+    assert classify_scale(gamma, params, scale) is expected
 
 
 def test_classification_rejects_non_growing_or_outer_scales():
-    exps = derive_exponents(FracParams(0.5, 0.5, 3))
+    params = FracParams(0.5, 0.5, 3)
     with pytest.raises(ParameterError):
-        classify_scale(0.5, exps, ScaleSpec(kind="intermediate", exponent=0.0))
+        classify_scale(0.5, params, ScaleSpec(kind="intermediate", exponent=0.0))
     with pytest.raises(ParameterError):
-        classify_scale(0.5, exps, ScaleSpec(kind="intermediate", exponent=0.6))
+        classify_scale(0.5, params, ScaleSpec(kind="intermediate", exponent=0.6))
     with pytest.raises(ParameterError):
-        classify_scale(0.5, exps, ScaleSpec(kind="outer"))
+        classify_scale(0.5, params, ScaleSpec(kind="outer"))
 
 
 def test_rates():
-    exps = derive_exponents(FracParams(0.5, 0.5, 3))
+    params = FracParams(0.5, 0.5, 3)
     assert rate_compact(2.0, 0.5) == 1.5
     assert rate_compact(0.5, 0.5) == 0.5
     # outer, gamma > 1: t^{-sigma(p)}
-    assert rate_outer(exps, 1.0, 2.0, 100.0) == pytest.approx(100.0**-0.5)
-    assert rate_outer(exps, 1.0, 1.0, 100.0) == pytest.approx(
+    assert rate_outer(params, 1.0, 2.0, 100.0) == pytest.approx(100.0**-0.5)
+    assert rate_outer(params, 1.0, 1.0, 100.0) == pytest.approx(
         100.0**-0.5 * math.log(100.0)
     )
-    assert rate_outer(exps, 1.0, 0.25, 100.0) == pytest.approx(100.0**0.25)
+    assert rate_outer(params, 1.0, 0.25, 100.0) == pytest.approx(100.0**0.25)
 
 
 @given(
@@ -101,7 +100,7 @@ def test_rates():
     beta=st.floats(0.3, 0.7),
 )
 def test_sigma_p_monotone_in_p(p, alpha, beta):
-    exps = derive_exponents(FracParams(alpha, beta, 3))
+    params = FracParams(alpha, beta, 3)
     # sigma(p) increases with p toward sigma_*
-    assert sigma_p(exps, 1.0) <= sigma_p(exps, p) + 1e-12
-    assert sigma_p(exps, p) <= exps.sigma_star + 1e-12
+    assert sigma_p(params, 1.0) <= sigma_p(params, p) + 1e-12
+    assert sigma_p(params, p) <= params.sigma_star + 1e-12

@@ -8,7 +8,6 @@ from fracasym.params import (
     FracParams,
     ScaleSpec,
     classify_scale,
-    derive_exponents,
     rate_intermediate,
     rate_outer,
 )
@@ -41,6 +40,10 @@ def test_config_validation():
         _cfg(times=(100.0, 500.0))  # ratio below 10
     with pytest.raises(VerifyError):
         _cfg(forcing=ForcingSpec("gaussian", gamma=0.5, dim=5))  # dim mismatch
+    with pytest.raises(VerifyError):
+        _cfg(p=0.5)  # L^p norms need p >= 1
+    with pytest.raises(VerifyError):
+        _cfg(times=(1.0, 10.0, 100.0))  # log t = 0 at the first checkpoint
 
 
 def test_unknown_theorem():
@@ -135,7 +138,7 @@ def test_intermediate_normalization_bounded(cache_dir, g_profile_ref):
     # the normalized error divides by the sharp rate; the reported profile
     # norms confirm the rate has the same size as the profile itself (no
     # accidental normalization blow-up)
-    from fracasym.params import derive_exponents, rate_intermediate, classify_scale
+    from fracasym.params import rate_intermediate, classify_scale
 
     cfg = _cfg(
         theorem="intermediate",
@@ -143,10 +146,9 @@ def test_intermediate_normalization_bounded(cache_dir, g_profile_ref):
         cache_dir=cache_dir,
     )
     rep = run_check(cfg)
-    exps = derive_exponents(cfg.params)
-    klass = classify_scale(cfg.forcing.gamma, exps, cfg.scale)
+    klass = classify_scale(cfg.forcing.gamma, cfg.params, cfg.scale)
     for t, pn in zip(cfg.times, rep.notes["profile_norms"]):
-        rate = rate_intermediate(exps, cfg.p, cfg.forcing.gamma, klass, cfg.scale.phi(t), t)
+        rate = rate_intermediate(cfg.params, cfg.p, cfg.forcing.gamma, klass, cfg.scale.phi(t), t)
         assert 1e-3 < pn / rate < 1e3
     # annulus norms of the Riesz kernels follow the exact power law
     for entry in rep.notes["annulus_power_law"].values():
@@ -156,7 +158,7 @@ def test_intermediate_normalization_bounded(cache_dir, g_profile_ref):
 def test_normalization_is_the_params_rate(cache_dir):
     # each annulus check divides its raw norm by the sharp rate of params
     grid = RadialGrid(1e-3, 1e3, 128)
-    exps = derive_exponents(FracParams(0.5, 0.5, 3))
+    params = FracParams(0.5, 0.5, 3)
     for theorem, gamma, scale in (
         ("intermediate", 0.5, ScaleSpec(kind="intermediate", exponent=0.25)),
         ("outer-general", 0.5, ScaleSpec(kind="outer")),
@@ -170,10 +172,10 @@ def test_normalization_is_the_params_rate(cache_dir):
         assert all(e > 0 for e in rep.raw_errors)
         for t, raw, norm in zip(cfg.times, rep.raw_errors, rep.normalized_errors):
             if theorem == "intermediate":
-                klass = classify_scale(gamma, exps, scale)
-                rate = rate_intermediate(exps, cfg.p, gamma, klass, scale.phi(t), t)
+                klass = classify_scale(gamma, params, scale)
+                rate = rate_intermediate(params, cfg.p, gamma, klass, scale.phi(t), t)
             else:
-                rate = rate_outer(exps, cfg.p, gamma, t)
+                rate = rate_outer(params, cfg.p, gamma, t)
             assert norm == pytest.approx(raw / rate, rel=1e-14)
 
 
