@@ -1,23 +1,37 @@
 """Scalar special functions: Gamma, half-integer Bessel J, and the one- and
 two-parameter Mittag-Leffler function on the closed negative real axis.
 
-The Mittag-Leffler evaluator is vectorized and uses three branches:
+The Mittag-Leffler evaluator E_{a,b}(-y) is vectorized, and each range of y
+has exactly one path:
 
-* power series for small arguments,
-* a real-line integral representation (the collapsed Hankel contour, i.e. the
-  spectral density of the completely monotone function) in the middle range,
-* the algebraic asymptotic expansion for large arguments.
+* y < 1e-2: the power series, which needs only a few terms there;
+* 1e-2 <= y < 40: a cached per-(a, b) table, a quintic spline of log E over
+  log y (`_ml_table`), within 1e-13 relative of E for a <= 0.9 and b <= 1
+  (at most 4.6e-14 measured);
+* y >= 40: the algebraic asymptotic expansion.
+
+The table's knots are valued by the series up to y = 0.9 and above it by a
+real-line integral (the collapsed Hankel contour, i.e. the spectral density of
+the completely monotone function), which is within 1e-15 of a 40-digit mpmath
+integral for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
+point.  The table cache has no bound: an entry holds about 12 KB (721 knots)
+and takes 7-11 ms to build (2-vCPU Xeon), and a run visits only a few
+(a, b) pairs.
 
 Only order a in (0, 1] and second parameter b in {1, a} are exercised by the
-rest of the package, but any b with 0 < b <= 1 + a is accepted.
+rest of the package, but any b with a <= b < 1 + a is accepted.  Below a,
+E_{a,b}(-y) is not completely monotone and can change sign, so its log has
+no table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.interpolate import make_interp_spline
 from scipy.special import gamma as _scipy_gamma
 from scipy.special import rgamma as _rgamma
 
@@ -49,8 +63,10 @@ def ml_tail_coefficient(a: float) -> float:
 
 # --- Mittag-Leffler machinery -------------------------------------------------
 
+_TABLE_LO = 1e-2
 _SERIES_CUT = 0.9
 _ASYMP_CUT = 40.0
+_TABLE_PER_DECADE = 200
 _R_CUT = 45.0  # e^{-45} ~ 3e-20: truncation of the contour integral
 _ASYMP_KMAX = 60  # at most this many terms of the asymptotic expansion
 
@@ -66,10 +82,12 @@ def gl_panels(breaks, xg, wg):
     return nodes, weights
 
 
-# Panels for the contour integral: [0,1] in the substituted variable v
-# (graded toward 0), then [1, R_CUT] in r (graded for the e^{-r} decay).
+# Panels for the contour integral: [0,1] in the substituted variable v, one
+# panel per decade down to 1e-16 (the integrand keeps factors v^{a/q}, which a
+# wider panel resolves only slowly), then [1, R_CUT] in r (graded for the
+# e^{-r} decay).
 _V_NODES, _V_WEIGHTS = gl_panels(
-    [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.6, 1.0], *leggauss(24)
+    [0.0, *10.0 ** np.arange(-16, 0), 0.3, 0.6, 1.0], *leggauss(24)
 )
 _R_NODES, _R_WEIGHTS = gl_panels([1.0, 2.0, 4.0, 8.0, 16.0, 28.0, _R_CUT], *leggauss(32))
 
@@ -146,15 +164,35 @@ def _ml_asymptotic(a, b, y):
     return total
 
 
+@functools.cache
+def _ml_table(a: float, b: float):
+    """Quintic spline of log E_{a,b}(-y) over log y on [_TABLE_LO, _ASYMP_CUT],
+    with _TABLE_PER_DECADE knots per decade (721 knots), valued by the series
+    up to _SERIES_CUT and by the contour integral above it.
+
+    Error contract: within 1e-13 relative of E_{a,b}(-y) on the whole range
+    for 0 < a <= 0.9 and a <= b <= 1.  Measured at every knot midpoint
+    against the fixed branches, the worst is 4.6e-14 at (0.9, 0.9), y = 6.6,
+    and at most 8e-15 for a <= 0.8; the 40-digit mpmath integral agrees.
+    Closer to a = 1 the contour integral itself loses accuracy.  The log
+    needs E > 0, which holds for b >= a, where E_{a,b}(-y) is completely
+    monotone."""
+    n = round(_TABLE_PER_DECADE * math.log10(_ASYMP_CUT / _TABLE_LO)) + 1
+    y = np.geomspace(_TABLE_LO, _ASYMP_CUT, n)
+    low = y <= _SERIES_CUT
+    e = np.concatenate([_ml_series(a, b, y[low]), _ml_integral(a, b, y[~low])])
+    return make_interp_spline(np.log(y), np.log(e), k=5)
+
+
 def mittag_leffler(a: float, b: float, x):
     """E_{a,b}(x) for x <= 0, vectorized over x.
 
-    Supported: 0 < a <= 1 with 0 < b < 1 + a (a = 1 only with b = 1).
+    Supported: 0 < a <= 1 with a <= b < 1 + a (a = 1 only with b = 1).
     """
     if not (0.0 < a <= 1.0):
         raise SpecialFunctionError(f"order a must be in (0, 1], got {a}")
-    if not (0.0 < b < 1.0 + a):
-        raise SpecialFunctionError(f"second parameter b must be in (0, 1+a), got {b}")
+    if not (a <= b < 1.0 + a):
+        raise SpecialFunctionError(f"second parameter b must be in [a, 1+a), got {b}")
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr > 0):
         raise SpecialFunctionError("positive arguments are out of scope (x <= 0 only)")
@@ -168,13 +206,13 @@ def mittag_leffler(a: float, b: float, x):
     y = -x_arr.ravel()
     out = np.empty_like(y)
 
-    small = y <= _SERIES_CUT
+    small = y < _TABLE_LO
     large = y >= _ASYMP_CUT
     mid = ~small & ~large
     if small.any():
         out[small] = _ml_series(a, b, y[small])
     if mid.any():
-        out[mid] = _ml_integral(a, b, y[mid])
+        out[mid] = np.exp(_ml_table(a, b)(np.log(y[mid])))
     if large.any():
         out[large] = _ml_asymptotic(a, b, y[large])
 

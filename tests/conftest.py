@@ -1,11 +1,8 @@
-import warnings
-
 import pytest
 from hypothesis import HealthCheck, settings
 
 from fracasym.params import FracParams
 from fracasym import kernels
-from fracasym.radialtransform import ExtrapolationWarning
 
 settings.register_profile(
     "suite",
@@ -14,8 +11,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-warnings.simplefilter("ignore", ExtrapolationWarning)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +13,12 @@ from scipy.special import erfcx
 
 from fracasym.radialtransform import _leggauss_extended
 from fracasym.special import (
+    _ASYMP_CUT,
+    _SERIES_CUT,
+    _TABLE_LO,
     SpecialFunctionError,
+    _ml_integral,
+    _ml_table,
     bessel_j_half,
     gamma_fn,
     gl_panels,
@@ -52,7 +59,55 @@ def test_ml_vs_mpmath(a, second):
     got = mittag_leffler(a, b, -xs)
     for x, g in zip(xs, got):
         ref = float(mpmath.re(mpmath.mp.mpf(1) * _mp_ml(a, b, -x)))
-        assert g == pytest.approx(ref, rel=1e-8, abs=1e-14)
+        assert g == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_ml_half_order_b_a_vs_erfcx():
+    # E_{1/2,1/2}(-x) = 1/sqrt(pi) - x erfcx(x): an oracle for b = a that shares
+    # nothing with the contour integral
+    x = np.geomspace(1e-3, 3.0, 200)
+    got = mittag_leffler(0.5, 0.5, -x)
+    ref = 1.0 / math.sqrt(math.pi) - x * erfcx(x)
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("second", ["one", "a"])
+def test_ml_integral_branch_vs_mpmath(a, second):
+    # the contour integral only builds table knots, so it is checked directly
+    b = 1.0 if second == "one" else a
+    ys = np.array([0.95, 2.0, 5.0, 15.0, 39.0])
+    got = _ml_integral(a, b, ys)
+    for y, g in zip(ys, got):
+        assert g == pytest.approx(float(_mp_ml_int(a, b, -y)), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 0.3), (0.5, 0.5), (0.5, 1.0), (0.9, 0.9)])
+def test_ml_table_error_contract(a, b):
+    # the _ml_table docstring's contract, 1e-13 relative, between knots (where a
+    # spline errs most) and on both sides of the series -> table -> asymptotic
+    # handoffs at y = _TABLE_LO and _ASYMP_CUT and of the knot-source switch
+    table = _ml_table(a, b)
+    # an interpolating spline has one coefficient per data point (knot)
+    log_knots = np.log(np.geomspace(_TABLE_LO, _ASYMP_CUT, table.c.size))
+    mids = np.exp(0.5 * (log_knots[1:] + log_knots[:-1]))[::24]
+    edges = np.outer([_TABLE_LO, _SERIES_CUT, _ASYMP_CUT], [1 - 1e-12, 1 + 1e-12])
+    ys = np.concatenate([mids, edges.ravel()])
+    got = mittag_leffler(a, b, -ys)
+    for y, g in zip(ys, got):
+        assert g == pytest.approx(float(_mp_ml_int(a, b, -y)), rel=1e-13, abs=0.0)
+    # a tracer that rebinds mittag_leffler in every module namespace must find
+    # no other holder of the original, so nothing the cache keeps may hold it
+    # (types and module namespaces are shared, and the tracer rebinds the latter)
+    shared = {id(vars(m)) for m in list(sys.modules.values())}
+    seen, todo = set(), [table]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or id(obj) in shared or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        assert obj is not mittag_leffler
+        todo.extend(gc.get_referents(obj))
 
 
 @pytest.mark.parametrize("a", [0.49609375, 0.33203125, 0.2490234375])
@@ -65,7 +120,7 @@ def test_ml_asymptotic_branch_near_gamma_poles(a, second):
     got = mittag_leffler(a, b, -xs)
     for x, g in zip(xs, got):
         ref = float(_mp_ml_int(a, b, -x))
-        assert g == pytest.approx(ref, rel=1e-10)
+        assert g == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def _mp_ml(a, b, z):
@@ -79,16 +134,21 @@ def _mp_ml(a, b, z):
 
 def _mp_ml_int(a, b, z):
     # collapsed contour integral for z < 0, same representation as the
-    # implementation but in 40-digit arithmetic with adaptive quadrature
-    y = -z
+    # implementation but in 40-digit arithmetic with adaptive quadrature; on
+    # [0, 1] in v = r^q, q = 1 + a - b, which takes out the r^{a-b} singularity
     with mpmath.workdps(40):
+        a, b, y = mpmath.mpf(a), mpmath.mpf(b), -mpmath.mpf(z)
+        q = 1 + a - b
+
         def f(r):
             ra = r**a
             num = y * mpmath.sin(mpmath.pi * (b - a)) + ra * mpmath.sin(mpmath.pi * b)
             den = ra * ra + 2 * y * ra * mpmath.cos(mpmath.pi * a) + y * y
-            return mpmath.e ** (-r) * r ** (a - b) * num / den
+            return mpmath.e ** (-r) * num / den
 
-        return mpmath.quad(f, [0, 1, 10, 60]) / mpmath.pi
+        low = mpmath.quad(lambda v: f(v ** (1 / q)) / q, [0, 1])
+        high = mpmath.quad(lambda r: f(r) * r ** (a - b), [1, 10, 60])
+        return (low + high) / mpmath.pi
 
 
 def test_ml_tail_coefficient_values():
@@ -106,7 +166,7 @@ def test_ml_tail_second_order():
     for a in (0.3, 0.5, 0.8):
         x = 1e8
         lead = ml_tail_coefficient(a) / x**2
-        assert mittag_leffler(a, a, -x) == pytest.approx(lead, rel=1e-3)
+        assert mittag_leffler(a, a, -x) == pytest.approx(lead, rel=1e-3, abs=0.0)
 
 
 def test_ml_domain_errors():
@@ -114,6 +174,8 @@ def test_ml_domain_errors():
         mittag_leffler(1.5, 1.0, -1.0)
     with pytest.raises(SpecialFunctionError):
         mittag_leffler(0.5, 2.0, -1.0)
+    with pytest.raises(SpecialFunctionError):
+        mittag_leffler(0.5, 0.4, -1.0)  # b < a: not completely monotone
     with pytest.raises(SpecialFunctionError):
         mittag_leffler(0.5, 1.0, 1.0)  # positive argument
     with pytest.raises(SpecialFunctionError):
