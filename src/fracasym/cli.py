@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -60,23 +59,12 @@ class RunConfig:
     cache_dir: str | None = None
 
 
-def _parse_p(raw: str) -> float:
-    if raw.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(raw)
-
-
 def _parse_times(raw: str) -> tuple:
     return tuple(float(x) for x in raw.replace(",", " ").split())
 
 
 def _parse_bool(raw: str) -> bool:
-    v = raw.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 # [section] -> key -> cast.  [problem], [forcing] and [grid] configure
@@ -88,7 +76,7 @@ _KEYS = {
     "grid": {"rho_min": float, "rho_max": float, "points": int},
     "verify": {
         "theorem": str,
-        "p": _parse_p,
+        "p": float,  # reads "inf" and "Infinity" too
         "times": _parse_times,
         "tolerance": float,
         "mu": float,
@@ -109,7 +97,7 @@ def _section(cp, section) -> dict:
         raw = cp.get(section, key)
         try:
             out[key] = _KEYS[section][key](raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
     return out
 

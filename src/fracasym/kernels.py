@@ -7,6 +7,11 @@ positive, with G ~ kappa rho^{4b-N} at the origin and an algebraic
 rho^{-(N+2b)} tail for b < 1 (exponential-type for b = 1).  kappa is known in
 closed form (estimate_kappa); validate_bounds measures the profile against it.
 
+G has one route: the inverse transform of its symbol.  At (alpha, beta, N) =
+(1/2, 1/2, 3) G itself has a closed form, G = I_2(rho)/(2 pi^2 rho) with I_k
+the moments int_0^inf e^{-u^2 - rho u} u^k du, and the tests hold every node
+of the default grid to it.
+
 Profiles are built once per (alpha, beta, N, grid) and cached on disk; the
 cache is also keyed on the engine source, and a corrupt file is a miss.  A
 profile is its samples and identity: the constants derived from them (kappa,
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import radialtransform, special
 from .params import FracParams
@@ -163,37 +167,6 @@ def build_y_profile(params: FracParams, grid: RadialGrid | None = None, cache_di
     return _build(params, "G", grid, cache_dir)
 
 
-def build_y_profile_subtracted(params: FracParams, grid: RadialGrid | None = None):
-    """Singular-tail-subtraction route (cross-check for build_y_profile):
-
-        G = F^{-1}[E_{a,a}(-r^{2b}) - c_tail r^{-4b}] + kappa E_{4b},
-
-    using the exact inverse F^{-1}(|w|^{-mu}) = c_mu |x|^{mu-N}, so that
-    kappa = c_tail c_{4b}.  The full (uncut) power law keeps the residual
-    symbol smooth; it is integrable at the origin since N > 4b.  Not
-    available for beta = 1, where subtraction would replace the
-    exponential-type tail by an algebraic one.
-    """
-    if params.alpha >= 1.0:
-        raise KernelError("subtraction route requires alpha < 1")
-    if params.beta >= 1.0:
-        raise KernelError(
-            "subtraction route not applicable at beta = 1 (exponential tail)"
-        )
-    grid = grid or RadialGrid()
-    a, b, n = params.alpha, params.beta, params.dim
-    c_tail = ml_tail_coefficient(a)
-    base = _symbol(params, "G")
-
-    def residual(r):
-        r_arr = np.asarray(r, dtype=float)
-        return base(r_arr) - c_tail * r_arr ** (-4.0 * b)
-
-    rem = radial_fourier_inverse(residual, n, grid)
-    samples = rem.samples + estimate_kappa(params) * grid.nodes ** (4.0 * b - n)
-    return KernelProfile(params=params, which="G", values=RadialFunction(grid, samples))
-
-
 def estimate_kappa(params: FracParams) -> float | None:
     """kappa in G ~ kappa rho^{4b-N} at the origin, in closed form: the
     symbol's tail E_{a,a}(-r^{2b}) ~ C r^{-4b}, C = ml_tail_coefficient(a),
@@ -203,15 +176,12 @@ def estimate_kappa(params: FracParams) -> float | None:
     return ml_tail_coefficient(params.alpha) * riesz_constant(4.0 * params.beta, params.dim)
 
 
-_GL12 = leggauss(12)
-
-
 def constant_A(profile: KernelProfile) -> float:
     """A = (1/theta) int_0^inf rho^{N-1-2b} G(rho) drho, grid quadrature plus
     closed-form power-law tail pieces from the fitted exponents."""
     _require_g(profile)
     p = profile.params
-    total = _moment(profile.values, p.dim - 2.0 * p.beta, 0.0, math.inf, rule=_GL12)
+    total = _moment(profile.values, p.dim - 2.0 * p.beta, 0.0, math.inf)
     a_val = total / p.theta
     if not (a_val > 0 and math.isfinite(a_val)):
         raise KernelError(f"constant A not finite/positive: {a_val}")

@@ -109,14 +109,13 @@ class ScaleSpec:
     """A space-time scale.
 
     kind="compact": ball of radius `radius`.
-    kind="intermediate": phi(t) = coeff * t**exponent * (log t)**log_exponent,
-        with annulus bounds (nu, mu) relative to phi(t).
+    kind="intermediate": phi(t) = t**exponent * (log t)**log_exponent, with
+        annulus bounds (nu, mu) relative to phi(t), which absorb any constant.
     kind="outer": exterior region |x| > nu * t**theta.
     """
 
     kind: str
     radius: float = 1.0
-    coeff: float = 1.0
     exponent: float = 0.0
     log_exponent: float = 0.0
     nu: float = 1.0
@@ -131,7 +130,7 @@ class ScaleSpec:
     def phi(self, t: float) -> float:
         if self.kind != "intermediate":
             raise ParameterError("phi(t) only defined for intermediate scales")
-        return self.coeff * t**self.exponent * math.log(t) ** self.log_exponent
+        return t**self.exponent * math.log(t) ** self.log_exponent
 
 
 def _check_intermediate(params: FracParams, scale: ScaleSpec):

@@ -357,15 +357,14 @@ def radial_fourier_forward(h: RadialFunction, dim: int):
 _GL8 = leggauss(8)
 
 
-def _moment(u: RadialFunction, k: float, a: float, b: float, p=None, rule=_GL8) -> float:
+def _moment(u: RadialFunction, k: float, a: float, b: float, p=None) -> float:
     """int_a^b f(rho) rho^{k-1} drho with f = u for p = None (signed) and
     f = |u|^p otherwise, for 0 <= a < b <= inf.
 
-    On the grid: the Gauss-Legendre `rule` in log rho on every grid cell the
-    range meets.  Beyond it: the power law fitted at that grid end, integrated
-    in closed form.  Only a piece that reaches 0 or inf can diverge, and one
-    that does returns +-inf at once.  A zero edge sample (a clamped tail) has
-    no piece.
+    On the grid: 8-point Gauss-Legendre in log rho per cell the range meets.
+    Beyond it: the power law fitted at that grid end, integrated in closed
+    form.  Only a piece that reaches 0 or inf can diverge, and one that does
+    returns +-inf at once.  A zero edge sample (a clamped tail) has no piece.
     """
     g = u.grid
 
@@ -402,7 +401,7 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None, rule=_GL8) 
     hi = min(b, g.rho_max)
     if hi > lo:
         nodes = g.nodes[(g.nodes > lo) & (g.nodes < hi)]
-        x, w = gl_panels(np.log(np.concatenate([[lo], nodes, [hi]])), *rule)
+        x, w = gl_panels(np.log(np.concatenate([[lo], nodes, [hi]])), *_GL8)
         rho = np.exp(x)
         f = u(rho) if p is None else np.abs(u(rho)) ** p
         total += float(np.dot(w, f * rho**k))

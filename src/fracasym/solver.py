@@ -115,15 +115,9 @@ class ForcingSpec:
 
     @property
     def mass_g(self) -> float:
-        """omega_N int_0^inf g rho^{N-1} d rho = g-hat(0)."""
-        n, w = self.dim, self.width
-        if self.family == "gaussian":
-            return (math.pi * w * w) ** (n / 2.0)
-        if self.family == "heavy":
-            return math.pi ** ((n + 1) / 2.0) / gamma_fn((n + 1) / 2.0)
-        return 16.0 * math.pi ** (n / 2.0) * w**n / (
-            gamma_fn(n / 2.0) * n * (n + 2) * (n + 4)
-        )
+        """omega_N int_0^inf g rho^{N-1} d rho, which is g-hat(0) by
+        definition, so it is read off the closed-form transform."""
+        return float(self.ghat(0.0))
 
     @property
     def M0(self) -> float:
@@ -208,6 +202,7 @@ def _build_w_table(alpha: float, gamma: float, t: float):
     n_dec = 2 * int(round(math.log10(_LAM_SPAN)))
     lam = np.geomspace(1.0 / (_LAM_SPAN * U), _LAM_SPAN / U, n_dec * _PTS_PER_DECADE + 1)
     w_vals = np.empty_like(lam)
+    # 64 rows per call: one call over all rows made the battery 1.0-1.4 s slower
     chunk = 64
     for i in range(0, lam.size, chunk):
         lam_c = lam[i : i + chunk]
@@ -329,13 +324,12 @@ def outer_reference(
 
 
 def solution_mass(fs: ForcingSpec, params: FracParams, t: float) -> float:
-    """M(t) = (1/Gamma(alpha)) int_0^t M_f(s) (t-s)^{alpha-1} ds = M0 W(0, t)."""
+    """M(t) = (1/Gamma(alpha)) int_0^t M_f(s) (t-s)^{alpha-1} ds = M0 W(0, t),
+    the sum of the Duhamel quadrature weights; for gamma = 0 it equals
+    M0 t^alpha / Gamma(1 + alpha) to rounding."""
     if t < 0:
         raise SolverError("t must be nonnegative")
     if t == 0.0:
         return 0.0
-    alpha = params.alpha
-    if fs.gamma == 0.0:
-        return fs.M0 * t**alpha / gamma_fn(alpha + 1.0)
-    _, c = _duhamel_nodes(alpha, fs.gamma, t)
-    return fs.M0 * float(np.sum(c)) / gamma_fn(alpha)
+    _, c = _duhamel_nodes(params.alpha, fs.gamma, t)
+    return fs.M0 * float(np.sum(c)) / gamma_fn(params.alpha)

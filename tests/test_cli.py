@@ -78,6 +78,20 @@ def test_parse_times_with_commas():
     assert cfg.times == (1e2, 1e3, 1e4)
 
 
+def test_parse_bool_infinity_and_mu_outer(tmp_path, capsys):
+    keys = "validation_mode = no\n[verify]\np = Infinity\nmu_outer = 3.5\n"
+    cfg = parse_config(MINIMAL + keys)
+    assert cfg.params.validation_mode is False
+    assert math.isinf(cfg.p)
+    assert cfg.scale.mu == 3.5  # [verify] mu_outer is the scale's mu
+    assert cfg.mu == 1.0  # the Riesz order stays 2 beta
+    heat = MINIMAL.replace("alpha = 0.5", "alpha = 1.0") + "validation_mode = On\n"
+    assert parse_config(heat).params.validation_mode is True
+    path = _write(tmp_path, MINIMAL + "validation_mode = maybe\n")
+    assert main(["rates", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "code=config bad value for [problem] validation_mode" in capsys.readouterr().err
+
+
 def test_unsupported_dimension_message():
     bad = MINIMAL.replace("beta = 0.5", "beta = 1.0").replace("dim = 3", "dim = 4")
     with pytest.raises(ConfigError, match="4\\*beta"):

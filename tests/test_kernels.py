@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,22 +158,36 @@ def test_evaluate_Z_scaling(f_profile_heat):
     assert float(z) == pytest.approx(ref, rel=1e-12)
 
 
-def test_subtraction_route_agreement(params_ref, g_profile_ref):
-    # independent construction: transform of the tail-subtracted symbol plus
-    # the exact Riesz term must reproduce G
-    alt = kernels.build_y_profile_subtracted(params_ref)
+def _g_half_half_3(rho):
+    """G at (alpha, beta, N) = (1/2, 1/2, 3) in closed form, at 50 digits.
+
+    The contour formula gives E_{1/2,1/2}(-y) = (1/pi) int_0^inf e^{-s}
+    s^{1/2} / (s + y^2) ds, and in N = 3 the inverse transform of
+    1/(|w|^2 + s) is e^{-sqrt(s) rho} / (4 pi rho).  With s = u^2 this is
+    G = I_2 / (2 pi^2 rho), I_k = int_0^inf u^k e^{-u^2 - rho u} du, and
+    integration by parts gives I_1 and I_2 from I_0.  No Hankel quadrature
+    and no Mittag-Leffler evaluation: float64 would lose 2.5e-5 to
+    cancellation at rho = 1e3, so it runs in mpmath."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(float(rho))
+        i0 = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(r * r / 4) * mpmath.erfc(r / 2)
+        i1 = (1 - r * i0) / 2
+        i2 = (i0 - r * i1) / 2
+        return i2 / (2 * mpmath.pi**2 * r)
+
+
+def test_g_profile_closed_form_half_half_3(params_ref, g_profile_ref):
+    # every default-grid node against the closed form: the one G route, to
+    # rounding near the origin and to the Hankel sum's accuracy far out
     nodes = g_profile_ref.values.grid.nodes
-    sel = (nodes > 1e-2) & (nodes < 1e2)
-    a = g_profile_ref.values.samples[sel]
-    b = alt.values(nodes[sel])
-    assert np.max(np.abs(b / a - 1.0)) < 1e-5
-
-
-def test_subtraction_route_guards(params_beta1, params_heat):
-    with pytest.raises(kernels.KernelError):
-        kernels.build_y_profile_subtracted(params_beta1)  # beta = 1
-    with pytest.raises(kernels.KernelError):
-        kernels.build_y_profile_subtracted(params_heat)  # alpha = 1
+    assert nodes.size == 768  # the default grid
+    exact = np.array([float(_g_half_half_3(r)) for r in nodes])
+    rel = np.abs(g_profile_ref.values.samples / exact - 1.0)
+    assert rel[nodes <= 10.0].max() < 1e-13
+    assert rel.max() < 1e-9
+    # rho G -> I_2(0) / (2 pi^2) = sqrt(pi) / (8 pi^2), the closed-form kappa
+    kappa = math.sqrt(math.pi) / (8.0 * math.pi**2)
+    assert kernels.estimate_kappa(params_ref) == pytest.approx(kappa, rel=1e-15, abs=0.0)
 
 
 @given(

@@ -177,6 +177,8 @@ def test_ml_domain_errors():
     with pytest.raises(SpecialFunctionError):
         mittag_leffler(0.5, 0.4, -1.0)  # b < a: not completely monotone
     with pytest.raises(SpecialFunctionError):
+        mittag_leffler(0.5, 1.2, -1.0)  # b > 1: beyond the table's contract
+    with pytest.raises(SpecialFunctionError):
         mittag_leffler(0.5, 1.0, 1.0)  # positive argument
     with pytest.raises(SpecialFunctionError):
         mittag_leffler(1.0, 0.5, -1.0)
