@@ -10,11 +10,16 @@ The oscillatory integrals are computed panel-by-panel between consecutive
 (approximate McMahon) zeros of the Bessel factor, with Gauss-Legendre nodes
 inside each panel and iterated averaging (Euler-type acceleration) applied to
 the partial sums of the alternating panel series.  Substituting x = r*rho puts
-all Bessel evaluations at rho-independent abscissas, so the kernel
-J_nu(x) x^{N/2} w is precomputed once per dimension (in extended precision:
-the panel sums cancel by many orders of magnitude where the output is small).
-Both directions share one finish: integrate, zero what lies below 8x the
-rounding noise, scale by (2pi)^{-+N/2} r^{-N}.
+all Bessel evaluations at rho-independent abscissas, and the averaging is
+linear in the panel sums, so both fold into one weight per abscissa, the
+kernel J_nu(x) x^{N/2} w times its panel's averaging weight, built once per
+dimension (in extended precision: the sum cancels by many orders of magnitude
+where the output is small).  A transform is then one long-double
+matrix-vector product, symbol values times weights, plus one float64 pass for
+the noise floor: on the default 768-point grid (1904 abscissas) about 15 ms
+on a 2-vCPU Xeon, besides forming the arguments x/rho and evaluating the
+symbol there (10 ms and more).  Both directions share one finish: integrate,
+zero what lies below 8x the rounding noise, scale by (2pi)^{-+N/2} r^{-N}.
 
 One radial moment, int_a^b |u|^p rho^{k-1} drho (or the signed int of u) over
 the grid plus the fitted power-law pieces beyond it in closed form, serves
@@ -226,9 +231,12 @@ class _HankelEngine:
 
     Head region [x_min, j_1] in ~40 geometric panels (resolves integrable
     symbol singularities at the origin); oscillatory region in panels between
-    McMahon approximate zeros x_k = (k + nu/2 - 1/4) pi.  The first few
-    oscillatory panels are summed directly; the rest through iterated
-    averaging of partial sums.  Kernel held in extended precision.
+    McMahon approximate zeros x_k = (k + nu/2 - 1/4) pi.  The head and the
+    first few oscillatory panels are summed directly; the rest through
+    iterated averaging of partial sums, folded at build into panel_weights
+    (1 on the direct panels, binomial upper tails on the rest) and so into
+    k_eff, the kernel times its panel's weight.  Both are held in extended
+    precision; integrate is one product of the symbol values with k_eff.
     """
 
     N_OSC = 80
@@ -261,7 +269,21 @@ class _HankelEngine:
         self.x = x
         # long-double abscissas keep the Bessel recurrence in extended precision
         self.kernel = bessel_j_half(nu, x) * x ** np.longdouble(dim / 2.0) * w
-        self.n_panels = len(breaks) - 1
+
+        # Euler-type acceleration of the alternating tail (exact on polynomial
+        # envelopes): m passes of pairwise averaging over its partial sums
+        # S_0..S_m give sum_k C(m,k) 2^-m S_k, so tail panel j carries the
+        # binomial upper tail P(Bin(m, 1/2) >= j); the direct panels carry 1.
+        # The counts are exact integers below 2^(m+1); hi * 2^32 + lo rounds
+        # each to long double once.
+        n_fixed = self.HEAD_PANELS + self.N_DIRECT
+        m = len(breaks) - 2 - n_fixed
+        counts = [sum(math.comb(m, k) for k in range(j, m + 1)) for j in range(m + 1)]
+        hi = np.array([c >> 32 for c in counts], dtype=np.longdouble)
+        lo = np.array([c & 0xFFFFFFFF for c in counts], dtype=np.longdouble)
+        tail = (hi * np.longdouble(2.0**32) + lo) / np.longdouble(2.0**m)
+        self.panel_weights = np.concatenate([np.ones(n_fixed, dtype=np.longdouble), tail])
+        self.k_eff = self.kernel * np.repeat(self.panel_weights, self.GL_PTS)
 
     def integrate(self, symbol, rho):
         """int_0^inf symbol(x/rho) J_nu(x) x^{N/2} dx for each rho (vector).
@@ -277,23 +299,16 @@ class _HankelEngine:
         if not np.all(np.isfinite(vals)):
             raise TransformError("symbol produced non-finite values")
 
-        contrib = vals.astype(np.longdouble) * self.kernel[None, :]
-        panels = contrib.reshape(len(rho), self.n_panels, self.GL_PTS).sum(axis=2)
+        # long double because k_eff is: the sum cancels by many orders of
+        # magnitude where the output is small
+        integral = np.einsum("ij,j->i", vals, self.k_eff)
 
-        n_fixed = self.HEAD_PANELS + self.N_DIRECT
-        direct = panels[:, :n_fixed].sum(axis=1)
-
-        # iterated averaging of the tail partial sums (Euler-type acceleration
-        # of the alternating panel series; exact on polynomial envelopes)
-        tail = np.cumsum(panels[:, n_fixed:], axis=1)
-        while tail.shape[1] > 1:
-            tail = 0.5 * (tail[:, 1:] + tail[:, :-1])
-
-        # symbol values are accurate to ~1e-16 relative at best; add the
-        # correlated floor from double-precision quadrature weights
-        cf = np.abs(contrib.astype(float))
+        # the noise bounds two errors: the symbol values' ~1e-16 relative
+        # error (independent per node, so summed in quadrature) and the
+        # float64 rounding of the contributions (correlated, so their sizes add)
+        cf = np.abs(vals.astype(float, copy=False) * self.kernel.astype(float))
         noise = 1e-16 * np.sqrt((cf**2).sum(axis=1)) + 5e-17 * cf.sum(axis=1)
-        return (direct + tail[:, 0]).astype(float), noise
+        return integral.astype(float), noise
 
     def transform(self, symbol, at, sign: int):
         """(2pi)^{sign N/2} at^{-N} times integrate(symbol, at), with integrals

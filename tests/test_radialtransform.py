@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from fracasym.radialtransform import (
     ExtrapolationWarning,
     RadialFunction,
     RadialGrid,
     TransformError,
+    _engine,
     lp_norm_annulus,
     omega_n,
     radial_fourier_forward,
@@ -56,6 +58,20 @@ def test_inverse_gaussian_n5():
         (4.0 * math.pi) ** -2.5 * math.exp(-0.25e-6), rel=1e-8
     )
     ref = (4.0 * math.pi) ** -2.5 * np.exp(-0.25 * grid.nodes**2)
+    sel = grid.nodes < 10.0
+    assert np.max(np.abs(h.samples[sel] - ref[sel])) < 1e-9
+
+
+def test_inverse_gaussian_n7():
+    # F^{-1}[e^{-r^2}](rho) = (4 pi)^{-7/2} e^{-rho^2/4} in N = 7: the nu = 5/2
+    # engine
+    grid = RadialGrid(1e-3, 50.0, 512)
+    h = radial_fourier_inverse(lambda r: np.exp(-np.asarray(r) ** 2), 7, grid)
+    # value at the inner edge: (4 pi)^{-7/2} ~ 1.4217e-4
+    assert float(h(1e-3)) == pytest.approx(
+        (4.0 * math.pi) ** -3.5 * math.exp(-0.25e-6), rel=1e-8
+    )
+    ref = (4.0 * math.pi) ** -3.5 * np.exp(-0.25 * grid.nodes**2)
     sel = grid.nodes < 10.0
     assert np.max(np.abs(h.samples[sel] - ref[sel])) < 1e-9
 
@@ -116,6 +132,64 @@ def test_forward_integrability_guard():
     h = RadialFunction(grid, grid.nodes**-2.0)  # decays like rho^{-2}: not L^1(rho^2 drho)
     with pytest.raises(TransformError):
         radial_fourier_forward(h, 3)
+
+
+# --- the engine's folded weights ----------------------------------------------
+
+
+def _panel_averaging(eng, symbol, rho):
+    """Reference: the panel series summed step by step, with no folded
+    weights.  Long-double panel sums, the head and first panels summed
+    directly, the partial sums of the rest averaged pairwise until one value
+    is left; the same noise floor."""
+    r = eng.x[None, :] / rho.astype(np.longdouble)[:, None]
+    contrib = np.asarray(symbol(r)).astype(np.longdouble) * eng.kernel[None, :]
+    panels = contrib.reshape(len(rho), -1, eng.GL_PTS).sum(axis=2)
+    n_fixed = eng.HEAD_PANELS + eng.N_DIRECT
+    tail = np.cumsum(panels[:, n_fixed:], axis=1)
+    while tail.shape[1] > 1:
+        tail = 0.5 * (tail[:, 1:] + tail[:, :-1])
+    cf = np.abs(contrib.astype(float))
+    noise = 1e-16 * np.sqrt((cf**2).sum(axis=1)) + 5e-17 * cf.sum(axis=1)
+    return (panels[:, :n_fixed].sum(axis=1) + tail[:, 0]).astype(float), noise
+
+
+_ENGINE_SYMBOLS = {
+    "gaussian": lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
+    "singular": lambda r: np.asarray(r, dtype=float) ** -1.5
+    * np.exp(-np.asarray(r, dtype=float)),
+    "exponential": lambda r: np.exp(-np.asarray(r, dtype=float)),
+}
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+@pytest.mark.parametrize("name", sorted(_ENGINE_SYMBOLS))
+def test_engine_matches_panel_averaging(dim, name):
+    # the folded weights change only the order of the long-double sum: every
+    # row within a quarter of its own noise, far below the 8x clamp
+    eng, symbol, rho = _engine(dim), _ENGINE_SYMBOLS[name], RadialGrid().nodes
+    got, noise = eng.integrate(symbol, rho)
+    ref, ref_noise = _panel_averaging(eng, symbol, rho)
+    assert np.all(np.abs(got - ref) <= 0.25 * noise)
+    assert np.allclose(noise, ref_noise, rtol=1e-15, atol=0.0)
+    zeroed = eng.transform(symbol, rho, -1) == 0.0
+    assert np.array_equal(zeroed, np.abs(ref) < 8.0 * ref_noise)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_engine_panel_weights(dim):
+    eng = _engine(dim)
+    w = eng.panel_weights
+    n_fixed = eng.HEAD_PANELS + eng.N_DIRECT
+    m = len(w) - n_fixed - 1
+    assert m == 70
+    assert np.all(w[:n_fixed] == 1.0)
+    assert np.all(np.diff(w) <= 0.0)
+    assert float(w[-1]) == pytest.approx(2.0**-m, rel=1e-15)
+    # tail panel j carries P(Bin(m, 1/2) >= j)
+    j = np.arange(m + 1)
+    assert np.allclose(w[n_fixed:].astype(float), binom.sf(j - 1, m, 0.5), rtol=1e-13)
+    assert np.array_equal(eng.k_eff, eng.kernel * np.repeat(w, eng.GL_PTS))
 
 
 # --- norms and integrals ------------------------------------------------------
