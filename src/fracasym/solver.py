@@ -202,7 +202,8 @@ def _build_w_table(alpha: float, gamma: float, t: float):
     n_dec = 2 * int(round(math.log10(_LAM_SPAN)))
     lam = np.geomspace(1.0 / (_LAM_SPAN * U), _LAM_SPAN / U, n_dec * _PTS_PER_DECADE + 1)
     w_vals = np.empty_like(lam)
-    # 64 rows per call: one call over all rows made the battery 1.0-1.4 s slower
+    # 64 rows per call: all 1201 at once took 0.59 s, not 0.27 s, for five of
+    # the battery's tables, at a 75 MB traced peak, not 6 MB (2-vCPU Xeon)
     chunk = 64
     for i in range(0, lam.size, chunk):
         lam_c = lam[i : i + chunk]

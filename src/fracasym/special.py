@@ -2,21 +2,23 @@
 two-parameter Mittag-Leffler function on the closed negative real axis.
 
 The Mittag-Leffler evaluator E_{a,b}(-y) is vectorized, and each range of y
-has exactly one path:
+has exactly one path, each with an error contract against 40-digit mpmath:
 
-* y < 1e-2: the power series, which needs only a few terms there;
+* y < 1e-2: the power series in -y, one Horner sum, within 1e-15 relative
+  (2.2e-16 measured);
 * 1e-2 <= y < 40: a cached per-(a, b) table, a quintic spline of log E over
   log y (`_ml_table`), within 1e-13 relative of E for a <= 0.9 and b <= 1
   (at most 4.6e-14 measured);
-* y >= 40: the algebraic asymptotic expansion.
+* y >= 40: the asymptotic expansion in 1/y, one Horner sum, within 1e-14
+  relative for a <= 0.9 (2.1e-15 measured).
 
 The table's knots are valued by the series up to y = 0.9 and above it by a
 real-line integral (the collapsed Hankel contour, i.e. the spectral density of
 the completely monotone function), which is within 1e-15 of a 40-digit mpmath
 integral for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
-point.  The table cache has no bound: an entry holds about 12 KB (721 knots)
-and takes 7-11 ms to build (2-vCPU Xeon), and a run visits only a few
-(a, b) pairs.
+point.  The caches have no bound: a table entry holds about 12 KB (721 knots)
+and takes 7-11 ms to build (2-vCPU Xeon), an expansions entry 3.4 KB, and a
+run visits only a few (a, b) pairs.
 
 Only order a in (0, 1] and second parameter b in {1, a} are exercised by the
 rest of the package; any b with a <= b <= 1, the range of the table's error
@@ -32,6 +34,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import make_interp_spline
 from scipy.special import gamma as _scipy_gamma
 from scipy.special import rgamma as _rgamma
@@ -93,17 +96,38 @@ _V_NODES, _V_WEIGHTS = gl_panels(
 _R_NODES, _R_WEIGHTS = gl_panels([1.0, 2.0, 4.0, 8.0, 16.0, 28.0, _R_CUT], *leggauss(32))
 
 
-def _ml_series(a, b, y):
-    """Power series sum_k (-y)^k / Gamma(b + a k) for y in [0, ~1)."""
-    total = np.full_like(y, _rgamma(b))
-    term = np.ones_like(y)
-    for k in range(1, 400):
-        term = term * (-y)
-        coeff = _rgamma(b + a * k)
-        total += term * coeff
-        if np.max(np.abs(term)) * max(abs(coeff), 1.0) < 1e-18:
+@functools.cache
+def _ml_expansions(a: float, b: float):
+    """Coefficients of the two expansions of E_{a,b}(-y), cached per (a, b):
+    the power series in -y, 1/Gamma(b + a k) for k < 400, and the asymptotic
+    expansion in 1/y, (-1)^{k+1} / Gamma(b - a k) for k >= 1.  The latter is
+    truncated for all y >= _ASYMP_CUT by the envelope y^{-k} g_k, g_k =
+    Gamma(1 + |a k - b|) / pi, which bounds each term up to a factor of order
+    one (1/Gamma(-x) = -sin(pi x) Gamma(1 + x) / pi); the terms themselves are
+    tiny next to a Gamma pole of b - a k.  At y = _ASYMP_CUT it stops before
+    the envelope grows or after it falls below 1e-18: 12-21 terms for a <= 0.9."""
+    asymptotic, g_prev = [0.0], math.inf
+    for k in range(1, _ASYMP_KMAX + 1):
+        g = math.gamma(1.0 + abs(a * k - b)) / math.pi
+        if g > _ASYMP_CUT * g_prev:
             break
-    return total
+        asymptotic.append((-1.0) ** (k + 1) * float(_rgamma(b - a * k)))
+        if g * _ASYMP_CUT ** (-k) < 1e-18:
+            break
+        g_prev = g
+    return _rgamma(b + a * np.arange(400)), np.array(asymptotic)
+
+
+def _ml_series(a, b, y):
+    """E_{a,b}(-y) for y in [0, ~1): one Horner sum of the power series through
+    the first k with y_max^k max(|c_k|, 1) < 1e-18, y_max = max y (at most 11
+    terms below y = 1e-2, 370 at the table's last series knot)."""
+    c = _ml_expansions(a, b)[0]
+    k = np.arange(1, c.size)
+    below = float(y.max()) ** k * np.maximum(np.abs(c[1:]), 1.0) < 1e-18
+    n = np.argmax(below) + 1 if below.any() else c.size - 1
+    return polyval(-y, c[: n + 1])
+
 
 def _ml_integral(a, b, y):
     """Collapsed Hankel contour on the negative axis, valid for a in (0,1):
@@ -134,35 +158,8 @@ def _ml_integral(a, b, y):
 
 
 def _ml_asymptotic(a, b, y):
-    """E_{a,b}(-y) ~ sum_{k>=1} (-1)^{k+1} y^{-k} / Gamma(b - a k), truncated
-    at the smallest term of the envelope y^{-k} g_k, g_k = Gamma(1 + |a k - b|)
-    / pi, which bounds each term up to a factor of order one (1/Gamma(-x) =
-    -sin(pi x) Gamma(1 + x) / pi).  The terms themselves are tiny next to a
-    Gamma pole of b - a k, so stopping at the first that grows stops early."""
-    inv = 1.0 / y
-    total = np.zeros_like(y)
-    term = np.ones_like(y)
-    y_lo = float(y.min())
-    # y^{-k} g_k <= y^{-(k-1)} g_{k-1} iff y >= g_k / g_{k-1}: a row's envelope
-    # has passed its smallest term once y falls below the running maximum y_cut
-    y_cut = 0.0
-    g_prev = math.inf
-    sign = 1.0
-    for k in range(1, _ASYMP_KMAX + 1):
-        term = term * inv
-        g = math.gamma(1.0 + abs(a * k - b)) / math.pi
-        y_cut = max(y_cut, g / g_prev)
-        g_prev = g
-        c = sign * float(_rgamma(b - a * k))
-        sign = -sign
-        active = y >= y_cut
-        if not active.any():
-            break
-        total[active] += c * term[active]
-        # every row still summing has y >= max(y_cut, y_lo)
-        if g * max(y_cut, y_lo) ** (-k) < 1e-18:
-            break
-    return total
+    """E_{a,b}(-y) for y >= _ASYMP_CUT: one Horner sum in 1/y."""
+    return polyval(1.0 / y, _ml_expansions(a, b)[1])
 
 
 @functools.cache

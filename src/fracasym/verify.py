@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import kernels
 from .params import (
@@ -54,6 +53,7 @@ from .params import (
 )
 from .potentials import riesz_constant
 from .radialtransform import (
+    _GL8,
     RadialFunction,
     RadialGrid,
     lp_norm_annulus,
@@ -449,8 +449,6 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
 
 # --- constants and kernel estimates -------------------------------------------
 
-_GL8 = leggauss(8)
-
 
 def _y_time_integral(profile, T: float) -> float:
     """int_0^T Y(1, s) ds by geometric-panel quadrature in s."""
@@ -482,10 +480,13 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     """Profile bound report (interior two-sided bound, exterior slope, global
     bound, and rho^{N-4b} G against the closed-form kappa at the origin) plus
     the ||Y(., t)||_{L^p} time-decay slope -sigma(p) fitted over the
-    checkpoints; slope agreement within 1% is gated."""
+    checkpoints; slope agreement within 1% is gated.  G ~ kappa rho^{4b-N}
+    at the origin is in L^p only for p < p_*, so larger p is refused."""
     params = cfg.params
     if params.alpha >= 1.0:
         raise VerifyError("kernel estimates apply to alpha < 1 only")
+    if cfg.p >= params.p_star:
+        raise VerifyError(f"kernel estimates need p < p_* = {params.p_star:g}")
     profile = _y_profile(cfg)
     bounds = profile.bound_report
     # fresh inverse transform per time (not a rescaling of the t=1 profile),

@@ -138,13 +138,16 @@ def test_exit_code_missing_config(tmp_path, capsys):
 
 
 def test_verify_precondition_exit_code(tmp_path, cache_dir, capsys):
-    # p < 1 and a checkpoint at t = 1 are rejected before any work is done
+    # p < 1, a checkpoint at t = 1 and kernel-bounds at p = p_* = 3 (G is not
+    # in L^p there) are rejected before any work is done
     base = FULL.replace("rho_max = 1e2\npoints = 256", "rho_max = 1e3\npoints = 128")
     compact = base.replace("theorem = coherence", "theorem = compact").replace(
         "kind = outer", "kind = compact").replace("p = inf", "p = 0.5")
     outer_log = base.replace("theorem = coherence", "theorem = outer-log").replace(
         "gamma = 0.5", "gamma = 1.0").replace("times = 1e2 1e3 1e4", "times = 1 10 100")
-    for i, text in enumerate((compact, outer_log)):
+    kernel_bounds = base.replace("theorem = coherence", "theorem = kernel-bounds").replace(
+        "p = inf", "p = 3")
+    for i, text in enumerate((compact, outer_log, kernel_bounds)):
         path = _write(tmp_path, text, name=f"config{i}.ini")
         out = str(tmp_path / f"out{i}")
         code = main(["verify", "--config", path, "--out", out, "--cache", cache_dir])

@@ -59,7 +59,7 @@ def test_ml_vs_mpmath(a, second):
     got = mittag_leffler(a, b, -xs)
     for x, g in zip(xs, got):
         ref = float(mpmath.re(mpmath.mp.mpf(1) * _mp_ml(a, b, -x)))
-        assert g == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert g == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_ml_half_order_b_a_vs_erfcx():
@@ -110,17 +110,31 @@ def test_ml_table_error_contract(a, b):
         todo.extend(gc.get_referents(obj))
 
 
-@pytest.mark.parametrize("a", [0.49609375, 0.33203125, 0.2490234375])
+@pytest.mark.parametrize("a", [0.49609375, 0.33203125, 0.2490234375, 0.8, 0.9])
 @pytest.mark.parametrize("second", ["one", "a"])
 def test_ml_asymptotic_branch_near_gamma_poles(a, second):
     # b - a k lands next to a Gamma pole for small k, so one term of the large-y
-    # series is tiny and the next is not; the series must run past it
+    # series is tiny and the next is not; the series must run past it.  At
+    # a = 0.8 and 0.9 it needs the most terms (17 and 21).  The branch's
+    # contract is 1e-14 relative for y >= _ASYMP_CUT and a <= 0.9.
     b = 1.0 if second == "one" else a
-    xs = np.array([40.0, 40.736, 100.0, 1000.0])
+    xs = np.array([40.0, 40.736, 100.0, 1000.0, 1e7])
     got = mittag_leffler(a, b, -xs)
     for x, g in zip(xs, got):
         ref = float(_mp_ml_int(a, b, -x))
-        assert g == pytest.approx(ref, rel=1e-10, abs=0.0)
+        assert g == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize("second", ["one", "mid", "a"])
+def test_ml_series_branch_vs_mpmath(a, second):
+    # the series branch serves y < _TABLE_LO; its contract is 1e-15 relative
+    b = {"one": 1.0, "mid": 0.5 * (1.0 + a), "a": a}[second]
+    ys = np.geomspace(1e-8, _TABLE_LO * (1 - 1e-12), 7)
+    got = mittag_leffler(a, b, -ys)
+    for y, g in zip(ys, got):
+        ref = float(mpmath.re(_mp_ml(a, b, -y)))
+        assert g == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def _mp_ml(a, b, z):

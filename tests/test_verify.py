@@ -134,6 +134,18 @@ def test_kernel_bounds(cache_dir, g_profile_ref):
     assert rep.notes["bounds"]["exterior_pass"]
 
 
+@pytest.mark.parametrize("p", [3.0, math.inf])
+def test_kernel_bounds_rejects_p_at_or_above_p_star(p, monkeypatch):
+    # G ~ kappa rho^{4b-N} is not in L^p for p >= p_* = N/(N - 4b) = 3 at
+    # (0.5, 0.5, 3); the check refuses before it builds any profile
+    def no_build(*args, **kwargs):
+        raise AssertionError("profile built before the precondition")
+
+    monkeypatch.setattr(kernels, "build_y_profile", no_build)
+    with pytest.raises(VerifyError, match="p_"):
+        run_check(_cfg(theorem="kernel-bounds", p=p))
+
+
 def test_intermediate_normalization_bounded(cache_dir, g_profile_ref):
     # the normalized error divides by the sharp rate; the reported profile
     # norms confirm the rate has the same size as the profile itself (no
