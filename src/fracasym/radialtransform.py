@@ -83,10 +83,15 @@ class RadialFunction:
     coordinates when single-signed (quintic spline; lower orders are too
     inaccurate for the round-trip budget on the default grid), with fitted
     power-law tails beyond the grid.  Mixed-sign data falls back to a cubic
-    spline on plain values."""
+    spline on plain values.
+
+    It owns a read-only copy of its samples: writing into the caller's array
+    cannot make `samples` disagree with the spline and the tails fitted from
+    them, and equal grid and samples always mean the same function."""
 
     def __init__(self, grid: RadialGrid, samples):
-        samples = np.asarray(samples, dtype=float)
+        samples = np.array(samples, dtype=float)
+        samples.flags.writeable = False
         if samples.shape != (grid.points,):
             raise TransformError("samples must match the grid size")
         if not np.all(np.isfinite(samples)):

@@ -6,12 +6,14 @@ from scipy.special import erf
 
 from fracasym.potentials import (
     PotentialError,
+    _ghat_from_samples,
     potential_deviation,
     riesz_constant,
     riesz_potential,
     riesz_tail_check,
 )
 from fracasym.radialtransform import RadialFunction, RadialGrid, lp_norm_annulus
+from fracasym.solver import ForcingSpec
 
 
 def _gaussian(grid):
@@ -153,6 +155,89 @@ def test_tail_check_bad_annulus():
     g = _gaussian(grid)
     with pytest.raises(PotentialError):
         riesz_tail_check(g, 2.0, 3, 1.0, nu=2.0, mu_outer=1.0, R_list=[10.0])
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -math.inf, math.nan])
+def test_tail_check_rejects_p_before_transforming(p):
+    grid = RadialGrid(1e-2, 10.0, 128)
+    g = _gaussian(grid)
+    _ghat_from_samples.cache_clear()
+    with pytest.raises(PotentialError):
+        riesz_tail_check(g, 2.0, 3, p, nu=1.0, mu_outer=2.0, R_list=[10.0])
+    assert _ghat_from_samples.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: riesz_potential(None, 1.0, 3),
+        lambda: potential_deviation(None, 1.0, 3),
+        lambda: riesz_tail_check(
+            None, 1.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=[10.0, 100.0]
+        ),
+    ],
+    ids=["riesz_potential", "potential_deviation", "riesz_tail_check"],
+)
+def test_needs_g_or_ghat(call):
+    with pytest.raises(PotentialError):
+        call()
+
+
+# the sampled forcing profiles and grids of the benchmark's potentials workload
+_FAMILY_GRIDS = {
+    "gaussian": (1e-2, 50.0, 512),
+    "bump": (1e-2, 50.0, 512),
+    "heavy": (1e-2, 1e3, 640),
+}
+
+
+def _sampled(family):
+    grid = RadialGrid(*_FAMILY_GRIDS[family])
+    return RadialFunction(grid, ForcingSpec(family, gamma=2.0).g(grid.nodes))
+
+
+def _tail_report(g, R_list):
+    rep = riesz_tail_check(g, 2.0, 3, 2.0, nu=1.0, mu_outer=2.0, R_list=R_list)
+    return {k: v for k, v in rep.to_dict().items() if k != "runtime_seconds"}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_GRIDS))
+def test_ghat_memo_cold_and_warm_bit_identical(family):
+    R_list = [1e2, 1e3, 1e4] if family == "heavy" else [4.0, 40.0, 400.0]
+    _ghat_from_samples.cache_clear()
+    cold_pot = riesz_potential(_sampled(family), 1.0, 3).samples
+    _ghat_from_samples.cache_clear()
+    cold_tail = _tail_report(_sampled(family), R_list)
+    warm_pot = riesz_potential(_sampled(family), 1.0, 3).samples
+    warm_tail = _tail_report(_sampled(family), R_list)
+    info = _ghat_from_samples.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert np.array_equal(warm_pot, cold_pot)
+    assert warm_tail == cold_tail
+
+
+def test_ghat_memo_key_is_exact_content():
+    # the bound documented in the potentials module
+    assert _ghat_from_samples.cache_info().maxsize == 8
+    g = _sampled("gaussian")
+    _ghat_from_samples.cache_clear()
+    pot = riesz_potential(g, 1.0, 3).samples
+    # equal samples on an equal (not the same) grid: a hit
+    twin = RadialFunction(RadialGrid(*_FAMILY_GRIDS["gaussian"]), g.samples.copy())
+    assert np.array_equal(riesz_potential(twin, 1.0, 3).samples, pot)
+    assert _ghat_from_samples.cache_info()[:2] == (1, 1)
+    # one sample one ulp away, another N, and another profile on the same
+    # grid: each a miss
+    nudged = g.samples.copy()
+    nudged[100] = np.nextafter(nudged[100], 2.0)
+    riesz_potential(RadialFunction(g.grid, nudged), 1.0, 3)
+    riesz_potential(g, 1.0, 5)
+    bump = _sampled("bump")
+    pot_bump = riesz_potential(bump, 1.0, 3).samples
+    assert _ghat_from_samples.cache_info()[:2] == (1, 4)
+    # and the bump's potential is its own (the sampled kink costs ~1%)
+    ref = riesz_potential(bump, 1.0, 3, ghat=ForcingSpec("bump", gamma=2.0).ghat)
+    assert np.max(np.abs(pot_bump / ref.samples - 1.0)) < 0.05
 
 
 def test_potential_locally_integrable():

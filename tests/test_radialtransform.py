@@ -292,6 +292,19 @@ def test_fitted_exponents():
     assert u.outer_exponent == pytest.approx(-2.5, abs=1e-8)
 
 
+def test_radial_function_owns_read_only_samples():
+    # writing into the caller's array must not leave samples and spline apart
+    grid = RadialGrid(1e-2, 10.0, 128)
+    source = np.exp(-grid.nodes**2)
+    u = RadialFunction(grid, source)
+    samples, value = u.samples.copy(), u(1.0)
+    source *= 2.0
+    assert np.array_equal(u.samples, samples)
+    assert u(1.0) == value
+    with pytest.raises(ValueError):
+        u.samples[0] = 1.0
+
+
 def test_save_load_round_trip(tmp_path):
     grid = RadialGrid(1e-3, 1e2, 256)
     u = RadialFunction(grid, np.exp(-grid.nodes))
