@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from fracasym import kernels
+from fracasym.params import FracParams
 from fracasym.radialtransform import (
+    _BLOCK_ROWS,
     ExtrapolationWarning,
     RadialFunction,
     RadialGrid,
@@ -19,6 +23,7 @@ from fracasym.radialtransform import (
     radial_fourier_inverse,
     radial_integral,
 )
+from fracasym.solver import ForcingSpec, duhamel_symbol
 
 
 def test_omega_n():
@@ -190,6 +195,96 @@ def test_engine_panel_weights(dim):
     j = np.arange(m + 1)
     assert np.allclose(w[n_fixed:].astype(float), binom.sf(j - 1, m, 0.5), rtol=1e-13)
     assert np.array_equal(eng.k_eff, eng.kernel * np.repeat(w, eng.GL_PTS))
+
+
+# --- the engine's row blocks --------------------------------------------------
+
+
+def _whole_array_integrate(eng, symbol, rho):
+    """Reference: the symbol evaluated on all rows of r = x/rho at once, then
+    one long-double product and one noise pass over the whole array."""
+    r = eng.x[None, :] / rho.astype(np.longdouble)[:, None]
+    vals = np.asarray(symbol(r))
+    integral = np.einsum("ij,j->i", vals, eng.k_eff)
+    cf = np.abs(vals.astype(float, copy=False) * eng.kernel.astype(float))
+    noise = 1e-16 * np.sqrt((cf**2).sum(axis=1)) + 5e-17 * cf.sum(axis=1)
+    return integral.astype(float), noise
+
+
+def _block_symbols(dim):
+    params = FracParams(0.5, 0.5, dim)
+    forcing = ForcingSpec("gaussian", gamma=2.0, dim=dim)
+    return {
+        "G": kernels._symbol(params, "G", 1e3),
+        "duhamel": duhamel_symbol(forcing, params, 1e4),
+        "gaussian": lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
+    }
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+@pytest.mark.parametrize("name", ["G", "duhamel", "gaussian"])
+def test_engine_blocks_match_whole_array(dim, name):
+    # rows are independent, so blocking changes no bit; 64 and 768 points end
+    # on a full block, 100 and 1000 on a ragged one
+    eng, symbol = _engine(dim), _block_symbols(dim)[name]
+    for points in (64, 100, 768, 1000):
+        rho = RadialGrid(1e-3, 1e3, points).nodes
+        rows = []
+
+        def recording(r):
+            rows.append(r.shape[0])
+            return symbol(r)
+
+        got, noise = eng.integrate(recording, rho)
+        ref, ref_noise = _whole_array_integrate(eng, symbol, rho)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(noise, ref_noise)
+        assert max(rows) <= _BLOCK_ROWS
+        assert sum(rows) == points
+        assert rows[-1] == (points % _BLOCK_ROWS or _BLOCK_ROWS)
+
+
+def test_transform_memory_is_bounded():
+    # one default-grid G transform evaluates its symbol block by block: the
+    # whole-array version peaked at 102 MiB of traced allocations
+    symbol = kernels._symbol(FracParams(0.5, 0.5, 3), "G", 1e3)
+    radial_fourier_inverse(symbol, 3)  # warm-up: engine and Mittag-Leffler table
+    tracemalloc.start()
+    try:
+        radial_fourier_inverse(symbol, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_engine_rejects_non_finite_in_last_block():
+    # NaN only at the last node, rho = rho_max, in the ragged final block of
+    # a 100-point grid
+    grid = RadialGrid(1e-3, 1e3, 100)
+    r_last = _engine(3).x[0] / np.longdouble(grid.nodes[-1])
+    rows = []
+
+    def symbol(r):
+        rows.append(np.shape(r)[0])
+        out = np.exp(-np.asarray(r, dtype=float) ** 2)
+        out[np.asarray(r) <= r_last] = np.nan
+        return out
+
+    # the engine's own guard, not RadialFunction's check of the samples
+    with pytest.raises(TransformError, match="symbol produced non-finite"):
+        radial_fourier_inverse(symbol, 3, grid)
+    assert rows[-2:] == [_BLOCK_ROWS, 100 % _BLOCK_ROWS]
+
+
+def test_engine_rejects_wrong_shape():
+    grid = RadialGrid(1e-3, 1e3, 100)
+    flat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2).ravel()
+    with pytest.raises(TransformError, match="symbol must evaluate elementwise"):
+        radial_fourier_inverse(flat, 3, grid)
+    short = lambda r: np.exp(-np.asarray(r, dtype=float)[:, :-1] ** 2)
+    with pytest.raises(TransformError, match="symbol must evaluate elementwise"):
+        _engine(3).integrate(short, grid.nodes)
 
 
 # --- norms and integrals ------------------------------------------------------
