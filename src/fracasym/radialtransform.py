@@ -20,7 +20,7 @@ the noise floor: on the default 768-point grid (1904 abscissas) about 15 ms
 on a 2-vCPU Xeon, besides forming the arguments x/rho and evaluating the
 symbol there.  Each output row needs only its own row of x/rho, so the engine
 forms, evaluates, checks and sums _BLOCK_ROWS = 16 rows at a time, a working
-set that stays in a 2 MiB L2: one default-grid G transform takes about 98 ms
+set that stays in a 2 MiB L2: one default-grid G transform takes about 99 ms
 (165 ms on the whole array at once) and peaks at 2.8 MiB of traced
 allocations (102 MiB), bit for bit the same result.  Both directions share
 one finish: integrate, zero what lies below 8x the rounding noise, scale by
@@ -220,9 +220,9 @@ class RadialFunction:
 # double and 0.24 MB per float64 temporary, so the symbol's elementwise passes
 # work out of a 2 MiB L2 where whole-grid arrays (23.4 and 11.7 MB) streamed
 # through memory.  Per default-grid transform, medians of 4 runs (2-vCPU Xeon,
-# 2 MiB L2 per core), G and Duhamel symbols: 16 rows 98 / 91 ms, 32 rows
-# 128 / 97 ms, 64 rows 134 / 116 ms, 128 rows 152 / 120 ms, all rows at once
-# 165 / 134 ms.
+# 2 MiB L2 per core), G and Duhamel symbols: 8 rows 119 / 94 ms, 16 rows
+# 99 / 91 ms, 32 rows 128 / 91 ms, 64 rows 134 / 116 ms, 128 rows 152 / 120 ms,
+# all rows at once 165 / 134 ms.
 _BLOCK_ROWS = 16
 
 
