@@ -43,7 +43,7 @@ from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
 
 from .reporting import atomic_write
 from .special import bessel_j_half, gl_panels
@@ -124,10 +124,14 @@ class RadialFunction:
             if self._single_signed:
                 self._sign = float(np.sign(core[0]))
                 # quintic in log-log: cubic's O(h^4) error is the round-trip
-                # accuracy bottleneck on the default grid
+                # accuracy bottleneck on the default grid; evaluated as the
+                # same interpolant in piecewise-polynomial form (Horner per
+                # point, not de Boor's recursion)
                 k = min(5, len(core) - 1)
-                self._spline = make_interp_spline(
-                    self._log_nodes[i0 : i1 + 1], np.log(np.abs(core)), k=k
+                self._spline = PPoly.from_spline(
+                    make_interp_spline(
+                        self._log_nodes[i0 : i1 + 1], np.log(np.abs(core)), k=k
+                    )
                 )
             else:
                 self._core = (0, grid.points - 1)
@@ -481,7 +485,9 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
         )
 
     if math.isinf(p):
-        lo = max(a, g.rho_min * 1e-6)
+        # six decades below the grid, or below b where b lies beneath it, so
+        # that every sample stays in [a, b]
+        lo = max(a, min(g.rho_min, b) * 1e-6)
         cells = max(int(8 * g.points * math.log(b / lo) / math.log(g.rho_max / g.rho_min)), 256)
         rho = np.geomspace(lo, b, cells)
         sup = float(np.max(np.abs(u(rho))))

@@ -17,10 +17,12 @@ taking over outside the table: W -> W(0) for lam t^alpha -> 0 and
 W ~ (1+t)^{-gamma}/lam for lam t^alpha -> infinity.  For gamma = 0 the
 closed form W = (1 - E_alpha(-lam t^alpha))/lam gates the quadrature.
 
-The table cache has no bound: an entry holds about 48 KB (a 1201-knot
-spline) and takes 0.11-0.15 s to build (2-vCPU Xeon), and a run visits only a
-few (alpha, gamma, t) keys, so the cache stays well under a megabyte while
-each rebuild would cost a tenth of a second.
+The quadrature evaluates E_{alpha,alpha} once per distinct argument (see
+_w_knots): about 455,000 points per table rather than 1201 x 1250.  The table
+cache has no bound: an entry holds about 48 KB (a 1201-knot spline) and takes
+about 15 ms to build (72 ms with one E per knot and node; 2-vCPU Xeon), and a
+run visits only a few (alpha, gamma, t) keys, so the cache stays well under a
+megabyte.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.special import jv
@@ -161,6 +164,14 @@ def time_integrated_forcing(fs: ForcingSpec, grid: RadialGrid | None = None):
 _LAM_SPAN = 1e10  # table covers lam * t^alpha in [1/span, span]
 _PTS_PER_DECADE = 60
 _GL_TAU = leggauss(12)
+# Both halves of the Duhamel quadrature are graded over 26 decades with this
+# many geometric panels per decade.  A tau-panel then spans a whole number of
+# lam-knot steps, which _w_knots uses to evaluate each E argument once.
+_PANELS_PER_DECADE = 2
+_PANEL_EDGES = 10.0 ** np.linspace(-26.0, 0.0, 26 * _PANELS_PER_DECADE + 1)
+if _PTS_PER_DECADE % _PANELS_PER_DECADE:
+    raise ImportError("lam knots per decade must be a multiple of panels per decade")
+_KNOTS_PER_PANEL = _PTS_PER_DECADE // _PANELS_PER_DECADE
 
 
 def _duhamel_nodes(alpha: float, gamma: float, t: float):
@@ -171,15 +182,17 @@ def _duhamel_nodes(alpha: float, gamma: float, t: float):
     the tau ~ 1/lam scale near s = t, so the two halves are graded separately:
     s in [0, t/2] geometrically in s, s in [t/2, t] geometrically in
     tau = (t-s)^alpha (which also removes the endpoint singularity exactly).
+    The nodes come in that order, s-half then tau-half panel by panel, then
+    the two stubs.
     """
     # old-forcing half: s in [0, t/2], graded toward s = 0
-    s_edges = 0.5 * t * 10.0 ** np.linspace(-26.0, 0.0, 53)
+    s_edges = 0.5 * t * _PANEL_EDGES
     s_nodes, s_w = gl_panels(s_edges, *_GL_TAU)
     a_s = (t - s_nodes) ** alpha
     c_s = (1.0 + s_nodes) ** (-gamma) * (t - s_nodes) ** (alpha - 1.0) * s_w
     # recent half: tau in [0, (t/2)^alpha], graded toward tau = 0
     V = (0.5 * t) ** alpha
-    tau_edges = V * 10.0 ** np.linspace(-26.0, 0.0, 53)
+    tau_edges = V * _PANEL_EDGES
     tau_nodes, tau_w = gl_panels(tau_edges, *_GL_TAU)
     c_tau = (1.0 + t - tau_nodes ** (1.0 / alpha)) ** (-gamma) * tau_w / alpha
     # stubs: [0, s_min] and [0, tau_min], integrands constant to ~1e-16 there
@@ -194,21 +207,53 @@ def _duhamel_nodes(alpha: float, gamma: float, t: float):
     return a, c
 
 
-@functools.cache
-def _build_w_table(alpha: float, gamma: float, t: float):
-    """Spline table of log W over log lam, cached per (alpha, gamma, t)."""
+def _w_knots(alpha: float, gamma: float, t: float):
+    """The lam knots of the W table and W(lam, t) = sum_k c_k E_{aa}(-lam a_k)
+    there, over the nodes of _duhamel_nodes, evaluating E once per distinct
+    argument (about 455,000 points, not 1201 x 1250 = 1,501,250):
+
+    * s-half and stubs: (t - s)^alpha rounds to t^alpha for s < t 2^-53, so
+      equal nodes are merged and their weights summed (about 350 of 626 are
+      distinct);
+    * tau-half: panel i's nodes are panel 0's times 10^{i/2} and knot j is
+      lam_0 10^{j/60}, so lam_j tau_{i,k} = lam_0 tau_{0,k} 10^{(j + 30 i)/60}
+      (30 = _KNOTS_PER_PANEL).  E is evaluated once on the 1201 + 30 x 51
+      merged arguments of each of the 12 panel-0 nodes, and knot j sums the
+      52 at j, j + 30, ..., j + 30 x 51.
+    """
     U = t**alpha
     a, c = _duhamel_nodes(alpha, gamma, t)
     n_dec = 2 * int(round(math.log10(_LAM_SPAN)))
     lam = np.geomspace(1.0 / (_LAM_SPAN * U), _LAM_SPAN / U, n_dec * _PTS_PER_DECADE + 1)
+
+    n_gl = _GL_TAU[0].size
+    n = (_PANEL_EDGES.size - 1) * n_gl  # nodes per half
+    a_s, inverse = np.unique(np.concatenate([a[:n], a[2 * n :]]), return_inverse=True)
+    c_s = np.bincount(inverse, weights=np.concatenate([c[:n], c[2 * n :]]))
     w_vals = np.empty_like(lam)
-    # 64 rows per call: all 1201 at once took 0.59 s, not 0.27 s, for five of
-    # the battery's tables, at a 75 MB traced peak, not 6 MB (2-vCPU Xeon)
+    # 64 knots per call: all 1201 at once took 33 ms, not 15 ms, per table at
+    # a 17.7 MiB traced peak, not 1.9 MiB; 128 took 21 ms (2-vCPU Xeon)
     chunk = 64
     for i in range(0, lam.size, chunk):
         lam_c = lam[i : i + chunk]
-        e = mittag_leffler(alpha, alpha, -(lam_c[:, None] * a[None, :]))
-        w_vals[i : i + chunk] = e @ c
+        w_vals[i : i + chunk] = mittag_leffler(alpha, alpha, -(lam_c[:, None] * a_s)) @ c_s
+
+    tau0, c_tau = a[n : n + n_gl], c[n : 2 * n].reshape(-1, n_gl)
+    span = _KNOTS_PER_PANEL * (c_tau.shape[0] - 1)
+    # whole decades apart: 10 ** (m / 60) for m / 60 up to 45 would carry the
+    # exponent's rounding, ~1e-14 relative
+    q, r = np.divmod(np.arange(lam.size + span), _PTS_PER_DECADE)
+    lam_ext = lam[0] * 10.0**q * 10.0 ** (r / _PTS_PER_DECADE)
+    e = mittag_leffler(alpha, alpha, -(tau0[:, None] * lam_ext))
+    windows = sliding_window_view(e, span + 1, axis=1)[:, :, ::_KNOTS_PER_PANEL]
+    w_vals += np.einsum("kji,ik->j", windows, c_tau)
+    return lam, w_vals
+
+
+@functools.cache
+def _build_w_table(alpha: float, gamma: float, t: float):
+    """Spline table of log W over log lam, cached per (alpha, gamma, t)."""
+    lam, w_vals = _w_knots(alpha, gamma, t)
     if np.any(w_vals <= 0) or not np.all(np.isfinite(w_vals)):
         raise SolverError("time-weight quadrature produced nonpositive values")
     spline = CubicSpline(np.log(lam), np.log(w_vals))

@@ -190,6 +190,15 @@ def test_g_profile_closed_form_half_half_3(params_ref, g_profile_ref):
     assert kernels.estimate_kappa(params_ref) == pytest.approx(kappa, rel=1e-15, abs=0.0)
 
 
+def test_g_closed_form_integral_half_half_3():
+    # the closed-form G samples through RadialFunction's log-log spline and
+    # fitted tails: the integral is G-hat(0) = E_{1/2,1/2}(0) = 1/sqrt(pi),
+    # within the same 1e-6 as the built profile (8.6e-7)
+    grid = RadialGrid()
+    g = RadialFunction(grid, [float(_g_half_half_3(r)) for r in grid.nodes])
+    assert radial_integral(g, 3) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-6)
+
+
 @given(
     a=st.floats(0.2, 0.9),
     lam=st.floats(0.05, 20.0),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import make_interp_spline
 from scipy.stats import binom
 
 from fracasym import kernels
@@ -317,6 +318,18 @@ def test_lp_norm_matches_per_cell_loop():
         assert got == pytest.approx(expected, rel=1000 * np.finfo(float).eps)
 
 
+def test_lp_inf_annulus_below_the_grid():
+    # an annulus that ends more than six decades below rho_min: every sample
+    # must lie in [a, b], where the sup of rho^2 is b^2 (samples taken from
+    # rho_min * 1e-6 down to b read 1e-18 over (0, 1e-10])
+    grid = RadialGrid()
+    u = RadialFunction(grid, grid.nodes**2)
+    for a in (0.0, 1e-12):
+        with pytest.warns(ExtrapolationWarning):
+            sup = lp_norm_annulus(u, math.inf, 3, a, 1e-10)
+        assert sup == pytest.approx(1e-20, rel=1e-9, abs=0.0)
+
+
 def test_lp_norm_zero_function():
     grid = RadialGrid(1e-3, 1e3, 128)
     z = RadialFunction(grid, np.zeros(grid.points))
@@ -385,6 +398,24 @@ def test_fitted_exponents():
     u = RadialFunction(grid, grid.nodes**-2.5)
     assert u.inner_exponent == pytest.approx(-2.5, abs=1e-8)
     assert u.outer_exponent == pytest.approx(-2.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_core", [1, 2, 3, 4, 5, 6, 768])
+def test_single_signed_core_is_the_interpolant(n_core):
+    # the log-log core of degree min(5, n - 1) is evaluated in piecewise-
+    # polynomial form: the same interpolant as make_interp_spline's B-spline,
+    # at the nodes and at the midpoints between them
+    grid = RadialGrid()
+    i0 = 0 if n_core == grid.points else 300
+    core = slice(i0, i0 + n_core)
+    samples = np.zeros(grid.points)
+    samples[core] = 1.0 / (1.0 + grid.nodes[core] ** 2)
+    u = RadialFunction(grid, samples)
+    nodes = grid.nodes[core]
+    rho = np.concatenate([nodes, np.sqrt(nodes[1:] * nodes[:-1])])
+    spline = make_interp_spline(np.log(nodes), np.log(samples[core]), k=min(5, n_core - 1))
+    ref = np.exp(spline(np.log(rho)))
+    assert np.max(np.abs(u(rho) / ref - 1.0)) < 1e-14
 
 
 def test_radial_function_owns_read_only_samples():

@@ -6,10 +6,14 @@ from scipy.integrate import quad
 
 from fracasym.params import FracParams
 from fracasym.radialtransform import RadialGrid, lp_norm_annulus, radial_integral
+from fracasym.special import mittag_leffler
+from fracasym import solver
 from fracasym.solver import (
     ForcingSpec,
     SolverError,
     _build_w_table,
+    _duhamel_nodes,
+    _w_knots,
     forcing_mass,
     outer_reference,
     solution_mass,
@@ -101,6 +105,47 @@ def test_w_table_matches_closed_form(t):
     lam = np.geomspace(lam_lo * 1.01, lam_hi * 0.99, 400)
     got = np.exp(spline(np.log(lam)))
     assert np.max(np.abs(got / exact(lam) - 1.0)) < 1e-6
+
+
+def _w_direct(alpha, gamma, t, lam):
+    """W at lam as the direct sum over every Duhamel node, sum_k c_k
+    E_{aa}(-lam_j a_k), one E per (knot, node) pair, 64 knots per call."""
+    a, c = _duhamel_nodes(alpha, gamma, t)
+    out = np.empty_like(lam)
+    for i in range(0, lam.size, 64):
+        out[i : i + 64] = mittag_leffler(alpha, alpha, -(lam[i : i + 64, None] * a)) @ c
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [1e2, 1e8])
+def test_w_knots_match_direct_sum(alpha, gamma, t):
+    # the table evaluates E once per distinct argument (merged s-nodes and
+    # shifted tau-panel windows): the same quadrature, only rounded
+    # differently, on the same 1201 knots 1/60 decade apart
+    lam, w = _w_knots(alpha, gamma, t)
+    U = t**alpha
+    assert lam.size == 1201
+    assert (lam[0] * U, lam[-1] * U) == pytest.approx((1e-10, 1e10), rel=1e-13)
+    assert np.allclose(np.diff(np.log10(lam)), 1.0 / 60.0, rtol=1e-9, atol=0.0)
+    ref = _w_direct(alpha, gamma, t, lam)
+    assert np.max(np.abs(w / ref - 1.0)) < 1e-13
+
+
+def test_w_knots_call_the_module_mittag_leffler(monkeypatch):
+    # E is looked up in the solver namespace at call time, so a wrapper bound
+    # there (as a tracer does) sees every point: about 455,000 per table, not
+    # the 1201 x 1250 = 1,501,250 of one E per (knot, node) pair
+    points = []
+
+    def counting(a, b, x):
+        points.append(np.size(x))
+        return mittag_leffler(a, b, x)
+
+    monkeypatch.setattr(solver, "mittag_leffler", counting)
+    _w_knots(0.5, 2.0, 1e4)
+    assert 400_000 < sum(points) < 460_000
 
 
 def test_w_monotone_decreasing_in_lam():

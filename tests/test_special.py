@@ -88,9 +88,12 @@ def test_ml_table_error_contract(a, b):
     # spline errs most) and on both sides of the series -> table -> asymptotic
     # handoffs at y = _TABLE_LO and _ASYMP_CUT and of the knot-source switch
     table = _ml_table(a, b)
-    # an interpolating spline has one coefficient per data point (knot)
-    log_knots = np.log(np.geomspace(_TABLE_LO, _ASYMP_CUT, table.c.size))
-    mids = np.exp(0.5 * (log_knots[1:] + log_knots[:-1]))[::24]
+    # the piecewise-polynomial table's breakpoints, its end ones repeated: the
+    # data sites (knots) but the two next to each end, so every midpoint
+    # lies between two knots
+    log_breaks = np.unique(table.x)
+    assert np.exp(log_breaks[[0, -1]]) == pytest.approx([_TABLE_LO, _ASYMP_CUT], rel=1e-14)
+    mids = np.exp(0.5 * (log_breaks[1:] + log_breaks[:-1]))[::24]
     edges = np.outer([_TABLE_LO, _SERIES_CUT, _ASYMP_CUT], [1 - 1e-12, 1 + 1e-12])
     ys = np.concatenate([mids, edges.ravel()])
     got = mittag_leffler(a, b, -ys)
