@@ -20,7 +20,7 @@ closed form W = (1 - E_alpha(-lam t^alpha))/lam gates the quadrature.
 The quadrature evaluates E_{alpha,alpha} once per distinct argument (see
 _w_knots): about 455,000 points per table rather than 1201 x 1250.  The table
 cache has no bound: an entry holds about 48 KB (a 1201-knot spline) and takes
-about 15 ms to build (72 ms with one E per knot and node; 2-vCPU Xeon), and a
+13-20 ms to build (72-94 ms with one E per knot and node; 2-vCPU Xeon), and a
 run visits only a few (alpha, gamma, t) keys, so the cache stays well under a
 megabyte.
 """
@@ -235,8 +235,8 @@ def _w_knots(alpha: float, gamma: float, t: float):
     # a 17.7 MiB traced peak, not 1.9 MiB; 128 took 21 ms (2-vCPU Xeon)
     chunk = 64
     for i in range(0, lam.size, chunk):
-        lam_c = lam[i : i + chunk]
-        w_vals[i : i + chunk] = mittag_leffler(alpha, alpha, -(lam_c[:, None] * a_s)) @ c_s
+        e = mittag_leffler(alpha, alpha, -(lam[i : i + chunk, None] * a_s))
+        w_vals[i : i + chunk] = e @ c_s
 
     tau0, c_tau = a[n : n + n_gl], c[n : 2 * n].reshape(-1, n_gl)
     span = _KNOTS_PER_PANEL * (c_tau.shape[0] - 1)

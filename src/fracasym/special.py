@@ -17,9 +17,9 @@ real-line integral (the collapsed Hankel contour, i.e. the spectral density of
 the completely monotone function), which is within 1e-15 of a 40-digit mpmath
 integral for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
 point.  The spline is evaluated in its piecewise-polynomial form, a binary
-search and a degree-5 Horner sum per point: about 31 ns per point on the
+search and a degree-5 Horner sum per point: 33-46 ns per point on the
 arguments of a default-grid G transform, in the engine's order, where the
-B-spline form took 125-130 ns (2-vCPU Xeon; the same interpolant, within
+B-spline form took 125-139 ns (2-vCPU Xeon; the same interpolant, within
 8.9e-15 relative).  The caches have no bound: a table entry holds about 40 KB
 (721 knots, 6 x 726 coefficients) and takes 6-15 ms to build, an expansions
 entry 3.4 KB, and a run visits only a few (a, b) pairs.
