@@ -87,14 +87,18 @@ class KernelProfile:
         return validate_bounds(self) if self.kappa is not None else None
 
     def save(self, csv_path):
-        """Values CSV plus a JSON sidecar with the profile's identity
-        (which, alpha, beta, dim, engine) and its derived constants, which
-        a load does not read back."""
-        p = self.params
-        meta = {"which": self.which, "alpha": p.alpha, "beta": p.beta, "dim": p.dim,
-                "engine": _engine(), "kappa": self.kappa,
-                "constant_A": self.constant_A, "bound_report": self.bound_report}
+        """Values CSV plus a JSON sidecar: the profile's _identity and its
+        derived constants, which a load does not read back."""
+        meta = _identity(self.params, self.which) | {
+            "kappa": self.kappa, "constant_A": self.constant_A,
+            "bound_report": self.bound_report}
         self.values.save(csv_path, extra_metadata=meta)
+
+
+def _identity(params: FracParams, which: str) -> dict:
+    """The sidecar keys that name a profile; a cache hit matches all of them."""
+    return {"which": which, "alpha": params.alpha, "beta": params.beta,
+            "dim": params.dim, "engine": _engine()}
 
 
 def _symbol(params: FracParams, which: str, t: float = 1.0):
@@ -103,12 +107,7 @@ def _symbol(params: FracParams, which: str, t: float = 1.0):
     a, two_b = params.alpha, 2.0 * params.beta
     second, scale = (1.0, 1.0) if which == "F" else (a, t ** (a - 1.0))
     ta = t**a
-
-    def symbol(r):
-        r = np.asarray(r, dtype=float)
-        return scale * mittag_leffler(a, second, -(r**two_b) * ta)
-
-    return symbol
+    return lambda r: scale * mittag_leffler(a, second, -(r**two_b) * ta)
 
 
 def _grid_key(grid: RadialGrid) -> str:
@@ -136,9 +135,7 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
             meta = {}  # a corrupt CSV or sidecar is a miss
         # a sidecar written for other parameters or by other engine code is a
         # miss: rebuild over it
-        request = {"which": which, "alpha": params.alpha, "beta": params.beta,
-                   "dim": params.dim, "engine": _engine()}
-        if {k: meta.get(k) for k in request} == request:
+        if _identity(params, which).items() <= meta.items():
             return KernelProfile(params, which, values)
 
     values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)

@@ -29,7 +29,6 @@ from scipy.interpolate import CubicSpline
 from .radialtransform import (
     RadialFunction,
     RadialGrid,
-    TransformError,
     lp_norm_annulus,
     radial_fourier_forward,
     radial_fourier_inverse,
@@ -76,11 +75,10 @@ def _ghat_from_samples(grid: RadialGrid, samples: bytes, dim: int):
     v0 = vals[0]
 
     def ghat(r):
-        r_arr = np.asarray(r, dtype=float)
-        out = np.zeros(r_arr.shape)
-        inside = (r_arr >= lo) & (r_arr <= hi)
-        out[inside] = spline(np.log(r_arr[inside]))
-        out[r_arr < lo] = v0
+        out = np.zeros(r.shape)
+        inside = (r >= lo) & (r <= hi)
+        out[inside] = spline(np.log(r[inside]))
+        out[r < lo] = v0
         return out
 
     return ghat
@@ -107,10 +105,7 @@ def riesz_potential(
         return RadialFunction(grid, np.zeros(grid.points))
     if ghat is None:
         ghat = _ghat_from_samples(g.grid, g.samples.tobytes(), dim)
-    try:
-        return _deviation(ghat, 0.0, mu, dim, grid, c_mu)
-    except TransformError as exc:
-        raise PotentialError(f"potential transform failed: {exc}") from exc
+    return _deviation(ghat, 0.0, mu, dim, grid, c_mu)
 
 
 def potential_deviation(
@@ -145,12 +140,7 @@ def potential_deviation(
 def _deviation(ghat, mass, mu, dim, grid, c_mu):
     """I_mu[g] - mass E_mu on grid: the inverse transform of the one symbol
     (g-hat(r) - mass) r^{-mu}, divided by c_mu."""
-
-    def symbol(r):
-        r_arr = np.asarray(r, dtype=float)
-        return (ghat(r_arr) - mass) * r_arr**-mu
-
-    out = radial_fourier_inverse(symbol, dim, grid)
+    out = radial_fourier_inverse(lambda r: (ghat(r) - mass) * r**-mu, dim, grid)
     return RadialFunction(grid, out.samples / c_mu)
 
 

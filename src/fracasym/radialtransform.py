@@ -22,8 +22,10 @@ symbol there.  Each output row needs only its own row of x/rho, so the engine
 forms, evaluates, checks and sums _BLOCK_ROWS = 16 rows at a time, a working
 set that stays in a 2 MiB L2: one default-grid G transform takes about 99 ms
 (165 ms on the whole array at once) and peaks at 2.8 MiB of traced
-allocations (102 MiB), bit for bit the same result.  Both directions share
-one finish: integrate, zero what lies below 8x the rounding noise, scale by
+allocations (102 MiB), bit for bit the same result.  A symbol gets float64
+r (at most _BLOCK_ROWS x 1904, rounded once in the engine) and returns that
+shape; no symbol casts its argument.  Both directions share one finish:
+integrate, zero what lies below 8x the rounding noise, scale by
 (2pi)^{-+N/2} r^{-N}.
 
 One radial moment, int_a^b |u|^p rho^{k-1} drho (or the signed int of u) over
@@ -320,14 +322,18 @@ class _HankelEngine:
         _BLOCK_ROWS at a time: the symbol is called on one block of r = x/rho,
         checked for shape and finiteness, summed and dropped before the next.
         For a symbol that is elementwise the results are the same bits as one
-        call on all rows.  A symbol is called once per block, never on more
-        than _BLOCK_ROWS rows.
+        call on all rows.  The symbol contract: each call gets a float64 array
+        r of at most _BLOCK_ROWS x len(x), divided in long double (the precision
+        of x) and rounded once, here, and returns an array of that shape.
         """
         rho = np.asarray(rho, dtype=float)
         integral, noise = np.empty(rho.size), np.empty(rho.size)
         for i in range(0, rho.size, _BLOCK_ROWS):
             rows = slice(i, i + _BLOCK_ROWS)
-            r = self.x[None, :] / rho[rows].astype(np.longdouble)[:, None]
+            # each long-double quotient is rounded into float64 r as it is
+            # written: no long-double block is allocated
+            r = np.empty((rho[rows].size, self.x.size))
+            np.divide(self.x, rho[rows, None].astype(np.longdouble), out=r)
             vals = np.asarray(symbol(r))
             if vals.shape != r.shape:
                 raise TransformError("symbol must evaluate elementwise on arrays")
@@ -397,7 +403,7 @@ def radial_fourier_forward(h: RadialFunction, dim: int):
 
     def transform(r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        vals = eng.transform(lambda m: h(np.asarray(m, dtype=float)), r_arr, 1)
+        vals = eng.transform(h, r_arr, 1)
         return float(vals[0]) if np.isscalar(r) else vals.reshape(np.shape(r))
 
     return transform

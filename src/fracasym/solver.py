@@ -312,12 +312,7 @@ def duhamel_symbol(fs: ForcingSpec, params: FracParams, t: float, spatial_hat=No
         spatial_hat = lambda r: fs.amplitude * fs.ghat(r)
     w_fn = time_weight(params.alpha, fs.gamma, t)
     two_beta = 2.0 * params.beta
-
-    def symbol(r):
-        r = np.asarray(r, dtype=float)
-        return spatial_hat(r) * w_fn(r**two_beta)
-
-    return symbol
+    return lambda r: spatial_hat(r) * w_fn(r**two_beta)
 
 
 def solve_duhamel(

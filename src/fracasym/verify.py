@@ -104,17 +104,21 @@ def _y_profile(cfg: VerifyConfig):
     return kernels.build_y_profile(cfg.params, cache_dir=cfg.cache_dir)
 
 
+def _kappa(params: FracParams) -> float:
+    """kernels.estimate_kappa, refused at alpha = 1 (validation mode), where
+    it has no value."""
+    kappa = kernels.estimate_kappa(params)
+    if kappa is None:
+        raise VerifyError("the E_{4b} term needs kappa, which exists for alpha < 1 only")
+    return kappa
+
+
 def _difference_symbol(cfg: VerifyConfig, t: float, profile_symbol):
     """r -> u-hat(r, t) - profile_symbol(r), the one symbol whose inverse
     transform is u(., t) minus the comparison profile; profile_symbol must
     already include amplitude/mass factors."""
     u_hat = duhamel_symbol(cfg.forcing, cfg.params, t)
-
-    def symbol(r):
-        r = np.asarray(r, dtype=float)  # the engine passes long-double r
-        return u_hat(r) - profile_symbol(r)
-
-    return symbol
+    return lambda r: u_hat(r) - profile_symbol(r)
 
 
 def _checkpoint_series(cfg: VerifyConfig, times, symbol_at, region_at, rate_at):
@@ -142,7 +146,6 @@ def _riesz_profile(params: FracParams, c2: float, c4: float):
     spectral = [(c / riesz_constant(mu, n), mu) for c, mu in terms]
 
     def symbol(r):
-        r = np.asarray(r, dtype=float)
         return sum(c * r**-mu for c, mu in spectral)
 
     def values(rho):
@@ -203,10 +206,10 @@ def _compact_limit_symbol(cfg: VerifyConfig):
     if fs.gamma < 1.0 + a:
         coeffs = c2b, 0.0
     else:
-        kappa = kernels.estimate_kappa(cfg.params)
+        kappa = _kappa(cfg.params)
         coeffs = (c2b, kappa / a) if fs.gamma == 1.0 + a else (0.0, kappa / (fs.gamma - 1.0))
     sym = _riesz_profile(cfg.params, *coeffs)[0]
-    return lambda r: fs.amplitude * fs.ghat(np.asarray(r, dtype=float)) * sym(r)
+    return lambda r: fs.amplitude * fs.ghat(r) * sym(r)
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
@@ -244,8 +247,7 @@ def _intermediate_profile_coeffs(cfg: VerifyConfig, klass: ScaleClass, t: float)
         c2 = t**-fs.gamma * fs.M0 * riesz_constant(2.0 * params.beta, params.dim)
     if klass is not ScaleClass.SLOW:
         limit, l = _limit_mass(fs)
-        kappa = kernels.estimate_kappa(params)
-        c4 = t ** -(1.0 + params.alpha) * math.log(t) ** l * limit * kappa
+        c4 = t ** -(1.0 + params.alpha) * math.log(t) ** l * limit * _kappa(params)
     return c2, c4
 
 

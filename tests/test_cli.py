@@ -155,6 +155,24 @@ def test_verify_precondition_exit_code(tmp_path, cache_dir, capsys):
         assert "code=precondition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scale", ["kind = compact", "kind = intermediate\nexponent = 0.25"],
+    ids=["compact", "intermediate-F"])
+def test_verify_kappa_term_at_alpha_one(tmp_path, cache_dir, capsys, scale):
+    # gamma = 2.5 > 1 + alpha puts a kappa E_{4b} term in the compact limit and
+    # in the class-F profile; kappa has no value at alpha = 1
+    text = FULL.replace("alpha = 0.5", "alpha = 1.0\nvalidation_mode = true").replace(
+        "gamma = 0.5", "gamma = 2.5").replace("p = inf", "p = 1").replace(
+        "kind = outer\nnu = 1.0", scale)
+    theorem = scale.split()[2]
+    path = _write(tmp_path, text.replace("theorem = coherence", f"theorem = {theorem}"))
+    code = main(["verify", "--config", path, "--out", str(tmp_path / "out"),
+                 "--cache", cache_dir])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "code=precondition" in err and "kappa" in err
+
+
 def test_rates_command(tmp_path):
     # FULL: p = inf, (alpha, beta, N) = (0.5, 0.5, 3), so sigma_* = 2, theta = 1/2
     params = FracParams(0.5, 0.5, 3)

@@ -12,7 +12,12 @@ from fracasym.potentials import (
     riesz_potential,
     riesz_tail_check,
 )
-from fracasym.radialtransform import RadialFunction, RadialGrid, lp_norm_annulus
+from fracasym.radialtransform import (
+    RadialFunction,
+    RadialGrid,
+    TransformError,
+    lp_norm_annulus,
+)
 from fracasym.solver import ForcingSpec
 
 
@@ -181,6 +186,15 @@ def test_tail_check_rejects_p_before_transforming(p):
 def test_needs_g_or_ghat(call):
     with pytest.raises(PotentialError):
         call()
+
+
+@pytest.mark.parametrize("fn", [riesz_potential, potential_deviation])
+def test_failed_transform_raises_transform_error(fn):
+    # one failure, one error type: a NaN g-hat fails the engine's finiteness
+    # check, and neither function re-raises that as a PotentialError
+    nan_hat = lambda r: np.full(np.shape(r), np.nan)
+    with pytest.raises(TransformError, match="symbol produced non-finite"):
+        fn(None, 2.0, 3, grid=RadialGrid(1e-2, 50.0, 128), ghat=nan_hat)
 
 
 # the sampled forcing profiles and grids of the benchmark's potentials workload

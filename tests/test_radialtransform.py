@@ -202,9 +202,10 @@ def test_engine_panel_weights(dim):
 
 
 def _whole_array_integrate(eng, symbol, rho):
-    """Reference: the symbol evaluated on all rows of r = x/rho at once, then
-    one long-double product and one noise pass over the whole array."""
-    r = eng.x[None, :] / rho.astype(np.longdouble)[:, None]
+    """Reference: the symbol evaluated on all rows of r = x/rho at once (divided
+    in long double, passed as float64), then one long-double product and one
+    noise pass over the whole array."""
+    r = (eng.x[None, :] / rho.astype(np.longdouble)[:, None]).astype(float)
     vals = np.asarray(symbol(r))
     integral = np.einsum("ij,j->i", vals, eng.k_eff)
     cf = np.abs(vals.astype(float, copy=False) * eng.kernel.astype(float))
@@ -233,6 +234,7 @@ def test_engine_blocks_match_whole_array(dim, name):
         rows = []
 
         def recording(r):
+            assert r.dtype == np.float64  # the engine's symbol contract
             rows.append(r.shape[0])
             return symbol(r)
 
@@ -261,9 +263,9 @@ def test_transform_memory_is_bounded():
 
 def test_engine_rejects_non_finite_in_last_block():
     # NaN only at the last node, rho = rho_max, in the ragged final block of
-    # a 100-point grid
+    # a 100-point grid; r_last is rounded to float64 as the engine rounds r
     grid = RadialGrid(1e-3, 1e3, 100)
-    r_last = _engine(3).x[0] / np.longdouble(grid.nodes[-1])
+    r_last = float(_engine(3).x[0] / np.longdouble(grid.nodes[-1]))
     rows = []
 
     def symbol(r):
