@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import radialtransform, special
+from . import radialtransform, special, spline
 from .params import FracParams
 from .potentials import riesz_constant
 from .radialtransform import (
@@ -56,7 +56,7 @@ def default_cache_dir() -> str:
 def _engine() -> str:
     """sha256 of the source that computes profile values, so that a profile
     cached by other code is a miss."""
-    sources = (special.__file__, radialtransform.__file__, __file__)
+    sources = (special.__file__, spline.__file__, radialtransform.__file__, __file__)
     return hashlib.sha256(b"".join(Path(f).read_bytes() for f in sources)).hexdigest()
 
 

@@ -24,7 +24,6 @@ import math
 import time
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .radialtransform import (
     RadialFunction,
@@ -36,6 +35,7 @@ from .radialtransform import (
 )
 from .reporting import ConvergenceReport, make_report
 from .special import gamma_fn
+from .spline import UniformSpline
 
 
 class PotentialError(ValueError):
@@ -54,8 +54,9 @@ def riesz_constant(mu: float, dim: int) -> float:
 @functools.lru_cache(maxsize=8)
 def _ghat_from_samples(grid: RadialGrid, samples: bytes, dim: int):
     """Numerical Fourier transform of the profile with these float64 samples
-    on grid, splined on a wide log grid: constant below (the transform is
-    smooth at 0), clamped to zero beyond decay.
+    on grid, splined (cubic, `spline.UniformSpline`) on a wide log grid:
+    constant below (the transform is smooth at 0), clamped to zero beyond
+    decay.
 
     Memoized on its arguments, called as (g.grid, g.samples.tobytes(), N).
     The key is the exact content: two profiles share an entry only when every
@@ -70,7 +71,7 @@ def _ghat_from_samples(grid: RadialGrid, samples: bytes, dim: int):
     vals = fwd(r_nodes)
     peak = np.max(np.abs(vals))
     vals[np.abs(vals) < 1e-13 * peak] = 0.0
-    spline = CubicSpline(np.log(r_nodes), vals)
+    spline = UniformSpline(np.log(r_nodes), vals, k=3)
     lo, hi = r_nodes[0], r_nodes[-1]
     v0 = vals[0]
 

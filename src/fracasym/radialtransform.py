@@ -45,10 +45,10 @@ from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, PPoly, make_interp_spline
 
 from .reporting import atomic_write
 from .special import bessel_j_half, gl_panels
+from .spline import UniformSpline
 
 _CONVENTION = "angular-frequency, (2pi)^{-N} inverse"
 
@@ -90,7 +90,8 @@ class RadialFunction:
     coordinates when single-signed (quintic spline; lower orders are too
     inaccurate for the round-trip budget on the default grid), with fitted
     power-law tails beyond the grid.  Mixed-sign data falls back to a cubic
-    spline on plain values.
+    spline on plain values.  Both are `spline.UniformSpline`s over the log of
+    the grid's nodes.
 
     It owns a read-only copy of its samples: writing into the caller's array
     cannot make `samples` disagree with the spline and the tails fitted from
@@ -126,18 +127,14 @@ class RadialFunction:
             if self._single_signed:
                 self._sign = float(np.sign(core[0]))
                 # quintic in log-log: cubic's O(h^4) error is the round-trip
-                # accuracy bottleneck on the default grid; evaluated as the
-                # same interpolant in piecewise-polynomial form (Horner per
-                # point, not de Boor's recursion)
-                k = min(5, len(core) - 1)
-                self._spline = PPoly.from_spline(
-                    make_interp_spline(
-                        self._log_nodes[i0 : i1 + 1], np.log(np.abs(core)), k=k
-                    )
+                # accuracy bottleneck on the default grid (a core of at most
+                # six samples gets the polynomial through them)
+                self._spline = UniformSpline(
+                    self._log_nodes[i0 : i1 + 1], np.log(np.abs(core)), k=5
                 )
             else:
                 self._core = (0, grid.points - 1)
-                self._spline = CubicSpline(self._log_nodes, samples)
+                self._spline = UniformSpline(self._log_nodes, samples, k=3)
 
         self.inner_exponent = self._fit_exponent(inner=True)
         self.outer_exponent = self._fit_exponent(inner=False)

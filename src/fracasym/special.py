@@ -7,8 +7,8 @@ has exactly one path, each with an error contract against 40-digit mpmath:
 * y < 1e-2: the power series in -y, one Horner sum, within 1e-15 relative
   (2.2e-16 measured);
 * 1e-2 <= y < 40: a cached per-(a, b) table, a quintic spline of log E over
-  log y held as piecewise polynomials (`_ml_table`), within 1e-13 relative of
-  E for a <= 0.9 and b <= 1 (at most 4.6e-14 measured);
+  log y (`_ml_table`, a `spline.UniformSpline`), within 1e-13 relative of E
+  for a <= 0.9 and b <= 1 (at most 4.6e-14 measured);
 * y >= 40: the asymptotic expansion in 1/y, one Horner sum, within 1e-14
   relative for a <= 0.9 (2.1e-15 measured).
 
@@ -16,13 +16,17 @@ The table's knots are valued by the series up to y = 0.9 and above it by a
 real-line integral (the collapsed Hankel contour, i.e. the spectral density of
 the completely monotone function), which is within 1e-15 of a 40-digit mpmath
 integral for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
-point.  The spline is evaluated in its piecewise-polynomial form, a binary
-search and a degree-5 Horner sum per point: 33-46 ns per point on the
-arguments of a default-grid G transform, in the engine's order, where the
-B-spline form took 125-139 ns (2-vCPU Xeon; the same interpolant, within
-8.9e-15 relative).  The caches have no bound: a table entry holds about 40 KB
-(721 knots, 6 x 726 coefficients) and takes 6-15 ms to build, an expansions
-entry 3.4 KB, and a run visits only a few (a, b) pairs.
+point.  The knots are log-uniform, so a point's interval is found by
+arithmetic, and one degree-5 Horner sum gives its value: with the log and the
+exp, 13-16 ns per point on the 476,801 table arguments of a default-grid G
+transform, in the engine's order, where scipy's `PPoly` of the same
+interpolant took 19-28 ns (2-vCPU Xeon).  The caches have no bound: a table
+entry holds about 40 KB (721 knots, 6 x 720 coefficients) and takes 6-15 ms
+to build, an expansions entry 3.4 KB, and a run visits only a few (a, b)
+pairs.
+
+Gamma comes from the math module: `gamma_fn` for any real non-pole argument
+and the reciprocal `_rgamma` for the expansions' coefficients.
 
 Only order a in (0, 1] and second parameter b in {1, a} are exercised by the
 rest of the package; any b with a <= b <= 1, the range of the table's error
@@ -39,23 +43,39 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
-from scipy.interpolate import PPoly, make_interp_spline
-from scipy.special import gamma as _scipy_gamma
-from scipy.special import rgamma as _rgamma
+
+from .spline import UniformSpline
 
 
 class SpecialFunctionError(ValueError):
     pass
 
 
+def _gamma(x: float) -> float:
+    try:
+        return math.gamma(x)
+    except OverflowError:  # x above 171.62
+        return math.inf
+
+
 def gamma_fn(x):
-    """Gamma function for real non-pole arguments."""
+    """Gamma function for real non-pole arguments (math.gamma; inf where it
+    overflows)."""
     x_arr = np.asarray(x, dtype=float)
     pole = (x_arr <= 0) & (x_arr == np.floor(x_arr))
     if np.any(pole):
         raise SpecialFunctionError("Gamma pole: argument is a nonpositive integer")
-    out = _scipy_gamma(x_arr)
+    out = np.array([_gamma(v) for v in x_arr.ravel().tolist()]).reshape(x_arr.shape)
     return float(out) if np.isscalar(x) else out
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x): 0 at the poles and where Gamma overflows (x above 171.62,
+    where 1/Gamma is below 5.7e-309), -+inf where it underflows to -+0."""
+    if x <= 0 and x == math.floor(x):
+        return 0.0
+    g = _gamma(x)
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def ml_tail_coefficient(a: float) -> float:
@@ -115,11 +135,11 @@ def _ml_expansions(a: float, b: float):
         g = math.gamma(1.0 + abs(a * k - b)) / math.pi
         if g > _ASYMP_CUT * g_prev:
             break
-        asymptotic.append((-1.0) ** (k + 1) * float(_rgamma(b - a * k)))
+        asymptotic.append((-1.0) ** (k + 1) * _rgamma(b - a * k))
         if g * _ASYMP_CUT ** (-k) < 1e-18:
             break
         g_prev = g
-    return _rgamma(b + a * np.arange(400)), np.array(asymptotic)
+    return np.array([_rgamma(b + a * k) for k in range(400)]), np.array(asymptotic)
 
 
 def _ml_series(a, b, y):
@@ -170,13 +190,12 @@ def _ml_asymptotic(a, b, y):
 def _ml_table(a: float, b: float):
     """Quintic spline of log E_{a,b}(-y) over log y on [_TABLE_LO, _ASYMP_CUT],
     with _TABLE_PER_DECADE knots per decade (721 knots), valued by the series
-    up to _SERIES_CUT and by the contour integral above it, and converted to
-    piecewise-polynomial form for evaluation.
+    up to _SERIES_CUT and by the contour integral above it.
 
     Error contract: within 1e-13 relative of E_{a,b}(-y) on the whole range
     for 0 < a <= 0.9 and a <= b <= 1.  Measured at every knot midpoint
-    against the fixed branches, the worst is 4.6e-14 at (0.9, 0.9), y = 6.6,
-    and at most 8e-15 for a <= 0.8; the 40-digit mpmath integral agrees.
+    against the fixed branches, the worst is 4.6e-14 at (0.9, 0.9), y = 6.8,
+    and at most 1.0e-14 for a <= 0.8; the 40-digit mpmath integral agrees.
     Closer to a = 1 the contour integral itself loses accuracy.  The log
     needs E > 0, which holds for b >= a, where E_{a,b}(-y) is completely
     monotone."""
@@ -184,7 +203,7 @@ def _ml_table(a: float, b: float):
     y = np.geomspace(_TABLE_LO, _ASYMP_CUT, n)
     low = y <= _SERIES_CUT
     e = np.concatenate([_ml_series(a, b, y[low]), _ml_integral(a, b, y[~low])])
-    return PPoly.from_spline(make_interp_spline(np.log(y), np.log(e), k=5))
+    return UniformSpline(np.log(y), np.log(e), k=5)
 
 
 def mittag_leffler(a: float, b: float, x):
@@ -227,7 +246,10 @@ def bessel_j_half(order: float, x):
 
     The recurrence (x > 1.5) runs in the input's precision, so long-double
     abscissas get extended-precision values; the series (no cancellation
-    there) runs in double."""
+    there) runs in double.  Its coefficients 1/Gamma(order + 1 + m) are formed
+    in long double from Gamma(1/2) = sqrt(pi) and Gamma(y + 1) = y Gamma(y),
+    then rounded once: they agree with scipy's `rgamma` to 2 ulp, and the
+    Hankel kernels of N = 3 to 9 with those built on it bit for bit."""
     k = order - 0.5
     if k < 0 or k != math.floor(k):
         raise SpecialFunctionError(
@@ -245,12 +267,16 @@ def bessel_j_half(order: float, x):
     small = xf <= 1.5
     if small.any():
         xs = xf[small].astype(float)
+        coef = 1.0 / np.sqrt(np.arccos(np.longdouble(-1.0)))  # 1/Gamma(1/2)
+        for j in range(k + 1):
+            coef /= j + 0.5
         z = -0.25 * xs * xs
         term = np.ones_like(xs)
-        total = np.full_like(xs, _rgamma(order + 1.0))
+        total = np.full_like(xs, float(coef))
         for m in range(1, 20):
             term = term * z / m
-            total += term * _rgamma(order + 1.0 + m)
+            coef /= order + m
+            total += term * float(coef)
         out[small] = (0.5 * xs) ** order * total
 
     big = ~small

@@ -4,6 +4,8 @@ import math
 import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +292,19 @@ def test_profile_metadata_one_key_set(tmp_path, cache_dir, g_profile_heat, f_pro
         assert {"which", "alpha", "beta", "dim", "kappa", "constant_A",
                 "bound_report"} <= cached.keys()
         assert cli_meta == cached and script_meta == cached
+
+
+def test_imports_load_no_scipy():
+    # the package runs on numpy alone: importing it and its command line
+    # loads no scipy module (scipy is a test oracle only)
+    code = (
+        "import sys, fracasym, fracasym.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_requires_forcing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import sys
 
 import mpmath
 import numpy as np
@@ -287,6 +288,25 @@ def test_cache_stale_engine_or_corrupt_file_is_a_miss(params_ref, tmp_path, monk
         pathlib.Path(path).write_text(text)
         with pytest.raises(Rebuilt):
             kernels.build_y_profile(params_ref, cache_dir=cdir)
+
+
+def test_engine_hash_covers_the_interpolant(monkeypatch):
+    # a profile's samples come through the spline module's interpolant (the
+    # Mittag-Leffler table, the RadialFunction core), so an edit there must
+    # change the engine hash and miss the cache like one in special or
+    # radialtransform
+    from fracasym.special import _ml_table
+
+    interpolants = {
+        type(_ml_table(0.5, 0.5)).__module__,
+        type(RadialFunction(RadialGrid(), RadialGrid().nodes ** -2.0)._spline).__module__,
+    }
+    read = []
+    monkeypatch.setattr(pathlib.Path, "read_bytes", lambda self: read.append(self) or b"")
+    kernels._engine.__wrapped__()
+    hashed = {p.resolve() for p in read}
+    for name in interpolants | {"fracasym.special", "fracasym.radialtransform"}:
+        assert pathlib.Path(sys.modules[name].__file__).resolve() in hashed
 
 
 def test_evaluate_Y_array_t_matches_scalar_calls(g_profile_ref):

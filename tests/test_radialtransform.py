@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import CubicSpline, make_interp_spline
 from scipy.stats import binom
 
 from fracasym import kernels
@@ -24,7 +24,9 @@ from fracasym.radialtransform import (
     radial_fourier_inverse,
     radial_integral,
 )
-from fracasym.solver import ForcingSpec, duhamel_symbol
+from fracasym.potentials import _ghat_from_samples
+from fracasym.solver import ForcingSpec, _build_w_table, _w_knots, duhamel_symbol
+from fracasym.spline import SplineError, UniformSpline
 
 
 def test_omega_n():
@@ -418,6 +420,52 @@ def test_single_signed_core_is_the_interpolant(n_core):
     spline = make_interp_spline(np.log(nodes), np.log(samples[core]), k=min(5, n_core - 1))
     ref = np.exp(spline(np.log(rho)))
     assert np.max(np.abs(u(rho) / ref - 1.0)) < 1e-14
+
+
+def _cubic_user(name):
+    """(sites, values, the user's own evaluator over the sites' variable) of
+    each cubic spline in the package."""
+    if name == "w-table":
+        lam, w = _w_knots(0.5, 2.0, 1e4)
+        spline = _build_w_table(0.5, 2.0, 1e4)[4]
+        return np.log(lam), np.log(w), spline
+    if name == "ghat-900":
+        grid = RadialGrid(1e-2, 10.0, 512)
+        g = RadialFunction(grid, np.exp(-grid.nodes**2))
+        r = np.geomspace(1e-5, 1e5, 900)
+        vals = radial_fourier_forward(g, 3)(r)
+        vals[np.abs(vals) < 1e-13 * np.max(np.abs(vals))] = 0.0
+        ghat = _ghat_from_samples(grid, g.samples.tobytes(), 3)
+        return np.log(r), vals, lambda u: ghat(np.exp(u))
+    grid = RadialGrid()  # mixed sign: a cubic on plain values
+    rho = grid.nodes
+    u = RadialFunction(grid, (1.0 - rho**2) * np.exp(-(rho**2)))
+    return np.log(rho), u.samples, lambda v: u(np.exp(v))
+
+
+@pytest.mark.parametrize("name", ["w-table", "ghat-900", "mixed-sign"])
+def test_cubic_users_are_the_cubic_spline(name):
+    # the W table (1201 knots), the sampled g-hat (900) and a mixed-sign
+    # RadialFunction (768) interpolate as scipy's not-a-knot CubicSpline, at
+    # the sites and midway between them
+    x, y, evaluate = _cubic_user(name)
+    u = np.concatenate([x[1:-1], 0.5 * (x[1:] + x[:-1])])
+    ref = CubicSpline(x, y)(u)
+    assert np.max(np.abs(evaluate(u) - ref)) <= 1e-14 * np.max(np.abs(y))
+
+
+def test_spline_refuses_non_uniform_sites():
+    # the interval of a point is found by arithmetic on uniform sites, so
+    # other sites must be refused, not misread
+    y = np.ones(50)
+    UniformSpline(np.log(np.geomspace(1.0, 10.0, 50)), y)
+    for x in (np.geomspace(1.0, 10.0, 50), np.linspace(1.0, 10.0, 50)[::-1]):
+        with pytest.raises(SplineError):
+            UniformSpline(x, y)
+    x = np.linspace(0.0, 1.0, 50)
+    x[20] += 1e-9
+    with pytest.raises(SplineError):
+        UniformSpline(x, y, k=5)
 
 
 def test_radial_function_owns_read_only_samples():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from fracasym.params import FracParams
 from fracasym.radialtransform import RadialGrid, lp_norm_annulus, radial_integral
@@ -64,6 +65,23 @@ def test_ghat_matches_numeric_transform():
         # sampled-interpolant route; smooth families agree to ~1e-12
         tol = 5e-3 if family == "bump" else 1e-6
         assert np.max(np.abs(fwd(r) - ref)) < tol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_bump_ghat_matches_jv(dim):
+    # the bump's J_{N/2+2} from bessel_j_half on long-double x against
+    # scipy's jv, relative to the local size of J_nu(x)/x^nu: the smaller of
+    # its value at 0 and the amplitude sqrt(2/(pi x))/x^nu of its
+    # oscillation, since near a zero jv itself errs by up to 2.2e-13 relative
+    # (N = 7, x = 19.6; 40-digit mpmath).  A float64 recurrence errs by
+    # 3.4e-13 at N = 5 and 1.4e-11 at N = 7, by this measure.
+    nu = dim / 2.0 + 2.0
+    x = np.geomspace(1e-4, 1e3, 4000)
+    scale = 8.0 * (2.0 * math.pi) ** (dim / 2.0)
+    ref = jv(nu, x) / x**nu
+    size = np.minimum(2.0**-nu / math.gamma(nu + 1.0), np.sqrt(2.0 / (math.pi * x)) / x**nu)
+    got = ForcingSpec("bump", gamma=2.0, dim=dim).ghat(x) / scale
+    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), size)) <= 1e-13
 
 
 def test_bump_ghat_small_argument_branch():

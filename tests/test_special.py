@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfcx
+from scipy.special import erfcx, rgamma
+from scipy.special import gamma as scipy_gamma
 
 from fracasym.radialtransform import _leggauss_extended
 from fracasym.special import (
@@ -17,6 +18,7 @@ from fracasym.special import (
     _SERIES_CUT,
     _TABLE_LO,
     SpecialFunctionError,
+    _rgamma,
     _ml_integral,
     _ml_table,
     bessel_j_half,
@@ -34,6 +36,38 @@ def test_gamma_basic():
         gamma_fn(-2.0)
     with pytest.raises(SpecialFunctionError):
         gamma_fn(0.0)
+
+
+def test_gamma_matches_scipy():
+    # math.gamma behind gamma_fn, scalar and array, against scipy's gamma on
+    # positive arguments up to overflow and on negative non-integers
+    x = np.concatenate([
+        np.geomspace(1e-6, 171.6, 400),
+        -np.geomspace(1e-6, 150.0, 300) * (1.0 + 1e-3),
+        -np.arange(1, 60) + 0.5,
+    ])
+    x = x[x != np.floor(x)]
+    got = gamma_fn(x)
+    assert np.all(np.abs(got / scipy_gamma(x) - 1.0) <= 1e-14)
+    assert gamma_fn(float(x[7])) == got[7]
+    assert gamma_fn(180.0) == math.inf == scipy_gamma(180.0)
+    for pole in (-3.0, np.array([1.5, -1.0])):
+        with pytest.raises(SpecialFunctionError):
+            gamma_fn(pole)
+
+
+def test_reciprocal_gamma_matches_rgamma():
+    # 0 exactly at the poles and where Gamma overflows, as scipy's rgamma;
+    # on both sides of 171.62 (1/Gamma is 5.7e-309 just below it)
+    for pole in range(0, -40, -1):
+        assert _rgamma(float(pole)) == 0.0 == rgamma(pole)
+    x = np.concatenate([np.geomspace(1e-3, 171.62, 300), np.linspace(-40.5, -0.01, 301)])
+    got = np.array([_rgamma(v) for v in x])
+    ref = rgamma(x)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+    assert _rgamma(171.62) > 0.0
+    for v in (171.63, 172.0, 400.0):
+        assert _rgamma(v) == 0.0 == rgamma(v)
 
 
 def test_ml_half_order_vs_erfcx():
