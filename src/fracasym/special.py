@@ -70,12 +70,11 @@ def gamma_fn(x):
 
 
 def _rgamma(x: float) -> float:
-    """1/Gamma(x): 0 at the poles and where Gamma overflows (x above 171.62,
-    where 1/Gamma is below 5.7e-309), -+inf where it underflows to -+0."""
+    """1/Gamma(x), 0 at the poles and where Gamma overflows (x above 171.62,
+    where 1/Gamma is below 5.7e-309), as scipy's `rgamma`."""
     if x <= 0 and x == math.floor(x):
         return 0.0
-    g = _gamma(x)
-    return 1.0 / g if g else math.copysign(math.inf, g)
+    return 1.0 / _gamma(x)
 
 
 def ml_tail_coefficient(a: float) -> float:

@@ -122,9 +122,8 @@ def test_ml_table_error_contract(a, b):
     # spline errs most) and on both sides of the series -> table -> asymptotic
     # handoffs at y = _TABLE_LO and _ASYMP_CUT and of the knot-source switch
     table = _ml_table(a, b)
-    # the piecewise-polynomial table's breakpoints, its end ones repeated: the
-    # data sites (knots) but the two next to each end, so every midpoint
-    # lies between two knots
+    # the table's breakpoints, which are its knots (the log of 721 geometric
+    # points), so every midpoint lies between two knots
     log_breaks = np.unique(table.x)
     assert np.exp(log_breaks[[0, -1]]) == pytest.approx([_TABLE_LO, _ASYMP_CUT], rel=1e-14)
     mids = np.exp(0.5 * (log_breaks[1:] + log_breaks[:-1]))[::24]
