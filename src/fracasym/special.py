@@ -18,9 +18,9 @@ the completely monotone function), which is within 1e-15 of a 40-digit mpmath
 integral for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
 point.  The knots are log-uniform, so a point's interval is found by
 arithmetic, and one degree-5 Horner sum gives its value: with the log and the
-exp, 13-16 ns per point on the 476,801 table arguments of a default-grid G
-transform, in the engine's order, where scipy's `PPoly` of the same
-interpolant took 19-28 ns (2-vCPU Xeon).  The caches have no bound: a table
+exp, 13.6-15.6 ns per point on the 476,801 table arguments of a default-grid
+G transform, in the engine's order, where scipy's `PPoly` of the same
+interpolant took 16.2-17.5 ns (2-vCPU Xeon).  The caches have no bound: a table
 entry holds about 40 KB (721 knots, 6 x 720 coefficients) and takes 6-15 ms
 to build, an expansions entry 3.4 KB, and a run visits only a few (a, b)
 pairs.

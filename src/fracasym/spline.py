@@ -20,12 +20,12 @@ B-splines' polynomial pieces, which are also the same on every interval away
 from the ends.
 
 Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds: a 768-site
-quintic builds in 0.31 ms (0.82 ms with its factors not yet cached) and a
-1201-site cubic in 0.28 ms (0.67 ms), where scipy's `make_interp_spline` with
-`PPoly.from_spline` took 0.60 ms and its `CubicSpline` 0.16 ms.  Evaluated with
+quintic builds in 0.23 ms (0.58 ms with its factors not yet cached) and a
+1201-site cubic in 0.21 ms (0.49 ms), where scipy's `make_interp_spline` with
+`PPoly.from_spline` took 0.44 ms and its `CubicSpline` 0.13 ms.  Evaluated with
 the log and the exp on the 476,801 Mittag-Leffler table arguments of a
-default-grid G transform, it takes 13-16 ns per point, scipy's `PPoly` 19-28
-ns.
+default-grid G transform, it takes 13.6-15.6 ns per point, scipy's `PPoly`
+16.2-17.5 ns.
 """
 
 from __future__ import annotations
