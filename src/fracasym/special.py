@@ -18,9 +18,9 @@ the completely monotone function), which is within 1e-15 of a 40-digit mpmath
 integral for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
 point.  The knots are log-uniform, so a point's interval is found by
 arithmetic, and one degree-5 Horner sum gives its value: with the log and the
-exp, 13.6-15.6 ns per point on the 476,801 table arguments of a default-grid
+exp, 10.2-11.4 ns per point on the 476,801 table arguments of a default-grid
 G transform, in the engine's order, where scipy's `PPoly` of the same
-interpolant took 16.2-17.5 ns (2-vCPU Xeon).  The caches have no bound: a table
+interpolant took 16.2-16.7 ns (2-vCPU Xeon).  The caches have no bound: a table
 entry holds about 40 KB (721 knots, 6 x 720 coefficients) and takes 6-15 ms
 to build, an expansions entry 3.4 KB, and a run visits only a few (a, b)
 pairs.
@@ -52,6 +52,7 @@ class SpecialFunctionError(ValueError):
 
 
 def _gamma(x: float) -> float:
+    """math.gamma, inf where it overflows."""
     try:
         return math.gamma(x)
     except OverflowError:  # x above 171.62
@@ -247,8 +248,8 @@ def bessel_j_half(order: float, x):
     abscissas get extended-precision values; the series (no cancellation
     there) runs in double.  Its coefficients 1/Gamma(order + 1 + m) are formed
     in long double from Gamma(1/2) = sqrt(pi) and Gamma(y + 1) = y Gamma(y),
-    then rounded once: they agree with scipy's `rgamma` to 2 ulp, and the
-    Hankel kernels of N = 3 to 9 with those built on it bit for bit."""
+    then rounded once.  They agree with scipy's `rgamma` to 2 ulp, and give
+    the Hankel kernels of N = 3 to 9 the bits they had with it."""
     k = order - 0.5
     if k < 0 or k != math.floor(k):
         raise SpecialFunctionError(

@@ -20,12 +20,12 @@ B-splines' polynomial pieces, which are also the same on every interval away
 from the ends.
 
 Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds: a 768-site
-quintic builds in 0.23 ms (0.58 ms with its factors not yet cached) and a
-1201-site cubic in 0.21 ms (0.49 ms), where scipy's `make_interp_spline` with
-`PPoly.from_spline` took 0.44 ms and its `CubicSpline` 0.13 ms.  Evaluated with
+quintic builds in 0.23 ms (0.60 ms with its factors not yet cached) and a
+1201-site cubic in 0.21 ms (0.50 ms), where scipy's `make_interp_spline` with
+`PPoly.from_spline` took 0.44 ms and its `CubicSpline` 0.14 ms.  Evaluated with
 the log and the exp on the 476,801 Mittag-Leffler table arguments of a
-default-grid G transform, it takes 13.6-15.6 ns per point, scipy's `PPoly`
-16.2-17.5 ns.
+default-grid G transform, it takes 10.2-11.4 ns per point, scipy's `PPoly`
+16.2-16.7 ns.
 """
 
 from __future__ import annotations
@@ -182,6 +182,7 @@ class UniformSpline:
         x.flags.writeable = False
         self.x = x
         self._x0, self._inv_h = x[0], 1.0 / h
+        self._left = x[:-1] if n > 1 else x  # the left end of each interval
         if n == 1:
             self._coef = y.reshape(1, 1).copy()
             return
@@ -196,23 +197,23 @@ class UniformSpline:
         u = np.asarray(u, dtype=float)
         flat = u.ravel()
         out = np.empty(flat.shape)
-        coef, inv_h, last = self._coef, self._inv_h, self._coef.shape[1] - 1
+        coef, inv_h = self._coef, self._inv_h
         # _CHUNK points at a time, in place where it can: the temporaries then
         # stay under glibc's 128 KB mmap threshold.  On a transform's 30,000-
-        # point blocks, whole-array ones cost 100,000 more page faults per
-        # potentials pass, 20% of its time (2-vCPU Xeon).
+        # point blocks, whole-array ones cost about 100,000 more page faults
+        # per potentials pass and made it 20% slower (2-vCPU Xeon).
         for a in range(0, flat.size, _CHUNK):
             v = flat[a : a + _CHUNK]
             s = v - self._x0
             s *= inv_h
+            # mode="clip" takes the end intervals' polynomials beyond the ends
             i = s.astype(np.intp)
-            np.clip(i, 0, last, out=i)
-            term = np.take(self.x, i)
+            term = np.take(self._left, i, mode="clip")
             np.subtract(v, term, out=s)  # from the site itself: no drift along x
             s *= inv_h
             acc = out[a : a + _CHUNK]
-            np.take(coef[-1], i, out=acc)
+            np.take(coef[-1], i, out=acc, mode="clip")
             for col in coef[-2::-1]:
                 acc *= s
-                acc += np.take(col, i, out=term)
+                acc += np.take(col, i, out=term, mode="clip")
         return out.reshape(u.shape)
