@@ -75,6 +75,9 @@ class ForcingSpec:
             raise SolverError("width must be positive")
         if self.dim < 1:
             raise SolverError("dim must be a positive integer")
+        if self.family == "bump" and self.dim % 2 == 0:
+            # its g-hat needs J_{N/2+2}, which bessel_j_half gives at odd N only
+            raise SolverError(f"the bump family needs an odd dim, got {self.dim}")
 
     def g(self, rho):
         """Spatial factor g(rho) (without amplitude)."""

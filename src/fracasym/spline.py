@@ -11,18 +11,17 @@ With n <= k + 1 sites the spline is the one polynomial through them all.
 Otherwise its knots are the sites without the (k - 1)/2 next to each end, and
 its B-spline coefficients solve the collocation system, which is banded and
 totally positive, so Gaussian elimination without pivoting is stable (de Boor
-and Pinkus, 1977; de Boor, *A Practical Guide to Splines*).  The system depends only on (n, k),
-so its factors are cached per (n, k).  Its interior rows are one row shifted,
-so the factor rows there reach a fixed point and are shared from then on:
-whatever n, 39 rows are eliminated for a quintic and 24 for a cubic.  A build
-is then one forward and one back substitution and a product with the
-B-splines' polynomial pieces, which are also the same on every interval away
-from the ends.
+and Pinkus, 1977; de Boor, *A Practical Guide to Splines*).  The factors of
+the system and the B-splines' polynomial pieces on each interval depend only
+on (n, k), so they are cached per (n, k), and a build is one forward and one
+back substitution and one product of the coefficients with the pieces.  Most
+builds find their (n, k) cached: 40 of 44 in a pass of the benchmark's
+battery, 12 of 16 in profile-sweep and 53 of 60 in potentials.
 
 Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds: a 768-site
-quintic builds in 0.23 ms (0.60 ms with its factors not yet cached) and a
-1201-site cubic in 0.21 ms (0.50 ms), where scipy's `make_interp_spline` with
-`PPoly.from_spline` took 0.44 ms and its `CubicSpline` 0.14 ms.  Evaluated with
+quintic builds in QW ms (QC ms with its (n, k) not yet cached) and a 1201-site
+cubic in CW ms (CC ms), where scipy's `make_interp_spline` with
+`PPoly.from_spline` took QS ms and its `CubicSpline` CS ms.  Evaluated with
 the log and the exp on the 476,801 Mittag-Leffler table arguments of a
 default-grid G transform, it takes 10.2-11.4 ns per point, scipy's `PPoly`
 16.2-16.7 ns.
@@ -74,85 +73,62 @@ def _bspline_pieces(windows, d):
 def _factor(band):
     """Gaussian elimination without pivoting of the banded matrix `band` (row
     i holds columns i - w .. i + w), row by row: the rows of its factors, L's
-    multipliers left of the diagonal and U right of it and on it.  Once the
-    last w + 1 factor rows are equal, every following row whose matrix row
-    equals its predecessor's comes out equal too, so it is the same tuple."""
-    n, w = band.shape[0], band.shape[1] // 2
-    same = [False, *np.all(band[1:] == band[:-1], axis=1).tolist(), False]
-    lu, i = [], 0
-    while i < n:
-        row = band[i].tolist()
+    multipliers left of the diagonal and U right of it and on it."""
+    w = band.shape[1] // 2
+    lu = []
+    for i, row in enumerate(band.tolist()):
         for c in range(max(0, w - i), w):
-            upper = lu[i - w + c]
-            f = row[c] = row[c] / upper[w]
-            if f:
+            if row[c]:  # outside the matrix's own profile: nothing to do
+                upper = lu[i - w + c]
+                f = row[c] = row[c] / upper[w]
                 for s in range(1, w + 1):
                     row[c + s] -= f * upper[w + s]
         lu.append(tuple(row))
-        if i >= w and same[i + 1] and all(lu[i - r] == lu[i] for r in range(1, w + 1)):
-            stop = same.index(False, i + 1)
-            lu += [lu[i]] * (stop - i - 1)
-            i = stop
-        else:
-            i += 1
     return lu
 
 
 @functools.lru_cache(maxsize=16)
 def _system(n: int, k: int):
     """Everything of a build that depends only on (n, k): the factor rows of
-    the collocation matrix, the B-splines nonzero on each interval and their
-    polynomial pieces, given once for the bulk of the intervals and apart for
-    the `ends` that differ."""
+    the collocation matrix, and for each interval the B-splines nonzero on it
+    and their polynomial pieces."""
     d = min(k, n - 1)
     inner = np.arange((k + 1) // 2, n - (k + 1) // 2) if n > k + 1 else np.arange(0)
     t = np.concatenate([np.zeros(d + 1), inner, np.full(d + 1, n - 1.0)])
     left = np.arange(n - 1)
     m = np.searchsorted(t, left, side="right") - 1  # the knot span of each interval
-    # an interval 2d + 2 or more from both ends sees uniform knots, the same
-    # relative to it as any other such interval, so they share one kind
-    far = (left >= 2 * d + 2) & (left < n - 3 - 2 * d)
-    reps, kind = np.unique(np.where(far, (n - 2) // 2, left), return_inverse=True)
-    pieces = _bspline_pieces(t[m[reps, None] + np.arange(-d, d + 2)] - reps[:, None], d)
+    pieces = _bspline_pieces(t[m[:, None] + np.arange(-d, d + 2)] - left[:, None], d)
     windows = (m - d)[:, None] + np.arange(d + 1)
 
     # row i: the B-splines at site i, the left end of interval i; at the last
     # site, where the knots end (d + 1)-fold, only the last B-spline is not
     # zero, and it is 1
-    vals = np.concatenate([pieces[kind, :, 0], np.eye(1, d + 1, d)])
-    # the matrix spans at most k - 1 columns either side of the diagonal
-    w = k - 1
+    vals = np.concatenate([pieces[:, :, 0], np.eye(1, d + 1, d)])
+    # the matrix spans at most k - 1 columns either side of the diagonal, so
+    # a band of half-width 4 holds either degree and one substitution serves
+    w = 4
     cols = np.concatenate([windows, windows[-1:]]) - np.arange(n)[:, None] + w
     band = np.zeros((n, 2 * w + 1))
     nz = vals != 0.0
     band[np.nonzero(nz)[0], cols[nz]] = vals[nz]
 
-    bulk = kind[(n - 2) // 2]
-    ends = np.flatnonzero(kind != bulk)
-    shared = windows, pieces[bulk], ends, pieces[kind[ends]]
-    for a in shared:  # every build of this (n, k) reads them
+    for a in (windows, pieces):  # every build of this (n, k) reads them
         a.flags.writeable = False
-    return _factor(band), *shared
+    return _factor(band), windows, pieces
 
 
 def _substitute(lu, y):
-    """Solve L U c = y with the factors of _factor (band half-width 2 or 4)."""
+    """Solve L U c = y with the factor rows of _factor, unrolled over the band
+    half-width 4: a loop over the half-width made a warm build 2-4 times as
+    long."""
     z, c = [], []
     z1 = z2 = z3 = z4 = c1 = c2 = c3 = c4 = 0.0
-    if len(lu[0]) == 5:
-        for b, (l2, l1, _, _, _) in zip(y, lu):
-            z1, z2 = b - l1 * z1 - l2 * z2, z1
-            z.append(z1)
-        for b, (_, _, u0, u1, u2) in zip(reversed(z), reversed(lu)):
-            c1, c2 = (b - u1 * c1 - u2 * c2) / u0, c1
-            c.append(c1)
-    else:
-        for b, (l4, l3, l2, l1, _, _, _, _, _) in zip(y, lu):
-            z1, z2, z3, z4 = b - l1 * z1 - l2 * z2 - l3 * z3 - l4 * z4, z1, z2, z3
-            z.append(z1)
-        for b, (_, _, _, _, u0, u1, u2, u3, u4) in zip(reversed(z), reversed(lu)):
-            c1, c2, c3, c4 = (b - u1 * c1 - u2 * c2 - u3 * c3 - u4 * c4) / u0, c1, c2, c3
-            c.append(c1)
+    for b, (l4, l3, l2, l1, _, _, _, _, _) in zip(y, lu):
+        z1, z2, z3, z4 = b - l1 * z1 - l2 * z2 - l3 * z3 - l4 * z4, z1, z2, z3
+        z.append(z1)
+    for b, (_, _, _, _, u0, u1, u2, u3, u4) in zip(reversed(z), reversed(lu)):
+        c1, c2, c3, c4 = (b - u1 * c1 - u2 * c2 - u3 * c3 - u4 * c4) / u0, c1, c2, c3
+        c.append(c1)
     c.reverse()
     return np.array(c)
 
@@ -186,12 +162,10 @@ class UniformSpline:
         if n == 1:
             self._coef = y.reshape(1, 1).copy()
             return
-        lu, windows, bulk, ends, end_pieces = _system(n, k)
+        lu, windows, pieces = _system(n, k)
         c = _substitute(lu, y.tolist())
-        coef = c[windows] @ bulk
-        coef[ends] = np.matmul(c[windows[ends]][:, None], end_pieces)[:, 0]
-        # one contiguous column per power, for the gathers in __call__
-        self._coef = np.ascontiguousarray(coef.T)
+        # one contiguous row per power, for the gathers in __call__
+        self._coef = np.einsum("ij,ijp->pi", c[windows], pieces, order="C")
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)

@@ -96,6 +96,8 @@ def test_forcing_validation():
         ForcingSpec("lorentzian", gamma=0.0)
     with pytest.raises(SolverError):
         ForcingSpec("gaussian", gamma=0.0, width=-1.0)
+    with pytest.raises(SolverError, match="odd dim"):
+        ForcingSpec("bump", gamma=0.0, dim=4)
 
 
 def test_time_integrated_forcing():
