@@ -18,13 +18,13 @@ back substitution and one product of the coefficients with the pieces.  Most
 builds find their (n, k) cached: 40 of 44 in a pass of the benchmark's
 battery, 12 of 16 in profile-sweep and 53 of 60 in potentials.
 
-Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds: a 768-site
-quintic builds in QW ms (QC ms with its (n, k) not yet cached) and a 1201-site
-cubic in CW ms (CC ms), where scipy's `make_interp_spline` with
-`PPoly.from_spline` took QS ms and its `CubicSpline` CS ms.  Evaluated with
-the log and the exp on the 476,801 Mittag-Leffler table arguments of a
-default-grid G transform, it takes 10.2-11.4 ns per point, scipy's `PPoly`
-16.2-16.7 ns.
+Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds in each of
+three processes: a 768-site quintic builds in 0.38-0.69 ms (4.7-7.4 ms with
+its (n, k) not yet cached) and a 1201-site cubic in 0.84-1.00 ms (4.4-6.0
+ms), where scipy's `make_interp_spline` with `PPoly.from_spline` took
+0.74-1.01 ms and its `CubicSpline` 0.34-0.37 ms.  Evaluated with the log and
+the exp on the 476,801 Mittag-Leffler table arguments of a default-grid G
+transform, it takes 10.2-11.4 ns per point, scipy's `PPoly` 16.2-16.7 ns.
 """
 
 from __future__ import annotations
