@@ -10,7 +10,10 @@ where the correction converges fast enough to observe), gamma < 1
 bound/decay estimates.
 
 Usage:
-    python scripts/run_all_checks.py --out reports/ [--cache DIR]
+    python scripts/run_all_checks.py --out reports/
+
+Profiles are built in the process; configs(cache_dir) is for callers that
+keep them on disk.
 """
 
 import argparse
@@ -23,7 +26,7 @@ from fracasym.solver import ForcingSpec
 from fracasym.verify import VerifyConfig, run_check
 
 
-def configs(cache_dir):
+def configs(cache_dir=None):
     ref = FracParams(0.5, 0.5, 3)
     mk = lambda gamma: ForcingSpec("gaussian", gamma=gamma, dim=3)
     short = (1e2, 1e3, 1e4)
@@ -69,12 +72,11 @@ def configs(cache_dir):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="reports", help="report output directory")
-    ap.add_argument("--cache", default=None, help="profile cache directory")
     args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
     failures = 0
-    for label, cfg in configs(args.cache):
+    for label, cfg in configs():
         report = run_check(cfg)
         path = os.path.join(args.out, f"report_{label}.json")
         report.save(path)

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    fracasym <command> --config <path> [--out <dir>] [--cache <dir>]
+    fracasym <command> --config <path> [--out <dir>]
 
 Commands: kernel, potential, solve, rates, verify.  Configuration is strict
 INI with sections [problem], [forcing], [grid], [verify]; unknown sections or
@@ -8,7 +8,9 @@ keys are fatal (a silent typo in gamma or beta would invalidate conclusions).
 An absent key takes the default of the library object it configures
 (FracParams, ForcingSpec, RadialGrid, ScaleSpec, VerifyConfig); only the scale
 kind, inferred from the theorem, and the Riesz order mu = 2 beta are set here.
-Without --cache, profiles are cached in kernels.default_cache_dir().
+`kernel` writes profile_G.csv and profile_F.csv with their sidecars and prints
+kappa, A, c_2beta, |A/c_2beta - 1| and G's bound report, one (alpha, beta, N)
+per config.  Profiles are built in the process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure, 2 configuration error: a value
 any of those objects rejects, or a forcing gamma outside the theorem's regime
 (verify.check_gamma), exits 2 at parse time.  All diagnostics go to stderr
@@ -36,7 +38,7 @@ from .params import (
 from .radialtransform import RadialGrid, TransformError
 from .reporting import atomic_write
 from .solver import ForcingSpec, SolverError, solve_duhamel
-from .potentials import PotentialError, riesz_potential
+from .potentials import PotentialError, riesz_constant, riesz_potential
 from .verify import VerifyConfig, VerifyError, check_gamma, run_check
 
 
@@ -56,7 +58,6 @@ class RunConfig:
     times: tuple = VerifyConfig.times
     tolerance: float = VerifyConfig.tolerance
     out_dir: str = "."
-    cache_dir: str | None = None
 
 
 def _parse_times(raw: str) -> tuple:
@@ -161,10 +162,18 @@ def _require_forcing(cfg: RunConfig):
 
 def _cmd_kernel(cfg: RunConfig) -> int:
     for which, builder in (("G", kernels.build_y_profile), ("F", kernels.build_z_profile)):
-        profile = builder(cfg.params, grid=cfg.grid, cache_dir=cfg.cache_dir)
+        profile = builder(cfg.params, grid=cfg.grid)
         path = os.path.join(cfg.out_dir, f"profile_{which}.csv")
         profile.save(path)
         print(f"wrote {path}")
+        if which == "G":
+            c2b = riesz_constant(2.0 * cfg.params.beta, cfg.params.dim)
+            print(f"  kappa       = {profile.kappa}")
+            print(f"  constant A  = {profile.constant_A}")
+            print(f"  c_2beta     = {c2b}")
+            print(f"  |A/c - 1|   = {abs(profile.constant_A / c2b - 1.0):.3e}")
+            if profile.bound_report:
+                print(f"  bounds      = {profile.bound_report}")
     return 0
 
 
@@ -227,7 +236,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
         times=cfg.times,
         tolerance=cfg.tolerance,
         grid=cfg.grid,
-        cache_dir=cfg.cache_dir,
     )
     report = run_check(vcfg)
     path = os.path.join(cfg.out_dir, f"report_{cfg.theorem}.json")
@@ -261,7 +269,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--cache", default=None, help="kernel cache directory")
     args = parser.parse_args(argv)
 
     try:
@@ -277,7 +284,7 @@ def main(argv=None) -> int:
         print(f"code=config {exc}", file=sys.stderr)
         return 2
 
-    cfg.out_dir, cfg.cache_dir = args.out, args.cache
+    cfg.out_dir = args.out
 
     try:
         return run_command(args.command, cfg)

@@ -12,10 +12,11 @@ G has one route: the inverse transform of its symbol.  At (alpha, beta, N) =
 the moments int_0^inf e^{-u^2 - rho u} u^k du, and the tests hold every node
 of the default grid to it.
 
-Profiles are built once per (alpha, beta, N, grid) and cached on disk; the
-cache is also keyed on the engine source, and a corrupt file is a miss.  A
-profile is its samples and identity: the constants derived from them (kappa,
-A, the bound report) are worked out on first use, never read back from disk.
+A profile is built once per (alpha, beta, N, grid) in the process and touches
+no file unless the caller names a cache_dir, whose hits match the identity,
+the engine source and the grid.  A profile is its samples and identity: the
+constants derived from them (kappa, A, the bound report) are worked out on
+first use, never read back from disk.
 """
 
 from __future__ import annotations
@@ -44,12 +45,6 @@ from .special import mittag_leffler, ml_tail_coefficient
 
 class KernelError(RuntimeError):
     pass
-
-
-def default_cache_dir() -> str:
-    return os.environ.get(
-        "FRACASYM_CACHE", os.path.join(os.path.expanduser("~"), ".cache", "fracasym")
-    )
 
 
 @functools.cache
@@ -96,7 +91,8 @@ class KernelProfile:
 
 
 def _identity(params: FracParams, which: str) -> dict:
-    """The sidecar keys that name a profile; a cache hit matches all of them."""
+    """The sidecar keys that name a profile; a disk hit matches all of them
+    and the grid."""
     return {"which": which, "alpha": params.alpha, "beta": params.beta,
             "dim": params.dim, "engine": _engine()}
 
@@ -125,19 +121,31 @@ def _cache_path(params: FracParams, which: str, grid: RadialGrid, cache_dir: str
 
 def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
     grid = grid or RadialGrid()
-    cache_dir = default_cache_dir() if cache_dir is None else cache_dir
+    if not cache_dir:
+        return _profile(params, which, grid)
 
-    path = _cache_path(params, which, grid, cache_dir) if cache_dir else None
-    if path and os.path.exists(path):
-        try:
-            values, meta = RadialFunction.load(path)
-        except (OSError, ValueError, KeyError, IndexError, TypeError, TransformError):
-            meta = {}  # a corrupt CSV or sidecar is a miss
-        # a sidecar written for other parameters or by other engine code is a
-        # miss: rebuild over it
-        if _identity(params, which).items() <= meta.items():
-            return KernelProfile(params, which, values)
+    path = _cache_path(params, which, grid, cache_dir)
+    try:
+        values, meta = RadialFunction.load(path)
+    except (OSError, ValueError, KeyError, IndexError, TypeError, TransformError):
+        meta = {}  # an absent or corrupt CSV or sidecar is a miss
+    # a sidecar written for other parameters or by other engine code, or
+    # values on another grid, is a miss: rebuild over it
+    if _identity(params, which).items() <= meta.items() and values.grid == grid:
+        return KernelProfile(params, which, values)
 
+    profile = _profile(params, which, grid)
+    profile.save(path)
+    return profile
+
+
+@functools.lru_cache(maxsize=8)
+def _profile(params: FracParams, which: str, grid: RadialGrid) -> KernelProfile:
+    """The profile from its symbol: inverse transform, then the positivity
+    check.  Memoized on its arguments, frozen dataclasses compared field by
+    field, so a hit returns what a miss would compute.  The bound is 8
+    entries of about 62 KB on the default grid (768 samples, the nodes and
+    their logs, the quintic's 767 x 6 coefficients), under 0.5 MB in all."""
     values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)
     if params.beta == 1.0:
         # exponential-type spatial tail: the profile is positive, so from the
@@ -147,10 +155,7 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
         values = RadialFunction(grid, samples)
     if np.any(values.samples < 0) or values.samples[0] <= 0:
         raise KernelError(f"{which}-profile not positive on the grid")
-    profile = KernelProfile(params=params, which=which, values=values)
-    if path:
-        profile.save(path)
-    return profile
+    return KernelProfile(params=params, which=which, values=values)
 
 
 def build_z_profile(params: FracParams, grid: RadialGrid | None = None, cache_dir=None):

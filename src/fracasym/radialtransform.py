@@ -140,7 +140,8 @@ class RadialFunction:
         self.outer_exponent = self._fit_exponent(inner=False)
 
     def _fit_exponent(self, inner: bool) -> float:
-        """Least-squares log-log slope over the lowest/highest covered decade."""
+        """Least-squares log-log slope over the lowest/highest covered decade;
+        0 where that decade holds one sample, a zero or a sign change."""
         if self.is_zero:
             return 0.0
         i0, i1 = self._core
@@ -148,7 +149,8 @@ class RadialFunction:
         edge = u[0] + math.log(10.0) if inner else u[-1] - math.log(10.0)
         sel = u <= edge if inner else u >= edge
         vv = v[sel]
-        if np.any(np.abs(vv) <= 1e-300) or not (np.sign(vv) == np.sign(vv[0])).all():
+        if (vv.size < 2 or np.any(np.abs(vv) <= 1e-300)
+                or not (np.sign(vv) == np.sign(vv[0])).all()):
             return 0.0
         slope = np.polyfit(u[sel], np.log(np.abs(vv)), 1)[0]
         return float(slope)

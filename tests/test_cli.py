@@ -3,13 +3,13 @@ import json
 import math
 import os
 import pathlib
-import runpy
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from fracasym import kernels
 from fracasym.cli import ConfigError, main, parse_config
 from fracasym.params import (
     FracParams,
@@ -18,6 +18,7 @@ from fracasym.params import (
     rate_intermediate,
     rate_outer,
 )
+from fracasym.potentials import riesz_constant
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -139,7 +140,7 @@ def test_exit_code_missing_config(tmp_path, capsys):
     assert "code=config-io" in capsys.readouterr().err
 
 
-def test_verify_precondition_exit_code(tmp_path, cache_dir, capsys):
+def test_verify_precondition_exit_code(tmp_path, capsys):
     # p < 1, a checkpoint at t = 1 and kernel-bounds at p = p_* = 3 (G is not
     # in L^p there) are rejected before any work is done
     base = FULL.replace("rho_max = 1e2\npoints = 256", "rho_max = 1e3\npoints = 128")
@@ -152,7 +153,7 @@ def test_verify_precondition_exit_code(tmp_path, cache_dir, capsys):
     for i, text in enumerate((compact, outer_log, kernel_bounds)):
         path = _write(tmp_path, text, name=f"config{i}.ini")
         out = str(tmp_path / f"out{i}")
-        code = main(["verify", "--config", path, "--out", out, "--cache", cache_dir])
+        code = main(["verify", "--config", path, "--out", out])
         assert code == 2
         assert "code=precondition" in capsys.readouterr().err
 
@@ -160,7 +161,7 @@ def test_verify_precondition_exit_code(tmp_path, cache_dir, capsys):
 @pytest.mark.parametrize(
     "scale", ["kind = compact", "kind = intermediate\nexponent = 0.25"],
     ids=["compact", "intermediate-F"])
-def test_verify_kappa_term_at_alpha_one(tmp_path, cache_dir, capsys, scale):
+def test_verify_kappa_term_at_alpha_one(tmp_path, capsys, scale):
     # gamma = 2.5 > 1 + alpha puts a kappa E_{4b} term in the compact limit and
     # in the class-F profile; kappa has no value at alpha = 1
     text = FULL.replace("alpha = 0.5", "alpha = 1.0\nvalidation_mode = true").replace(
@@ -168,8 +169,7 @@ def test_verify_kappa_term_at_alpha_one(tmp_path, cache_dir, capsys, scale):
         "kind = outer\nnu = 1.0", scale)
     theorem = scale.split()[2]
     path = _write(tmp_path, text.replace("theorem = coherence", f"theorem = {theorem}"))
-    code = main(["verify", "--config", path, "--out", str(tmp_path / "out"),
-                 "--cache", cache_dir])
+    code = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert "code=precondition" in err and "kappa" in err
@@ -212,10 +212,10 @@ def test_rates_command(tmp_path):
         assert got == pytest.approx(rate, rel=1e-12)
 
 
-def test_verify_command_exit_zero(tmp_path, cache_dir):
+def test_verify_command_exit_zero(tmp_path):
     path = _write(tmp_path, FULL)
     out = tmp_path / "out"
-    code = main(["verify", "--config", path, "--out", str(out), "--cache", cache_dir])
+    code = main(["verify", "--config", path, "--out", str(out)])
     assert code == 0
     with open(out / "report_coherence.json") as fh:
         rep = json.load(fh)
@@ -249,7 +249,7 @@ def test_potential_command(tmp_path):
     assert meta["mu"] == 1.0
 
 
-def test_kernel_command_and_cache(tmp_path):
+def test_kernel_command_deterministic(tmp_path, capsys):
     # widen the grid for the kernel build: on the reduced CLI grid (for speed
     # elsewhere) rho^{N-4b} G at rho_min = 1e-2 misses kappa by 1.1%, outside
     # the 1% kappa clause of the bound report
@@ -258,40 +258,50 @@ def test_kernel_command_and_cache(tmp_path):
     )
     path = _write(tmp_path, cfg)
     out = tmp_path / "out"
-    cache = str(tmp_path / "cache")
-    assert main(["kernel", "--config", path, "--out", str(out), "--cache", cache]) == 0
+    assert main(["kernel", "--config", path, "--out", str(out)]) == 0
     with open(out / "profile_G.json") as fh:
         meta = json.load(fh)
     assert meta["kappa"] == pytest.approx(0.02244839, rel=1e-2)
     assert meta["constant_A"] == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-3)
     assert meta["bound_report"]["kappa_pass"]
+    # the summary on stdout states the sidecar's constants
+    c2b = riesz_constant(1.0, 3)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"wrote {out / 'profile_G.csv'}",
+        f"  kappa       = {meta['kappa']}",
+        f"  constant A  = {meta['constant_A']}",
+        f"  c_2beta     = {c2b}",
+        f"  |A/c - 1|   = {abs(meta['constant_A'] / c2b - 1.0):.3e}",
+        f"  bounds      = {meta['bound_report']}",
+        f"wrote {out / 'profile_F.csv'}",
+    ]
+    assert abs(meta["constant_A"] / c2b - 1.0) < 1e-3
     g1 = (out / "profile_G.csv").read_bytes()
-    # second run hits the cache and must reproduce the file byte-for-byte
+    # a second run, rebuilt from the symbol, reproduces the file byte-for-byte
+    kernels._profile.cache_clear()
     out2 = tmp_path / "out2"
-    assert main(["kernel", "--config", path, "--out", str(out2), "--cache", cache]) == 0
+    assert main(["kernel", "--config", path, "--out", str(out2)]) == 0
     assert (out2 / "profile_G.csv").read_bytes() == g1
 
 
 def test_profile_metadata_one_key_set(tmp_path, cache_dir, g_profile_heat, f_profile_heat):
-    # the session cache holds both validation-mode profiles: nothing is rebuilt
+    # the session cache holds both validation-mode profiles; the one writer
+    # of profile sidecars gives the CLI's output the same keys and values
     cfg = MINIMAL.replace("alpha = 0.5", "alpha = 1.0\nvalidation_mode = true")
     cfg = cfg.replace("beta = 0.5", "beta = 1.0").replace("dim = 3", "dim = 5")
     path = _write(tmp_path, cfg)
-    cli_out, script_out = tmp_path / "cli", tmp_path / "script"
-    assert main(["kernel", "--config", path, "--out", str(cli_out), "--cache", cache_dir]) == 0
-    script = runpy.run_path(os.path.join(ROOT, "scripts", "build_profiles.py"))
-    argv = ["--out", str(script_out), "--cache", cache_dir, "--params", "1,1,5"]
-    assert script["main"](argv) == 0
+    cli_out = tmp_path / "cli"
+    assert main(["kernel", "--config", path, "--out", str(cli_out)]) == 0
     for which in "GF":
         (sidecar,) = glob.glob(os.path.join(cache_dir, f"profile_{which}_a1.0_b1.0_N5_*.json"))
-        cached, cli_meta, script_meta = [
+        cached, cli_meta = [
             json.loads(pathlib.Path(f).read_text())
-            for f in (sidecar, cli_out / f"profile_{which}.json",
-                      script_out / f"profile_{which}_a1_b1_N5.json")
+            for f in (sidecar, cli_out / f"profile_{which}.json")
         ]
         assert {"which", "alpha", "beta", "dim", "kappa", "constant_A",
                 "bound_report"} <= cached.keys()
-        assert cli_meta == cached and script_meta == cached
+        assert cli_meta == cached
 
 
 def test_imports_load_no_scipy():

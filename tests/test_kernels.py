@@ -238,12 +238,14 @@ class Rebuilt(Exception):
 
 def _planted_profile(params, monkeypatch):
     """A profile to plant in a cache in place of a build; from here on any
-    transform raises Rebuilt, so a cache miss shows without running one."""
+    transform raises Rebuilt, so a cache miss shows without running one.  The
+    in-process memo is emptied, so that a disk miss reaches the transform."""
 
     def no_transform(*args, **kwargs):
         raise Rebuilt
 
     monkeypatch.setattr(kernels, "radial_fourier_inverse", no_transform)
+    kernels._profile.cache_clear()
     grid = RadialGrid()
     return kernels.KernelProfile(
         params=params,
@@ -268,6 +270,31 @@ def test_cache_keys_exact_parameters(params_ref, tmp_path, monkeypatch):
     planted.save(near_path)
     with pytest.raises(Rebuilt):
         kernels.build_y_profile(near, cache_dir=cdir)
+
+
+def test_cache_hit_matches_the_grid(params_ref, tmp_path, monkeypatch):
+    # a profile on another grid saved under the default grid's file name: the
+    # sidecar's identity matches, the grid does not
+    _planted_profile(params_ref, monkeypatch)
+    grid = RadialGrid(1e-2, 1e2, 256)
+    other = kernels.KernelProfile(params_ref, "G", RadialFunction(grid, np.exp(-grid.nodes)))
+    cdir = str(tmp_path)
+    other.save(kernels._cache_path(params_ref, "G", RadialGrid(), cdir))
+    with pytest.raises(Rebuilt):
+        kernels.build_y_profile(params_ref, cache_dir=cdir)
+
+
+def test_default_build_writes_no_file(params_heat, tmp_path, monkeypatch):
+    # without cache_dir a profile lives in the process: nothing appears under
+    # the home or the working directory, and a repeated call is a memo hit
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    kernels._profile.cache_clear()
+    g = kernels.build_y_profile(params_heat)
+    f = kernels.build_z_profile(params_heat)
+    assert list(tmp_path.rglob("*")) == []
+    assert kernels.build_y_profile(params_heat) is g
+    assert kernels.build_z_profile(params_heat) is f
 
 
 def test_cache_stale_engine_or_corrupt_file_is_a_miss(params_ref, tmp_path, monkeypatch):
