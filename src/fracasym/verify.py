@@ -10,10 +10,11 @@ rate_intermediate or rate_outer).  Forming the difference in the symbol, never
 as a difference of two transformed functions, makes the far-field
 cancellation between u and its limit profile exact, so the quadrature error
 budget stays at the level of the difference itself.  The solution's symbol is
-always solver.duhamel_symbol; the Riesz profiles c2 E_{2b} + c4 E_{4b} come
-from one builder, and outer-mass and outer-log share one mass law.  The kappa
-of their E_{4b} terms is the closed form kernels.estimate_kappa, so compact
-and intermediate build no kernel profile.
+always the forcing's transform times solver.duhamel_weight; the Riesz
+profiles c2 E_{2b} + c4 E_{4b} come from one builder, and outer-mass and
+outer-log share one mass law.  The kappa of their E_{4b} terms is the
+closed form kernels.estimate_kappa, so compact and intermediate build no
+kernel profile.
 
 run_check is the one entry point: it applies the gamma precondition of the
 exterior checks (check_gamma, which the CLI also applies at parse time), times
@@ -60,7 +61,7 @@ from .radialtransform import (
     radial_fourier_inverse,
 )
 from .reporting import ConvergenceReport, make_report
-from .solver import ForcingSpec, duhamel_symbol, outer_reference, solution_mass
+from .solver import ForcingSpec, duhamel_symbol, duhamel_weight, outer_reference, solution_mass
 from .special import gamma_fn, gl_panels
 
 
@@ -114,11 +115,25 @@ def _kappa(params: FracParams) -> float:
 
 
 def _difference_symbol(cfg: VerifyConfig, t: float, profile_symbol):
-    """r -> u-hat(r, t) - profile_symbol(r), the one symbol whose inverse
-    transform is u(., t) minus the comparison profile; profile_symbol must
-    already include amplitude/mass factors."""
-    u_hat = duhamel_symbol(cfg.forcing, cfg.params, t)
-    return lambda r: u_hat(r) - profile_symbol(r)
+    """r -> u-hat(r, t) - profile_symbol(r, ag), the one symbol whose inverse
+    transform is u(., t) minus the comparison profile.  u-hat is
+    ag W(r^{2b}, t) with ag = amplitude g-hat(r), formed once per block and
+    handed to the profile too, for a profile built on the forcing's transform
+    (the compact limit); profile_symbol must already include amplitude/mass
+    factors."""
+    fs = cfg.forcing
+    weight = duhamel_weight(cfg.params, fs.gamma, t)
+
+    def symbol(r):
+        ag = fs.amplitude * fs.ghat(r)
+        profile = profile_symbol(r, ag)
+        # u-hat and then the difference in ag's buffer: the same bits as
+        # ag * weight(r) - profile, one block array fewer alive
+        ag *= weight(r)
+        ag -= profile
+        return ag
+
+    return symbol
 
 
 def _checkpoint_series(cfg: VerifyConfig, times, symbol_at, region_at, rate_at):
@@ -194,12 +209,14 @@ def limit_profile_compact(cfg: VerifyConfig, grid: RadialGrid | None = None):
     grid = grid or cfg.grid
     if cfg.forcing.amplitude == 0.0:
         return RadialFunction(grid, np.zeros(grid.points))
-    return radial_fourier_inverse(_compact_limit_symbol(cfg), cfg.params.dim, grid)
+    fs, riesz = cfg.forcing, _compact_limit_riesz(cfg)
+    symbol = lambda r: fs.amplitude * fs.ghat(r) * riesz(r)
+    return radial_fourier_inverse(symbol, cfg.params.dim, grid)
 
 
-def _compact_limit_symbol(cfg: VerifyConfig):
-    """The symbol of the compact limit L.  I_mu[g] = g * E_mu, so it is
-    amplitude g-hat times that of c2 E_{2b} + c4 E_{4b}, with the (c2, c4) per
+def _compact_limit_riesz(cfg: VerifyConfig):
+    """The symbol of the compact limit L over amplitude g-hat.  I_mu[g] =
+    g * E_mu, so it is that of c2 E_{2b} + c4 E_{4b}, with the (c2, c4) per
     unit amplitude tabulated in limit_profile_compact."""
     fs, a = cfg.forcing, cfg.params.alpha
     c2b = riesz_constant(2.0 * cfg.params.beta, cfg.params.dim)
@@ -208,8 +225,7 @@ def _compact_limit_symbol(cfg: VerifyConfig):
     else:
         kappa = _kappa(cfg.params)
         coeffs = (c2b, kappa / a) if fs.gamma == 1.0 + a else (0.0, kappa / (fs.gamma - 1.0))
-    sym = _riesz_profile(cfg.params, *coeffs)[0]
-    return lambda r: fs.amplitude * fs.ghat(r) * sym(r)
+    return _riesz_profile(cfg.params, *coeffs)[0]
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
@@ -221,12 +237,12 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     if fs.amplitude == 0.0:
         return _zero_report(cfg, "compact")
     m = rate_compact(fs.gamma, params.alpha)
-    limit = _compact_limit_symbol(cfg)
+    riesz = _compact_limit_riesz(cfg)
     K = cfg.scale.radius
 
     def symbol_at(t):
         tm = t**m
-        return _difference_symbol(cfg, t, lambda r: limit(r) / tm)
+        return _difference_symbol(cfg, t, lambda r, ag: ag * riesz(r) / tm)
 
     _, errs = _checkpoint_series(
         cfg, cfg.times, symbol_at, lambda t: (cfg.grid.rho_min, K), lambda t: t**-m
@@ -268,7 +284,7 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
 
     raw, norm = _checkpoint_series(
         cfg, cfg.times,
-        lambda t: _difference_symbol(cfg, t, profiles[t][0]),
+        lambda t: _difference_symbol(cfg, t, lambda r, ag: profiles[t][0](r)),
         annulus,
         lambda t: rate_intermediate(params, cfg.p, fs.gamma, klass, cfg.scale.phi(t), t),
     )
@@ -368,7 +384,7 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
 
     def symbol_at(t):
         y_hat, amp = kernels._symbol(params, "G", t), limit * math.log(t) ** l
-        return _difference_symbol(cfg, t, lambda r: amp * y_hat(r))
+        return _difference_symbol(cfg, t, lambda r, ag: amp * y_hat(r))
 
     raw, norm = _checkpoint_series(
         cfg, kernel_times, symbol_at,

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import mpmath
@@ -239,13 +241,14 @@ class Rebuilt(Exception):
 def _planted_profile(params, monkeypatch):
     """A profile to plant in a cache in place of a build; from here on any
     transform raises Rebuilt, so a cache miss shows without running one.  The
-    in-process memo is emptied, so that a disk miss reaches the transform."""
+    in-process memos are emptied, so that a disk miss reaches the transform."""
 
     def no_transform(*args, **kwargs):
         raise Rebuilt
 
     monkeypatch.setattr(kernels, "radial_fourier_inverse", no_transform)
     kernels._profile.cache_clear()
+    kernels._transform.cache_clear()
     grid = RadialGrid()
     return kernels.KernelProfile(
         params=params,
@@ -290,6 +293,7 @@ def test_default_build_writes_no_file(params_heat, tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     kernels._profile.cache_clear()
+    kernels._transform.cache_clear()
     g = kernels.build_y_profile(params_heat)
     f = kernels.build_z_profile(params_heat)
     assert list(tmp_path.rglob("*")) == []
@@ -310,11 +314,75 @@ def test_cache_stale_engine_or_corrupt_file_is_a_miss(params_ref, tmp_path, monk
         (sidecar, json.dumps(stale)),  # a profile built by other engine code
         (sidecar, "{"),  # truncated sidecar
         (csv_path, "rho,value\n1,"),  # truncated values
+        (csv_path, ""),  # empty values file
+        (csv_path, "rho,value\n0.001,x\n"),  # a value that is not a number
+        (csv_path, "rho,value\n0.001,1,2\n0.002\n"),  # ragged rows
     ]:
         planted.save(csv_path)
         pathlib.Path(path).write_text(text)
         with pytest.raises(Rebuilt):
             kernels.build_y_profile(params_ref, cache_dir=cdir)
+
+
+def test_cache_read_imports_no_network_stack(tmp_path):
+    # a disk miss (build and save) and then a hit (load) read and write the
+    # profile with open() alone: np.loadtxt would import numpy's DataSource
+    # and with it urllib, http, ssl and email
+    code = f"""
+import sys
+from fracasym import kernels
+from fracasym.params import FracParams
+
+params = FracParams(1.0, 1.0, 5, validation_mode=True)
+built = kernels.build_y_profile(params, cache_dir={str(tmp_path)!r})
+kernels._profile.cache_clear()
+kernels._transform.cache_clear()
+loaded = kernels.build_y_profile(params, cache_dir={str(tmp_path)!r})
+assert loaded is not built
+assert (loaded.values.samples == built.values.samples).all()
+print(sorted(m for m in ("urllib.request", "http.client", "ssl", "email")
+             if m in sys.modules))
+"""
+    src = str(pathlib.Path(kernels.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def _count_transforms(monkeypatch):
+    """Empty the memos and count the transforms that kernels runs from here."""
+    calls = []
+    inverse = kernels.radial_fourier_inverse
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "radial_fourier_inverse", counted)
+    kernels._profile.cache_clear()
+    kernels._transform.cache_clear()
+    return calls
+
+
+def test_one_transform_per_distinct_symbol(monkeypatch):
+    # at alpha = 1 both symbols are exp(-r^{2 beta}): G is F, in either order
+    validation = FracParams(1.0, 0.5, 3, validation_mode=True)
+    for first, second in [(kernels.build_y_profile, kernels.build_z_profile),
+                          (kernels.build_z_profile, kernels.build_y_profile)]:
+        calls = _count_transforms(monkeypatch)
+        a, b = first(validation), second(validation)
+        assert len(calls) == 1
+        assert np.array_equal(a.values.samples, b.values.samples)
+        assert {a.which, b.which} == {"G", "F"}
+        f = a if a.which == "F" else b
+        assert f.kappa is None
+    # below alpha = 1 the symbols E_{a,a} and E_{a,1} differ: two transforms
+    calls = _count_transforms(monkeypatch)
+    g = kernels.build_y_profile(FracParams(0.5, 0.5, 3))
+    f = kernels.build_z_profile(FracParams(0.5, 0.5, 3))
+    assert len(calls) == 2
+    assert not np.array_equal(g.values.samples, f.values.samples)
 
 
 def test_engine_hash_covers_the_interpolant(monkeypatch):

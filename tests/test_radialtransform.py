@@ -282,6 +282,28 @@ def test_engine_rejects_non_finite_in_last_block():
     assert rows[-2:] == [_BLOCK_ROWS, 100 % _BLOCK_ROWS]
 
 
+@pytest.mark.parametrize("plant", ["inf", "nan", "both infinities"])
+def test_engine_rejects_each_non_finite_kind(plant):
+    # the engine checks each block's row sums, not its values: one +inf, one
+    # NaN, or a +inf and a -inf in one row (whose products would cancel to
+    # NaN, not to a finite number) each make a sum non-finite
+    grid = RadialGrid(1e-3, 1e3, 100)
+    bad = {"inf": [np.inf], "nan": [np.nan], "both infinities": [np.inf, -np.inf]}[plant]
+    blocks = []
+
+    def symbol(r):
+        out = np.exp(-np.asarray(r, dtype=float) ** 2)
+        if r.shape[0] == _BLOCK_ROWS:  # an engine block, not the decay probe
+            blocks.append(r.shape)
+            if len(blocks) == 3:  # the third block, its middle row
+                out[_BLOCK_ROWS // 2, 100 : 100 + len(bad)] = bad
+        return out
+
+    with pytest.raises(TransformError, match="symbol produced non-finite"):
+        radial_fourier_inverse(symbol, 3, grid)
+    assert len(blocks) == 3
+
+
 def test_engine_rejects_wrong_shape():
     grid = RadialGrid(1e-3, 1e3, 100)
     flat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2).ravel()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,27 @@ def test_bump_ghat_small_argument_branch():
     assert below == pytest.approx(above, rel=1e-10)
 
 
+@pytest.mark.parametrize("width", [1.0, 0.3])
+def test_gaussian_ghat_is_the_closed_form(width):
+    # exp runs only where its argument is above -746; everywhere the result is
+    # (pi w^2)^{N/2} exp(-(w r)^2 / 4) bit for bit, and no warning is raised
+    fs = ForcingSpec("gaussian", gamma=2.0, width=width, dim=5)
+    pref = (math.pi * width * width) ** 2.5
+    r = np.concatenate([np.linspace(50.0, 60.0, 4001) / width,
+                        np.geomspace(1e-3, 1e5, 2001), [np.nan, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fs.ghat(r)
+        scalar = fs.ghat(np.float64(54.0 / width))
+        zero_d = fs.ghat(np.array(55.0 / width))
+    want = pref * np.exp(-(width * r) ** 2 / 4.0)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[-2]) and np.count_nonzero(got == 0.0) > 1000
+    assert scalar == pref * np.exp(-(width * 54.0 / width) ** 2 / 4.0)
+    assert zero_d == pref * np.exp(-(width * 55.0 / width) ** 2 / 4.0)
+    assert float(fs.ghat(0.0)) == pref
+
+
 def test_forcing_validation():
     with pytest.raises(SolverError):
         ForcingSpec("lorentzian", gamma=0.0)
@@ -174,6 +196,28 @@ def test_w_monotone_decreasing_in_lam():
     v = w(lam)
     assert np.all(v > 0)
     assert np.all(np.diff(v) <= 0)
+
+
+@pytest.mark.parametrize("alpha, gamma, t", [(0.5, 1.5, 100.0), (0.7, 2.0, 3.0)])
+def test_w_spline_is_the_masked_form(alpha, gamma, t):
+    # the spline runs on every lam and the closed forms are written over the
+    # points outside the table: the same values as evaluating each range on
+    # its own points, and no warning from the spline's values out there (at
+    # lam = 0 and inf the log and the interval index are not finite)
+    lam_lo, lam_hi, w_lo, w_hi, spline = _build_w_table(alpha, gamma, t)
+    lam = np.concatenate([np.geomspace(lam_lo * 1e-30, lam_hi * 1e30, 3001),
+                          [lam_lo, lam_hi, 1e300, 1e-300, 0.0, np.inf]])
+    want = np.empty_like(lam)
+    low, high = lam <= lam_lo, lam >= lam_hi
+    mid = ~low & ~high
+    want[low] = w_lo
+    want[high] = w_hi * (lam_hi / lam[high])
+    want[mid] = np.exp(spline(np.log(lam[mid])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = time_weight(alpha, gamma, t)(lam)
+    assert np.array_equal(got, want)
+    assert low.sum() > 100 and high.sum() > 100 and mid.sum() > 100
 
 
 def test_w_closed_form_tiny_argument_branch():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy.special import erfcx, rgamma
 from scipy.special import gamma as scipy_gamma
 
+from fracasym import special
 from fracasym.radialtransform import _leggauss_extended
 from fracasym.special import (
     _ASYMP_CUT,
@@ -159,6 +161,19 @@ def test_ml_asymptotic_branch_near_gamma_poles(a, second):
     for x, g in zip(xs, got):
         ref = float(_mp_ml_int(a, b, -x))
         assert g == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 1.0), (0.9, 0.9), (0.3, 1.0)])
+def test_horner_sums_are_polyval(a, b, monkeypatch):
+    # the in-place Horner sums give numpy's polyval bit for bit, on the series
+    # (up to the table's last series knot) and on the asymptotic expansion
+    y_series = np.concatenate([[0.0], np.geomspace(1e-9, _SERIES_CUT, 2001)])
+    y_asymp = np.geomspace(_ASYMP_CUT, 1e12, 2001)
+    got = special._ml_series(a, b, y_series), special._ml_asymptotic(a, b, y_asymp)
+    monkeypatch.setattr(special, "_horner", polyval)
+    want = special._ml_series(a, b, y_series), special._ml_asymptotic(a, b, y_asymp)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
