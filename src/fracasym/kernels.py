@@ -12,13 +12,13 @@ G has one route: the inverse transform of its symbol.  At (alpha, beta, N) =
 the moments int_0^inf e^{-u^2 - rho u} u^k du, and the tests hold every node
 of the default grid to it.
 
-A profile is built once per (alpha, beta, N, grid) in the process and touches
-no file unless the caller names a cache_dir, whose hits match the identity,
-the engine source and the grid.  The inverse transform runs once per distinct
-symbol: in validation mode (alpha = 1) both symbols are exp(-r^{2b}), so G is
-F and a G build followed by an F build (in either order) transforms once.  A
-profile is its samples and identity: the constants derived from them (kappa,
-A, the bound report) are worked out on first use, never read back from disk.
+A profile is built once per (alpha, beta, N, grid) in the process, in one
+memo, and touches no file unless the caller names a cache_dir, whose hits
+match the identity, the engine source and the grid.  In validation mode
+(alpha = 1) both symbols are exp(-r^{2b}), so G is F: a G build holds the F
+build's samples, and G and F (in either order) transform once.  A profile
+is its samples and identity: the constants derived from them (kappa, A, the
+bound report) are worked out on first use, never read back from disk.
 """
 
 from __future__ import annotations
@@ -99,28 +99,15 @@ def _identity(params: FracParams, which: str) -> dict:
             "dim": params.dim, "engine": _engine()}
 
 
-def _second(params: FracParams, which: str) -> float:
-    """The second Mittag-Leffler parameter of the profile's symbol: 1 for F,
-    alpha for G, so 1 for both at alpha = 1."""
-    return 1.0 if which == "F" else params.alpha
-
-
 def _symbol(params: FracParams, which: str, t: float = 1.0):
     """r -> the kernel symbol at time t: Z-hat = E_a(-r^{2b} t^a) for "F",
-    Y-hat = t^{a-1} E_{a,a}(-r^{2b} t^a) for "G"."""
-    return _ml_symbol(params.alpha, _second(params, which), params.beta, t)
-
-
-def _ml_symbol(a: float, second: float, beta: float, t: float = 1.0):
-    """r -> t^{a-1} E_{a,second}(-r^{2 beta} t^a) for second = a (Y-hat) and
-    E_{a,1}(-r^{2 beta} t^a) for second = 1 (Z-hat).  The factor t^{a-1} is
-    not multiplied where it is exactly 1: at t = 1, and at a = 1, where G and
-    F share the one symbol exp(-r^{2 beta} t)."""
-    two_b, ta = 2.0 * beta, t**a
-    scale = t ** (a - 1.0) if second == a else 1.0
-    if scale == 1.0:
-        return lambda r: mittag_leffler(a, second, -(r**two_b) * ta)
-    return lambda r: scale * mittag_leffler(a, second, -(r**two_b) * ta)
+    Y-hat = t^{a-1} E_{a,a}(-r^{2b} t^a) for "G".  At a = 1 both are
+    exp(-r^{2b} t), bit for bit: the second parameter is 1 and the scale t^0
+    is exactly 1, which multiplies exactly."""
+    a, two_b = params.alpha, 2.0 * params.beta
+    b, scale = (1.0, 1.0) if which == "F" else (a, t ** (a - 1.0))
+    minus_ta = -(t**a)
+    return lambda r: scale * mittag_leffler(a, b, r**two_b * minus_ta)
 
 
 def _grid_key(grid: RadialGrid) -> str:
@@ -157,24 +144,18 @@ def _build(params: FracParams, which: str, grid: RadialGrid | None, cache_dir):
 
 
 @functools.lru_cache(maxsize=8)
-def _transform(a: float, second: float, beta: float, dim: int, grid: RadialGrid):
-    """The inverse transform of the t = 1 symbol E_{a,second}(-r^{2 beta}),
-    memoized on the symbol itself: G (second = a) and F (second = 1) at
-    a = 1 invert the same exp(-r^{2 beta}), so the second of them is a hit."""
-    return radial_fourier_inverse(_ml_symbol(a, second, beta), dim, grid)
-
-
-@functools.lru_cache(maxsize=8)
 def _profile(params: FracParams, which: str, grid: RadialGrid) -> KernelProfile:
-    """The profile from its symbol: inverse transform (one per distinct
-    symbol, through _transform), then the positivity check.  Memoized on its
-    arguments, frozen dataclasses compared field by field, so a hit returns
-    the same object a miss made, and a miss computes what a hit returns.
-    Each memo holds at most 8 entries of about 62 KB on the default grid (768
-    samples, the nodes and their logs, the quintic's 767 x 6 coefficients),
-    and a profile without the beta = 1 trim shares its transform's entry:
-    under 1 MB in all."""
-    values = _transform(params.alpha, _second(params, which), params.beta, params.dim, grid)
+    """The profile from its symbol: inverse transform, then the positivity
+    check.  At alpha = 1 G is F (both symbols are exp(-r^{2b})), so a G build
+    holds the F build's samples and a G build followed by an F build (in
+    either order) transforms once.  Memoized on its arguments, frozen
+    dataclasses compared field by field, so a hit returns the same object a
+    miss made, and a miss computes what a hit returns.  The one memo holds at
+    most 8 entries of about 62 KB on the default grid (768 samples, the nodes
+    and their logs, the quintic's 767 x 6 coefficients): under 0.5 MB."""
+    if which == "G" and params.alpha == 1.0:
+        return KernelProfile(params, "G", _profile(params, "F", grid).values)
+    values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)
     if params.beta == 1.0:
         # exponential-type spatial tail: the profile is positive, so from the
         # first non-positive sample on the samples are quadrature residue

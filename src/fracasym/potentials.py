@@ -157,14 +157,20 @@ def riesz_tail_check(
     tolerance: float = 1e-6,
 ) -> ConvergenceReport:
     """Normalized far-field errors R^{N(1-1/p)-mu} ||I_mu[g] - M E_mu||_{L^p}
-    over the annuli nu R < rho < mu_outer R; pass iff strictly decreasing and
-    final value below tolerance."""
+    over the annuli nu R < rho < mu_outer R for R in R_list (at least two
+    finite, positive, strictly increasing radii); pass iff strictly
+    decreasing and final value below tolerance."""
     if not 0 < nu < mu_outer:
         raise PotentialError("need 0 < nu < mu_outer")
     if not p >= 1:
         raise PotentialError(f"p must be in [1, inf], got {p}")
-    t0 = time.perf_counter()
     R_list = [float(R) for R in R_list]
+    if len(R_list) < 2 or not all(
+        0 < R < S < math.inf for R, S in zip(R_list, R_list[1:])
+    ):
+        raise PotentialError(
+            f"need at least two finite, positive, increasing radii, got {R_list}")
+    t0 = time.perf_counter()
     if g is not None and g.is_zero:
         zeros = [0.0] * len(R_list)
         return make_report(

@@ -198,7 +198,7 @@ def _forcing_dict(cfg):
 # --- compact sets -------------------------------------------------------------
 
 
-def limit_profile_compact(cfg: VerifyConfig, grid: RadialGrid | None = None):
+def limit_profile_compact(cfg: VerifyConfig):
     """The compact-set limit of t^{min(gamma,1+alpha)} u:
 
         gamma < 1+alpha:  c_{2b} I_{2b}[g]
@@ -206,12 +206,11 @@ def limit_profile_compact(cfg: VerifyConfig, grid: RadialGrid | None = None):
         gamma > 1+alpha:  (kappa/(gamma-1)) I_{4b}[g]
 
     (all times amplitude), built spectrally from the forcing transform."""
-    grid = grid or cfg.grid
     if cfg.forcing.amplitude == 0.0:
-        return RadialFunction(grid, np.zeros(grid.points))
+        return RadialFunction(cfg.grid, np.zeros(cfg.grid.points))
     fs, riesz = cfg.forcing, _compact_limit_riesz(cfg)
     symbol = lambda r: fs.amplitude * fs.ghat(r) * riesz(r)
-    return radial_fourier_inverse(symbol, cfg.params.dim, grid)
+    return radial_fourier_inverse(symbol, cfg.params.dim, cfg.grid)
 
 
 def _compact_limit_riesz(cfg: VerifyConfig):

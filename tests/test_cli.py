@@ -280,7 +280,6 @@ def test_kernel_command_deterministic(tmp_path, capsys):
     g1 = (out / "profile_G.csv").read_bytes()
     # a second run, rebuilt from the symbol, reproduces the file byte-for-byte
     kernels._profile.cache_clear()
-    kernels._transform.cache_clear()
     out2 = tmp_path / "out2"
     assert main(["kernel", "--config", path, "--out", str(out2)]) == 0
     assert (out2 / "profile_G.csv").read_bytes() == g1

@@ -18,6 +18,8 @@ from fracasym.potentials import riesz_constant
 from fracasym.radialtransform import RadialFunction, RadialGrid, radial_integral
 from fracasym.special import mittag_leffler, ml_tail_coefficient
 
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
 
 def test_g_profile_mass_ref(g_profile_ref):
     # total integral of G equals its transform at 0: E_{a,a}(0) = 1/Gamma(a)
@@ -241,14 +243,13 @@ class Rebuilt(Exception):
 def _planted_profile(params, monkeypatch):
     """A profile to plant in a cache in place of a build; from here on any
     transform raises Rebuilt, so a cache miss shows without running one.  The
-    in-process memos are emptied, so that a disk miss reaches the transform."""
+    in-process memo is emptied, so that a disk miss reaches the transform."""
 
     def no_transform(*args, **kwargs):
         raise Rebuilt
 
     monkeypatch.setattr(kernels, "radial_fourier_inverse", no_transform)
     kernels._profile.cache_clear()
-    kernels._transform.cache_clear()
     grid = RadialGrid()
     return kernels.KernelProfile(
         params=params,
@@ -293,7 +294,6 @@ def test_default_build_writes_no_file(params_heat, tmp_path, monkeypatch):
     monkeypatch.setenv("HOME", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     kernels._profile.cache_clear()
-    kernels._transform.cache_clear()
     g = kernels.build_y_profile(params_heat)
     f = kernels.build_z_profile(params_heat)
     assert list(tmp_path.rglob("*")) == []
@@ -336,7 +336,6 @@ from fracasym.params import FracParams
 params = FracParams(1.0, 1.0, 5, validation_mode=True)
 built = kernels.build_y_profile(params, cache_dir={str(tmp_path)!r})
 kernels._profile.cache_clear()
-kernels._transform.cache_clear()
 loaded = kernels.build_y_profile(params, cache_dir={str(tmp_path)!r})
 assert loaded is not built
 assert (loaded.values.samples == built.values.samples).all()
@@ -351,7 +350,7 @@ print(sorted(m for m in ("urllib.request", "http.client", "ssl", "email")
 
 
 def _count_transforms(monkeypatch):
-    """Empty the memos and count the transforms that kernels runs from here."""
+    """Empty the memo and count the transforms that kernels runs from here."""
     calls = []
     inverse = kernels.radial_fourier_inverse
 
@@ -361,7 +360,6 @@ def _count_transforms(monkeypatch):
 
     monkeypatch.setattr(kernels, "radial_fourier_inverse", counted)
     kernels._profile.cache_clear()
-    kernels._transform.cache_clear()
     return calls
 
 
@@ -383,6 +381,65 @@ def test_one_transform_per_distinct_symbol(monkeypatch):
     f = kernels.build_z_profile(FracParams(0.5, 0.5, 3))
     assert len(calls) == 2
     assert not np.array_equal(g.values.samples, f.values.samples)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e2, 1e4])
+def test_symbol_bits(t):
+    # one symbol builder, the same bits as the form E_{a,b}(-(r^{2b}) t^a)
+    # times t^{a-1} (G) or nothing (F, and G at t = 1): multiplying by 1.0
+    # is exact, and p (-ta) is -(p ta) since rounding is sign-symmetric
+    r = np.geomspace(1e-6, 1e6, 4001)
+    validation = FracParams(1.0, 0.5, 3, validation_mode=True)
+    assert np.array_equal(kernels._symbol(validation, "G", t)(r),
+                          kernels._symbol(validation, "F", t)(r))
+    p = FracParams(0.5, 0.5, 3)
+    a, two_b = p.alpha, 2.0 * p.beta
+    g = mittag_leffler(a, a, -(r**two_b) * t**a)
+    if t != 1.0:
+        g = t ** (a - 1.0) * g
+    assert np.array_equal(kernels._symbol(p, "G", t)(r), g)
+    assert np.array_equal(kernels._symbol(p, "F", t)(r),
+                          mittag_leffler(a, 1.0, -(r**two_b) * t**a))
+
+
+def test_validation_g_holds_the_f_samples(params_heat):
+    # at alpha = 1 G is F: a G build holds the F build's values object, in
+    # either order
+    builds = {"G": kernels.build_y_profile, "F": kernels.build_z_profile}
+    for order in ("GF", "FG"):
+        kernels._profile.cache_clear()
+        built = {which: builds[which](params_heat) for which in order}
+        assert (built["G"].which, built["F"].which) == ("G", "F")
+        assert built["G"].values is built["F"].values
+
+
+def test_perfbench_traces_the_kernels(tmp_path):
+    # the benchmark's tracer rebinds every traced function in every fracasym
+    # namespace and refuses a reference it cannot rebind; its microbenchmark
+    # swaps kernels.mittag_leffler to capture a transform's symbol arguments
+    code = f"""
+import sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, {str(PERFBENCH)!r})
+import fracasym
+from fracasym import kernels
+from fracasym.params import FracParams
+import micro
+from tracer import Tracer
+
+tracer = Tracer({str(tmp_path / "traced")!r})
+tracer.instrument()
+params = FracParams(1.0, 0.5, 3, validation_mode=True)
+kernels.build_y_profile(params, cache_dir=tracer.cache_dir)
+kernels.build_z_profile(params, cache_dir=tracer.cache_dir)
+print(sum(span[0] == "radialtransform.inverse" for span in tracer.spans))
+print(micro.capture_transform_args({str(tmp_path / "micro")!r}).size)
+"""
+    src = str(pathlib.Path(kernels.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "30464"]
 
 
 def test_engine_hash_covers_the_interpolant(monkeypatch):

@@ -173,6 +173,28 @@ def test_tail_check_rejects_p_before_transforming(p):
 
 
 @pytest.mark.parametrize(
+    "zero, R_list",
+    [
+        (True, []),  # no checkpoint at all: nothing was checked
+        (False, []),  # once a raw ValueError from max() of an empty list
+        (False, [40.0]),  # one radius: "strictly decreasing" holds vacuously
+        (False, [40.0, 4.0]),
+        (False, [4.0, 4.0]),
+        (False, [0.0, 4.0]),
+        (False, [4.0, math.inf]),
+        (False, [4.0, math.nan]),
+    ],
+)
+def test_tail_check_rejects_radii_before_transforming(zero, R_list):
+    grid = RadialGrid(1e-2, 10.0, 128)
+    g = RadialFunction(grid, np.zeros(grid.points)) if zero else _gaussian(grid)
+    _ghat_from_samples.cache_clear()
+    with pytest.raises(PotentialError, match="radii"):
+        riesz_tail_check(g, 2.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=R_list)
+    assert _ghat_from_samples.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: riesz_potential(None, 1.0, 3),
