@@ -12,9 +12,11 @@ kind, inferred from the theorem, and the Riesz order mu = 2 beta are set here.
 kappa, A, c_2beta, |A/c_2beta - 1| and G's bound report, one (alpha, beta, N)
 per config.  Profiles are built in the process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure, 2 configuration error: a value
-any of those objects rejects, or a forcing gamma outside the theorem's regime
-(verify.check_gamma), exits 2 at parse time.  All diagnostics go to stderr
-with machine-parseable ``code=`` prefixes.
+any of those objects rejects (a non-finite forcing value among them), or a
+forcing gamma outside the theorem's regime (verify.check_gamma), exits 2 at
+parse time with code=config; a zero forcing in a check that reads it exits 2
+at run time with code=precondition.  All diagnostics go to stderr with
+machine-parseable ``code=`` prefixes.
 """
 
 from __future__ import annotations

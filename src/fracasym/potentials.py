@@ -102,8 +102,6 @@ def riesz_potential(
         raise PotentialError("need the samples g or a closed-form ghat")
     c_mu = riesz_constant(mu, dim)
     grid = grid or (g.grid if g is not None else RadialGrid())
-    if g is not None and g.is_zero:
-        return RadialFunction(grid, np.zeros(grid.points))
     if ghat is None:
         ghat = _ghat_from_samples(g.grid, g.samples.tobytes(), dim)
     return _deviation(ghat, 0.0, mu, dim, grid, c_mu)
@@ -159,7 +157,7 @@ def riesz_tail_check(
     """Normalized far-field errors R^{N(1-1/p)-mu} ||I_mu[g] - M E_mu||_{L^p}
     over the annuli nu R < rho < mu_outer R for R in R_list (at least two
     finite, positive, strictly increasing radii); pass iff strictly
-    decreasing and final value below tolerance."""
+    decreasing and final value below tolerance.  A zero g is refused."""
     if not 0 < nu < mu_outer:
         raise PotentialError("need 0 < nu < mu_outer")
     if not p >= 1:
@@ -170,13 +168,9 @@ def riesz_tail_check(
     ):
         raise PotentialError(
             f"need at least two finite, positive, increasing radii, got {R_list}")
-    t0 = time.perf_counter()
     if g is not None and g.is_zero:
-        zeros = [0.0] * len(R_list)
-        return make_report(
-            "riesz-tail", R_list, zeros, zeros, tolerance,
-            params={"mu": mu, "dim": dim}, p=p,
-        )
+        raise PotentialError("g = 0 has no mass, so its tail statement is vacuous")
+    t0 = time.perf_counter()
     grid = RadialGrid(1e-2, max(mu_outer * max(R_list) * 2.0, 1e3), 768)
     dev, mass = potential_deviation(g, mu, dim, grid, ghat=ghat)
     # information floor: samples 15+ orders below the peak deviation are

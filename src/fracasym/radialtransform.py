@@ -198,8 +198,10 @@ class RadialFunction:
     def save(self, csv_path, extra_metadata=None):
         """CSV (`rho,value`, 17 significant digits) plus a JSON sidecar."""
         lines = ["rho,value"]
+        # Python floats format faster than numpy scalars, to the same bytes
         lines += [
-            f"{rho:.17g},{val:.17g}" for rho, val in zip(self.grid.nodes, self.samples)
+            f"{rho:.17g},{val:.17g}"
+            for rho, val in zip(self.grid.nodes.tolist(), self.samples.tolist())
         ]
         atomic_write(csv_path, "\n".join(lines) + "\n")
         meta = self.metadata()

@@ -33,7 +33,7 @@ class ConvergenceReport:
 
     @property
     def passed(self) -> bool:
-        return self.verdict in ("pass", "not-applicable")
+        return self.verdict == "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -82,7 +82,8 @@ def atomic_write(path, text):
 
 def make_report(theorem, checkpoints, raw_errors, normalized_errors, tolerance, **kw):
     """Assemble a report; verdict = strictly decreasing series with final
-    value below tolerance.  Identically zero series pass (trivial data)."""
+    value below tolerance.  An identically zero series passes: the noise-floor
+    clamps can zero every checkpoint of a difference that has decayed."""
     checkpoints = [float(t) for t in checkpoints]
     raw_errors = [float(e) for e in raw_errors]
     norm = [float(e) for e in normalized_errors]

@@ -71,8 +71,11 @@ class ForcingSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise SolverError(f"unknown forcing family {self.family!r}")
-        if self.width <= 0:
-            raise SolverError("width must be positive")
+        if not (math.isfinite(self.gamma) and math.isfinite(self.amplitude)):
+            raise SolverError(
+                f"gamma and amplitude must be finite, got {self.gamma}, {self.amplitude}")
+        if not 0 < self.width < math.inf:
+            raise SolverError(f"width must be positive and finite, got {self.width}")
         if self.dim < 1:
             raise SolverError("dim must be a positive integer")
         if self.family == "bump" and self.dim % 2 == 0:
@@ -344,20 +347,17 @@ def solve_duhamel(
             f"forcing dim {fs.dim} does not match problem dim {params.dim}"
         )
     grid = grid or RadialGrid()
-    if fs.amplitude == 0.0:
-        u = RadialFunction(grid, np.zeros(grid.points))
-    else:
-        u = radial_fourier_inverse(duhamel_symbol(fs, params, t), params.dim, grid)
-        if fs.amplitude > 0:
-            # Y >= 0 forces u >= 0; sub-noise negative garbage is clamped
-            neg = u.samples < 0
-            if neg.any():
-                floor = 1e-12 * np.max(np.abs(u.samples))
-                if np.any(u.samples < -floor):
-                    raise SolverError("solution slice significantly negative")
-                cleaned = u.samples.copy()
-                cleaned[neg] = 0.0
-                u = RadialFunction(grid, cleaned)
+    u = radial_fourier_inverse(duhamel_symbol(fs, params, t), params.dim, grid)
+    if fs.amplitude > 0:
+        # Y >= 0 forces u >= 0; sub-noise negative garbage is clamped
+        neg = u.samples < 0
+        if neg.any():
+            floor = 1e-12 * np.max(np.abs(u.samples))
+            if np.any(u.samples < -floor):
+                raise SolverError("solution slice significantly negative")
+            cleaned = u.samples.copy()
+            cleaned[neg] = 0.0
+            u = RadialFunction(grid, cleaned)
     diag = {
         "gamma": fs.gamma,
         "family": fs.family,
@@ -376,8 +376,6 @@ def outer_reference(
     """int_0^t M_f(s) Y(., t-s) ds: the Duhamel symbol with g-hat replaced by
     the constant M0 (the mass-concentrated forcing)."""
     grid = grid or RadialGrid()
-    if fs.amplitude == 0.0:
-        return RadialFunction(grid, np.zeros(grid.points))
     M0 = fs.M0
     return radial_fourier_inverse(
         duhamel_symbol(fs, params, t, lambda r: M0), params.dim, grid

@@ -16,9 +16,16 @@ outer-log share one mass law.  The kappa of their E_{4b} terms is the
 closed form kernels.estimate_kappa, so compact and intermediate build no
 kernel profile.
 
-run_check is the one entry point: it applies the gamma precondition of the
-exterior checks (check_gamma, which the CLI also applies at parse time), times
-the check, and stamps the problem parameters and runtime on the report.
+run_check is the one entry point.  Before any transform it refuses, with
+VerifyError, what no check can state:
+* a forcing gamma outside the regime of an exterior check (check_gamma, which
+  the CLI also applies at parse time);
+* a zero forcing (amplitude 0) in every check that reads the forcing, that is
+  all but constant and kernel-bounds: f = 0 has no profile, and each
+  normalized statement would be vacuous or 0/0.
+Each check refuses its own parameter preconditions (p >= p_*, a kappa term at
+alpha = 1).  run_check then times the check and stamps the problem parameters
+and runtime on the report.
 
 Checks
 ------
@@ -102,7 +109,7 @@ class VerifyConfig:
 
 
 def _y_profile(cfg: VerifyConfig):
-    return kernels.build_y_profile(cfg.params, cache_dir=cfg.cache_dir)
+    return kernels.build_y_profile(cfg.params, grid=cfg.grid, cache_dir=cfg.cache_dir)
 
 
 def _kappa(params: FracParams) -> float:
@@ -177,14 +184,6 @@ def _report(cfg, theorem, raw, norm, **kw):
     )
 
 
-def _zero_report(cfg, theorem, extra=None):
-    zeros = [0.0] * len(cfg.times)
-    rep = _report(cfg, theorem, zeros, zeros)
-    if extra:
-        rep.notes.update(extra)
-    return rep
-
-
 def _forcing_dict(cfg):
     f = cfg.forcing
     return {
@@ -206,8 +205,6 @@ def limit_profile_compact(cfg: VerifyConfig):
         gamma > 1+alpha:  (kappa/(gamma-1)) I_{4b}[g]
 
     (all times amplitude), built spectrally from the forcing transform."""
-    if cfg.forcing.amplitude == 0.0:
-        return RadialFunction(cfg.grid, np.zeros(cfg.grid.points))
     fs, riesz = cfg.forcing, _compact_limit_riesz(cfg)
     symbol = lambda r: fs.amplitude * fs.ghat(r) * riesz(r)
     return radial_fourier_inverse(symbol, cfg.params.dim, cfg.grid)
@@ -233,8 +230,6 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     if cfg.scale.kind != "compact":
         raise VerifyError("verify_compact requires a compact scale")
     fs, params = cfg.forcing, cfg.params
-    if fs.amplitude == 0.0:
-        return _zero_report(cfg, "compact")
     m = rate_compact(fs.gamma, params.alpha)
     riesz = _compact_limit_riesz(cfg)
     K = cfg.scale.radius
@@ -272,8 +267,6 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     kernels (reported in notes)."""
     fs, params = cfg.forcing, cfg.params
     klass = classify_scale(fs.gamma, params, cfg.scale)
-    if fs.amplitude == 0.0:
-        return _zero_report(cfg, "intermediate", {"scale_class": klass.value})
     profiles = {t: _riesz_profile(params, *_intermediate_profile_coeffs(cfg, klass, t))
                 for t in cfg.times}
 
@@ -350,8 +343,6 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
 
     The difference symbol is amplitude (g-hat(r) - mass_g) W(r^{2b}, t)."""
     fs, params = cfg.forcing, cfg.params
-    if fs.amplitude == 0.0:
-        return _zero_report(cfg, "outer-general")
     mass_g = fs.mass_g
     raw, norm = _checkpoint_series(
         cfg, cfg.times,
@@ -396,8 +387,6 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
 def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma > 1: scalar law Gamma(alpha) M(t) t^{1-alpha} -> M_inf, and
     ||u - M_inf Y|| / rate_outer -> 0 on the exterior; both must decrease."""
-    if cfg.forcing.amplitude == 0.0:
-        return _zero_report(cfg, "outer-mass")
     scalar, raw, norm = _mass_law(cfg, cfg.times)
     rep = _report(cfg, "outer-mass", raw, norm, **_outer_scale(cfg))
     scalar_ok = all(b < a_ for a_, b in zip(scalar[:-1], scalar[1:]))
@@ -415,8 +404,6 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     (kernel_times, kernel_series) for the checkpoints with t <= 1e4 and
     nu t^theta <= rho_max/2, i.e. whose exterior region starts well inside
     the grid; the lists are empty when no checkpoint qualifies."""
-    if cfg.forcing.amplitude == 0.0:
-        return _zero_report(cfg, "outer-log")
     kernel_times = [
         t
         for t in cfg.times
@@ -443,11 +430,6 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
         raise VerifyError(
             f"coherence pairs {len(_COHERENCE_XI)} xi-values with as many times"
         )
-    if fs.amplitude == 0.0:
-        rep = _zero_report(cfg, "coherence")
-        rep.verdict = "not-applicable"
-        rep.notes["reason"] = "zero forcing: ratio is 0/0"
-        return rep
     errs = []
     for xi, t in zip(_COHERENCE_XI, cfg.times):
         rho = xi * t**params.theta
@@ -516,14 +498,7 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
     sp = sigma_p(params, cfg.p)
     slope_err = abs(slope + sp) / abs(sp)
-    rep = ConvergenceReport(
-        theorem="kernel-bounds",
-        checkpoints=list(cfg.times),
-        raw_errors=norms,
-        normalized_errors=[slope_err],
-        tolerance=1e-2,
-        p=cfg.p,
-    )
+    rep = make_report("kernel-bounds", cfg.times, norms, [slope_err], 1e-2, p=cfg.p)
     rep.slope = slope
     rep.notes["bounds"] = bounds
     rep.notes["kappa"] = profile.kappa
@@ -566,14 +541,23 @@ def check_gamma(theorem: str, gamma: float):
         raise VerifyError(_GAMMA_RULES[theorem][0])
 
 
+# the checks that never read the forcing, and so run with any amplitude
+_FORCING_FREE = ("constant", "kernel-bounds")
+
+
 def run_check(cfg: VerifyConfig) -> ConvergenceReport:
-    """Run the check of cfg.theorem after its gamma precondition; the report
-    carries the problem parameters and the check's wall time."""
+    """Run the check of cfg.theorem after its preconditions (the gamma regime,
+    and a nonzero forcing for every check that reads it); the report carries
+    the problem parameters and the check's wall time."""
     if cfg.theorem not in _CHECKS:
         raise VerifyError(
             f"unknown theorem {cfg.theorem!r}; options: {sorted(_CHECKS)}"
         )
     check_gamma(cfg.theorem, cfg.forcing.gamma)
+    if cfg.forcing.amplitude == 0.0 and cfg.theorem not in _FORCING_FREE:
+        raise VerifyError(
+            f"{cfg.theorem} needs a nonzero forcing: f = 0 has no profile"
+        )
     t0 = time.perf_counter()
     rep = _CHECKS[cfg.theorem](cfg)
     rep.runtime_seconds = time.perf_counter() - t0

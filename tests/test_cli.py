@@ -158,6 +158,30 @@ def test_verify_precondition_exit_code(tmp_path, capsys):
         assert "code=precondition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["gamma = nan", "gamma = inf", "amplitude = nan",
+                                   "width = nan", "width = inf"])
+def test_verify_non_finite_forcing_is_a_config_error(tmp_path, capsys, value):
+    # refused at parse time; a NaN gamma once reached a W-table build in the
+    # compact check and exited with a misleading quadrature precondition
+    compact = FULL.replace("theorem = coherence", "theorem = compact").replace(
+        "kind = outer\nnu = 1.0", "kind = compact")
+    key = value.split()[0]
+    old = next(line for line in compact.splitlines() if line.startswith(key + " ="))
+    path = _write(tmp_path, compact.replace(old, value))
+    code = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "code=config " in capsys.readouterr().err
+
+
+def test_verify_zero_forcing_exit_code(tmp_path, capsys):
+    # f = 0 has no profile: every check that reads the forcing refuses it
+    path = _write(tmp_path, FULL.replace("amplitude = 1.0", "amplitude = 0.0"))
+    code = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "code=precondition" in err and "nonzero forcing" in err
+
+
 @pytest.mark.parametrize(
     "scale", ["kind = compact", "kind = intermediate\nexponent = 0.25"],
     ids=["compact", "intermediate-F"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from fracasym import potentials
 from fracasym.potentials import (
     PotentialError,
     _ghat_from_samples,
@@ -147,12 +148,17 @@ def test_tail_check_heavy_tail():
         assert 0.05 < r < 0.2
 
 
-def test_tail_check_zero_input():
+def test_tail_check_zero_input(monkeypatch):
+    # g = 0 has no mass and no tail statement: refused before any transform
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform run before the precondition")
+
+    monkeypatch.setattr(potentials, "radial_fourier_forward", no_transform)
+    monkeypatch.setattr(potentials, "radial_fourier_inverse", no_transform)
     grid = RadialGrid(1e-2, 10.0, 128)
     z = RadialFunction(grid, np.zeros(grid.points))
-    rep = riesz_tail_check(z, 2.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=[10.0, 100.0])
-    assert rep.verdict == "pass"
-    assert rep.normalized_errors == [0.0, 0.0]
+    with pytest.raises(PotentialError, match="vacuous"):
+        riesz_tail_check(z, 2.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=[10.0, 100.0])
 
 
 def test_tail_check_bad_annulus():

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 from fracasym.params import FracParams
-from fracasym.radialtransform import RadialGrid, lp_norm_annulus, radial_integral
+from fracasym.potentials import riesz_potential
+from fracasym.radialtransform import RadialFunction, RadialGrid, lp_norm_annulus, radial_integral
 from fracasym.special import mittag_leffler
 from fracasym import solver
 from fracasym.solver import (
@@ -120,6 +121,10 @@ def test_forcing_validation():
         ForcingSpec("gaussian", gamma=0.0, width=-1.0)
     with pytest.raises(SolverError, match="odd dim"):
         ForcingSpec("bump", gamma=0.0, dim=4)
+    for kw in ({"gamma": math.nan}, {"gamma": math.inf}, {"amplitude": math.nan},
+               {"amplitude": -math.inf}, {"width": math.nan}, {"width": math.inf}):
+        with pytest.raises(SolverError, match="finite"):
+            ForcingSpec("gaussian", **{"gamma": 0.0, **kw})
 
 
 def test_time_integrated_forcing():
@@ -290,10 +295,21 @@ def test_linearity_in_amplitude():
     assert np.max(np.abs(a3.u.samples[sel] / a1.u.samples[sel] - 3.0)) < 1e-10
 
 
+def _exact_zeros(f):
+    return np.array_equal(f.samples, np.zeros(f.grid.points)) and not np.signbit(f.samples).any()
+
+
 def test_zero_amplitude():
+    # zero data takes the ordinary path, whose noise clamp writes +0.0
     params = FracParams(0.5, 0.5, 3)
-    sl = solve_duhamel(ForcingSpec("gaussian", gamma=0.0, amplitude=0.0, dim=3), params, 10.0, GRID)
-    assert sl.u.is_zero
+    for gamma in (0.0, 0.5):
+        fs = ForcingSpec("gaussian", gamma=gamma, amplitude=0.0, dim=3)
+        sl = solve_duhamel(fs, params, 10.0, GRID)
+        assert sl.u.is_zero and _exact_zeros(sl.u)
+        assert _exact_zeros(outer_reference(fs, params, 10.0, GRID))
+    zero = RadialFunction(GRID, np.zeros(GRID.points))
+    for mu in (0.5, 1.0, 2.0):
+        assert _exact_zeros(riesz_potential(zero, mu, 3))
 
 
 def test_stationary_convergence_gamma0():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracasym import kernels
+from fracasym import kernels, solver, verify
 from fracasym.params import (
     FracParams,
     ScaleSpec,
@@ -53,20 +53,49 @@ def test_unknown_theorem():
         run_check(cfg)
 
 
-def test_zero_forcing_trivial_reports(cache_dir):
-    zero = ForcingSpec("gaussian", gamma=0.5, amplitude=0.0, dim=3)
-    for theorem, scale in [
-        ("compact", ScaleSpec(kind="compact")),
-        ("intermediate", ScaleSpec(kind="intermediate", exponent=0.25)),
-        ("outer-general", ScaleSpec(kind="outer")),
+def test_zero_forcing_trivial_reports(monkeypatch):
+    # f = 0 has no profile and every normalized statement is vacuous or 0/0:
+    # each check that reads the forcing refuses it before any transform
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform run before the precondition")
+
+    monkeypatch.setattr(verify, "radial_fourier_inverse", no_transform)
+    monkeypatch.setattr(solver, "radial_fourier_inverse", no_transform)
+    for theorem, gamma, scale in [
+        ("compact", 0.5, ScaleSpec(kind="compact")),
+        ("intermediate", 0.5, ScaleSpec(kind="intermediate", exponent=0.25)),
+        ("outer-general", 0.5, ScaleSpec(kind="outer")),
+        ("outer-mass", 2.0, ScaleSpec(kind="outer")),
+        ("outer-log", 1.0, ScaleSpec(kind="outer")),
+        ("coherence", 0.5, ScaleSpec(kind="outer")),
     ]:
-        rep = run_check(
-            _cfg(forcing=zero, theorem=theorem, scale=scale, cache_dir=cache_dir)
-        )
-        assert rep.passed
-        assert all(e == 0.0 for e in rep.normalized_errors)
-    rep = run_check(_cfg(forcing=zero, theorem="coherence", scale=ScaleSpec(kind="outer")))
-    assert rep.verdict == "not-applicable"
+        zero = ForcingSpec("gaussian", gamma=gamma, amplitude=0.0, dim=3)
+        with pytest.raises(VerifyError, match="nonzero forcing"):
+            run_check(_cfg(forcing=zero, theorem=theorem, scale=scale))
+
+
+def test_constant_runs_with_zero_forcing(cache_dir):
+    # the constant identity never reads the forcing
+    zero = ForcingSpec("gaussian", gamma=0.5, amplitude=0.0, dim=3)
+    assert run_check(_cfg(forcing=zero, theorem="constant", cache_dir=cache_dir)).passed
+
+
+@pytest.mark.parametrize("theorem", ["constant", "kernel-bounds"])
+def test_kernel_profile_checks_use_the_config_grid(theorem, monkeypatch):
+    class Built(Exception):
+        pass
+
+    seen = []
+
+    def record(params, grid=None, cache_dir=None):
+        seen.append(grid)
+        raise Built
+
+    monkeypatch.setattr(kernels, "build_y_profile", record)
+    grid = RadialGrid(1e-3, 1e3, 128)
+    with pytest.raises(Built):
+        run_check(_cfg(theorem=theorem, grid=grid))
+    assert seen == [grid]
 
 
 def test_gamma_preconditions():
