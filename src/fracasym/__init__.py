@@ -19,6 +19,7 @@ from .radialtransform import (
     omega_n,
     radial_fourier_forward,
     radial_fourier_inverse,
+    radial_fourier_inverses,
     radial_integral,
 )
 from .special import SpecialFunctionError, bessel_j_half, gamma_fn, mittag_leffler
@@ -42,7 +43,6 @@ from .solver import (
     SolutionSlice,
     SolverError,
     forcing_mass,
-    outer_reference,
     solution_mass,
     solve_duhamel,
     time_integrated_forcing,

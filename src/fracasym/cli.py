@@ -12,10 +12,10 @@ kind, inferred from the theorem, and the Riesz order mu = 2 beta are set here.
 kappa, A, c_2beta, |A/c_2beta - 1| and G's bound report, one (alpha, beta, N)
 per config.  Profiles are built in the process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure, 2 configuration error: a value
-any of those objects rejects (a non-finite forcing value among them), or a
-forcing gamma outside the theorem's regime (verify.check_gamma), exits 2 at
-parse time with code=config; a zero forcing in a check that reads it exits 2
-at run time with code=precondition.  All diagnostics go to stderr with
+any of those objects rejects (a non-finite forcing value among them), a
+non-finite checkpoint time, or a forcing gamma outside the theorem's regime
+(verify.check_gamma), exits 2 at parse time with code=config; a zero forcing
+in a check that reads it exits 2 at run time with code=precondition.  All diagnostics go to stderr with
 machine-parseable ``code=`` prefixes.
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -63,7 +64,11 @@ class RunConfig:
 
 
 def _parse_times(raw: str) -> tuple:
-    return tuple(float(x) for x in raw.replace(",", " ").split())
+    """The checkpoints; a NaN or infinite time states nothing, in any command."""
+    times = tuple(float(x) for x in raw.replace(",", " ").split())
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError(f"non-finite time in {raw!r}")
+    return times
 
 
 def _parse_bool(raw: str) -> bool:

@@ -99,15 +99,19 @@ def _identity(params: FracParams, which: str) -> dict:
             "dim": params.dim, "engine": _engine()}
 
 
-def _symbol(params: FracParams, which: str, t: float = 1.0):
-    """r -> the kernel symbol at time t: Z-hat = E_a(-r^{2b} t^a) for "F",
-    Y-hat = t^{a-1} E_{a,a}(-r^{2b} t^a) for "G".  At a = 1 both are
-    exp(-r^{2b} t), bit for bit: the second parameter is 1 and the scale t^0
-    is exactly 1, which multiplies exactly."""
-    a, two_b = params.alpha, 2.0 * params.beta
-    b, scale = (1.0, 1.0) if which == "F" else (a, t ** (a - 1.0))
-    minus_ta = -(t**a)
-    return lambda r: scale * mittag_leffler(a, b, r**two_b * minus_ta)
+def _symbol(params: FracParams, which: str, times=(1.0,)):
+    """lam -> the kernel symbols at each t in times, as K arrays of lam's
+    shape, where lam = r^{2b} is formed once by the caller (and shared with
+    the time weights of solver): Z-hat = E_a(-lam t^a) for "F", Y-hat =
+    t^{a-1} E_{a,a}(-lam t^a) for "G".  The single-t symbol is the case
+    times = (t,).  At a = 1 both are exp(-lam t), bit for bit: the second
+    parameter is 1 and the scale t^0 is exactly 1, which multiplies
+    exactly."""
+    a = params.alpha
+    b = 1.0 if which == "F" else a
+    factors = [(1.0 if which == "F" else t ** (a - 1.0), -(t**a)) for t in times]
+    return lambda lam: [scale * mittag_leffler(a, b, lam * minus_ta)
+                        for scale, minus_ta in factors]
 
 
 def _grid_key(grid: RadialGrid) -> str:
@@ -155,7 +159,8 @@ def _profile(params: FracParams, which: str, grid: RadialGrid) -> KernelProfile:
     and their logs, the quintic's 767 x 6 coefficients): under 0.5 MB."""
     if which == "G" and params.alpha == 1.0:
         return KernelProfile(params, "G", _profile(params, "F", grid).values)
-    values = radial_fourier_inverse(_symbol(params, which), params.dim, grid)
+    symbol, two_b = _symbol(params, which), 2.0 * params.beta
+    values = radial_fourier_inverse(lambda r: symbol(r**two_b)[0], params.dim, grid)
     if params.beta == 1.0:
         # exponential-type spatial tail: the profile is positive, so from the
         # first non-positive sample on the samples are quadrature residue

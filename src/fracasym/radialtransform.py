@@ -16,18 +16,23 @@ kernel J_nu(x) x^{N/2} w times its panel's averaging weight, built once per
 dimension (in extended precision: the sum cancels by many orders of magnitude
 where the output is small).  A transform is then one long-double
 matrix-vector product, symbol values times weights, plus one float64 pass for
-the noise floor: on the default 768-point grid (1904 abscissas) about 28 ms
-on a 2-vCPU Xeon with the long-double division that forms the arguments
-x/rho, besides evaluating the symbol there.  Each output row needs only its
-own row of x/rho, so the engine forms, evaluates, sums and checks
-_BLOCK_ROWS = 16 rows at a time, a working set that stays in a 2 MiB L2: one
-default-grid G transform takes about 57 ms (116 ms on the whole array at
-once) and peaks at 2.1 MiB of traced allocations (62 MiB), bit for bit the
-same result.  A symbol gets float64
-r (at most _BLOCK_ROWS x 1904, rounded once in the engine) and returns that
-shape; no symbol casts its argument.  Both directions share one finish:
-integrate, zero what lies below 8x the rounding noise, scale by
-(2pi)^{-+N/2} r^{-N}.
+the noise floor, over the arguments x/rho, which are divided in long double
+(on the default 768-point grid, 1904 abscissas: 11-13 ms of division per
+pass on a 2-vCPU Xeon).  Each output row needs only its own row of x/rho, so
+the engine forms, evaluates, sums and checks _BLOCK_ROWS = 16 rows at a time,
+a working set that stays in a 2 MiB L2, bit for bit the result of one call on
+the whole array.  One pass serves K symbols: the symbol is called once per
+block and returns K arrays, so the factors they share (the division, a
+forcing transform, r^{2b}) are formed once, and each output is summed and
+checked on its own, with the bits it would have alone.
+radial_fourier_inverses is that batched inverse; radial_fourier_inverse and
+radial_fourier_forward are its K = 1 case.  A default-grid G transform takes
+72-73 ms and peaks at 1.8 MiB of traced allocations; the compact check's
+three checkpoints take 215-237 ms in one pass and 242-279 ms in three
+(3.3 MiB).  A symbol gets float64 r (at most _BLOCK_ROWS x 1904, rounded
+once in the engine) and returns arrays of that shape; no symbol casts its
+argument.  Both directions share one finish: integrate, zero what lies below
+8x the rounding noise, scale by (2pi)^{-+N/2} r^{-N}.
 
 One radial moment, int_a^b |u|^p rho^{k-1} drho (or the signed int of u) over
 the grid plus the fitted power-law pieces beyond it in closed form, serves
@@ -231,13 +236,16 @@ class RadialFunction:
 
 # --- Hankel quadrature engine ------------------------------------------------
 
-# Rows of r = x/rho per symbol call.  A 16 x 1904 block is 0.49 MB in long
-# double and 0.24 MB per float64 temporary, so the symbol's elementwise passes
-# work out of a 2 MiB L2 where whole-grid arrays (23.4 and 11.7 MB) streamed
-# through memory.  Per default-grid transform, medians of 4 runs (2-vCPU Xeon,
-# 2 MiB L2 per core), G and Duhamel symbols: 8 rows 119 / 94 ms, 16 rows
-# 99 / 91 ms, 32 rows 128 / 91 ms, 64 rows 134 / 116 ms, 128 rows 152 / 120 ms,
-# all rows at once 165 / 134 ms.
+# Rows of r = x/rho per symbol call.  A 16 x 1904 block is 0.24 MB per
+# float64 array, so a symbol's elementwise passes, with K outputs alive, work
+# out of a 2 MiB L2 where whole-grid arrays (11.7 MB each) streamed through
+# memory.  Measured at 8 / 16 / 32 rows (2-vCPU Xeon, 2 MiB L2 per core):
+# per default-grid transform, medians of 9 in three runs, a G symbol took
+# 81-88 / 72-73 / 64-65 ms and peaked at 1.0 / 1.8 / 3.5 MiB traced, and the
+# compact check's three checkpoints in one pass 207-238 / 215-237 / 236-250 ms
+# at 1.7 / 3.3 / 6.1 MiB; end to end (perfbench --seconds 6, six seeds in
+# rotating order), battery wall_s medians 1.803 / 1.801 / 1.913 s at peak RSS
+# 42.9 / 44.9 / 49.0 MB, and potentials 1.343 / 1.289 / 1.634 s.
 _BLOCK_ROWS = 16
 
 
@@ -322,57 +330,71 @@ class _HankelEngine:
         self.kernel_f64 = self.kernel.astype(float)  # for the noise floor
 
     def integrate(self, symbol, rho):
-        """int_0^inf symbol(x/rho) J_nu(x) x^{N/2} dx for each rho (vector).
+        """int_0^inf s(x/rho) J_nu(x) x^{N/2} dx for each rho and each of the
+        K arrays s that symbol returns per call.
 
-        Returns (integral, noise) where noise estimates the absolute rounding
-        floor of each integral (values cancelling below it are meaningless).
+        Returns (integral, noise), each K x len(rho), where noise estimates
+        the absolute rounding floor of each integral (values cancelling below
+        it are meaningless).
 
         Each row depends on its own rho alone, so the rows are taken
-        _BLOCK_ROWS at a time: the symbol is called on one block of r = x/rho,
-        checked for shape, summed (a non-finite row sum raises) and dropped
-        before the next.
-        For a symbol that is elementwise the results are the same bits as one
-        call on all rows.  The symbol contract: each call gets a float64 array
-        r of at most _BLOCK_ROWS x len(x), divided in long double (the precision
-        of x) and rounded once, here, and returns an array of that shape.
+        _BLOCK_ROWS at a time: one block of r = x/rho is formed, the symbol is
+        called once on it, and each of its K outputs is checked for shape,
+        summed (a non-finite row sum raises) and noise-estimated on its own
+        before the next block.  For a symbol that is elementwise the results
+        are the same bits as one call on all rows, and output k has the same
+        bits as a symbol returning it alone.  The symbol contract: each call
+        gets a float64 array r of at most _BLOCK_ROWS x len(x), divided in
+        long double (the precision of x) and rounded once, here, and returns
+        the same number K of arrays of that shape at every call.
         """
         rho = np.asarray(rho, dtype=float)
-        integral, noise = np.empty(rho.size), np.empty(rho.size)
-        for i in range(0, rho.size, _BLOCK_ROWS):
+        integral = noise = None
+        # at least one block, so that K is known for an empty rho too
+        for i in range(0, max(rho.size, 1), _BLOCK_ROWS):
             rows = slice(i, i + _BLOCK_ROWS)
             # each long-double quotient is rounded into float64 r as it is
             # written: no long-double block is allocated
             r = np.empty((rho[rows].size, self.x.size))
             np.divide(self.x, rho[rows, None].astype(np.longdouble), out=r)
-            vals = np.asarray(symbol(r))
-            if vals.shape != r.shape:
-                raise TransformError("symbol must evaluate elementwise on arrays")
-
-            # long double because k_eff is: the sum cancels by many orders of
-            # magnitude where the output is small
-            sums = np.einsum("ij,j->i", vals, self.k_eff)
-            # an inf or NaN among a row's values makes its sum inf or NaN
-            # (k_eff has no zero), so the rows' sums stand for the values
-            if not np.all(np.isfinite(sums)):
-                raise TransformError("symbol produced non-finite values")
-            integral[rows] = sums
-
-            # the noise bounds two errors: the symbol values' ~1e-16 relative
-            # error (independent per node, so summed in quadrature) and the
-            # float64 rounding of the contributions (correlated, so their
-            # sizes add)
-            cf = np.multiply(vals.astype(float, copy=False), self.kernel_f64)
-            np.abs(cf, out=cf)
-            l1 = cf.sum(axis=1)
-            np.square(cf, out=cf)
-            noise[rows] = 1e-16 * np.sqrt(cf.sum(axis=1)) + 5e-17 * l1
+            outs = symbol(r)
+            if integral is None:
+                integral = np.empty((len(outs), rho.size))
+                noise = np.empty_like(integral)
+            if len(outs) != len(integral):
+                raise TransformError("symbol changed its number of outputs")
+            for k, vals in enumerate(outs):
+                integral[k, rows], noise[k, rows] = self._block(np.asarray(vals), r.shape)
         return integral, noise
 
+    def _block(self, vals, shape):
+        """(sums, noise) of one symbol output over one block of rows."""
+        if vals.shape != shape:
+            raise TransformError("symbol must evaluate elementwise on arrays")
+        # long double because k_eff is: the sum cancels by many orders of
+        # magnitude where the output is small
+        sums = np.einsum("ij,j->i", vals, self.k_eff)
+        # an inf or NaN among a row's values makes its sum inf or NaN (k_eff
+        # has no zero), so the rows' sums stand for the values
+        if not np.all(np.isfinite(sums)):
+            raise TransformError("symbol produced non-finite values")
+
+        # the noise bounds two errors: the symbol values' ~1e-16 relative
+        # error (independent per node, so summed in quadrature) and the
+        # float64 rounding of the contributions (correlated, so their sizes
+        # add)
+        cf = np.multiply(vals.astype(float, copy=False), self.kernel_f64)
+        np.abs(cf, out=cf)
+        l1 = cf.sum(axis=1)
+        np.square(cf, out=cf)
+        return sums, 1e-16 * np.sqrt(cf.sum(axis=1)) + 5e-17 * l1
+
     def transform(self, symbol, at, sign: int):
-        """(2pi)^{sign N/2} at^{-N} times integrate(symbol, at), with integrals
-        below 8x their rounding noise set to zero: there the cancelled sum is
-        pure noise, and clamping keeps super-exponential tails from polluting
-        downstream integrals.  sign = -1 is the inverse, +1 the forward."""
+        """(2pi)^{sign N/2} at^{-N} times integrate(symbol, at), K x len(at),
+        with integrals below 8x their rounding noise set to zero: there the
+        cancelled sum is pure noise, and clamping keeps super-exponential
+        tails from polluting downstream integrals.  sign = -1 is the inverse,
+        +1 the forward."""
         integral, noise = self.integrate(symbol, at)
         integral[np.abs(integral) < 8.0 * noise] = 0.0
         scale = (2.0 * math.pi) ** (sign * self.dim / 2.0)
@@ -384,27 +406,39 @@ def _engine(dim: int) -> _HankelEngine:
     return _HankelEngine(dim)
 
 
-def _check_symbol_decay(symbol):
+def _check_symbol_decay(symbols):
     probes = np.array([[1.0, 1e-2, 1e8, 1e9]])
-    vals = np.abs(np.asarray(symbol(probes), dtype=float)).ravel()
-    scale = max(vals[0], vals[1], 1e-290)
-    if vals[3] > 1e-10 * scale and vals[3] > 0.7 * vals[2]:
-        raise TransformError(
-            "symbol does not decay at infinity; transform is not convergent"
-        )
+    for out in symbols(probes):
+        vals = np.abs(np.asarray(out, dtype=float)).ravel()
+        scale = max(vals[0], vals[1], 1e-290)
+        if vals[3] > 1e-10 * scale and vals[3] > 0.7 * vals[2]:
+            raise TransformError(
+                "symbol does not decay at infinity; transform is not convergent"
+            )
 
 
-def radial_fourier_inverse(symbol, dim: int, grid: RadialGrid | None = None) -> RadialFunction:
-    """h(rho) = (2pi)^{-N/2} rho^{1-N/2} int_0^inf symbol(r) J_nu(r rho) r^{N/2} dr.
+def radial_fourier_inverses(symbols, dim: int, grid: RadialGrid | None = None):
+    """The inverse transforms of K symbols in one pass of the engine, as a
+    list of K RadialFunctions: symbols(r) returns the K arrays of r's shape,
+    so that the factors they share are formed once per block.  Output k has
+    the same bits as radial_fourier_inverse of the symbol r -> symbols(r)[k].
 
-    The symbol must be vectorized over positive r, bounded (or integrably
+    Each symbol must be vectorized over positive r, bounded (or integrably
     singular) near 0, and algebraically decaying at infinity.
     """
     grid = grid or RadialGrid()
-    _check_symbol_decay(symbol)
-    samples = _engine(dim).transform(symbol, grid.nodes, -1)
-    samples[np.abs(samples) < 1e-300] = 0.0  # underflow clamp
-    return RadialFunction(grid, samples)
+    _check_symbol_decay(symbols)
+    out = []
+    for samples in _engine(dim).transform(symbols, grid.nodes, -1):
+        samples[np.abs(samples) < 1e-300] = 0.0  # underflow clamp
+        out.append(RadialFunction(grid, samples))
+    return out
+
+
+def radial_fourier_inverse(symbol, dim: int, grid: RadialGrid | None = None) -> RadialFunction:
+    """h(rho) = (2pi)^{-N/2} rho^{1-N/2} int_0^inf symbol(r) J_nu(r rho) r^{N/2} dr,
+    the one-symbol case of radial_fourier_inverses."""
+    return radial_fourier_inverses(lambda r: (symbol(r),), dim, grid)[0]
 
 
 def radial_fourier_forward(h: RadialFunction, dim: int):
@@ -419,7 +453,7 @@ def radial_fourier_forward(h: RadialFunction, dim: int):
 
     def transform(r):
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        vals = eng.transform(h, r_arr, 1)
+        vals = eng.transform(lambda x: (h(x),), r_arr, 1)[0]
         return float(vals[0]) if np.isscalar(r) else vals.reshape(np.shape(r))
 
     return transform

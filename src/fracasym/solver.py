@@ -320,22 +320,12 @@ def time_weight(alpha: float, gamma: float, t: float):
     return w_interp
 
 
-def duhamel_weight(params: FracParams, gamma: float, t: float):
-    """r -> W(r^{2 beta}, t), the factor of the Duhamel symbol that carries
-    the time."""
-    w_fn = time_weight(params.alpha, gamma, t)
+def duhamel_symbol(fs: ForcingSpec, params: FracParams, t: float):
+    """r -> amplitude g-hat(r) W(r^{2 beta}, t), the transform u-hat(r, t) of
+    the Duhamel solution at time t."""
+    w_fn = time_weight(params.alpha, fs.gamma, t)
     two_beta = 2.0 * params.beta
-    return lambda r: w_fn(r**two_beta)
-
-
-def duhamel_symbol(fs: ForcingSpec, params: FracParams, t: float, spatial_hat=None):
-    """r -> spatial_hat(r) W(r^{2 beta}, t), the transform of the Duhamel
-    solution at time t for the spatial factor whose transform is spatial_hat;
-    the default amplitude g-hat gives u-hat(r, t)."""
-    if spatial_hat is None:
-        spatial_hat = lambda r: fs.amplitude * fs.ghat(r)
-    weight = duhamel_weight(params, fs.gamma, t)
-    return lambda r: spatial_hat(r) * weight(r)
+    return lambda r: fs.amplitude * fs.ghat(r) * w_fn(r**two_beta)
 
 
 def solve_duhamel(
@@ -368,18 +358,6 @@ def solve_duhamel(
         "time_weight": "closed-form" if fs.gamma == 0.0 else "spline-table",
     }
     return SolutionSlice(t=float(t), u=u, params=params, diagnostics=diag)
-
-
-def outer_reference(
-    fs: ForcingSpec, params: FracParams, t: float, grid: RadialGrid | None = None
-) -> RadialFunction:
-    """int_0^t M_f(s) Y(., t-s) ds: the Duhamel symbol with g-hat replaced by
-    the constant M0 (the mass-concentrated forcing)."""
-    grid = grid or RadialGrid()
-    M0 = fs.M0
-    return radial_fourier_inverse(
-        duhamel_symbol(fs, params, t, lambda r: M0), params.dim, grid
-    )
 
 
 def solution_mass(fs: ForcingSpec, params: FracParams, t: float) -> float:

@@ -3,18 +3,22 @@
 Each check evaluates the literal o(1) statement of one limit theorem at
 geometric time checkpoints and reports strict monotone decrease plus a final
 tolerance.  Each annulus check (compact, intermediate, exterior) runs one
-checkpoint series: at each t it takes one difference symbol u-hat minus
-profile-hat, applies the inverse transform, takes the L^p norm over its
-region and divides by the sharp rate from fracasym.params (t^{-rate_compact},
-rate_intermediate or rate_outer).  Forming the difference in the symbol, never
-as a difference of two transformed functions, makes the far-field
-cancellation between u and its limit profile exact, so the quadrature error
-budget stays at the level of the difference itself.  The solution's symbol is
-always the forcing's transform times solver.duhamel_weight; the Riesz
-profiles c2 E_{2b} + c4 E_{4b} come from one builder, and outer-mass and
-outer-log share one mass law.  The kappa of their E_{4b} terms is the
-closed form kernels.estimate_kappa, so compact and intermediate build no
-kernel profile.
+checkpoint series: it builds one batched symbol, u-hat minus profile-hat at
+every checkpoint t (_difference_symbols), inverts all of them in one pass of
+the transform engine, takes each L^p norm over its region and divides it by
+the sharp rate from fracasym.params (t^{-rate_compact}, rate_intermediate or
+rate_outer).  The factors that do not depend on t (the forcing's transform,
+r^{2b}, the Riesz powers) are formed once per block of the pass;
+coherence and kernel-bounds batch their checkpoints the same way.  Forming
+the difference in the symbol, never as a difference of two transformed
+functions, makes the far-field cancellation between u and its limit profile
+exact, so the quadrature error budget stays at the level of the difference
+itself.  The solution's symbol is always the forcing's transform times the
+time weight W(r^{2b}, t) of solver.time_weight; the Riesz profiles
+c2 E_{2b} + c4 E_{4b} come from one builder, and outer-mass and outer-log
+share one mass law.  The kappa of their E_{4b} terms is the closed form
+kernels.estimate_kappa, so compact and intermediate build no kernel
+profile.
 
 run_check is the one entry point.  Before any transform it refuses, with
 VerifyError, what no check can state:
@@ -66,9 +70,10 @@ from .radialtransform import (
     RadialGrid,
     lp_norm_annulus,
     radial_fourier_inverse,
+    radial_fourier_inverses,
 )
 from .reporting import ConvergenceReport, make_report
-from .solver import ForcingSpec, duhamel_symbol, duhamel_weight, outer_reference, solution_mass
+from .solver import ForcingSpec, solution_mass, time_weight
 from .special import gamma_fn, gl_panels
 
 
@@ -93,6 +98,9 @@ class VerifyConfig:
 
     def __post_init__(self):
         ts = [float(t) for t in self.times]
+        # a NaN fails every comparison below, and so would pass them all
+        if not all(math.isfinite(t) for t in ts):
+            raise VerifyError(f"checkpoints must be finite, got {ts}")
         if len(ts) < 2 or any(b < 10.0 * a for a, b in zip(ts[:-1], ts[1:])):
             raise VerifyError("times must increase geometrically with ratio >= 10")
         # every check states a large-time limit, and its rates, mass laws and
@@ -121,59 +129,65 @@ def _kappa(params: FracParams) -> float:
     return kappa
 
 
-def _difference_symbol(cfg: VerifyConfig, t: float, profile_symbol):
-    """r -> u-hat(r, t) - profile_symbol(r, ag), the one symbol whose inverse
-    transform is u(., t) minus the comparison profile.  u-hat is
-    ag W(r^{2b}, t) with ag = amplitude g-hat(r), formed once per block and
-    handed to the profile too, for a profile built on the forcing's transform
-    (the compact limit); profile_symbol must already include amplitude/mass
-    factors."""
-    fs = cfg.forcing
-    weight = duhamel_weight(cfg.params, fs.gamma, t)
+def _difference_symbols(cfg: VerifyConfig, times, profiles=None, spatial=None):
+    """r -> [spatial(r) W(r^{2b}, t) - profile-hat_t(r) for t in times], the
+    K symbols whose inverse transforms are the Duhamel solution at each
+    checkpoint minus its comparison profile, all served by one engine pass:
+    the one path for u-hat minus profile-hat.  spatial defaults to amplitude
+    g-hat, which makes the first term u-hat.  The t-independent factors
+    s = spatial(r) and lam = r^{2b} are formed once per block and handed to
+    profiles(r, lam, s), which returns the K profile-hats with their
+    amplitude and mass factors; without profiles the symbols are the Duhamel
+    terms alone."""
+    fs, params = cfg.forcing, cfg.params
+    if spatial is None:
+        spatial = lambda r: fs.amplitude * fs.ghat(r)
+    weights = [time_weight(params.alpha, fs.gamma, t) for t in times]
+    two_beta = 2.0 * params.beta
 
-    def symbol(r):
-        ag = fs.amplitude * fs.ghat(r)
-        profile = profile_symbol(r, ag)
-        # u-hat and then the difference in ag's buffer: the same bits as
-        # ag * weight(r) - profile, one block array fewer alive
-        ag *= weight(r)
-        ag -= profile
-        return ag
+    def symbols(r):
+        s, lam = spatial(r), r**two_beta
+        out = [s * w(lam) for w in weights]
+        if profiles is not None:
+            for d, profile in zip(out, profiles(r, lam, s), strict=True):
+                d -= profile  # in d's own buffer: s is shared
+        return out
 
-    return symbol
+    return symbols
 
 
-def _checkpoint_series(cfg: VerifyConfig, times, symbol_at, region_at, rate_at):
+def _checkpoint_series(cfg: VerifyConfig, times, symbols, region_at, rate_at):
     """At each checkpoint t: the L^p norm over region_at(t) = (lo, hi) of the
-    inverse transform of symbol_at(t), and that norm divided by the sharp
-    rate rate_at(t).  Returns (raw, normalized)."""
+    inverse transform of its symbol, one of the K that symbols returns (all
+    transformed in one pass), and that norm divided by the sharp rate
+    rate_at(t).  Returns (raw, normalized), empty for no checkpoints."""
+    if not times:
+        return [], []
     n = cfg.params.dim
-    raw, norm = [], []
-    for t in times:
-        lo, hi = region_at(t)
-        diff = radial_fourier_inverse(symbol_at(t), n, cfg.grid)
-        err = lp_norm_annulus(diff, cfg.p, n, lo, hi)
-        raw.append(err)
-        norm.append(err / rate_at(t))
-    return raw, norm
+    regions = [region_at(t) for t in times]
+    diffs = radial_fourier_inverses(symbols, n, cfg.grid)
+    raw = [lp_norm_annulus(d, cfg.p, n, lo, hi) for d, (lo, hi) in zip(diffs, regions)]
+    return raw, [err / rate_at(t) for err, t in zip(raw, times)]
 
 
-def _riesz_profile(params: FracParams, c2: float, c4: float):
-    """The profile c2 E_{2b} + c4 E_{4b} as (symbol, values): E_mu has the
-    transform r^{-mu}/c_mu, so symbol(r) = (c2/c_{2b}) r^{-2b} +
-    (c4/c_{4b}) r^{-4b}, and values(rho) = c2 rho^{2b-N} + c4 rho^{4b-N}.
-    A zero coefficient drops its term."""
+def _riesz_profiles(params: FracParams, coeffs):
+    """The profiles c2 E_{2b} + c4 E_{4b}, one per (c2, c4) in coeffs, as
+    (symbols, values): E_mu has the transform r^{-mu}/c_mu, so symbols(r)
+    returns the K arrays (c2/c_{2b}) r^{-2b} + (c4/c_{4b}) r^{-4b}, each
+    power of r formed once per call, and values[k](rho) = c2 rho^{2b-N} +
+    c4 rho^{4b-N}.  A zero coefficient drops its term."""
     n = params.dim
-    terms = [(c, k * params.beta) for c, k in ((c2, 2.0), (c4, 4.0)) if c]
-    spectral = [(c / riesz_constant(mu, n), mu) for c, mu in terms]
+    mus = (2.0 * params.beta, 4.0 * params.beta)
+    terms = [[(c, mu) for c, mu in zip(cs, mus) if c] for cs in coeffs]
+    spectral = [[(c / riesz_constant(mu, n), mu) for c, mu in ts] for ts in terms]
+    used = {mu for ts in terms for _, mu in ts}
 
-    def symbol(r):
-        return sum(c * r**-mu for c, mu in spectral)
+    def symbols(r):
+        powers = {mu: r**-mu for mu in used}
+        return [sum(c * powers[mu] for c, mu in ts) for ts in spectral]
 
-    def values(rho):
-        return sum(c * rho ** (mu - n) for c, mu in terms)
-
-    return symbol, values
+    values = [lambda rho, ts=ts: sum(c * rho ** (mu - n) for c, mu in ts) for ts in terms]
+    return symbols, values
 
 
 def _report(cfg, theorem, raw, norm, **kw):
@@ -221,7 +235,8 @@ def _compact_limit_riesz(cfg: VerifyConfig):
     else:
         kappa = _kappa(cfg.params)
         coeffs = (c2b, kappa / a) if fs.gamma == 1.0 + a else (0.0, kappa / (fs.gamma - 1.0))
-    return _riesz_profile(cfg.params, *coeffs)[0]
+    symbols = _riesz_profiles(cfg.params, [coeffs])[0]
+    return lambda r: symbols(r)[0]
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
@@ -233,13 +248,15 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     m = rate_compact(fs.gamma, params.alpha)
     riesz = _compact_limit_riesz(cfg)
     K = cfg.scale.radius
+    scales = [t**m for t in cfg.times]
 
-    def symbol_at(t):
-        tm = t**m
-        return _difference_symbol(cfg, t, lambda r, ag: ag * riesz(r) / tm)
+    def profiles(r, lam, ag):
+        limit = ag * riesz(r)
+        return [limit / tm for tm in scales]
 
     _, errs = _checkpoint_series(
-        cfg, cfg.times, symbol_at, lambda t: (cfg.grid.rho_min, K), lambda t: t**-m
+        cfg, cfg.times, _difference_symbols(cfg, cfg.times, profiles),
+        lambda t: (cfg.grid.rho_min, K), lambda t: t**-m,
     )
     return _report(cfg, "compact", errs, errs, scale={"kind": "compact", "radius": K})
 
@@ -267,8 +284,8 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     kernels (reported in notes)."""
     fs, params = cfg.forcing, cfg.params
     klass = classify_scale(fs.gamma, params, cfg.scale)
-    profiles = {t: _riesz_profile(params, *_intermediate_profile_coeffs(cfg, klass, t))
-                for t in cfg.times}
+    symbols, values = _riesz_profiles(
+        params, [_intermediate_profile_coeffs(cfg, klass, t) for t in cfg.times])
 
     def annulus(t):
         phi = cfg.scale.phi(t)
@@ -276,14 +293,14 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
 
     raw, norm = _checkpoint_series(
         cfg, cfg.times,
-        lambda t: _difference_symbol(cfg, t, lambda r, ag: profiles[t][0](r)),
+        _difference_symbols(cfg, cfg.times, lambda r, lam, ag: symbols(r)),
         annulus,
         lambda t: rate_intermediate(params, cfg.p, fs.gamma, klass, cfg.scale.phi(t), t),
     )
     prof_norms = [
-        lp_norm_annulus(RadialFunction(cfg.grid, profiles[t][1](cfg.grid.nodes)),
+        lp_norm_annulus(RadialFunction(cfg.grid, value(cfg.grid.nodes)),
                         cfg.p, params.dim, *annulus(t))
-        for t in cfg.times
+        for value, t in zip(values, cfg.times)
     ]
     rep = _report(
         cfg, "intermediate", raw, norm,
@@ -344,10 +361,10 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     The difference symbol is amplitude (g-hat(r) - mass_g) W(r^{2b}, t)."""
     fs, params = cfg.forcing, cfg.params
     mass_g = fs.mass_g
+    # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
+    spatial = lambda r: fs.amplitude * (fs.ghat(r) - mass_g)
     raw, norm = _checkpoint_series(
-        cfg, cfg.times,
-        # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
-        lambda t: duhamel_symbol(fs, params, t, lambda r: fs.amplitude * (fs.ghat(r) - mass_g)),
+        cfg, cfg.times, _difference_symbols(cfg, cfg.times, spatial=spatial),
         lambda t: _outer_annulus(cfg, t),
         lambda t: rate_outer(params, cfg.p, fs.gamma, t),
     )
@@ -372,12 +389,14 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
            for t in cfg.times]
     scalar = [abs(m - limit) / abs(limit) for m in law]
 
-    def symbol_at(t):
-        y_hat, amp = kernels._symbol(params, "G", t), limit * math.log(t) ** l
-        return _difference_symbol(cfg, t, lambda r, ag: amp * y_hat(r))
+    y_hats = kernels._symbol(params, "G", kernel_times)
+    amps = [limit * math.log(t) ** l for t in kernel_times]
+
+    def profiles(r, lam, ag):
+        return [amp * y_hat for amp, y_hat in zip(amps, y_hats(lam))]
 
     raw, norm = _checkpoint_series(
-        cfg, kernel_times, symbol_at,
+        cfg, kernel_times, _difference_symbols(cfg, kernel_times, profiles),
         lambda t: _outer_annulus(cfg, t),
         lambda t: rate_outer(params, cfg.p, fs.gamma, t),
     )
@@ -430,15 +449,19 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
         raise VerifyError(
             f"coherence pairs {len(_COHERENCE_XI)} xi-values with as many times"
         )
-    errs = []
-    for xi, t in zip(_COHERENCE_XI, cfg.times):
-        rho = xi * t**params.theta
+    radii = [xi * t**params.theta for xi, t in zip(_COHERENCE_XI, cfg.times)]
+    for rho in radii:
         if not cfg.grid.rho_min <= rho <= cfg.grid.rho_max:
             raise VerifyError(f"evaluation radius {rho:g} outside the grid")
-        ref = outer_reference(fs, params, t, cfg.grid)
-        coeffs = _intermediate_profile_coeffs(cfg, ScaleClass.SLOW, t)
-        target = _riesz_profile(params, *coeffs)[1](rho)
-        errs.append(abs(float(ref(rho)) / target - 1.0))
+    # the mass convolution int_0^t M_f(s) Y(., t-s) ds: the Duhamel symbol
+    # with amplitude g-hat replaced by the constant M0
+    M0 = fs.M0
+    refs = radial_fourier_inverses(
+        _difference_symbols(cfg, cfg.times, spatial=lambda r: M0), params.dim, cfg.grid)
+    targets = _riesz_profiles(
+        params, [_intermediate_profile_coeffs(cfg, ScaleClass.SLOW, t) for t in cfg.times])[1]
+    errs = [abs(float(ref(rho)) / target(rho) - 1.0)
+            for ref, target, rho in zip(refs, targets, radii)]
     return make_report(
         "coherence", cfg.times, errs, errs, cfg.tolerance,
         forcing=_forcing_dict(cfg),
@@ -488,13 +511,13 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
         raise VerifyError(f"kernel estimates need p < p_* = {params.p_star:g}")
     profile = _y_profile(cfg)
     bounds = profile.bound_report
-    # fresh inverse transform per time (not a rescaling of the t=1 profile),
-    # on a grid wide enough that both power-law tails are asymptotically clean
+    # a fresh inverse transform at each time, all in one pass (not a rescaling
+    # of the t=1 profile), on a grid wide enough that both power-law tails
+    # are asymptotically clean
     wide = RadialGrid(1e-3, 1e5, cfg.grid.points)
-    norms = []
-    for t in cfg.times:
-        u = radial_fourier_inverse(kernels._symbol(params, "G", t), params.dim, wide)
-        norms.append(lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9))
+    y_hats, two_b = kernels._symbol(params, "G", cfg.times), 2.0 * params.beta
+    norms = [lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9)
+             for u in radial_fourier_inverses(lambda r: y_hats(r**two_b), params.dim, wide)]
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
     sp = sigma_p(params, cfg.p)
     slope_err = abs(slope + sp) / abs(sp)

@@ -173,6 +173,17 @@ def test_verify_non_finite_forcing_is_a_config_error(tmp_path, capsys, value):
     assert "code=config " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("times", ["1e2 nan 1e4", "1e2 1e3 inf"])
+def test_non_finite_checkpoint_is_a_config_error(tmp_path, capsys, command, times):
+    # refused at parse time; a NaN checkpoint once passed every comparison of
+    # VerifyConfig and failed deep in a W-table build
+    path = _write(tmp_path, FULL.replace("times = 1e2 1e3 1e4", f"times = {times}"))
+    code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "code=config bad value for [verify] times" in capsys.readouterr().err
+
+
 def test_verify_zero_forcing_exit_code(tmp_path, capsys):
     # f = 0 has no profile: every check that reads the forcing refuses it
     path = _write(tmp_path, FULL.replace("amplitude = 1.0", "amplitude = 0.0"))

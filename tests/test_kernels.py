@@ -388,18 +388,25 @@ def test_symbol_bits(t):
     # one symbol builder, the same bits as the form E_{a,b}(-(r^{2b}) t^a)
     # times t^{a-1} (G) or nothing (F, and G at t = 1): multiplying by 1.0
     # is exact, and p (-ta) is -(p ta) since rounding is sign-symmetric
-    r = np.geomspace(1e-6, 1e6, 4001)
+    lam = np.geomspace(1e-6, 1e6, 4001)  # r^{2b} at 2b = 1
     validation = FracParams(1.0, 0.5, 3, validation_mode=True)
-    assert np.array_equal(kernels._symbol(validation, "G", t)(r),
-                          kernels._symbol(validation, "F", t)(r))
+    assert np.array_equal(kernels._symbol(validation, "G", (t,))(lam)[0],
+                          kernels._symbol(validation, "F", (t,))(lam)[0])
     p = FracParams(0.5, 0.5, 3)
-    a, two_b = p.alpha, 2.0 * p.beta
-    g = mittag_leffler(a, a, -(r**two_b) * t**a)
+    a = p.alpha
+    g = mittag_leffler(a, a, -lam * t**a)
     if t != 1.0:
         g = t ** (a - 1.0) * g
-    assert np.array_equal(kernels._symbol(p, "G", t)(r), g)
-    assert np.array_equal(kernels._symbol(p, "F", t)(r),
-                          mittag_leffler(a, 1.0, -(r**two_b) * t**a))
+    assert np.array_equal(kernels._symbol(p, "G", (t,))(lam)[0], g)
+    assert np.array_equal(kernels._symbol(p, "F", (t,))(lam)[0],
+                          mittag_leffler(a, 1.0, -lam * t**a))
+    # the batched symbol's outputs are the single-t symbols
+    times = (1.0, 1e2, 1e4)
+    for which in ("G", "F"):
+        batched = kernels._symbol(p, which, times)(lam)
+        assert len(batched) == len(times)
+        for s, tk in zip(batched, times):
+            assert np.array_equal(s, kernels._symbol(p, which, (tk,))(lam)[0])
 
 
 def test_validation_g_holds_the_f_samples(params_heat):

@@ -22,6 +22,7 @@ from fracasym.radialtransform import (
     omega_n,
     radial_fourier_forward,
     radial_fourier_inverse,
+    radial_fourier_inverses,
     radial_integral,
 )
 from fracasym.potentials import _ghat_from_samples
@@ -176,11 +177,11 @@ def test_engine_matches_panel_averaging(dim, name):
     # the folded weights change only the order of the long-double sum: every
     # row within a quarter of its own noise, far below the 8x clamp
     eng, symbol, rho = _engine(dim), _ENGINE_SYMBOLS[name], RadialGrid().nodes
-    got, noise = eng.integrate(symbol, rho)
+    (got,), (noise,) = eng.integrate(lambda r: (symbol(r),), rho)
     ref, ref_noise = _panel_averaging(eng, symbol, rho)
     assert np.all(np.abs(got - ref) <= 0.25 * noise)
     assert np.allclose(noise, ref_noise, rtol=1e-15, atol=0.0)
-    zeroed = eng.transform(symbol, rho, -1) == 0.0
+    zeroed = eng.transform(lambda r: (symbol(r),), rho, -1)[0] == 0.0
     assert np.array_equal(zeroed, np.abs(ref) < 8.0 * ref_noise)
 
 
@@ -215,22 +216,29 @@ def _whole_array_integrate(eng, symbol, rho):
     return integral.astype(float), noise
 
 
+def _g_symbol(params, t):
+    g = kernels._symbol(params, "G", (t,))
+    return lambda r: g(r ** (2.0 * params.beta))[0]
+
+
 def _block_symbols(dim):
     params = FracParams(0.5, 0.5, dim)
     forcing = ForcingSpec("gaussian", gamma=2.0, dim=dim)
     return {
-        "G": kernels._symbol(params, "G", 1e3),
+        "G": _g_symbol(params, 1e3),
         "duhamel": duhamel_symbol(forcing, params, 1e4),
         "gaussian": lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
     }
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
-@pytest.mark.parametrize("name", ["G", "duhamel", "gaussian"])
-def test_engine_blocks_match_whole_array(dim, name):
-    # rows are independent, so blocking changes no bit; 64 and 768 points end
-    # on a full block, 100 and 1000 on a ragged one
-    eng, symbol = _engine(dim), _block_symbols(dim)[name]
+@pytest.mark.parametrize("names", [["G"], ["duhamel"], ["gaussian"],
+                                   ["G", "duhamel", "gaussian"]])
+def test_engine_blocks_match_whole_array(dim, names):
+    # rows are independent, so blocking changes no bit, and each of K outputs
+    # keeps the bits it has alone; 64 and 768 points end on a full block, 100
+    # and 1000 on a ragged one
+    eng, symbols = _engine(dim), [_block_symbols(dim)[name] for name in names]
     for points in (64, 100, 768, 1000):
         rho = RadialGrid(1e-3, 1e3, points).nodes
         rows = []
@@ -238,21 +246,32 @@ def test_engine_blocks_match_whole_array(dim, name):
         def recording(r):
             assert r.dtype == np.float64  # the engine's symbol contract
             rows.append(r.shape[0])
-            return symbol(r)
+            return [symbol(r) for symbol in symbols]
 
         got, noise = eng.integrate(recording, rho)
-        ref, ref_noise = _whole_array_integrate(eng, symbol, rho)
-        assert np.array_equal(got, ref)
-        assert np.array_equal(noise, ref_noise)
+        assert got.shape == noise.shape == (len(names), points)
+        for k, symbol in enumerate(symbols):
+            ref, ref_noise = _whole_array_integrate(eng, symbol, rho)
+            assert np.array_equal(got[k], ref)
+            assert np.array_equal(noise[k], ref_noise)
         assert max(rows) <= _BLOCK_ROWS
         assert sum(rows) == points
         assert rows[-1] == (points % _BLOCK_ROWS or _BLOCK_ROWS)
 
 
+def test_inverses_match_single_transforms():
+    # the batched entry's outputs are the one-symbol transforms, bit for bit
+    symbols = list(_block_symbols(3).values())
+    batched = radial_fourier_inverses(lambda r: [s(r) for s in symbols], 3)
+    assert len(batched) == len(symbols)
+    for u, symbol in zip(batched, symbols):
+        assert np.array_equal(u.samples, radial_fourier_inverse(symbol, 3).samples)
+
+
 def test_transform_memory_is_bounded():
     # one default-grid G transform evaluates its symbol block by block: the
     # whole-array version peaked at 102 MiB of traced allocations
-    symbol = kernels._symbol(FracParams(0.5, 0.5, 3), "G", 1e3)
+    symbol = _g_symbol(FracParams(0.5, 0.5, 3), 1e3)
     radial_fourier_inverse(symbol, 3)  # warm-up: engine and Mittag-Leffler table
     tracemalloc.start()
     try:
@@ -283,35 +302,54 @@ def test_engine_rejects_non_finite_in_last_block():
 
 
 @pytest.mark.parametrize("plant", ["inf", "nan", "both infinities"])
-def test_engine_rejects_each_non_finite_kind(plant):
-    # the engine checks each block's row sums, not its values: one +inf, one
-    # NaN, or a +inf and a -inf in one row (whose products would cancel to
-    # NaN, not to a finite number) each make a sum non-finite
+@pytest.mark.parametrize("k,K", [(0, 1), (0, 3), (2, 3)])
+def test_engine_rejects_each_non_finite_kind(plant, k, K):
+    # the engine checks each block's row sums of each output, not its values:
+    # one +inf, one NaN, or a +inf and a -inf in one row (whose products would
+    # cancel to NaN, not to a finite number) each make a sum non-finite, in
+    # any one of K outputs
     grid = RadialGrid(1e-3, 1e3, 100)
     bad = {"inf": [np.inf], "nan": [np.nan], "both infinities": [np.inf, -np.inf]}[plant]
     blocks = []
 
-    def symbol(r):
-        out = np.exp(-np.asarray(r, dtype=float) ** 2)
+    def symbols(r):
+        outs = [np.exp(-np.asarray(r, dtype=float) ** 2) for _ in range(K)]
         if r.shape[0] == _BLOCK_ROWS:  # an engine block, not the decay probe
             blocks.append(r.shape)
             if len(blocks) == 3:  # the third block, its middle row
-                out[_BLOCK_ROWS // 2, 100 : 100 + len(bad)] = bad
-        return out
+                outs[k][_BLOCK_ROWS // 2, 100 : 100 + len(bad)] = bad
+        return outs
 
     with pytest.raises(TransformError, match="symbol produced non-finite"):
-        radial_fourier_inverse(symbol, 3, grid)
+        radial_fourier_inverses(symbols, 3, grid)
     assert len(blocks) == 3
 
 
-def test_engine_rejects_wrong_shape():
+@pytest.mark.parametrize("k,K", [(0, 1), (0, 3), (2, 3)])
+def test_engine_rejects_wrong_shape(k, K):
     grid = RadialGrid(1e-3, 1e3, 100)
-    flat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2).ravel()
-    with pytest.raises(TransformError, match="symbol must evaluate elementwise"):
-        radial_fourier_inverse(flat, 3, grid)
+    good = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
+    flat = lambda r: good(r).ravel()
     short = lambda r: np.exp(-np.asarray(r, dtype=float)[:, :-1] ** 2)
+    with_one = lambda wrong: lambda r: [wrong(r) if i == k else good(r) for i in range(K)]
     with pytest.raises(TransformError, match="symbol must evaluate elementwise"):
-        _engine(3).integrate(short, grid.nodes)
+        radial_fourier_inverses(with_one(flat), 3, grid)
+    # (short fails the decay probe first, so it goes to the engine directly)
+    for wrong in (flat, short):
+        with pytest.raises(TransformError, match="symbol must evaluate elementwise"):
+            _engine(3).integrate(with_one(wrong), grid.nodes)
+
+
+def test_engine_rejects_a_changing_number_of_outputs():
+    grid = RadialGrid(1e-3, 1e3, 100)
+    calls = []
+
+    def symbols(r):
+        calls.append(r.shape)
+        return [np.exp(-r**2)] * (1 if len(calls) == 1 else 2)
+
+    with pytest.raises(TransformError, match="number of outputs"):
+        _engine(3).integrate(symbols, grid.nodes)
 
 
 # --- norms and integrals ------------------------------------------------------

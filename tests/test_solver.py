@@ -18,7 +18,6 @@ from fracasym.solver import (
     _duhamel_nodes,
     _w_knots,
     forcing_mass,
-    outer_reference,
     solution_mass,
     solve_duhamel,
     time_integrated_forcing,
@@ -306,7 +305,6 @@ def test_zero_amplitude():
         fs = ForcingSpec("gaussian", gamma=gamma, amplitude=0.0, dim=3)
         sl = solve_duhamel(fs, params, 10.0, GRID)
         assert sl.u.is_zero and _exact_zeros(sl.u)
-        assert _exact_zeros(outer_reference(fs, params, 10.0, GRID))
     zero = RadialFunction(GRID, np.zeros(GRID.points))
     for mu in (0.5, 1.0, 2.0):
         assert _exact_zeros(riesz_potential(zero, mu, 3))
@@ -340,16 +338,6 @@ def test_dim_mismatch_and_bad_time():
         solve_duhamel(fs, params, 1.0, GRID)
     with pytest.raises(SolverError):
         solution_mass(ForcingSpec("gaussian", gamma=0.0, dim=3), params, -1.0)
-
-
-def test_outer_reference_mass():
-    # the mass-concentrated reference carries the same total mass as u
-    params = FracParams(0.5, 0.5, 3)
-    fs = ForcingSpec("gaussian", gamma=1.5, dim=3)
-    ref = outer_reference(fs, params, 100.0, GRID)
-    assert radial_integral(ref, 3) == pytest.approx(
-        solution_mass(fs, params, 100.0), rel=1e-3
-    )
 
 
 def test_heat_duhamel_cross_check():

@@ -1,19 +1,27 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from fracasym import kernels, solver, verify
+from fracasym import kernels, radialtransform, solver, verify
 from fracasym.params import (
     FracParams,
     ScaleSpec,
     classify_scale,
+    rate_compact,
     rate_intermediate,
     rate_outer,
 )
 from fracasym.potentials import riesz_constant
-from fracasym.radialtransform import ExtrapolationWarning, RadialGrid
-from fracasym.solver import ForcingSpec
+from fracasym.radialtransform import (
+    ExtrapolationWarning,
+    RadialGrid,
+    radial_fourier_inverse,
+    radial_integral,
+)
+from fracasym.solver import ForcingSpec, solution_mass, time_weight
+from fracasym.special import mittag_leffler
 from fracasym.verify import (
     VerifyConfig,
     VerifyError,
@@ -44,6 +52,10 @@ def test_config_validation():
         _cfg(p=0.5)  # L^p norms need p >= 1
     with pytest.raises(VerifyError):
         _cfg(times=(1.0, 10.0, 100.0))  # log t = 0 at the first checkpoint
+    # a NaN fails every comparison, so it passed the ratio and t > 1 tests
+    for times in ((1e2, math.nan, 1e4), (1e2, 1e3, math.inf), (math.nan, 1e3)):
+        with pytest.raises(VerifyError, match="finite"):
+            _cfg(times=times)
 
 
 def test_unknown_theorem():
@@ -55,12 +67,18 @@ def test_unknown_theorem():
 
 def test_zero_forcing_trivial_reports(monkeypatch):
     # f = 0 has no profile and every normalized statement is vacuous or 0/0:
-    # each check that reads the forcing refuses it before any transform
+    # each check that reads the forcing refuses it before any transform.  The
+    # engine's integrate is guarded too, since the checks transform through
+    # radial_fourier_inverses
     def no_transform(*args, **kwargs):
         raise AssertionError("transform run before the precondition")
 
     monkeypatch.setattr(verify, "radial_fourier_inverse", no_transform)
     monkeypatch.setattr(solver, "radial_fourier_inverse", no_transform)
+    monkeypatch.setattr(radialtransform._HankelEngine, "integrate", no_transform)
+    # the guard fires on a check that does transform
+    with pytest.raises(AssertionError, match="transform run"):
+        run_check(_cfg(grid=RadialGrid(1e-3, 1e3, 128)))
     for theorem, gamma, scale in [
         ("compact", 0.5, ScaleSpec(kind="compact")),
         ("intermediate", 0.5, ScaleSpec(kind="intermediate", exponent=0.25)),
@@ -250,6 +268,110 @@ def test_cross_regime_coherence_of_compact_profile(cache_dir):
     c2b = riesz_constant(1.0, 3)
     got = rho**2.0 * float(L(rho)) / (cfg.forcing.M0 * c2b)
     assert got == pytest.approx(1.0, abs=5e-2)
+
+
+def test_mass_convolution_reference_mass():
+    # coherence's reference, the Duhamel symbol with amplitude g-hat replaced
+    # by M0, carries the same total mass as u
+    fs = ForcingSpec("gaussian", gamma=1.5, dim=3)
+    cfg = _cfg(forcing=fs, grid=RadialGrid(1e-3, 1e3, 512))
+    symbols = verify._difference_symbols(cfg, (100.0,), spatial=lambda r: fs.M0)
+    ref = radial_fourier_inverse(lambda r: symbols(r)[0], 3, cfg.grid)
+    assert radial_integral(ref, 3) == pytest.approx(
+        solution_mass(fs, cfg.params, 100.0), rel=1e-3
+    )
+
+
+# --- one engine pass per check ------------------------------------------------
+
+_SHORT, _LONG = (1e2, 1e3, 1e4), (1e4, 1e6, 1e8)
+_ANNULUS = ScaleSpec(kind="intermediate", exponent=0.25, nu=1.0, mu=2.0)
+# the battery's configs of the checks that transform, at (0.5, 0.5, 3):
+# label -> (theorem, gamma, p, scale, times)
+_BATCHED = {
+    "compact": ("compact", 2.0, math.inf, ScaleSpec(kind="compact", radius=1.0), _SHORT),
+    "intermediate-S": ("intermediate", 0.5, 1.0, _ANNULUS, _LONG),
+    "intermediate-F": ("intermediate", 2.0, 1.0, _ANNULUS, _LONG),
+    "outer-general": ("outer-general", 0.5, 1.0, ScaleSpec(kind="outer", nu=1.0), _SHORT),
+    "outer-mass": ("outer-mass", 2.0, 1.0, ScaleSpec(kind="outer", nu=1.0), _SHORT),
+    "coherence": ("coherence", 0.5, 1.0, ScaleSpec(kind="outer"), _SHORT),
+    "kernel-bounds": ("kernel-bounds", 0.5, 1.0, ScaleSpec(kind="compact"), _SHORT),
+}
+
+
+def _per_t_symbol(cfg, t):
+    """The check's symbol at checkpoint t alone, as each check formed it one
+    t at a time: a reference for the batched symbols."""
+    fs, params = cfg.forcing, cfg.params
+    a, two_b, n = params.alpha, 2.0 * params.beta, params.dim
+    w = time_weight(a, fs.gamma, t)
+    y_hat = lambda r: t ** (a - 1.0) * mittag_leffler(a, a, r**two_b * -(t**a))
+
+    def difference(profile):
+        def symbol(r):
+            ag = fs.amplitude * fs.ghat(r)
+            p = profile(r, ag)
+            ag *= w(r**two_b)
+            ag -= p
+            return ag
+        return symbol
+
+    def riesz(c2, c4):
+        terms = [(c / riesz_constant(k * params.beta, n), k * params.beta)
+                 for c, k in ((c2, 2.0), (c4, 4.0)) if c]
+        return lambda r: sum(c * r**-mu for c, mu in terms)
+
+    theorem = cfg.theorem
+    if theorem == "compact":
+        limit, tm = verify._compact_limit_riesz(cfg), t ** rate_compact(fs.gamma, a)
+        return difference(lambda r, ag: ag * limit(r) / tm)
+    if theorem == "intermediate":
+        klass = classify_scale(fs.gamma, params, cfg.scale)
+        profile = riesz(*verify._intermediate_profile_coeffs(cfg, klass, t))
+        return difference(lambda r, ag: profile(r))
+    if theorem == "outer-general":
+        return lambda r: fs.amplitude * (fs.ghat(r) - fs.mass_g) * w(r**two_b)
+    if theorem == "outer-mass":
+        amp = fs.M0 / (fs.gamma - 1.0)
+        return difference(lambda r, ag: amp * y_hat(r))
+    if theorem == "coherence":
+        return lambda r: fs.M0 * w(r**two_b)
+    return y_hat  # kernel-bounds
+
+
+@pytest.mark.parametrize("label", sorted(_BATCHED))
+def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
+    # one engine pass serves every checkpoint, and each of its outputs has
+    # the bits of that checkpoint's symbol transformed on its own
+    theorem, gamma, p, scale, times = _BATCHED[label]
+    cfg = _cfg(theorem=theorem, forcing=ForcingSpec("gaussian", gamma=gamma, dim=3),
+               p=p, scale=scale, times=times)
+    kernels.build_y_profile(cfg.params, grid=cfg.grid)  # kernel-bounds reads G
+    passes, batches = [], []
+    integrate = radialtransform._HankelEngine.integrate
+    inverses = verify.radial_fourier_inverses
+
+    def counted(self, symbol, rho):
+        passes.append(rho.size)
+        return integrate(self, symbol, rho)
+
+    def recorded(symbols, dim, grid=None):
+        out = inverses(symbols, dim, grid)
+        batches.append((out, grid))
+        return out
+
+    monkeypatch.setattr(radialtransform._HankelEngine, "integrate", counted)
+    monkeypatch.setattr(verify, "radial_fourier_inverses", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)  # kernel-bounds
+        run_check(cfg)
+    assert len(passes) == 1 and len(batches) == 1
+    monkeypatch.undo()
+    batched, grid = batches[0]
+    assert len(batched) == len(times)
+    for t, u in zip(times, batched):
+        single = radial_fourier_inverse(_per_t_symbol(cfg, t), 3, grid)
+        assert np.array_equal(u.samples, single.samples)
 
 
 def test_report_serialization(tmp_path, cache_dir):
