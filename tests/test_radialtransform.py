@@ -231,14 +231,10 @@ def _block_symbols(dim):
     }
 
 
-@pytest.mark.parametrize("dim", [3, 5, 7])
-@pytest.mark.parametrize("names", [["G"], ["duhamel"], ["gaussian"],
-                                   ["G", "duhamel", "gaussian"]])
-def test_engine_blocks_match_whole_array(dim, names):
+def _check_blocks(eng, symbols):
     # rows are independent, so blocking changes no bit, and each of K outputs
     # keeps the bits it has alone; 64 and 768 points end on a full block, 100
     # and 1000 on a ragged one
-    eng, symbols = _engine(dim), [_block_symbols(dim)[name] for name in names]
     for points in (64, 100, 768, 1000):
         rho = RadialGrid(1e-3, 1e3, points).nodes
         rows = []
@@ -249,7 +245,7 @@ def test_engine_blocks_match_whole_array(dim, names):
             return [symbol(r) for symbol in symbols]
 
         got, noise = eng.integrate(recording, rho)
-        assert got.shape == noise.shape == (len(names), points)
+        assert got.shape == noise.shape == (len(symbols), points)
         for k, symbol in enumerate(symbols):
             ref, ref_noise = _whole_array_integrate(eng, symbol, rho)
             assert np.array_equal(got[k], ref)
@@ -257,6 +253,18 @@ def test_engine_blocks_match_whole_array(dim, names):
         assert max(rows) <= _BLOCK_ROWS
         assert sum(rows) == points
         assert rows[-1] == (points % _BLOCK_ROWS or _BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+@pytest.mark.parametrize("name", ["G", "duhamel", "gaussian"])
+def test_engine_blocks_match_whole_array(dim, name):
+    _check_blocks(_engine(dim), [_block_symbols(dim)[name]])
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_engine_blocks_match_whole_array_batched(dim):
+    # K = 3 outputs per block: each matches its whole-array transform
+    _check_blocks(_engine(dim), list(_block_symbols(dim).values()))
 
 
 def test_inverses_match_single_transforms():
@@ -301,9 +309,7 @@ def test_engine_rejects_non_finite_in_last_block():
     assert rows[-2:] == [_BLOCK_ROWS, 100 % _BLOCK_ROWS]
 
 
-@pytest.mark.parametrize("plant", ["inf", "nan", "both infinities"])
-@pytest.mark.parametrize("k,K", [(0, 1), (0, 3), (2, 3)])
-def test_engine_rejects_each_non_finite_kind(plant, k, K):
+def _check_non_finite(plant, k, K):
     # the engine checks each block's row sums of each output, not its values:
     # one +inf, one NaN, or a +inf and a -inf in one row (whose products would
     # cancel to NaN, not to a finite number) each make a sum non-finite, in
@@ -321,12 +327,25 @@ def test_engine_rejects_each_non_finite_kind(plant, k, K):
         return outs
 
     with pytest.raises(TransformError, match="symbol produced non-finite"):
-        radial_fourier_inverses(symbols, 3, grid)
+        if K == 1:
+            radial_fourier_inverse(lambda r: symbols(r)[0], 3, grid)
+        else:
+            radial_fourier_inverses(symbols, 3, grid)
     assert len(blocks) == 3
 
 
-@pytest.mark.parametrize("k,K", [(0, 1), (0, 3), (2, 3)])
-def test_engine_rejects_wrong_shape(k, K):
+@pytest.mark.parametrize("plant", ["inf", "nan", "both infinities"])
+def test_engine_rejects_each_non_finite_kind(plant):
+    _check_non_finite(plant, 0, 1)
+
+
+@pytest.mark.parametrize("plant", ["inf", "nan", "both infinities"])
+@pytest.mark.parametrize("k", [0, 2])
+def test_engine_rejects_non_finite_in_any_output(plant, k):
+    _check_non_finite(plant, k, 3)
+
+
+def _check_wrong_shape(k, K):
     grid = RadialGrid(1e-3, 1e3, 100)
     good = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
     flat = lambda r: good(r).ravel()
@@ -338,6 +357,19 @@ def test_engine_rejects_wrong_shape(k, K):
     for wrong in (flat, short):
         with pytest.raises(TransformError, match="symbol must evaluate elementwise"):
             _engine(3).integrate(with_one(wrong), grid.nodes)
+
+
+def test_engine_rejects_wrong_shape():
+    grid = RadialGrid(1e-3, 1e3, 100)
+    flat = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2).ravel()
+    with pytest.raises(TransformError, match="symbol must evaluate elementwise"):
+        radial_fourier_inverse(flat, 3, grid)
+    _check_wrong_shape(0, 1)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_engine_rejects_wrong_shape_in_any_output(k):
+    _check_wrong_shape(k, 3)
 
 
 def test_engine_rejects_a_changing_number_of_outputs():

@@ -8,7 +8,13 @@ from scipy.special import jv
 
 from fracasym.params import FracParams
 from fracasym.potentials import riesz_potential
-from fracasym.radialtransform import RadialFunction, RadialGrid, lp_norm_annulus, radial_integral
+from fracasym.radialtransform import (
+    RadialFunction,
+    RadialGrid,
+    lp_norm_annulus,
+    radial_fourier_inverses,
+    radial_integral,
+)
 from fracasym.special import mittag_leffler
 from fracasym import solver
 from fracasym.solver import (
@@ -338,6 +344,24 @@ def test_dim_mismatch_and_bad_time():
         solve_duhamel(fs, params, 1.0, GRID)
     with pytest.raises(SolverError):
         solution_mass(ForcingSpec("gaussian", gamma=0.0, dim=3), params, -1.0)
+
+
+def test_outer_reference_mass():
+    # the mass-concentrated reference carries the same total mass as u; it is
+    # the Duhamel symbol with g-hat replaced by the constant M0, the one that
+    # outer-general compares u with
+    from fracasym.verify import VerifyConfig, _difference_symbols
+
+    params = FracParams(0.5, 0.5, 3)
+    fs = ForcingSpec("gaussian", gamma=1.5, dim=3)
+    cfg = VerifyConfig(params, fs, grid=GRID)
+    M0 = fs.M0
+    (ref,) = radial_fourier_inverses(
+        _difference_symbols(cfg, (100.0,), spatial=lambda r: M0), 3, GRID
+    )
+    assert radial_integral(ref, 3) == pytest.approx(
+        solution_mass(fs, params, 100.0), rel=1e-3
+    )
 
 
 def test_heat_duhamel_cross_check():
