@@ -9,12 +9,19 @@ Also implements the tail-theorem check: R^{N(1-1/p)-mu} ||I_mu[g] - M E_mu||
 over annuli nu R < |x| < mu_outer R must vanish as R grows, where M is the
 (computed, never assumed) mass of g.
 
-Without a closed-form g-hat, the numerical forward transform of the samples is
-memoized: a check run over several (mu, p) for one g transforms it once.  The
-key is (grid, the samples' bytes, N), exact content rather than identity or a
-digest, so no other profile's g-hat can come back; a RadialFunction owns a
-read-only copy of its samples, so equal content is the same function.  At most
-8 entries of about 45 KB each are kept (see _ghat_from_samples).
+Without a closed-form g-hat, two memos serve a sampled g, both keyed on exact
+content rather than identity or a digest, so no other profile's result can
+come back; a RadialFunction owns a read-only copy of its samples, so equal
+content is the same function.
+* The numerical forward transform of the samples: a check run over several
+  (mu, p) for one g transforms it once.  The key is (grid, the samples'
+  bytes, N); at most 8 entries of about 45 KB each (see _ghat_from_samples).
+* The deviation I_mu[g] - M E_mu (M = 0 for riesz_potential): a tail check
+  read at several p inverts it once.  The key adds mu, the mass (None for
+  riesz_potential) and the output grid; at most 8 entries of about 60 KB
+  each, under 0.5 MB (see _deviation_from_samples).
+A closed-form g-hat is a callable, not content, so its results are not
+memoized.
 """
 
 from __future__ import annotations
@@ -103,7 +110,7 @@ def riesz_potential(
     c_mu = riesz_constant(mu, dim)
     grid = grid or (g.grid if g is not None else RadialGrid())
     if ghat is None:
-        ghat = _ghat_from_samples(g.grid, g.samples.tobytes(), dim)
+        return _deviation_from_samples(g.grid, g.samples.tobytes(), dim, mu, None, grid)
     return _deviation(ghat, 0.0, mu, dim, grid, c_mu)
 
 
@@ -130,10 +137,28 @@ def potential_deviation(
                     f"mass mismatch: transform value {mass:g} vs radial "
                     f"quadrature {mass_quad:g}"
                 )
-    else:
-        ghat = _ghat_from_samples(g.grid, g.samples.tobytes(), dim)
-        mass = radial_integral(g, dim)
-    return _deviation(ghat, mass, mu, dim, grid, c_mu), mass
+        return _deviation(ghat, mass, mu, dim, grid, c_mu), mass
+    mass = radial_integral(g, dim)
+    return _deviation_from_samples(g.grid, g.samples.tobytes(), dim, mu, mass, grid), mass
+
+
+@functools.lru_cache(maxsize=8)
+def _deviation_from_samples(g_grid: RadialGrid, samples: bytes, dim: int, mu: float,
+                            mass: float | None, grid: RadialGrid) -> RadialFunction:
+    """I_mu[g] - mass E_mu on grid for the profile with these float64 samples
+    on g_grid; mass None is I_mu[g] itself (riesz_potential).
+
+    Memoized on its arguments, called as (g.grid, g.samples.tobytes(), N, mu,
+    mass, grid): the key is the exact content of everything the result
+    depends on, and the result is built from the key alone, so a hit returns
+    what a miss would compute.  So a tail check read at several p inverts its
+    deviation once.  The bound is 8 entries, each a RadialFunction on grid
+    (about 60 KB on 768 points once its spline is built) plus a key of the
+    size of g's samples: under 0.5 MB in all.
+    """
+    ghat = _ghat_from_samples(g_grid, samples, dim)
+    return _deviation(ghat, 0.0 if mass is None else mass, mu, dim, grid,
+                      riesz_constant(mu, dim))
 
 
 def _deviation(ghat, mass, mu, dim, grid, c_mu):

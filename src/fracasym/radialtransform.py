@@ -99,9 +99,13 @@ class RadialFunction:
     spline on plain values.  Both are `spline.UniformSpline`s over the log of
     the grid's nodes.
 
-    It owns a read-only copy of its samples: writing into the caller's array
-    cannot make `samples` disagree with the spline and the tails fitted from
-    them, and equal grid and samples always mean the same function."""
+    Construction refuses a wrong shape or a non-finite sample and finds the
+    core and its sign; the interpolant and the two tail fits are built on
+    first read (`functools.cached_property`), so a function made only to hand
+    on its samples never builds them.  It owns a read-only copy of its
+    samples: writing into the caller's array cannot make `samples` disagree
+    with the spline and the tails built from them, whenever they are built,
+    and equal grid and samples always mean the same function."""
 
     def __init__(self, grid: RadialGrid, samples):
         samples = np.array(samples, dtype=float)
@@ -112,15 +116,12 @@ class RadialFunction:
             raise TransformError("non-finite samples")
         self.grid = grid
         self.samples = samples
-        self._log_nodes = np.log(grid.nodes)
 
         nz = np.abs(samples) > 1e-300
         self.is_zero = not nz.any()
-        if self.is_zero:
-            self._core = (0, grid.points - 1)
-            self._spline = None
-            self._single_signed = False
-        else:
+        self._core = (0, grid.points - 1)
+        self._single_signed = False
+        if not self.is_zero:
             i0, i1 = int(np.argmax(nz)), int(len(nz) - 1 - np.argmax(nz[::-1]))
             core = samples[i0 : i1 + 1]
             # single-signed contiguous core (possibly with zero tails, e.g.
@@ -129,21 +130,38 @@ class RadialFunction:
                 np.all(np.abs(core) > 1e-300)
                 and np.all(np.sign(core) == np.sign(core[0]))
             )
-            self._core = (i0, i1)
             if self._single_signed:
+                self._core = (i0, i1)
                 self._sign = float(np.sign(core[0]))
-                # quintic in log-log: cubic's O(h^4) error is the round-trip
-                # accuracy bottleneck on the default grid (a core of at most
-                # six samples gets the polynomial through them)
-                self._spline = UniformSpline(
-                    self._log_nodes[i0 : i1 + 1], np.log(np.abs(core)), k=5
-                )
-            else:
-                self._core = (0, grid.points - 1)
-                self._spline = UniformSpline(self._log_nodes, samples, k=3)
 
-        self.inner_exponent = self._fit_exponent(inner=True)
-        self.outer_exponent = self._fit_exponent(inner=False)
+    @cached_property
+    def _log_nodes(self):
+        return np.log(self.grid.nodes)
+
+    @cached_property
+    def _spline(self):
+        """The interpolant of the core: None for a zero function."""
+        if self.is_zero:
+            return None
+        if self._single_signed:
+            i0, i1 = self._core
+            # quintic in log-log: cubic's O(h^4) error is the round-trip
+            # accuracy bottleneck on the default grid (a core of at most
+            # six samples gets the polynomial through them)
+            return UniformSpline(
+                self._log_nodes[i0 : i1 + 1],
+                np.log(np.abs(self.samples[i0 : i1 + 1])),
+                k=5,
+            )
+        return UniformSpline(self._log_nodes, self.samples, k=3)
+
+    @cached_property
+    def inner_exponent(self) -> float:
+        return self._fit_exponent(inner=True)
+
+    @cached_property
+    def outer_exponent(self) -> float:
+        return self._fit_exponent(inner=False)
 
     def _fit_exponent(self, inner: bool) -> float:
         """Least-squares log-log slope over the lowest/highest covered decade;

@@ -503,7 +503,13 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     bound, and rho^{N-4b} G against the closed-form kappa at the origin) plus
     the ||Y(., t)||_{L^p} time-decay slope -sigma(p) fitted over the
     checkpoints; slope agreement within 1% is gated.  G ~ kappa rho^{4b-N}
-    at the origin is in L^p only for p < p_*, so larger p is refused."""
+    at the origin is in L^p only for p < p_*, so larger p is refused.
+
+    The norms run over [1e-9, 1e9], beyond the [1e-3, 1e5] grid, so they
+    rest partly on the power laws fitted at the grid ends.  notes
+    ["beyond_grid"] says by how much, per checkpoint: the share 1 - (norm over
+    the grid) / (norm over [1e-9, 1e9]), that the tails were fitted, and the
+    fitted inner and outer exponents."""
     params = cfg.params
     if params.alpha >= 1.0:
         raise VerifyError("kernel estimates apply to alpha < 1 only")
@@ -516,8 +522,16 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     # are asymptotically clean
     wide = RadialGrid(1e-3, 1e5, cfg.grid.points)
     y_hats, two_b = kernels._symbol(params, "G", cfg.times), 2.0 * params.beta
-    norms = [lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9)
-             for u in radial_fourier_inverses(lambda r: y_hats(r**two_b), params.dim, wide)]
+    norms, beyond = [], []
+    for t, u in zip(cfg.times, radial_fourier_inverses(
+            lambda r: y_hats(r**two_b), params.dim, wide)):
+        norms.append(lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9))
+        # what the norm rests on beyond the grid: the share it takes from the
+        # power laws fitted at the grid ends, and their exponents
+        on_grid = lp_norm_annulus(u, cfg.p, params.dim, wide.rho_min, wide.rho_max)
+        beyond.append({"t": t, "share": 1.0 - on_grid / norms[-1], "tails": "fitted",
+                       "inner_exponent": u.inner_exponent,
+                       "outer_exponent": u.outer_exponent})
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
     sp = sigma_p(params, cfg.p)
     slope_err = abs(slope + sp) / abs(sp)
@@ -527,6 +541,7 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     rep.notes["kappa"] = profile.kappa
     rep.notes["sigma_p"] = sp
     rep.notes["slope_relative_error"] = slope_err
+    rep.notes["beyond_grid"] = beyond
     ok = (
         slope_err < 1e-2
         and bounds.get("interior_pass", False)

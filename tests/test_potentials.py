@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from fracasym import potentials
+from fracasym import potentials, radialtransform
 from fracasym.potentials import (
     PotentialError,
+    _deviation_from_samples,
     _ghat_from_samples,
     potential_deviation,
     riesz_constant,
@@ -20,10 +21,21 @@ from fracasym.radialtransform import (
     lp_norm_annulus,
 )
 from fracasym.solver import ForcingSpec
+from fracasym.spline import UniformSpline
 
 
 def _gaussian(grid):
     return RadialFunction(grid, np.exp(-grid.nodes**2))
+
+
+def _clear_memos():
+    _ghat_from_samples.cache_clear()
+    _deviation_from_samples.cache_clear()
+
+
+def _misses():
+    """(g-hat misses, deviation misses) since the memos were cleared."""
+    return _ghat_from_samples.cache_info().misses, _deviation_from_samples.cache_info().misses
 
 
 def _gaussian_hat_n3(r):
@@ -172,10 +184,10 @@ def test_tail_check_bad_annulus():
 def test_tail_check_rejects_p_before_transforming(p):
     grid = RadialGrid(1e-2, 10.0, 128)
     g = _gaussian(grid)
-    _ghat_from_samples.cache_clear()
+    _clear_memos()
     with pytest.raises(PotentialError):
         riesz_tail_check(g, 2.0, 3, p, nu=1.0, mu_outer=2.0, R_list=[10.0])
-    assert _ghat_from_samples.cache_info().misses == 0
+    assert _misses() == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -194,10 +206,10 @@ def test_tail_check_rejects_p_before_transforming(p):
 def test_tail_check_rejects_radii_before_transforming(zero, R_list):
     grid = RadialGrid(1e-2, 10.0, 128)
     g = RadialFunction(grid, np.zeros(grid.points)) if zero else _gaussian(grid)
-    _ghat_from_samples.cache_clear()
+    _clear_memos()
     with pytest.raises(PotentialError, match="radii"):
         riesz_tail_check(g, 2.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=R_list)
-    assert _ghat_from_samples.cache_info().misses == 0
+    assert _misses() == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -238,22 +250,25 @@ def _sampled(family):
     return RadialFunction(grid, ForcingSpec(family, gamma=2.0).g(grid.nodes))
 
 
-def _tail_report(g, R_list):
-    rep = riesz_tail_check(g, 2.0, 3, 2.0, nu=1.0, mu_outer=2.0, R_list=R_list)
+def _tail_report(g, R_list, p=2.0):
+    rep = riesz_tail_check(g, 2.0, 3, p, nu=1.0, mu_outer=2.0, R_list=R_list)
     return {k: v for k, v in rep.to_dict().items() if k != "runtime_seconds"}
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILY_GRIDS))
 def test_ghat_memo_cold_and_warm_bit_identical(family):
     R_list = [1e2, 1e3, 1e4] if family == "heavy" else [4.0, 40.0, 400.0]
-    _ghat_from_samples.cache_clear()
+    _clear_memos()
     cold_pot = riesz_potential(_sampled(family), 1.0, 3).samples
-    _ghat_from_samples.cache_clear()
+    _clear_memos()
     cold_tail = _tail_report(_sampled(family), R_list)
+    # a deviation miss on a warm g-hat, then a deviation hit
     warm_pot = riesz_potential(_sampled(family), 1.0, 3).samples
     warm_tail = _tail_report(_sampled(family), R_list)
     info = _ghat_from_samples.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 1)
+    info = _deviation_from_samples.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
     assert np.array_equal(warm_pot, cold_pot)
     assert warm_tail == cold_tail
 
@@ -262,11 +277,13 @@ def test_ghat_memo_key_is_exact_content():
     # the bound documented in the potentials module
     assert _ghat_from_samples.cache_info().maxsize == 8
     g = _sampled("gaussian")
-    _ghat_from_samples.cache_clear()
+    _clear_memos()
     pot = riesz_potential(g, 1.0, 3).samples
-    # equal samples on an equal (not the same) grid: a hit
+    # equal samples on an equal (not the same) grid: a hit, here of the
+    # deviation memo, and of the g-hat memo at another mu
     twin = RadialFunction(RadialGrid(*_FAMILY_GRIDS["gaussian"]), g.samples.copy())
     assert np.array_equal(riesz_potential(twin, 1.0, 3).samples, pot)
+    riesz_potential(twin, 2.0, 3)
     assert _ghat_from_samples.cache_info()[:2] == (1, 1)
     # one sample one ulp away, another N, and another profile on the same
     # grid: each a miss
@@ -277,9 +294,83 @@ def test_ghat_memo_key_is_exact_content():
     bump = _sampled("bump")
     pot_bump = riesz_potential(bump, 1.0, 3).samples
     assert _ghat_from_samples.cache_info()[:2] == (1, 4)
+    assert _deviation_from_samples.cache_info()[:2] == (1, 5)
     # and the bump's potential is its own (the sampled kink costs ~1%)
     ref = riesz_potential(bump, 1.0, 3, ghat=ForcingSpec("bump", gamma=2.0).ghat)
     assert np.max(np.abs(pot_bump / ref.samples - 1.0)) < 0.05
+
+
+def test_deviation_memo_key_is_exact_content():
+    # the bound documented in the potentials module
+    assert _deviation_from_samples.cache_info().maxsize == 8
+    g = _sampled("gaussian")
+    _clear_memos()
+    pot = riesz_potential(g, 1.0, 3)
+    # equal samples on an equal grid, to an equal output grid: a hit, which
+    # hands back the entry itself (its samples are read-only)
+    twin = RadialFunction(RadialGrid(*_FAMILY_GRIDS["gaussian"]), g.samples.copy())
+    assert riesz_potential(twin, 1.0, 3, RadialGrid(*_FAMILY_GRIDS["gaussian"])) is pot
+    assert _deviation_from_samples.cache_info()[:2] == (1, 1)
+    # one sample one ulp away, another N, another mu, another output grid,
+    # and the same (g, mu, grid) with the mass subtracted: each a miss
+    nudged = g.samples.copy()
+    nudged[100] = np.nextafter(nudged[100], 2.0)
+    small = RadialGrid(1e-2, 50.0, 128)
+    riesz_potential(RadialFunction(g.grid, nudged), 1.0, 3)
+    riesz_potential(g, 1.0, 5)
+    riesz_potential(g, 1.5, 3)
+    riesz_potential(g, 1.0, 3, small)
+    potential_deviation(g, 1.0, 3)
+    assert _deviation_from_samples.cache_info()[:2] == (1, 6)
+    # at most 8 entries
+    for mu in np.linspace(0.25, 2.75, 9):
+        riesz_potential(g, float(mu), 3, small)
+    assert _deviation_from_samples.cache_info().currsize == 8
+
+
+def test_tail_check_inverts_once_for_every_p(monkeypatch):
+    # the tail check at p = 1, 2 and inf reads one deviation: one forward and
+    # one inverse transform in all, and the reports of three cold checks
+    g, R_list, ps = _sampled("gaussian"), [4.0, 40.0, 400.0], (1.0, 2.0, math.inf)
+    cold = []
+    for p in ps:
+        _clear_memos()
+        cold.append(_tail_report(g, R_list, p))
+    _clear_memos()
+    signs = []
+    transform = radialtransform._HankelEngine.transform
+
+    def counting(self, symbol, at, sign):
+        signs.append(sign)
+        return transform(self, symbol, at, sign)
+
+    monkeypatch.setattr(radialtransform._HankelEngine, "transform", counting)
+    warm = [_tail_report(g, R_list, p) for p in ps]
+    # the forward transform evaluates g-hat at 900 nodes in one call
+    assert sorted(signs) == [-1, 1]
+    assert warm == cold
+
+
+def test_riesz_potential_builds_splines_only_where_read(monkeypatch):
+    # a memo miss builds one interpolant: the sampled g's, which the forward
+    # transform reads; the inverse transform's output and the potential
+    # build none until they are read, and a hit builds none
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("k"))
+        return UniformSpline(*args, **kwargs)
+
+    monkeypatch.setattr(radialtransform, "UniformSpline", counting)
+    g = _sampled("gaussian")
+    _clear_memos()
+    pot = riesz_potential(g, 1.0, 3)
+    assert built == [5]
+    assert riesz_potential(g, 1.0, 3) is pot
+    riesz_potential(g, 2.0, 3)  # a deviation miss on a warm g-hat
+    assert built == [5]
+    pot(1.0)
+    assert built == [5, 5]
 
 
 def test_potential_locally_integrable():

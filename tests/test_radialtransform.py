@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, make_interp_spline
 from scipy.stats import binom
 
-from fracasym import kernels
+from fracasym import kernels, radialtransform
 from fracasym.params import FracParams
 from fracasym.radialtransform import (
     _BLOCK_ROWS,
@@ -567,16 +567,93 @@ def test_spline_refuses_non_uniform_sites():
 
 
 def test_radial_function_owns_read_only_samples():
-    # writing into the caller's array must not leave samples and spline apart
+    # writing into the caller's array must not leave samples and spline apart,
+    # whether the spline was built before the write or is built after it
     grid = RadialGrid(1e-2, 10.0, 128)
     source = np.exp(-grid.nodes**2)
     u = RadialFunction(grid, source)
+    lazy = RadialFunction(grid, source)
     samples, value = u.samples.copy(), u(1.0)
     source *= 2.0
     assert np.array_equal(u.samples, samples)
     assert u(1.0) == value
+    assert lazy(1.0) == value
     with pytest.raises(ValueError):
         u.samples[0] = 1.0
+
+
+def _count_builds(monkeypatch):
+    """Lists that grow by one per UniformSpline (its order) and per exponent
+    fit that a RadialFunction makes."""
+    splines, fits = [], []
+
+    def spline(*args, **kwargs):
+        splines.append(kwargs.get("k"))
+        return UniformSpline(*args, **kwargs)
+
+    fit = RadialFunction._fit_exponent
+
+    def counted_fit(self, inner):
+        fits.append(inner)
+        return fit(self, inner)
+
+    monkeypatch.setattr(radialtransform, "UniformSpline", spline)
+    monkeypatch.setattr(RadialFunction, "_fit_exponent", counted_fit)
+    return splines, fits
+
+
+_SHAPES = {
+    "single-signed": lambda rho: 1.0 / (1.0 + rho**2),
+    "mixed-sign": lambda rho: (1.0 - rho**2) * np.exp(-(rho**2)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_radial_function_builds_interpolant_on_first_read(shape, monkeypatch):
+    # construction builds no spline and fits no exponent; the first read
+    # builds them once, bit-equal to a UniformSpline on the same data and to
+    # a least-squares fit over the edge decade
+    splines, fits = _count_builds(monkeypatch)
+    grid = RadialGrid(1e-2, 1e2, 256)
+    samples = _SHAPES[shape](grid.nodes)
+    u = RadialFunction(grid, samples)
+    RadialFunction(grid, np.zeros(grid.points))
+    assert (u.samples.size, u.is_zero) == (256, False)
+    assert splines == fits == []
+
+    rho = np.geomspace(0.02, 50.0, 101)
+    logs = np.log(grid.nodes)
+    if shape == "single-signed":
+        ref = np.exp(UniformSpline(logs, np.log(samples), k=5)(np.log(rho)))
+    else:
+        ref = UniformSpline(logs, samples, k=3)(np.log(rho))
+    assert np.array_equal(u(rho), ref)
+    assert np.array_equal(u(rho), ref)
+    assert splines == [5 if shape == "single-signed" else 3] and fits == []
+
+    inner, outer = logs <= logs[0] + math.log(10.0), logs >= logs[-1] - math.log(10.0)
+    assert u.inner_exponent == np.polyfit(logs[inner], np.log(samples[inner]), 1)[0]
+    if shape == "single-signed":
+        assert u.outer_exponent == np.polyfit(logs[outer], np.log(samples[outer]), 1)[0]
+    else:  # the outer decade has underflowed to zero: no slope
+        assert u.outer_exponent == 0.0
+    u.inner_exponent, u.outer_exponent
+    assert fits == [True, False] and len(splines) == 1
+
+
+@pytest.mark.parametrize(
+    "samples, match",
+    [
+        (np.full(128, np.nan), "non-finite"),
+        (np.where(np.arange(128) == 5, np.inf, 1.0), "non-finite"),
+        (np.where(np.arange(128) == 127, -np.inf, 1.0), "non-finite"),
+        (np.ones(127), "grid size"),
+        (np.ones((128, 1)), "grid size"),
+    ],
+)
+def test_radial_function_refuses_bad_samples_at_construction(samples, match):
+    with pytest.raises(TransformError, match=match):
+        RadialFunction(RadialGrid(1e-2, 10.0, 128), samples)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -156,7 +157,28 @@ def test_w_table_matches_closed_form(t):
     exact = time_weight(alpha, 0.0, t)
     lam = np.geomspace(lam_lo * 1.01, lam_hi * 0.99, 400)
     got = np.exp(spline(np.log(lam)))
-    assert np.max(np.abs(got / exact(lam) - 1.0)) < 1e-6
+    # the table's own cubic interpolation error: 1.20e-9, near x = lam t^alpha
+    # = 1.2 (the closed form is within 3e-16 of the 40-digit series)
+    assert np.max(np.abs(got / exact(lam) - 1.0)) < 1.5e-9
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_w_closed_form_matches_mpmath(alpha):
+    # W = (1 - E_alpha(-x))/lam with x = lam t^alpha, E by its series in 40
+    # digits.  In double that difference cancels for small x (1.3e-9 relative
+    # at x = 2e-8, 4.8e-13 at 1e-4); the series U E_{alpha,1+alpha}(-x) below
+    # x = 1 does not.  Both sides of x = 1 are held to 2 ulp.
+    t = 1e4
+    xs = np.array([2e-8, 1e-7, 1e-6, 1e-4, 0.5, 0.999, 1.0, 3.0])
+    lam = xs / t**alpha
+    got = time_weight(alpha, 0.0, t)(lam)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for w, lam_k in zip(got, lam):
+            lam_k = mpmath.mpf(float(lam_k))
+            x = lam_k * mpmath.mpf(t) ** a
+            e = mpmath.nsum(lambda k: (-x) ** k / mpmath.gamma(1 + a * k), [0, mpmath.inf])
+            assert abs(w / ((1 - e) / lam_k) - 1) < 5e-16
 
 
 def _w_direct(alpha, gamma, t, lam):

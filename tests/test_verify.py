@@ -181,6 +181,16 @@ def test_kernel_bounds(cache_dir, g_profile_ref):
     assert rep.slope == pytest.approx(-0.5, abs=1e-2)
     assert rep.notes["bounds"]["interior_pass"]
     assert rep.notes["bounds"]["exterior_pass"]
+    # the report says what each norm takes from the fitted tails: 2.26e-4,
+    # 7.14e-4 and 2.26e-3 of it at t = 1e2, 1e3, 1e4, with the exponents of
+    # G(., t), rho^{-1} at the origin and rho^{-4} at infinity
+    beyond = rep.notes["beyond_grid"]
+    assert [b["t"] for b in beyond] == [1e2, 1e3, 1e4]
+    assert [b["share"] for b in beyond] == pytest.approx([2.26e-4, 7.14e-4, 2.26e-3], rel=5e-3)
+    for b in beyond:
+        assert b["tails"] == "fitted"
+        assert b["inner_exponent"] == pytest.approx(-1.0, abs=1e-3)
+        assert b["outer_exponent"] == pytest.approx(-4.0, abs=1e-3)
 
 
 @pytest.mark.parametrize("p", [3.0, math.inf])
