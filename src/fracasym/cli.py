@@ -34,9 +34,7 @@ from .params import (
     ParameterError,
     ScaleSpec,
     classify_scale,
-    intermediate_rate_exponents,
-    outer_rate_exponents,
-    rate_compact,
+    sharp_rate,
 )
 from .radialtransform import RadialGrid, TransformError
 from .reporting import atomic_write
@@ -194,7 +192,7 @@ def _cmd_potential(cfg: RunConfig) -> int:
         ghat=lambda r: fs.amplitude * fs.ghat(r),
     )
     path = os.path.join(cfg.out_dir, f"potential_mu{cfg.mu:g}.csv")
-    pot.save(path, extra_metadata={"mu": cfg.mu, "dim": cfg.params.dim, "family": fs.family})
+    pot.save(path, extra_metadata={"mu": cfg.mu, "dim": cfg.params.dim, **fs.as_dict()})
     print(f"wrote {path}")
     return 0
 
@@ -210,21 +208,17 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _cmd_rates(cfg: RunConfig) -> int:
-    fs = _require_forcing(cfg)
+    """rates.csv: the sharp rate t^e (log t)^l phi(t)^k of params.sharp_rate
+    on the configured scale, with phi(t) = t^exponent (log t)^log_exponent
+    folded into the t and log powers (k = 0 off intermediate scales)."""
+    fs, scale = _require_forcing(cfg), cfg.scale
     gamma, p = fs.gamma, cfg.p
     rows = ["regime,p,gamma,t_exponent,log_power"]
-    if cfg.scale.kind == "compact":
-        regime, t_exp, log_pow = "compact", -rate_compact(gamma, cfg.params.alpha), 0
-    elif cfg.scale.kind == "outer":
-        regime = "outer"
-        t_exp, log_pow = outer_rate_exponents(cfg.params, p, gamma)
-    else:
-        klass = classify_scale(gamma, cfg.params, cfg.scale)
-        regime = f"intermediate-{klass.value}"
-        e, l, k = intermediate_rate_exponents(cfg.params, p, gamma, klass)
-        # phi(t) ~ t^exponent (log t)^log_exponent folded into the t and log powers
-        t_exp = e + k * cfg.scale.exponent
-        log_pow = l + k * cfg.scale.log_exponent
+    e, l, k = sharp_rate(cfg.params, p, gamma, scale)
+    t_exp, log_pow = e + k * scale.exponent, l + k * scale.log_exponent
+    regime = scale.kind
+    if regime == "intermediate":
+        regime += "-" + classify_scale(gamma, cfg.params, scale).value
     rows.append(f"{regime},{p:g},{gamma:.17g},{t_exp:.17g},{log_pow:.17g}")
     path = os.path.join(cfg.out_dir, "rates.csv")
     atomic_write(path, "\n".join(rows) + "\n")

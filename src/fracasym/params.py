@@ -3,8 +3,10 @@
 The model is u_t^alpha + (-Laplacian)^beta u = f in dimension N > 4*beta.
 FracParams holds (alpha, beta, N) and derives the exponents theta, sigma_*,
 p_* and p_c from them; ScaleClass is the five intermediate classes S, C1, C,
-F1 and F.  Everything here is exact arithmetic on (alpha, beta, N, gamma);
-no grids.
+F1 and F; sharp_rate is the one owner of the sharp decay rates of the limit
+theorems, as exponents (e, l, k) of t^e (log t)^l phi(t)^k, and rate_at
+evaluates them.  Everything here is exact arithmetic on (alpha, beta, N,
+gamma); no grids.
 """
 
 from __future__ import annotations
@@ -177,50 +179,35 @@ def classify_scale(gamma: float, params: FracParams, scale: ScaleSpec) -> ScaleC
     return ScaleClass.FAST
 
 
-def intermediate_rate_exponents(
-    params: FracParams, p: float, gamma: float, scale_class: ScaleClass
-) -> tuple:
-    """(t-exponent, log-power, phi-exponent) of the sharp intermediate-scale
-    rate t^e (log t)^l phi(t)^k."""
-    sp = sigma_p(params, p)
+def sharp_rate(params: FracParams, p: float, gamma: float, scale: ScaleSpec) -> tuple:
+    """(e, l, k) of the sharp L^p decay rate t^e (log t)^l phi(t)^k on `scale`,
+    the one source of every rate the checks normalize by:
+
+    * compact:      t^{-min(gamma, 1+alpha)} (k = 0);
+    * intermediate: by the class of classify_scale, t^{-gamma}
+      phi^{(1-sigma_p)/theta} on S, C1 and C, t^{-(1+alpha)} log t
+      phi^{(1+alpha-sigma_p)/theta} on F1, and the same without log t on F;
+    * outer:        t^{1-gamma-sigma_p} for gamma < 1, t^{-sigma_p} log t at
+      gamma = 1 and t^{-sigma_p} above (k = 0).
+    """
     a = params.alpha
-    theta = params.theta
-    if scale_class in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
-        return -gamma, 0, (1.0 - sp) / theta
-    if scale_class is ScaleClass.FAST1:
-        return -(1.0 + a), 1, (1.0 + a - sp) / theta
-    if scale_class is ScaleClass.FAST:
-        return -(1.0 + a), 0, (1.0 + a - sp) / theta
-    raise ParameterError(f"{scale_class} is not an intermediate class")
-
-
-def rate_intermediate(
-    params: FracParams,
-    p: float,
-    gamma: float,
-    scale_class: ScaleClass,
-    phi_at_t: float,
-    t: float,
-) -> float:
-    """Sharp decay rate for the annulus norm at an intermediate scale."""
-    e, l, k = intermediate_rate_exponents(params, p, gamma, scale_class)
-    return t**e * math.log(t) ** l * phi_at_t**k
-
-
-def outer_rate_exponents(params: FracParams, p: float, gamma: float) -> tuple:
-    """(t-exponent, log-power) of the sharp exterior rate t^e (log t)^l."""
+    if scale.kind == "compact":
+        return -min(gamma, 1.0 + a), 0, 0
     sp = sigma_p(params, p)
-    if gamma < 1.0:
-        return 1.0 - gamma - sp, 0
-    return -sp, 1 if gamma == 1.0 else 0
+    if scale.kind == "outer":
+        if gamma < 1.0:
+            return 1.0 - gamma - sp, 0, 0
+        return -sp, 1 if gamma == 1.0 else 0, 0
+    klass = classify_scale(gamma, params, scale)
+    if klass in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
+        return -gamma, 0, (1.0 - sp) / params.theta
+    return -(1.0 + a), 1 if klass is ScaleClass.FAST1 else 0, (1.0 + a - sp) / params.theta
 
 
-def rate_outer(params: FracParams, p: float, gamma: float, t: float) -> float:
-    """Sharp decay rate for the exterior norm over |x| > nu t^theta."""
-    e, l = outer_rate_exponents(params, p, gamma)
-    return t**e * math.log(t) ** l
-
-
-def rate_compact(gamma: float, alpha: float) -> float:
-    """Decay exponent on compact sets: min(gamma, 1 + alpha)."""
-    return min(gamma, 1.0 + alpha)
+def rate_at(params: FracParams, p: float, gamma: float, scale: ScaleSpec, t: float) -> float:
+    """The sharp rate of sharp_rate at time t, t**e * log(t)**l * phi(t)**k in
+    that order; phi(t), which only an intermediate scale has, is not read
+    when k = 0."""
+    e, l, k = sharp_rate(params, p, gamma, scale)
+    rate = t**e * math.log(t) ** l
+    return rate * scale.phi(t) ** k if k else rate

@@ -16,10 +16,11 @@ content is the same function.
 * The numerical forward transform of the samples: a check run over several
   (mu, p) for one g transforms it once.  The key is (grid, the samples'
   bytes, N); at most 8 entries of about 45 KB each (see _ghat_from_samples).
-* The deviation I_mu[g] - M E_mu (M = 0 for riesz_potential): a tail check
-  read at several p inverts it once.  The key adds mu, the mass (None for
-  riesz_potential) and the output grid; at most 8 entries of about 60 KB
-  each, under 0.5 MB (see _deviation_from_samples).
+* The deviation I_mu[g] - M E_mu with its mass M (M = 0 for
+  riesz_potential): a tail check read at several p inverts it, and
+  integrates g for M, once.  The key adds mu, whether M is subtracted, and
+  the output grid; at most 8 entries of about 60 KB each, under 0.5 MB (see
+  _deviation_from_samples).
 A closed-form g-hat is a callable, not content, so its results are not
 memoized.
 """
@@ -100,18 +101,12 @@ def riesz_potential(
     ghat=None,
 ) -> RadialFunction:
     """I_mu[g] = F^{-1}(g-hat(r) r^{-mu}) / c_mu on the given grid: the
-    deviation I_mu[g] - M E_mu with M = 0.
+    deviation of potential_deviation with M = 0.
 
     Pass the closed-form Fourier transform via `ghat` when available (the
     forcing families provide one); otherwise it is computed numerically.
     """
-    if g is None and ghat is None:
-        raise PotentialError("need the samples g or a closed-form ghat")
-    c_mu = riesz_constant(mu, dim)
-    grid = grid or (g.grid if g is not None else RadialGrid())
-    if ghat is None:
-        return _deviation_from_samples(g.grid, g.samples.tobytes(), dim, mu, None, grid)
-    return _deviation(ghat, 0.0, mu, dim, grid, c_mu)
+    return _potential(g, mu, dim, grid, ghat, False)[0]
 
 
 def potential_deviation(
@@ -120,11 +115,20 @@ def potential_deviation(
     """I_mu[g] - M E_mu computed through the single difference symbol
     (g-hat(r) - M) r^{-mu} / c_mu, avoiding catastrophic cancellation in the
     far field.  Returns (deviation: RadialFunction, M)."""
+    return _potential(g, mu, dim, grid, ghat, True)
+
+
+def _potential(g, mu, dim, grid, ghat, subtract: bool):
+    """(I_mu[g] - M E_mu, M) on grid, with M the mass of g when subtract and
+    0 otherwise: the one body of riesz_potential and potential_deviation."""
     if g is None and ghat is None:
         raise PotentialError("need the samples g or a closed-form ghat")
-    c_mu = riesz_constant(mu, dim)
+    riesz_constant(mu, dim)  # refuses mu outside (0, N) before any transform
     grid = grid or (g.grid if g is not None else RadialGrid())
-    if ghat is not None:
+    if ghat is None:
+        return _deviation_from_samples(g.grid, g.samples.tobytes(), dim, mu, subtract, grid)
+    mass = 0.0
+    if subtract:
         # g-hat(0) is the mass by definition of the transform; using it keeps
         # the difference symbol exactly vanishing at r = 0 (a quadrature value
         # of the mass would leave a spurious M_err * E_mu residue dominating
@@ -137,35 +141,37 @@ def potential_deviation(
                     f"mass mismatch: transform value {mass:g} vs radial "
                     f"quadrature {mass_quad:g}"
                 )
-        return _deviation(ghat, mass, mu, dim, grid, c_mu), mass
-    mass = radial_integral(g, dim)
-    return _deviation_from_samples(g.grid, g.samples.tobytes(), dim, mu, mass, grid), mass
+    return _deviation(ghat, mass, mu, dim, grid), mass
 
 
 @functools.lru_cache(maxsize=8)
 def _deviation_from_samples(g_grid: RadialGrid, samples: bytes, dim: int, mu: float,
-                            mass: float | None, grid: RadialGrid) -> RadialFunction:
-    """I_mu[g] - mass E_mu on grid for the profile with these float64 samples
-    on g_grid; mass None is I_mu[g] itself (riesz_potential).
+                            subtract: bool, grid: RadialGrid):
+    """(I_mu[g] - M E_mu on grid, M) for the profile g with these float64
+    samples on g_grid, where M is g's radial quadrature mass when subtract
+    and 0 otherwise (riesz_potential).
 
     Memoized on its arguments, called as (g.grid, g.samples.tobytes(), N, mu,
-    mass, grid): the key is the exact content of everything the result
-    depends on, and the result is built from the key alone, so a hit returns
-    what a miss would compute.  So a tail check read at several p inverts its
-    deviation once.  The bound is 8 entries, each a RadialFunction on grid
-    (about 60 KB on 768 points once its spline is built) plus a key of the
-    size of g's samples: under 0.5 MB in all.
+    subtract, grid): the key is the exact content of everything the result
+    depends on, the mass included, and the result is built from the key
+    alone, so a hit returns what a miss would compute.  So a tail check read
+    at several p inverts its deviation, and integrates g, once.  The bound
+    is 8 entries, each a RadialFunction on grid (about 60 KB on 768 points
+    once its spline is built) plus a key of the size of g's samples: under
+    0.5 MB in all.
     """
     ghat = _ghat_from_samples(g_grid, samples, dim)
-    return _deviation(ghat, 0.0 if mass is None else mass, mu, dim, grid,
-                      riesz_constant(mu, dim))
+    mass = 0.0
+    if subtract:
+        mass = radial_integral(RadialFunction(g_grid, np.frombuffer(samples)), dim)
+    return _deviation(ghat, mass, mu, dim, grid), mass
 
 
-def _deviation(ghat, mass, mu, dim, grid, c_mu):
+def _deviation(ghat, mass, mu, dim, grid):
     """I_mu[g] - mass E_mu on grid: the inverse transform of the one symbol
     (g-hat(r) - mass) r^{-mu}, divided by c_mu."""
     out = radial_fourier_inverse(lambda r: (ghat(r) - mass) * r**-mu, dim, grid)
-    return RadialFunction(grid, out.samples / c_mu)
+    return RadialFunction(grid, out.samples / riesz_constant(mu, dim))
 
 
 def riesz_tail_check(

@@ -4,17 +4,17 @@ Each check evaluates the literal o(1) statement of one limit theorem at
 geometric time checkpoints and reports strict monotone decrease plus a final
 tolerance.  Each annulus check (compact, intermediate, exterior) runs one
 checkpoint series: it builds one batched symbol, u-hat minus profile-hat at
-every checkpoint t (_difference_symbols), inverts all of them in one pass of
-the transform engine, takes each L^p norm over its region and divides it by
-the sharp rate from fracasym.params (t^{-rate_compact}, rate_intermediate or
-rate_outer).  The factors that do not depend on t (the forcing's transform,
-r^{2b}, the Riesz powers) are formed once per block of the pass;
+every checkpoint t (solver.duhamel_symbols), inverts all of them in one pass
+of the transform engine, takes each L^p norm over its region and divides it
+by the sharp rate params.rate_at on its scale, through one closure.  The
+factors that do not depend on t (the forcing's transform, r^{2b}, the Riesz
+powers) are formed once per block of the pass;
 coherence and kernel-bounds batch their checkpoints the same way.  Forming
 the difference in the symbol, never as a difference of two transformed
 functions, makes the far-field cancellation between u and its limit profile
 exact, so the quadrature error budget stays at the level of the difference
 itself.  The solution's symbol is always the forcing's transform times the
-time weight W(r^{2b}, t) of solver.time_weight; the Riesz profiles
+time weight W(r^{2b}, t), built by solver.duhamel_symbols; the Riesz profiles
 c2 E_{2b} + c4 E_{4b} come from one builder, and outer-mass and outer-log
 share one mass law.  The kappa of their E_{4b} terms is the closed form
 kernels.estimate_kappa, so compact and intermediate build no kernel
@@ -28,7 +28,7 @@ VerifyError, what no check can state:
   all but constant and kernel-bounds: f = 0 has no profile, and each
   normalized statement would be vacuous or 0/0.
 Each check refuses its own parameter preconditions (p >= p_*, a kappa term at
-alpha = 1).  run_check then times the check and stamps the problem parameters
+alpha = 1, an exterior check on a scale that is not outer).  run_check then times the check and stamps the problem parameters
 and runtime on the report.
 
 Checks
@@ -58,9 +58,8 @@ from .params import (
     ScaleClass,
     ScaleSpec,
     classify_scale,
-    rate_compact,
-    rate_intermediate,
-    rate_outer,
+    rate_at,
+    sharp_rate,
     sigma_p,
 )
 from .potentials import riesz_constant
@@ -73,7 +72,7 @@ from .radialtransform import (
     radial_fourier_inverses,
 )
 from .reporting import ConvergenceReport, make_report
-from .solver import ForcingSpec, solution_mass, time_weight
+from .solver import ForcingSpec, duhamel_symbols, solution_mass
 from .special import gamma_fn, gl_panels
 
 
@@ -129,45 +128,20 @@ def _kappa(params: FracParams) -> float:
     return kappa
 
 
-def _difference_symbols(cfg: VerifyConfig, times, profiles=None, spatial=None):
-    """r -> [spatial(r) W(r^{2b}, t) - profile-hat_t(r) for t in times], the
-    K symbols whose inverse transforms are the Duhamel solution at each
-    checkpoint minus its comparison profile, all served by one engine pass:
-    the one path for u-hat minus profile-hat.  spatial defaults to amplitude
-    g-hat, which makes the first term u-hat.  The t-independent factors
-    s = spatial(r) and lam = r^{2b} are formed once per block and handed to
-    profiles(r, lam, s), which returns the K profile-hats with their
-    amplitude and mass factors; without profiles the symbols are the Duhamel
-    terms alone."""
-    fs, params = cfg.forcing, cfg.params
-    if spatial is None:
-        spatial = lambda r: fs.amplitude * fs.ghat(r)
-    weights = [time_weight(params.alpha, fs.gamma, t) for t in times]
-    two_beta = 2.0 * params.beta
-
-    def symbols(r):
-        s, lam = spatial(r), r**two_beta
-        out = [s * w(lam) for w in weights]
-        if profiles is not None:
-            for d, profile in zip(out, profiles(r, lam, s), strict=True):
-                d -= profile  # in d's own buffer: s is shared
-        return out
-
-    return symbols
-
-
-def _checkpoint_series(cfg: VerifyConfig, times, symbols, region_at, rate_at):
+def _checkpoint_series(cfg: VerifyConfig, times, symbols, region_at):
     """At each checkpoint t: the L^p norm over region_at(t) = (lo, hi) of the
     inverse transform of its symbol, one of the K that symbols returns (all
     transformed in one pass), and that norm divided by the sharp rate
-    rate_at(t).  Returns (raw, normalized), empty for no checkpoints."""
+    params.rate_at on cfg's scale.  Returns (raw, normalized), empty for no
+    checkpoints."""
     if not times:
         return [], []
     n = cfg.params.dim
     regions = [region_at(t) for t in times]
     diffs = radial_fourier_inverses(symbols, n, cfg.grid)
     raw = [lp_norm_annulus(d, cfg.p, n, lo, hi) for d, (lo, hi) in zip(diffs, regions)]
-    return raw, [err / rate_at(t) for err, t in zip(raw, times)]
+    rate = lambda t: rate_at(cfg.params, cfg.p, cfg.forcing.gamma, cfg.scale, t)
+    return raw, [err / rate(t) for err, t in zip(raw, times)]
 
 
 def _riesz_profiles(params: FracParams, coeffs):
@@ -194,18 +168,8 @@ def _report(cfg, theorem, raw, norm, **kw):
     """make_report over cfg.times, stamped with the forcing and p of cfg."""
     return make_report(
         theorem, cfg.times, raw, norm, cfg.tolerance,
-        forcing=_forcing_dict(cfg), p=cfg.p, **kw,
+        forcing=cfg.forcing.as_dict(), p=cfg.p, **kw,
     )
-
-
-def _forcing_dict(cfg):
-    f = cfg.forcing
-    return {
-        "family": f.family,
-        "gamma": f.gamma,
-        "amplitude": f.amplitude,
-        "width": f.width,
-    }
 
 
 # --- compact sets -------------------------------------------------------------
@@ -241,11 +205,12 @@ def _compact_limit_riesz(cfg: VerifyConfig):
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     """||t^{min(gamma,1+alpha)} u(., t) - L||_{L^p(rho <= K)} -> 0, i.e. the
-    norm of u - L t^{-m} divided by the rate t^{-m}, m = min(gamma,1+alpha)."""
+    norm of u - L t^{-m} divided by the sharp rate t^{-m}: m = -e =
+    min(gamma,1+alpha), with e the t-exponent of params.sharp_rate."""
     if cfg.scale.kind != "compact":
         raise VerifyError("verify_compact requires a compact scale")
     fs, params = cfg.forcing, cfg.params
-    m = rate_compact(fs.gamma, params.alpha)
+    m = -sharp_rate(params, cfg.p, fs.gamma, cfg.scale)[0]
     riesz = _compact_limit_riesz(cfg)
     K = cfg.scale.radius
     scales = [t**m for t in cfg.times]
@@ -255,8 +220,8 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
         return [limit / tm for tm in scales]
 
     _, errs = _checkpoint_series(
-        cfg, cfg.times, _difference_symbols(cfg, cfg.times, profiles),
-        lambda t: (cfg.grid.rho_min, K), lambda t: t**-m,
+        cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, profiles),
+        lambda t: (cfg.grid.rho_min, K),
     )
     return _report(cfg, "compact", errs, errs, scale={"kind": "compact", "radius": K})
 
@@ -293,9 +258,8 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
 
     raw, norm = _checkpoint_series(
         cfg, cfg.times,
-        _difference_symbols(cfg, cfg.times, lambda r, lam, ag: symbols(r)),
+        duhamel_symbols(fs, params, cfg.times, lambda r, lam, ag: symbols(r)),
         annulus,
-        lambda t: rate_intermediate(params, cfg.p, fs.gamma, klass, cfg.scale.phi(t), t),
     )
     prof_norms = [
         lp_norm_annulus(RadialFunction(cfg.grid, value(cfg.grid.nodes)),
@@ -345,7 +309,10 @@ def _outer_scale(cfg: VerifyConfig) -> dict:
 
 
 def _outer_annulus(cfg: VerifyConfig, t: float):
-    """Exterior region nu t^theta < rho, truncated at the grid edge."""
+    """Exterior region nu t^theta < rho, truncated at the grid edge, of an
+    outer scale: the exterior norms are divided by its sharp rate."""
+    if cfg.scale.kind != "outer":
+        raise VerifyError(f"{cfg.theorem} requires an outer scale")
     lo = cfg.scale.nu * t**cfg.params.theta
     hi = cfg.grid.rho_max
     if lo >= hi:
@@ -364,9 +331,8 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
     spatial = lambda r: fs.amplitude * (fs.ghat(r) - mass_g)
     raw, norm = _checkpoint_series(
-        cfg, cfg.times, _difference_symbols(cfg, cfg.times, spatial=spatial),
+        cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, spatial=spatial),
         lambda t: _outer_annulus(cfg, t),
-        lambda t: rate_outer(params, cfg.p, fs.gamma, t),
     )
     return _report(cfg, "outer-general", raw, norm, **_outer_scale(cfg))
 
@@ -381,7 +347,7 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
     """The mass law of _limit_mass: the scalar series
     |Gamma(alpha) M(t) / (t^{alpha-1} (log t)^l) - M*| / |M*| at every
     checkpoint, and at kernel_times the exterior norms of u - M* (log t)^l Y
-    (raw, and divided by rate_outer).  Returns (scalar, raw, normalized)."""
+    (raw, and divided by the sharp rate).  Returns (scalar, raw, normalized)."""
     fs, params = cfg.forcing, cfg.params
     a = params.alpha
     limit, l = _limit_mass(fs)
@@ -396,16 +362,15 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
         return [amp * y_hat for amp, y_hat in zip(amps, y_hats(lam))]
 
     raw, norm = _checkpoint_series(
-        cfg, kernel_times, _difference_symbols(cfg, kernel_times, profiles),
+        cfg, kernel_times, duhamel_symbols(fs, params, kernel_times, profiles),
         lambda t: _outer_annulus(cfg, t),
-        lambda t: rate_outer(params, cfg.p, fs.gamma, t),
     )
     return scalar, raw, norm
 
 
 def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma > 1: scalar law Gamma(alpha) M(t) t^{1-alpha} -> M_inf, and
-    ||u - M_inf Y|| / rate_outer -> 0 on the exterior; both must decrease."""
+    ||u - M_inf Y|| / rate -> 0 on the exterior; both must decrease."""
     scalar, raw, norm = _mass_law(cfg, cfg.times)
     rep = _report(cfg, "outer-mass", raw, norm, **_outer_scale(cfg))
     scalar_ok = all(b < a_ for a_, b in zip(scalar[:-1], scalar[1:]))
@@ -419,7 +384,7 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
 def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma = 1: Gamma(alpha) M(t) / (t^{alpha-1} log t) -> M0 (scalar, cheap,
     times may extend to 1e6); the exterior kernel comparison
-    ||u - M0 log t Y|| / rate_outer is reported in notes
+    ||u - M0 log t Y|| / rate is reported in notes
     (kernel_times, kernel_series) for the checkpoints with t <= 1e4 and
     nu t^theta <= rho_max/2, i.e. whose exterior region starts well inside
     the grid; the lists are empty when no checkpoint qualifies."""
@@ -457,14 +422,14 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
     # with amplitude g-hat replaced by the constant M0
     M0 = fs.M0
     refs = radial_fourier_inverses(
-        _difference_symbols(cfg, cfg.times, spatial=lambda r: M0), params.dim, cfg.grid)
+        duhamel_symbols(fs, params, cfg.times, spatial=lambda r: M0), params.dim, cfg.grid)
     targets = _riesz_profiles(
         params, [_intermediate_profile_coeffs(cfg, ScaleClass.SLOW, t) for t in cfg.times])[1]
     errs = [abs(float(ref(rho)) / target(rho) - 1.0)
             for ref, target, rho in zip(refs, targets, radii)]
     return make_report(
         "coherence", cfg.times, errs, errs, cfg.tolerance,
-        forcing=_forcing_dict(cfg),
+        forcing=fs.as_dict(),
         scale={"xi": list(_COHERENCE_XI)},
     )
 

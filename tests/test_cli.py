@@ -11,13 +11,7 @@ import pytest
 
 from fracasym import kernels
 from fracasym.cli import ConfigError, main, parse_config
-from fracasym.params import (
-    FracParams,
-    ScaleClass,
-    rate_compact,
-    rate_intermediate,
-    rate_outer,
-)
+from fracasym.params import FracParams, ScaleSpec, rate_at
 from fracasym.potentials import riesz_constant
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -218,19 +212,19 @@ def test_rates_command(tmp_path):
         "nu = 1.0", "nu = 1.0\nexponent = 0.5\nlog_exponent = -0.5"
     )
     t = 1e3
+    outer_scale = ScaleSpec(kind="outer")
     cases = [
         # gamma = 1/2 < 1: exponent 1 - gamma - sigma_* = 0.5 - 2 = -1.5
-        (FULL, "outer", -1.5, 0, rate_outer(params, math.inf, 0.5, t)),
+        (FULL, "outer", -1.5, 0, rate_at(params, math.inf, 0.5, outer_scale, t)),
         (outer.replace("gamma = 0.5", "gamma = 1.0"), "outer", -2.0, 1,
-         rate_outer(params, math.inf, 1.0, t)),
+         rate_at(params, math.inf, 1.0, outer_scale, t)),
         # compact: t^{-min(gamma, 1 + alpha)}
         (outer.replace("kind = outer", "kind = compact").replace(
-            "gamma = 0.5", "gamma = 2.0"), "compact", -rate_compact(2.0, 0.5), 0,
-         t ** -rate_compact(2.0, 0.5)),
+            "gamma = 0.5", "gamma = 2.0"), "compact", -1.5, 0, t**-1.5),
         # F1 at phi = t^theta (log t)^{-1/2}: t^{-3/2} log t phi^{-1}
         (intermediate.replace("gamma = 0.5", "gamma = 1.0"), "intermediate-F1", -2.0,
-         1.5, rate_intermediate(params, math.inf, 1.0, ScaleClass.FAST1,
-                                t**0.5 * math.log(t) ** -0.5, t)),
+         1.5, rate_at(params, math.inf, 1.0, ScaleSpec(
+             kind="intermediate", exponent=0.5, log_exponent=-0.5), t)),
     ]
     for i, (text, regime, t_exp, log_pow, rate) in enumerate(cases):
         out = tmp_path / f"out{i}"
@@ -245,6 +239,36 @@ def test_rates_command(tmp_path):
         # the printed exponents reproduce the rate the checks normalize by
         got = t ** float(fields[3]) * math.log(t) ** float(fields[4])
         assert got == pytest.approx(rate, rel=1e-12)
+
+
+# at (0.5, 0.5, 3) and p = inf: theta = 1/2, and the class references are
+# phi = t^{1/2} (log t)^{-1} at gamma = 1 and t^{(3/2 - gamma)} for 1 < gamma < 3/2
+@pytest.mark.parametrize("gamma, scale, regime", [
+    (2.0, "kind = compact", "compact"),
+    (0.5, "kind = intermediate\nexponent = 0.25", "intermediate-S"),
+    (1.0, "kind = intermediate\nexponent = 0.5\nlog_exponent = -1", "intermediate-C1"),
+    (1.25, "kind = intermediate\nexponent = 0.25", "intermediate-C"),
+    (1.0, "kind = intermediate\nexponent = 0.5\nlog_exponent = -0.5", "intermediate-F1"),
+    (2.0, "kind = intermediate\nexponent = 0.25", "intermediate-F"),
+    (0.5, "kind = outer", "outer"),
+    (1.0, "kind = outer", "outer"),
+    (2.0, "kind = outer", "outer"),
+], ids=["compact", "S", "C1", "C", "F1", "F", "outer-gamma<1", "outer-gamma=1",
+        "outer-gamma>1"])
+def test_rates_csv_reproduces_rate_at(tmp_path, gamma, scale, regime):
+    # the printed exponents, with phi(t) folded in, are the rate the checks
+    # normalize by, on every regime
+    text = FULL.replace("theorem = coherence", "theorem = compact").replace(
+        "gamma = 0.5", f"gamma = {gamma}").replace("kind = outer\nnu = 1.0", scale)
+    path = _write(tmp_path, text)
+    assert main(["rates", "--config", path, "--out", str(tmp_path)]) == 0
+    fields = (tmp_path / "rates.csv").read_text().splitlines()[1].split(",")
+    assert fields[0] == regime
+    cfg = parse_config(text)
+    for t in (1e3, 1e8):
+        got = t ** float(fields[3]) * math.log(t) ** float(fields[4])
+        want = rate_at(cfg.params, cfg.p, gamma, cfg.scale, t)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_verify_command_exit_zero(tmp_path):

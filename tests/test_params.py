@@ -11,8 +11,8 @@ from fracasym.params import (
     ScaleSpec,
     classify_scale,
     q_critical,
-    rate_compact,
-    rate_outer,
+    rate_at,
+    sharp_rate,
     sigma_p,
 )
 
@@ -84,14 +84,15 @@ def test_classification_rejects_non_growing_or_outer_scales():
 
 def test_rates():
     params = FracParams(0.5, 0.5, 3)
-    assert rate_compact(2.0, 0.5) == 1.5
-    assert rate_compact(0.5, 0.5) == 0.5
+    compact, outer = ScaleSpec(kind="compact"), ScaleSpec(kind="outer")
+    assert sharp_rate(params, 1.0, 2.0, compact) == (-1.5, 0, 0)
+    assert sharp_rate(params, 1.0, 0.5, compact) == (-0.5, 0, 0)
     # outer, gamma > 1: t^{-sigma(p)}
-    assert rate_outer(params, 1.0, 2.0, 100.0) == pytest.approx(100.0**-0.5)
-    assert rate_outer(params, 1.0, 1.0, 100.0) == pytest.approx(
+    assert rate_at(params, 1.0, 2.0, outer, 100.0) == pytest.approx(100.0**-0.5)
+    assert rate_at(params, 1.0, 1.0, outer, 100.0) == pytest.approx(
         100.0**-0.5 * math.log(100.0)
     )
-    assert rate_outer(params, 1.0, 0.25, 100.0) == pytest.approx(100.0**0.25)
+    assert rate_at(params, 1.0, 0.25, outer, 100.0) == pytest.approx(100.0**0.25)
 
 
 @given(

@@ -345,9 +345,17 @@ def test_tail_check_inverts_once_for_every_p(monkeypatch):
         return transform(self, symbol, at, sign)
 
     monkeypatch.setattr(radialtransform._HankelEngine, "transform", counting)
-    warm = [_tail_report(g, R_list, p) for p in ps]
+    integrals, integrate = [], potentials.radial_integral
+    monkeypatch.setattr(potentials, "radial_integral",
+                        lambda *args: integrals.append(args) or integrate(*args))
+    warm, integrated = [], []
+    for p in ps:
+        warm.append(_tail_report(g, R_list, p))
+        integrated.append(len(integrals))
     # the forward transform evaluates g-hat at 900 nodes in one call
     assert sorted(signs) == [-1, 1]
+    # g's mass is integrated on the miss alone: a warm call integrates nothing
+    assert integrated == [1, 1, 1]
     assert warm == cold
 
 

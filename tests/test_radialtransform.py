@@ -26,7 +26,7 @@ from fracasym.radialtransform import (
     radial_integral,
 )
 from fracasym.potentials import _ghat_from_samples
-from fracasym.solver import ForcingSpec, _build_w_table, _w_knots, duhamel_symbol
+from fracasym.solver import ForcingSpec, _build_w_table, _w_knots, duhamel_symbols
 from fracasym.spline import SplineError, UniformSpline
 
 
@@ -223,10 +223,10 @@ def _g_symbol(params, t):
 
 def _block_symbols(dim):
     params = FracParams(0.5, 0.5, dim)
-    forcing = ForcingSpec("gaussian", gamma=2.0, dim=dim)
+    duhamel = duhamel_symbols(ForcingSpec("gaussian", gamma=2.0, dim=dim), params, (1e4,))
     return {
         "G": _g_symbol(params, 1e3),
-        "duhamel": duhamel_symbol(forcing, params, 1e4),
+        "duhamel": lambda r: duhamel(r)[0],
         "gaussian": lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
     }
 

@@ -9,9 +9,8 @@ from fracasym.params import (
     FracParams,
     ScaleSpec,
     classify_scale,
-    rate_compact,
-    rate_intermediate,
-    rate_outer,
+    rate_at,
+    sharp_rate,
 )
 from fracasym.potentials import riesz_constant
 from fracasym.radialtransform import (
@@ -131,6 +130,19 @@ def test_gamma_preconditions():
         )
 
 
+@pytest.mark.parametrize("theorem, gamma", [("outer-general", 0.5), ("outer-mass", 2.0)])
+def test_exterior_checks_need_an_outer_scale(monkeypatch, theorem, gamma):
+    # their norms are divided by the sharp rate of their scale, so a compact
+    # one is refused before the transform
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transformed before the precondition")
+
+    monkeypatch.setattr(verify, "radial_fourier_inverses", no_transform)
+    forcing = ForcingSpec("gaussian", gamma=gamma, dim=3)
+    with pytest.raises(VerifyError, match="outer scale"):
+        run_check(_cfg(theorem=theorem, forcing=forcing, grid=RadialGrid(1e-3, 1e3, 128)))
+
+
 def test_compact_check_passes(cache_dir):
     rep = run_check(_cfg(theorem="compact", cache_dir=cache_dir))
     assert rep.verdict == "pass"
@@ -209,17 +221,14 @@ def test_intermediate_normalization_bounded(cache_dir, g_profile_ref):
     # the normalized error divides by the sharp rate; the reported profile
     # norms confirm the rate has the same size as the profile itself (no
     # accidental normalization blow-up)
-    from fracasym.params import rate_intermediate, classify_scale
-
     cfg = _cfg(
         theorem="intermediate",
         scale=ScaleSpec(kind="intermediate", exponent=0.25),
         cache_dir=cache_dir,
     )
     rep = run_check(cfg)
-    klass = classify_scale(cfg.forcing.gamma, cfg.params, cfg.scale)
     for t, pn in zip(cfg.times, rep.notes["profile_norms"]):
-        rate = rate_intermediate(cfg.params, cfg.p, cfg.forcing.gamma, klass, cfg.scale.phi(t), t)
+        rate = rate_at(cfg.params, cfg.p, cfg.forcing.gamma, cfg.scale, t)
         assert 1e-3 < pn / rate < 1e3
     # annulus norms of the Riesz kernels follow the exact power law
     for entry in rep.notes["annulus_power_law"].values():
@@ -242,11 +251,7 @@ def test_normalization_is_the_params_rate(cache_dir):
         rep = run_check(cfg)
         assert all(e > 0 for e in rep.raw_errors)
         for t, raw, norm in zip(cfg.times, rep.raw_errors, rep.normalized_errors):
-            if theorem == "intermediate":
-                klass = classify_scale(gamma, params, scale)
-                rate = rate_intermediate(params, cfg.p, gamma, klass, scale.phi(t), t)
-            else:
-                rate = rate_outer(params, cfg.p, gamma, t)
+            rate = rate_at(params, cfg.p, gamma, scale, t)
             assert norm == pytest.approx(raw / rate, rel=1e-14)
 
 
@@ -285,7 +290,7 @@ def test_mass_convolution_reference_mass():
     # by M0, carries the same total mass as u
     fs = ForcingSpec("gaussian", gamma=1.5, dim=3)
     cfg = _cfg(forcing=fs, grid=RadialGrid(1e-3, 1e3, 512))
-    symbols = verify._difference_symbols(cfg, (100.0,), spatial=lambda r: fs.M0)
+    symbols = solver.duhamel_symbols(fs, cfg.params, (100.0,), spatial=lambda r: fs.M0)
     ref = radial_fourier_inverse(lambda r: symbols(r)[0], 3, cfg.grid)
     assert radial_integral(ref, 3) == pytest.approx(
         solution_mass(fs, cfg.params, 100.0), rel=1e-3
@@ -333,7 +338,8 @@ def _per_t_symbol(cfg, t):
 
     theorem = cfg.theorem
     if theorem == "compact":
-        limit, tm = verify._compact_limit_riesz(cfg), t ** rate_compact(fs.gamma, a)
+        limit = verify._compact_limit_riesz(cfg)
+        tm = t ** -sharp_rate(params, cfg.p, fs.gamma, cfg.scale)[0]
         return difference(lambda r, ag: ag * limit(r) / tm)
     if theorem == "intermediate":
         klass = classify_scale(fs.gamma, params, cfg.scale)
