@@ -12,7 +12,7 @@ from fracasym.params import (
     rate_at,
     sharp_rate,
 )
-from fracasym.potentials import riesz_constant
+from fracasym.potentials import riesz_constant, riesz_potential
 from fracasym.radialtransform import (
     ExtrapolationWarning,
     RadialGrid,
@@ -283,6 +283,31 @@ def test_cross_regime_coherence_of_compact_profile(cache_dir):
     c2b = riesz_constant(1.0, 3)
     got = rho**2.0 * float(L(rho)) / (cfg.forcing.M0 * c2b)
     assert got == pytest.approx(1.0, abs=5e-2)
+
+
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 2.0])
+def test_compact_limit_matches_riesz_potentials(gamma):
+    # an independent route to the compact limit: the Riesz potentials of
+    # amplitude g, c_{2b} I_{2b}[g] below 1 + alpha, plus (kappa/alpha)
+    # I_{4b}[g] at it, and (kappa/(gamma-1)) I_{4b}[g] above
+    fs = ForcingSpec("gaussian", gamma=gamma, dim=3, amplitude=1.7)
+    cfg = _cfg(forcing=fs)
+    params = cfg.params
+    kappa = kernels.estimate_kappa(params)
+    ghat = lambda r: fs.amplitude * fs.ghat(r)
+    I2, I4 = (riesz_potential(None, k * params.beta, 3, cfg.grid, ghat=ghat).samples
+              for k in (2.0, 4.0))
+    c2b = riesz_constant(2.0 * params.beta, 3)
+    if gamma < 1.5:
+        want = c2b * I2
+    elif gamma == 1.5:
+        want = c2b * I2 + (kappa / params.alpha) * I4
+    else:
+        want = (kappa / (gamma - 1.0)) * I4
+    got = limit_profile_compact(cfg).samples
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nonzero = want != 0.0
+    assert np.all(np.abs(got[nonzero] / want[nonzero] - 1.0) <= 1e-15)
 
 
 def test_mass_convolution_reference_mass():
