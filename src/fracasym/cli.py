@@ -69,6 +69,13 @@ def _parse_times(raw: str) -> tuple:
     return times
 
 
+def _parse_tolerance(raw: str) -> float:
+    """The pass threshold; a NaN, infinite or non-positive one decides every check."""
+    if not 0.0 < float(raw) < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {raw!r}")
+    return float(raw)
+
+
 def _parse_bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
@@ -84,7 +91,7 @@ _KEYS = {
         "theorem": str,
         "p": float,  # reads "inf" and "Infinity" too
         "times": _parse_times,
-        "tolerance": float,
+        "tolerance": _parse_tolerance,
         "mu": float,
         "kind": str,
         "radius": float,

@@ -95,8 +95,7 @@ class KernelProfile:
 def _identity(params: FracParams, which: str) -> dict:
     """The sidecar keys that name a profile; a disk hit matches all of them
     and the grid."""
-    return {"which": which, "alpha": params.alpha, "beta": params.beta,
-            "dim": params.dim, "engine": _engine()}
+    return {"which": which, **params.as_dict(), "engine": _engine()}
 
 
 def _symbol(params: FracParams, which: str, times=(1.0,)):

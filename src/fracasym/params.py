@@ -56,6 +56,10 @@ class FracParams:
                 f"got dim={self.dim}"
             )
 
+    def as_dict(self) -> dict:
+        """(alpha, beta, N) as reports and sidecars record them."""
+        return {"alpha": self.alpha, "beta": self.beta, "dim": self.dim}
+
     @property
     def theta(self) -> float:
         """theta = alpha/(2 beta): space scales like t^theta."""
@@ -114,6 +118,7 @@ class ScaleSpec:
     kind="intermediate": phi(t) = t**exponent * (log t)**log_exponent, with
         annulus bounds (nu, mu) relative to phi(t), which absorb any constant.
     kind="outer": exterior region |x| > nu * t**theta.
+    radius, nu and mu are finite and positive, both exponents finite.
     """
 
     kind: str
@@ -126,6 +131,11 @@ class ScaleSpec:
     def __post_init__(self):
         if self.kind not in ("compact", "intermediate", "outer"):
             raise ParameterError(f"unknown scale kind {self.kind!r}")
+        # a NaN fails every comparison, and so this test
+        if not (all(0.0 < v < math.inf for v in (self.radius, self.nu, self.mu))
+                and math.isfinite(self.exponent) and math.isfinite(self.log_exponent)):
+            raise ParameterError("radius, nu and mu must be finite and positive, "
+                                 "exponent and log_exponent finite")
         if self.kind == "intermediate" and not self.nu < self.mu:
             raise ParameterError("annulus bounds require nu < mu")
 

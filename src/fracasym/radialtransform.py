@@ -81,8 +81,8 @@ class RadialGrid:
     points: int = 768
 
     def __post_init__(self):
-        if not (self.rho_min > 0 and self.rho_max > self.rho_min):
-            raise TransformError("need 0 < rho_min < rho_max")
+        if not (0 < self.rho_min < self.rho_max < math.inf):
+            raise TransformError("need 0 < rho_min < rho_max < inf")
         if self.points < 64:
             raise TransformError("need at least 64 grid points")
 

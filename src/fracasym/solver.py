@@ -391,13 +391,8 @@ def solve_duhamel(
             cleaned = u.samples.copy()
             cleaned[neg] = 0.0
             u = RadialFunction(grid, cleaned)
-    diag = {
-        **fs.as_dict(),
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "dim": params.dim,
-        "time_weight": "closed-form" if fs.gamma == 0.0 else "spline-table",
-    }
+    diag = {**fs.as_dict(), **params.as_dict(),
+            "time_weight": "closed-form" if fs.gamma == 0.0 else "spline-table"}
     return SolutionSlice(t=float(t), u=u, params=params, diagnostics=diag)
 
 

@@ -14,10 +14,11 @@ the difference in the symbol, never as a difference of two transformed
 functions, makes the far-field cancellation between u and its limit profile
 exact, so the quadrature error budget stays at the level of the difference
 itself.  The solution's symbol is always the forcing's transform times the
-time weight W(r^{2b}, t), built by solver.duhamel_symbols; the Riesz profiles
-c2 E_{2b} + c4 E_{4b} come from one builder, and outer-mass and outer-log
-share one mass law.  The kappa of their E_{4b} terms is the closed form
-kernels.estimate_kappa, so compact and intermediate build no kernel
+time weight W(r^{2b}, t), built by solver.duhamel_symbols.  One owner,
+_limit_profile, holds the coefficient table of every limit profile: the
+class profiles c2 E_{2b} + c4 E_{4b} at time t and the exterior's M* (log
+t)^l; the compact limit is its t = 1 case per unit mass.  kappa is the closed
+form kernels.estimate_kappa, so compact and intermediate build no kernel
 profile.
 
 run_check is the one entry point.  Before any transform it refuses, with
@@ -28,8 +29,8 @@ VerifyError, what no check can state:
   all but constant and kernel-bounds: f = 0 has no profile, and each
   normalized statement would be vacuous or 0/0.
 Each check refuses its own parameter preconditions (p >= p_*, a kappa term at
-alpha = 1, an exterior check on a scale that is not outer).  run_check then times the check and stamps the problem parameters
-and runtime on the report.
+alpha = 1, an exterior check on a scale that is not outer).  run_check then
+times the check and stamps the problem parameters and runtime on the report.
 
 Checks
 ------
@@ -108,6 +109,8 @@ class VerifyConfig:
             raise VerifyError(f"checkpoints must exceed t = 1, got t = {ts[0]:g}")
         if not self.p >= 1.0:
             raise VerifyError(f"p must be in [1, inf], got {self.p}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise VerifyError(f"tolerance must be finite and positive, got {self.tolerance}")
         self.times = tuple(ts)
         if self.forcing.dim != self.params.dim:
             raise VerifyError("forcing dim does not match problem dim")
@@ -117,15 +120,6 @@ class VerifyConfig:
 
 def _y_profile(cfg: VerifyConfig):
     return kernels.build_y_profile(cfg.params, grid=cfg.grid, cache_dir=cfg.cache_dir)
-
-
-def _kappa(params: FracParams) -> float:
-    """kernels.estimate_kappa, refused at alpha = 1 (validation mode), where
-    it has no value."""
-    kappa = kernels.estimate_kappa(params)
-    if kappa is None:
-        raise VerifyError("the E_{4b} term needs kappa, which exists for alpha < 1 only")
-    return kappa
 
 
 def _checkpoint_series(cfg: VerifyConfig, times, symbols, region_at):
@@ -142,6 +136,41 @@ def _checkpoint_series(cfg: VerifyConfig, times, symbols, region_at):
     raw = [lp_norm_annulus(d, cfg.p, n, lo, hi) for d, (lo, hi) in zip(diffs, regions)]
     rate = lambda t: rate_at(cfg.params, cfg.p, cfg.forcing.gamma, cfg.scale, t)
     return raw, [err / rate(t) for err, t in zip(raw, times)]
+
+
+def _limit_profile(params: FracParams, gamma: float, mass: float, t: float, klass):
+    """The one table of limit profiles at time t, for a forcing of decay gamma
+    and mass `mass`: (c2, c4) of c2 E_{2b} + c4 E_{4b} on an intermediate
+    class klass or on klass "compact", and on klass "outer" the factors of
+    M* (log t)^l Y(., t), where Gamma(alpha) M(t) ~ M* t^{alpha-1} (log t)^l
+    with (M*, l) = (mass, 1) at gamma = 1 and (mass/(gamma-1), 0) above.
+
+        klass        c2                        c4
+        S            t^{-gamma} mass c_{2b}    0
+        C1, C        t^{-gamma} mass c_{2b}    t^{-(1+alpha)} (log t)^l M* kappa
+        F1, F        0                         t^{-(1+alpha)} (log t)^l M* kappa
+        coherence    the S row
+        "compact"    S, C or F for gamma <, = or > 1+alpha, at t = 1, mass 1
+        "outer"      M*                        (log t)^l
+
+    The c4 term is the exterior profile's inner limit: Y(., t) ~ kappa
+    t^{-(1+alpha)} E_{4b} near the origin."""
+    limit, l = (mass, 1) if gamma == 1.0 else (mass / (gamma - 1.0), 0)
+    if klass == "outer":
+        return limit, math.log(t) ** l
+    if klass == "compact":
+        a1 = 1.0 + params.alpha
+        klass = (ScaleClass.SLOW if gamma < a1
+                 else ScaleClass.CRITICAL if gamma == a1 else ScaleClass.FAST)
+    c2 = c4 = 0.0
+    if klass in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
+        c2 = t**-gamma * mass * riesz_constant(2.0 * params.beta, params.dim)
+    if klass is not ScaleClass.SLOW:
+        kappa = kernels.estimate_kappa(params)
+        if kappa is None:  # alpha = 1 (validation mode)
+            raise VerifyError("the E_{4b} term needs kappa, which exists for alpha < 1 only")
+        c4 = t ** -(1.0 + params.alpha) * math.log(t) ** l * limit * kappa
+    return c2, c4
 
 
 def _riesz_profiles(params: FracParams, coeffs):
@@ -176,31 +205,12 @@ def _report(cfg, theorem, raw, norm, **kw):
 
 
 def limit_profile_compact(cfg: VerifyConfig):
-    """The compact-set limit of t^{min(gamma,1+alpha)} u:
-
-        gamma < 1+alpha:  c_{2b} I_{2b}[g]
-        gamma = 1+alpha:  c_{2b} I_{2b}[g] + (kappa/alpha)   I_{4b}[g]
-        gamma > 1+alpha:  (kappa/(gamma-1)) I_{4b}[g]
-
-    (all times amplitude), built spectrally from the forcing transform."""
-    fs, riesz = cfg.forcing, _compact_limit_riesz(cfg)
-    symbol = lambda r: fs.amplitude * fs.ghat(r) * riesz(r)
-    return radial_fourier_inverse(symbol, cfg.params.dim, cfg.grid)
-
-
-def _compact_limit_riesz(cfg: VerifyConfig):
-    """The symbol of the compact limit L over amplitude g-hat.  I_mu[g] =
-    g * E_mu, so it is that of c2 E_{2b} + c4 E_{4b}, with the (c2, c4) per
-    unit amplitude tabulated in limit_profile_compact."""
-    fs, a = cfg.forcing, cfg.params.alpha
-    c2b = riesz_constant(2.0 * cfg.params.beta, cfg.params.dim)
-    if fs.gamma < 1.0 + a:
-        coeffs = c2b, 0.0
-    else:
-        kappa = _kappa(cfg.params)
-        coeffs = (c2b, kappa / a) if fs.gamma == 1.0 + a else (0.0, kappa / (fs.gamma - 1.0))
-    symbols = _riesz_profiles(cfg.params, [coeffs])[0]
-    return lambda r: symbols(r)[0]
+    """The compact-set limit L of t^{min(gamma,1+alpha)} u: amplitude g
+    convolved with the "compact" row of _limit_profile, built spectrally."""
+    fs, params = cfg.forcing, cfg.params
+    riesz = _riesz_profiles(params, [_limit_profile(params, fs.gamma, 1.0, 1.0, "compact")])[0]
+    symbol = lambda r: fs.amplitude * fs.ghat(r) * riesz(r)[0]
+    return radial_fourier_inverse(symbol, params.dim, cfg.grid)
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
@@ -211,12 +221,12 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
         raise VerifyError("verify_compact requires a compact scale")
     fs, params = cfg.forcing, cfg.params
     m = -sharp_rate(params, cfg.p, fs.gamma, cfg.scale)[0]
-    riesz = _compact_limit_riesz(cfg)
+    riesz = _riesz_profiles(params, [_limit_profile(params, fs.gamma, 1.0, 1.0, "compact")])[0]
     K = cfg.scale.radius
     scales = [t**m for t in cfg.times]
 
     def profiles(r, lam, ag):
-        limit = ag * riesz(r)
+        limit = ag * riesz(r)[0]
         return [limit / tm for tm in scales]
 
     _, errs = _checkpoint_series(
@@ -229,20 +239,6 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
 # --- intermediate scales ------------------------------------------------------
 
 
-def _intermediate_profile_coeffs(cfg: VerifyConfig, klass: ScaleClass, t: float):
-    """Coefficients (c2, c4) of the class profile c2 E_{2b} + c4 E_{4b} at time t:
-    c2 = t^{-gamma} M0 c_{2b} on S, C1 and C, and c4 = t^{-(1+alpha)} (log t)^l
-    M* kappa on C1, C, F1 and F, with (M*, l) from _limit_mass."""
-    fs, params = cfg.forcing, cfg.params
-    c2 = c4 = 0.0
-    if klass in (ScaleClass.SLOW, ScaleClass.CRITICAL1, ScaleClass.CRITICAL):
-        c2 = t**-fs.gamma * fs.M0 * riesz_constant(2.0 * params.beta, params.dim)
-    if klass is not ScaleClass.SLOW:
-        limit, l = _limit_mass(fs)
-        c4 = t ** -(1.0 + params.alpha) * math.log(t) ** l * limit * _kappa(params)
-    return c2, c4
-
-
 def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     """u vs the class profile over nu phi(t) < rho < mu phi(t), normalized by
     the sharp rate; also reproduces the exact annulus power law of the Riesz
@@ -250,7 +246,7 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     fs, params = cfg.forcing, cfg.params
     klass = classify_scale(fs.gamma, params, cfg.scale)
     symbols, values = _riesz_profiles(
-        params, [_intermediate_profile_coeffs(cfg, klass, t) for t in cfg.times])
+        params, [_limit_profile(params, fs.gamma, fs.M0, t, klass) for t in cfg.times])
 
     def annulus(t):
         phi = cfg.scale.phi(t)
@@ -337,26 +333,19 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     return _report(cfg, "outer-general", raw, norm, **_outer_scale(cfg))
 
 
-def _limit_mass(fs: ForcingSpec):
-    """(M*, l) of the gamma >= 1 mass law Gamma(alpha) M(t) ~ M* t^{alpha-1}
-    (log t)^l: (M0, 1) at gamma = 1 and (M_inf, 0) = (M0/(gamma-1), 0) above."""
-    return (fs.M0, 1) if fs.gamma == 1.0 else (fs.M0 / (fs.gamma - 1.0), 0)
-
-
 def _mass_law(cfg: VerifyConfig, kernel_times):
-    """The mass law of _limit_mass: the scalar series
+    """The mass law of _limit_profile's "outer" row: the scalar series
     |Gamma(alpha) M(t) / (t^{alpha-1} (log t)^l) - M*| / |M*| at every
     checkpoint, and at kernel_times the exterior norms of u - M* (log t)^l Y
     (raw, and divided by the sharp rate).  Returns (scalar, raw, normalized)."""
     fs, params = cfg.forcing, cfg.params
     a = params.alpha
-    limit, l = _limit_mass(fs)
-    law = [gamma_fn(a) * solution_mass(fs, params, t) / (t ** (a - 1.0) * math.log(t) ** l)
-           for t in cfg.times]
-    scalar = [abs(m - limit) / abs(limit) for m in law]
+    law = lambda t: _limit_profile(params, fs.gamma, fs.M0, t, "outer")
+    scalar = [abs(gamma_fn(a) * solution_mass(fs, params, t) / (t ** (a - 1.0) * log_l) - limit)
+              / abs(limit) for t, (limit, log_l) in zip(cfg.times, map(law, cfg.times))]
 
     y_hats = kernels._symbol(params, "G", kernel_times)
-    amps = [limit * math.log(t) ** l for t in kernel_times]
+    amps = [limit * log_l for limit, log_l in map(law, kernel_times)]
 
     def profiles(r, lam, ag):
         return [amp * y_hat for amp, y_hat in zip(amps, y_hats(lam))]
@@ -424,7 +413,7 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
     refs = radial_fourier_inverses(
         duhamel_symbols(fs, params, cfg.times, spatial=lambda r: M0), params.dim, cfg.grid)
     targets = _riesz_profiles(
-        params, [_intermediate_profile_coeffs(cfg, ScaleClass.SLOW, t) for t in cfg.times])[1]
+        params, [_limit_profile(params, fs.gamma, M0, t, ScaleClass.SLOW) for t in cfg.times])[1]
     errs = [abs(float(ref(rho)) / target(rho) - 1.0)
             for ref, target, rho in zip(refs, targets, radii)]
     return make_report(
@@ -564,6 +553,5 @@ def run_check(cfg: VerifyConfig) -> ConvergenceReport:
     t0 = time.perf_counter()
     rep = _CHECKS[cfg.theorem](cfg)
     rep.runtime_seconds = time.perf_counter() - t0
-    p = cfg.params
-    rep.params = {"alpha": p.alpha, "beta": p.beta, "dim": p.dim}
+    rep.params = cfg.params.as_dict()
     return rep

@@ -15,7 +15,10 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
-    """Shared on-disk profile cache for the whole run (profiles are expensive)."""
+    """One on-disk profile cache directory for the whole run.  The profile
+    fixtures below and the checks given it build through the disk cache, and
+    test_profile_metadata_one_key_set reads the sidecars they write there.
+    It saves no time: the in-process memo serves repeated builds."""
     return str(tmp_path_factory.mktemp("kernel-cache"))
 
 

@@ -178,6 +178,48 @@ def test_non_finite_checkpoint_is_a_config_error(tmp_path, capsys, command, time
     assert "code=config bad value for [verify] times" in capsys.readouterr().err
 
 
+# a config per refused value: (theorem, the [verify] scale keys, the value);
+# the value replaces its key's line in [grid] or [verify] when there is one
+_BAD_VALUES = {
+    "rho_max-inf": ("coherence", "kind = outer\nnu = 1.0", "rho_max = inf"),
+    "radius-negative": ("compact", "kind = compact", "radius = -1"),
+    "radius-inf": ("compact", "kind = compact", "radius = inf"),
+    "nu-negative": ("outer-mass", "kind = outer\nnu = 1.0", "nu = -1"),
+    "nu-nan": ("outer-mass", "kind = outer\nnu = 1.0", "nu = nan"),
+    "mu-inf": ("intermediate", "kind = intermediate\nexponent = 0.25", "mu_outer = inf"),
+    "exponent-nan": ("intermediate", "kind = intermediate\nexponent = 0.25", "exponent = nan"),
+    "log_exponent-inf": ("intermediate", "kind = intermediate\nexponent = 0.25",
+                         "log_exponent = inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+def test_grid_and_scale_values_are_config_errors(tmp_path, capsys, case):
+    # each of these once ran: a NaN grid, an empty or reversed norm interval,
+    # or a region extrapolated to infinity, with exit 1 or a precondition
+    theorem, scale, value = _BAD_VALUES[case]
+    gamma = "2.0" if theorem == "outer-mass" else "0.5"
+    text = FULL.replace("theorem = coherence", f"theorem = {theorem}").replace(
+        "gamma = 0.5", f"gamma = {gamma}").replace("kind = outer\nnu = 1.0", scale)
+    key = value.split()[0]
+    old = next((line for line in text.splitlines() if line.startswith(key + " =")), None)
+    text = text.replace(old, value) if old else text + value + "\n"
+    code = main(["verify", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "code=config " in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
+    # a NaN or non-positive tolerance failed every check with exit 1, and an
+    # infinite one passes whatever the errors
+    path = _write(tmp_path, FULL.replace("tolerance = 5e-2", f"tolerance = {value}"))
+    code = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "code=config bad value for [verify] tolerance" in capsys.readouterr().err
+
+
 def test_verify_zero_forcing_exit_code(tmp_path, capsys):
     # f = 0 has no profile: every check that reads the forcing refuses it
     path = _write(tmp_path, FULL.replace("amplitude = 1.0", "amplitude = 0.0"))

@@ -55,6 +55,11 @@ def test_config_validation():
     for times in ((1e2, math.nan, 1e4), (1e2, 1e3, math.inf), (math.nan, 1e3)):
         with pytest.raises(VerifyError, match="finite"):
             _cfg(times=times)
+    # a NaN or non-positive tolerance fails every check, an infinite one
+    # passes every check
+    for tolerance in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(VerifyError, match="tolerance must be finite and positive"):
+            _cfg(tolerance=tolerance)
 
 
 def test_unknown_theorem():
@@ -363,12 +368,13 @@ def _per_t_symbol(cfg, t):
 
     theorem = cfg.theorem
     if theorem == "compact":
-        limit = verify._compact_limit_riesz(cfg)
+        limit = verify._riesz_profiles(
+            params, [verify._limit_profile(params, fs.gamma, 1.0, 1.0, "compact")])[0]
         tm = t ** -sharp_rate(params, cfg.p, fs.gamma, cfg.scale)[0]
-        return difference(lambda r, ag: ag * limit(r) / tm)
+        return difference(lambda r, ag: ag * limit(r)[0] / tm)
     if theorem == "intermediate":
         klass = classify_scale(fs.gamma, params, cfg.scale)
-        profile = riesz(*verify._intermediate_profile_coeffs(cfg, klass, t))
+        profile = riesz(*verify._limit_profile(params, fs.gamma, fs.M0, t, klass))
         return difference(lambda r, ag: profile(r))
     if theorem == "outer-general":
         return lambda r: fs.amplitude * (fs.ghat(r) - fs.mass_g) * w(r**two_b)
