@@ -7,16 +7,18 @@ INI with sections [problem], [forcing], [grid], [verify]; unknown sections or
 keys are fatal (a silent typo in gamma or beta would invalidate conclusions).
 An absent key takes the default of the library object it configures
 (FracParams, ForcingSpec, RadialGrid, ScaleSpec, VerifyConfig); only the scale
-kind, inferred from the theorem, and the Riesz order mu = 2 beta are set here.
-`kernel` writes profile_G.csv and profile_F.csv with their sidecars and prints
-kappa, A, c_2beta, |A/c_2beta - 1| and G's bound report, one (alpha, beta, N)
-per config.  Profiles are built in the process; no command caches them on disk.
-Exit status: 0 success/pass, 1 check failure, 2 configuration error: a value
-any of those objects rejects (a non-finite forcing value among them), a
-non-finite checkpoint time, or a forcing gamma outside the theorem's regime
-(verify.check_gamma), exits 2 at parse time with code=config; a zero forcing
-in a check that reads it exits 2 at run time with code=precondition.  All diagnostics go to stderr with
-machine-parseable ``code=`` prefixes.
+kind, taken from the theorem (verify.SCALE_KINDS), and the Riesz order
+mu = 2 beta are set here.  `kernel` writes profile_G.csv and profile_F.csv
+with their sidecars and prints kappa, A, c_2beta, |A/c_2beta - 1| and G's
+bound report, one (alpha, beta, N) per config.  Profiles are built in the
+process; no command caches them on disk.
+Exit status: 0 success/pass, 1 check failure or numerical error, 2
+configuration error: a value any of those objects rejects (a non-finite
+forcing value, p < 1 and bad checkpoints among them), a non-finite time or a
+gamma outside the theorem's regime (verify.check_gamma) exits 2 with
+code=config; what verify.run_check refuses before any transform (a zero
+forcing, a scale of the wrong kind, a region the grid leaves empty) exits 2
+with code=precondition.  Diagnostics go to stderr with ``code=`` prefixes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .radialtransform import RadialGrid, TransformError
 from .reporting import atomic_write
 from .solver import ForcingSpec, SolverError, solve_duhamel
 from .potentials import PotentialError, riesz_constant, riesz_potential
-from .verify import VerifyConfig, VerifyError, check_gamma, run_check
+from .verify import SCALE_KINDS, VerifyConfig, VerifyError, check_gamma, run_check
 
 
 class ConfigError(ValueError):
@@ -147,9 +149,7 @@ def parse_config(text: str) -> RunConfig:
     if "mu_outer" in scale:
         scale["mu"] = scale.pop("mu_outer")
     theorem = run.get("theorem", VerifyConfig.theorem)
-    if "kind" not in scale:
-        scale["kind"] = ("intermediate" if theorem == "intermediate"
-                         else "outer" if theorem.startswith("outer") else "compact")
+    scale.setdefault("kind", SCALE_KINDS.get(theorem, "compact"))
     try:
         params = _make(FracParams, "problem", problem)
         if cp.has_section("forcing"):
@@ -235,16 +235,12 @@ def _cmd_rates(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     fs = _require_forcing(cfg)
-    vcfg = VerifyConfig(
-        params=cfg.params,
-        forcing=fs,
-        theorem=cfg.theorem,
-        p=cfg.p,
-        scale=cfg.scale,
-        times=cfg.times,
-        tolerance=cfg.tolerance,
-        grid=cfg.grid,
-    )
+    try:  # a value VerifyConfig rejects (p, the times) is a configuration error
+        vcfg = VerifyConfig(params=cfg.params, forcing=fs, theorem=cfg.theorem, p=cfg.p,
+                            scale=cfg.scale, times=cfg.times, tolerance=cfg.tolerance,
+                            grid=cfg.grid)
+    except VerifyError as exc:
+        raise ConfigError(str(exc)) from exc
     report = run_check(vcfg)
     path = os.path.join(cfg.out_dir, f"report_{cfg.theorem}.json")
     report.save(path)

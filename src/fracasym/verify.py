@@ -5,32 +5,33 @@ geometric time checkpoints and reports strict monotone decrease plus a final
 tolerance.  Each annulus check (compact, intermediate, exterior) runs one
 checkpoint series: it builds one batched symbol, u-hat minus profile-hat at
 every checkpoint t (solver.duhamel_symbols), inverts all of them in one pass
-of the transform engine, takes each L^p norm over its region and divides it
-by the sharp rate params.rate_at on its scale, through one closure.  The
-factors that do not depend on t (the forcing's transform, r^{2b}, the Riesz
-powers) are formed once per block of the pass;
-coherence and kernel-bounds batch their checkpoints the same way.  Forming
-the difference in the symbol, never as a difference of two transformed
-functions, makes the far-field cancellation between u and its limit profile
-exact, so the quadrature error budget stays at the level of the difference
-itself.  The solution's symbol is always the forcing's transform times the
-time weight W(r^{2b}, t), built by solver.duhamel_symbols.  One owner,
-_limit_profile, holds the coefficient table of every limit profile: the
-class profiles c2 E_{2b} + c4 E_{4b} at time t and the exterior's M* (log
-t)^l; the compact limit is its t = 1 case per unit mass.  kappa is the closed
-form kernels.estimate_kappa, so compact and intermediate build no kernel
-profile.
+of the transform engine, takes each L^p norm over its region (_region) and
+divides it by the sharp rate params.rate_at on its scale.  The factors that
+do not depend on t (the forcing's transform, r^{2b}, the Riesz powers) are
+formed once per block of the pass; coherence and kernel-bounds batch their
+checkpoints the same way.  Forming the difference in the symbol, never as a
+difference of two transformed functions, makes the far-field cancellation
+between u and its limit profile exact, so the quadrature error budget stays
+at the level of the difference itself.  The solution's symbol is always the
+forcing's transform times the time weight W(r^{2b}, t), built by
+solver.duhamel_symbols.  One owner, _limit_profile, holds the coefficient
+table of every limit profile: the class profiles c2 E_{2b} + c4 E_{4b} at
+time t and the exterior's M* (log t)^l; the compact limit is its t = 1 case
+per unit mass.  kappa is the closed form kernels.estimate_kappa, so compact
+and intermediate build no kernel profile.
 
 run_check is the one entry point.  Before any transform it refuses, with
 VerifyError, what no check can state:
 * a forcing gamma outside the regime of an exterior check (check_gamma, which
   the CLI also applies at parse time);
+* an annulus check on a scale of another kind than SCALE_KINDS names;
 * a zero forcing (amplitude 0) in every check that reads the forcing, that is
   all but constant and kernel-bounds: f = 0 has no profile, and each
   normalized statement would be vacuous or 0/0.
-Each check refuses its own parameter preconditions (p >= p_*, a kappa term at
-alpha = 1, an exterior check on a scale that is not outer).  run_check then
-times the check and stamps the problem parameters and runtime on the report.
+_region owns each annulus check's region at t and refuses, also before the
+transform, one that the grid leaves empty.  Each check refuses its own
+parameter preconditions (p >= p_*, a kappa term at alpha = 1).  run_check
+stamps the problem parameters and runtime on each report, _report the scale.
 
 Checks
 ------
@@ -122,16 +123,36 @@ def _y_profile(cfg: VerifyConfig):
     return kernels.build_y_profile(cfg.params, grid=cfg.grid, cache_dir=cfg.cache_dir)
 
 
-def _checkpoint_series(cfg: VerifyConfig, times, symbols, region_at):
-    """At each checkpoint t: the L^p norm over region_at(t) = (lo, hi) of the
-    inverse transform of its symbol, one of the K that symbols returns (all
+def _region(cfg: VerifyConfig, t: float):
+    """The region (lo, hi) of cfg's scale at time t, the one place it is
+    computed: the ball [rho_min, radius] (compact), the annulus (nu phi(t),
+    mu phi(t)) (intermediate) or the exterior (nu t^theta, rho_max) (outer).
+    The ball starts and the exterior stops at the grid's ends.  A region that
+    the grid leaves empty is refused."""
+    s, grid = cfg.scale, cfg.grid
+    if s.kind == "compact":
+        lo, hi = grid.rho_min, s.radius
+    elif s.kind == "intermediate":
+        phi = s.phi(t)
+        lo, hi = s.nu * phi, s.mu * phi
+    else:
+        lo, hi = s.nu * t**cfg.params.theta, grid.rho_max
+    if not max(lo, grid.rho_min) < min(hi, grid.rho_max):
+        raise VerifyError(f"the {s.kind} region ({lo:g}, {hi:g}) at t = {t:g} "
+                          f"misses the grid [{grid.rho_min:g}, {grid.rho_max:g}]")
+    return lo, hi
+
+
+def _checkpoint_series(cfg: VerifyConfig, times, symbols):
+    """At each checkpoint t: the L^p norm over _region(cfg, t) of the inverse
+    transform of its symbol, one of the K that symbols returns (all
     transformed in one pass), and that norm divided by the sharp rate
     params.rate_at on cfg's scale.  Returns (raw, normalized), empty for no
     checkpoints."""
     if not times:
         return [], []
     n = cfg.params.dim
-    regions = [region_at(t) for t in times]
+    regions = [_region(cfg, t) for t in times]
     diffs = radial_fourier_inverses(symbols, n, cfg.grid)
     raw = [lp_norm_annulus(d, cfg.p, n, lo, hi) for d, (lo, hi) in zip(diffs, regions)]
     rate = lambda t: rate_at(cfg.params, cfg.p, cfg.forcing.gamma, cfg.scale, t)
@@ -193,11 +214,24 @@ def _riesz_profiles(params: FracParams, coeffs):
     return symbols, values
 
 
-def _report(cfg, theorem, raw, norm, **kw):
-    """make_report over cfg.times, stamped with the forcing and p of cfg."""
+# the ScaleSpec fields that the report of an annulus check records, by kind
+_SCALE_FIELDS = {"compact": ("radius",), "outer": ("nu",),
+                 "intermediate": ("exponent", "log_exponent", "nu", "mu")}
+
+
+def _report(cfg, theorem, raw, norm):
+    """make_report over cfg.times, stamped with the forcing, p and scale of
+    cfg: the scale's kind (an intermediate one with its class) and fields,
+    and the truncation radius rho_max where an exterior region stops."""
+    s = cfg.scale
+    scale = {"kind": s.kind}
+    if s.kind == "intermediate":
+        scale["class"] = classify_scale(cfg.forcing.gamma, cfg.params, s).value
+    scale.update((f, getattr(s, f)) for f in _SCALE_FIELDS[s.kind])
     return make_report(
         theorem, cfg.times, raw, norm, cfg.tolerance,
-        forcing=cfg.forcing.as_dict(), p=cfg.p, **kw,
+        forcing=cfg.forcing.as_dict(), p=cfg.p, scale=scale,
+        truncation_radius=cfg.grid.rho_max if s.kind == "outer" else None,
     )
 
 
@@ -217,23 +251,17 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     """||t^{min(gamma,1+alpha)} u(., t) - L||_{L^p(rho <= K)} -> 0, i.e. the
     norm of u - L t^{-m} divided by the sharp rate t^{-m}: m = -e =
     min(gamma,1+alpha), with e the t-exponent of params.sharp_rate."""
-    if cfg.scale.kind != "compact":
-        raise VerifyError("verify_compact requires a compact scale")
     fs, params = cfg.forcing, cfg.params
     m = -sharp_rate(params, cfg.p, fs.gamma, cfg.scale)[0]
     riesz = _riesz_profiles(params, [_limit_profile(params, fs.gamma, 1.0, 1.0, "compact")])[0]
-    K = cfg.scale.radius
     scales = [t**m for t in cfg.times]
 
     def profiles(r, lam, ag):
         limit = ag * riesz(r)[0]
         return [limit / tm for tm in scales]
 
-    _, errs = _checkpoint_series(
-        cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, profiles),
-        lambda t: (cfg.grid.rho_min, K),
-    )
-    return _report(cfg, "compact", errs, errs, scale={"kind": "compact", "radius": K})
+    _, errs = _checkpoint_series(cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, profiles))
+    return _report(cfg, "compact", errs, errs)
 
 
 # --- intermediate scales ------------------------------------------------------
@@ -247,29 +275,16 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     klass = classify_scale(fs.gamma, params, cfg.scale)
     symbols, values = _riesz_profiles(
         params, [_limit_profile(params, fs.gamma, fs.M0, t, klass) for t in cfg.times])
-
-    def annulus(t):
-        phi = cfg.scale.phi(t)
-        return cfg.scale.nu * phi, cfg.scale.mu * phi
-
     raw, norm = _checkpoint_series(
         cfg, cfg.times,
         duhamel_symbols(fs, params, cfg.times, lambda r, lam, ag: symbols(r)),
-        annulus,
     )
     prof_norms = [
         lp_norm_annulus(RadialFunction(cfg.grid, value(cfg.grid.nodes)),
-                        cfg.p, params.dim, *annulus(t))
+                        cfg.p, params.dim, *_region(cfg, t))
         for value, t in zip(values, cfg.times)
     ]
-    rep = _report(
-        cfg, "intermediate", raw, norm,
-        scale={
-            "kind": "intermediate", "class": klass.value,
-            "exponent": cfg.scale.exponent, "log_exponent": cfg.scale.log_exponent,
-            "nu": cfg.scale.nu, "mu": cfg.scale.mu,
-        },
-    )
+    rep = _report(cfg, "intermediate", raw, norm)
     rep.notes["profile_norms"] = prof_norms
     rep.notes["annulus_power_law"] = _annulus_power_law(cfg)
     return rep
@@ -282,13 +297,11 @@ def _annulus_power_law(cfg: VerifyConfig) -> dict:
     params = cfg.params
     n = params.dim
     phis = [cfg.scale.phi(t) for t in cfg.times]
+    regions = [_region(cfg, t) for t in cfg.times]
     out = {}
     for mu in (2.0 * params.beta, 4.0 * params.beta):
         kern = RadialFunction(cfg.grid, cfg.grid.nodes ** (mu - n))
-        norms = [
-            lp_norm_annulus(kern, cfg.p, n, cfg.scale.nu * f, cfg.scale.mu * f)
-            for f in phis
-        ]
+        norms = [lp_norm_annulus(kern, cfg.p, n, *region) for region in regions]
         slope = float(np.polyfit(np.log(phis), np.log(norms), 1)[0])
         exact = mu - n + (0.0 if math.isinf(cfg.p) else n / cfg.p)
         out[f"mu={mu:g}"] = {"measured": slope, "exact": exact}
@@ -296,26 +309,6 @@ def _annulus_power_law(cfg: VerifyConfig) -> dict:
 
 
 # --- outer scales -------------------------------------------------------------
-
-
-def _outer_scale(cfg: VerifyConfig) -> dict:
-    """The report fields of an exterior check."""
-    return {"scale": {"kind": "outer", "nu": cfg.scale.nu},
-            "truncation_radius": cfg.grid.rho_max}
-
-
-def _outer_annulus(cfg: VerifyConfig, t: float):
-    """Exterior region nu t^theta < rho, truncated at the grid edge, of an
-    outer scale: the exterior norms are divided by its sharp rate."""
-    if cfg.scale.kind != "outer":
-        raise VerifyError(f"{cfg.theorem} requires an outer scale")
-    lo = cfg.scale.nu * t**cfg.params.theta
-    hi = cfg.grid.rho_max
-    if lo >= hi:
-        raise VerifyError(
-            f"exterior region starts at rho={lo:g}, beyond the grid edge {hi:g}"
-        )
-    return lo, hi
 
 
 def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
@@ -327,10 +320,8 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
     spatial = lambda r: fs.amplitude * (fs.ghat(r) - mass_g)
     raw, norm = _checkpoint_series(
-        cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, spatial=spatial),
-        lambda t: _outer_annulus(cfg, t),
-    )
-    return _report(cfg, "outer-general", raw, norm, **_outer_scale(cfg))
+        cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, spatial=spatial))
+    return _report(cfg, "outer-general", raw, norm)
 
 
 def _mass_law(cfg: VerifyConfig, kernel_times):
@@ -351,9 +342,7 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
         return [amp * y_hat for amp, y_hat in zip(amps, y_hats(lam))]
 
     raw, norm = _checkpoint_series(
-        cfg, kernel_times, duhamel_symbols(fs, params, kernel_times, profiles),
-        lambda t: _outer_annulus(cfg, t),
-    )
+        cfg, kernel_times, duhamel_symbols(fs, params, kernel_times, profiles))
     return scalar, raw, norm
 
 
@@ -361,7 +350,7 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma > 1: scalar law Gamma(alpha) M(t) t^{1-alpha} -> M_inf, and
     ||u - M_inf Y|| / rate -> 0 on the exterior; both must decrease."""
     scalar, raw, norm = _mass_law(cfg, cfg.times)
-    rep = _report(cfg, "outer-mass", raw, norm, **_outer_scale(cfg))
+    rep = _report(cfg, "outer-mass", raw, norm)
     scalar_ok = all(b < a_ for a_, b in zip(scalar[:-1], scalar[1:]))
     rep.notes["scalar_series"] = scalar
     rep.notes["scalar_decreasing"] = scalar_ok
@@ -374,16 +363,19 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma = 1: Gamma(alpha) M(t) / (t^{alpha-1} log t) -> M0 (scalar, cheap,
     times may extend to 1e6); the exterior kernel comparison
     ||u - M0 log t Y|| / rate is reported in notes
-    (kernel_times, kernel_series) for the checkpoints with t <= 1e4 and
-    nu t^theta <= rho_max/2, i.e. whose exterior region starts well inside
-    the grid; the lists are empty when no checkpoint qualifies."""
-    kernel_times = [
-        t
-        for t in cfg.times
-        if t <= 1e4 and cfg.scale.nu * t**cfg.params.theta <= 0.5 * cfg.grid.rho_max
-    ]
+    (kernel_times, kernel_series) for the checkpoints with t <= 1e4 whose
+    exterior region (lo, hi) = _region(cfg, t) starts well inside the grid,
+    lo <= hi/2; the lists are empty when no checkpoint qualifies."""
+    kernel_times = []
+    for t in cfg.times:
+        try:
+            lo, hi = _region(cfg, t)
+        except VerifyError:  # the exterior starts beyond the grid
+            continue
+        if t <= 1e4 and lo <= 0.5 * hi:
+            kernel_times.append(t)
     scalar, _, kernel_series = _mass_law(cfg, kernel_times)
-    rep = _report(cfg, "outer-log", scalar, scalar, **_outer_scale(cfg))
+    rep = _report(cfg, "outer-log", scalar, scalar)
     rep.notes["kernel_times"] = kernel_times
     rep.notes["kernel_series"] = kernel_series
     return rep
@@ -533,19 +525,29 @@ def check_gamma(theorem: str, gamma: float):
         raise VerifyError(_GAMMA_RULES[theorem][0])
 
 
+# the scale kind each annulus check states its limit on: theorem -> kind; the
+# CLI takes an absent [verify] kind from it
+SCALE_KINDS = {"compact": "compact", "intermediate": "intermediate",
+               "outer-general": "outer", "outer-mass": "outer", "outer-log": "outer"}
+
+
 # the checks that never read the forcing, and so run with any amplitude
 _FORCING_FREE = ("constant", "kernel-bounds")
 
 
 def run_check(cfg: VerifyConfig) -> ConvergenceReport:
     """Run the check of cfg.theorem after its preconditions (the gamma regime,
-    and a nonzero forcing for every check that reads it); the report carries
-    the problem parameters and the check's wall time."""
+    the scale kind of an annulus check, and a nonzero forcing for every check
+    that reads it); the report carries the problem parameters and the check's
+    wall time."""
     if cfg.theorem not in _CHECKS:
         raise VerifyError(
             f"unknown theorem {cfg.theorem!r}; options: {sorted(_CHECKS)}"
         )
     check_gamma(cfg.theorem, cfg.forcing.gamma)
+    kind = SCALE_KINDS.get(cfg.theorem, cfg.scale.kind)
+    if cfg.scale.kind != kind:
+        raise VerifyError(f"{cfg.theorem} requires the {kind} scale kind, got {cfg.scale.kind!r}")
     if cfg.forcing.amplitude == 0.0 and cfg.theorem not in _FORCING_FREE:
         raise VerifyError(
             f"{cfg.theorem} needs a nonzero forcing: f = 0 has no profile"

@@ -135,21 +135,31 @@ def test_exit_code_missing_config(tmp_path, capsys):
 
 
 def test_verify_precondition_exit_code(tmp_path, capsys):
-    # p < 1, a checkpoint at t = 1 and kernel-bounds at p = p_* = 3 (G is not
-    # in L^p there) are rejected before any work is done
+    # each is refused before any work is done.  p < 1 and a checkpoint at
+    # t = 1 are values VerifyConfig rejects, so configuration errors.  The
+    # checks refuse kernel-bounds at p = p_* = 3 (G is not in L^p there),
+    # outer-log on a compact scale at (0.9, 0.5, 3), where no exterior starts
+    # inside the grid (it once passed with exit 0), and a ball of radius
+    # rho_min = 1e-2 (it once failed in the norm after a transform, exit 1)
     base = FULL.replace("rho_max = 1e2\npoints = 256", "rho_max = 1e3\npoints = 128")
     compact = base.replace("theorem = coherence", "theorem = compact").replace(
-        "kind = outer", "kind = compact").replace("p = inf", "p = 0.5")
+        "kind = outer", "kind = compact")
     outer_log = base.replace("theorem = coherence", "theorem = outer-log").replace(
-        "gamma = 0.5", "gamma = 1.0").replace("times = 1e2 1e3 1e4", "times = 1 10 100")
+        "gamma = 0.5", "gamma = 1.0")
     kernel_bounds = base.replace("theorem = coherence", "theorem = kernel-bounds").replace(
         "p = inf", "p = 3")
-    for i, text in enumerate((compact, outer_log, kernel_bounds)):
+    log_compact = outer_log.replace("alpha = 0.5", "alpha = 0.9").replace(
+        "times = 1e2 1e3 1e4", "times = 1e4 1e5 1e6").replace("kind = outer", "kind = compact")
+    cases = [(compact.replace("p = inf", "p = 0.5"), "config"),
+             (outer_log.replace("times = 1e2 1e3 1e4", "times = 1 10 100"), "config"),
+             (kernel_bounds, "precondition"), (log_compact, "precondition"),
+             (compact.replace("nu = 1.0", "radius = 1e-2"), "precondition")]
+    for i, (text, code_) in enumerate(cases):
         path = _write(tmp_path, text, name=f"config{i}.ini")
         out = str(tmp_path / f"out{i}")
         code = main(["verify", "--config", path, "--out", out])
         assert code == 2
-        assert "code=precondition" in capsys.readouterr().err
+        assert f"code={code_} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["gamma = nan", "gamma = inf", "amplitude = nan",

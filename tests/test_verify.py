@@ -135,17 +135,72 @@ def test_gamma_preconditions():
         )
 
 
-@pytest.mark.parametrize("theorem, gamma", [("outer-general", 0.5), ("outer-mass", 2.0)])
+@pytest.mark.parametrize("theorem, gamma",
+                         [("outer-general", 0.5), ("outer-mass", 2.0), ("outer-log", 1.0)])
 def test_exterior_checks_need_an_outer_scale(monkeypatch, theorem, gamma):
     # their norms are divided by the sharp rate of their scale, so a compact
-    # one is refused before the transform
+    # one is refused before the transform.  outer-log runs at the battery's
+    # point, where no exterior starts inside the grid and its kernel
+    # comparison is empty: it once passed there on a compact scale
     def no_transform(*args, **kwargs):
         raise AssertionError("transformed before the precondition")
 
     monkeypatch.setattr(verify, "radial_fourier_inverses", no_transform)
     forcing = ForcingSpec("gaussian", gamma=gamma, dim=3)
+    point = (dict(params=FracParams(0.9, 0.5, 3), times=(1e4, 1e5, 1e6))
+             if theorem == "outer-log" else {})
     with pytest.raises(VerifyError, match="outer scale"):
-        run_check(_cfg(theorem=theorem, forcing=forcing, grid=RadialGrid(1e-3, 1e3, 128)))
+        run_check(_cfg(theorem=theorem, forcing=forcing, grid=RadialGrid(1e-3, 1e3, 128),
+                       **point))
+
+
+def _forbid_transforms(monkeypatch):
+    """Fail the test on any inverse transform: the refusal must come first."""
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transformed before the precondition")
+
+    monkeypatch.setattr(verify, "radial_fourier_inverses", no_transform)
+    monkeypatch.setattr(radialtransform._HankelEngine, "integrate", no_transform)
+
+
+@pytest.mark.parametrize("radius", [1e-4, 1e-3])
+def test_compact_ball_inside_the_grid_start_is_refused(monkeypatch, radius):
+    # the ball [rho_min, K] is empty for K <= rho_min = 1e-3; it once ran a
+    # full transform pass and then failed in the norm (need 0 <= a < b)
+    _forbid_transforms(monkeypatch)
+    with pytest.raises(VerifyError, match="compact region .* misses the grid"):
+        run_check(_cfg(scale=ScaleSpec(kind="compact", radius=radius)))
+
+
+# the scale record each annulus check writes: (gamma, scale, its items in
+# key order); the outer ones add the truncation radius rho_max
+_RECORDS = {
+    "compact": (0.5, ScaleSpec(kind="compact", radius=2.0),
+                [("kind", "compact"), ("radius", 2.0)]),
+    "intermediate": (0.5, ScaleSpec(kind="intermediate", exponent=0.25, nu=1.5, mu=3.0),
+                     [("kind", "intermediate"), ("class", "S"), ("exponent", 0.25),
+                      ("log_exponent", 0.0), ("nu", 1.5), ("mu", 3.0)]),
+    "outer-general": (0.5, ScaleSpec(kind="outer", nu=1.5), [("kind", "outer"), ("nu", 1.5)]),
+    "outer-mass": (2.0, ScaleSpec(kind="outer", nu=1.5), [("kind", "outer"), ("nu", 1.5)]),
+    "outer-log": (1.0, ScaleSpec(kind="outer", nu=1.5), [("kind", "outer"), ("nu", 1.5)]),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(_RECORDS))
+def test_annulus_check_scale_record(monkeypatch, theorem):
+    gamma, scale, items = _RECORDS[theorem]
+    grid = RadialGrid(1e-3, 1e3, 128)
+    forcing = ForcingSpec("gaussian", gamma=gamma, dim=3)
+    rep = run_check(_cfg(theorem=theorem, forcing=forcing, scale=scale, grid=grid))
+    assert list(rep.scale.items()) == items
+    assert rep.truncation_radius == (1e3 if scale.kind == "outer" else None)
+    assert list(rep.to_dict()["scale"].items()) == items
+    # a scale of either other kind is refused before any transform
+    _forbid_transforms(monkeypatch)
+    for kind in {"compact", "intermediate", "outer"} - {scale.kind}:
+        other = ScaleSpec(kind=kind, exponent=0.25)
+        with pytest.raises(VerifyError, match=f"{theorem} requires the {scale.kind} scale"):
+            run_check(_cfg(theorem=theorem, forcing=forcing, scale=other, grid=grid))
 
 
 def test_compact_check_passes(cache_dir):
