@@ -7,18 +7,19 @@ INI with sections [problem], [forcing], [grid], [verify]; unknown sections or
 keys are fatal (a silent typo in gamma or beta would invalidate conclusions).
 An absent key takes the default of the library object it configures
 (FracParams, ForcingSpec, RadialGrid, ScaleSpec, VerifyConfig); only the scale
-kind, taken from the theorem (verify.SCALE_KINDS), and the Riesz order
+kind, taken from the theorem's row of verify.THEOREMS, and the Riesz order
 mu = 2 beta are set here.  `kernel` writes profile_G.csv and profile_F.csv
 with their sidecars and prints kappa, A, c_2beta, |A/c_2beta - 1| and G's
 bound report, one (alpha, beta, N) per config.  Profiles are built in the
 process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure or numerical error, 2
 configuration error: a value any of those objects rejects (a non-finite
-forcing value, p < 1 and bad checkpoints among them), a non-finite time or a
-gamma outside the theorem's regime (verify.check_gamma) exits 2 with
-code=config; what verify.run_check refuses before any transform (a zero
-forcing, a scale of the wrong kind, a region the grid leaves empty) exits 2
-with code=precondition.  Diagnostics go to stderr with ``code=`` prefixes.
+forcing value, p < 1 and bad checkpoints among them), a non-finite time, a
+scale key that the kind does not read (params.SCALE_FIELDS) or a gamma
+outside the theorem's regime (verify.check_gamma) exits 2 with code=config;
+what verify.run_check refuses before any transform (a zero forcing, a scale
+of the wrong kind, a region the grid leaves empty) exits 2 with
+code=precondition.  Diagnostics go to stderr with ``code=`` prefixes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from . import kernels
 from .params import (
+    SCALE_FIELDS,
     FracParams,
     ParameterError,
     ScaleSpec,
@@ -42,7 +44,7 @@ from .radialtransform import RadialGrid, TransformError
 from .reporting import atomic_write
 from .solver import ForcingSpec, SolverError, solve_duhamel
 from .potentials import PotentialError, riesz_constant, riesz_potential
-from .verify import SCALE_KINDS, VerifyConfig, VerifyError, check_gamma, run_check
+from .verify import THEOREMS, VerifyConfig, VerifyError, check_gamma, run_check
 
 
 class ConfigError(ValueError):
@@ -146,10 +148,17 @@ def parse_config(text: str) -> RunConfig:
 
     problem, forcing, grid, scale = (_section(cp, section) for section in _KEYS)
     run = {k: scale.pop(k) for k in list(scale) if k in RunConfig.__dataclass_fields__}
+    theorem = run.get("theorem", VerifyConfig.theorem)
+    default = THEOREMS[theorem].kind if theorem in THEOREMS else None
+    kind = scale.setdefault("kind", default or "compact")
+    if kind in SCALE_FIELDS:  # ScaleSpec refuses any other kind
+        read = {"kind", *("mu_outer" if f == "mu" else f for f in SCALE_FIELDS[kind])}
+        stray = sorted(set(scale) - read)
+        if stray:
+            raise ConfigError(f"keys in [verify] that the {kind} scale kind does not "
+                              f"read: {', '.join(stray)}")
     if "mu_outer" in scale:
         scale["mu"] = scale.pop("mu_outer")
-    theorem = run.get("theorem", VerifyConfig.theorem)
-    scale.setdefault("kind", SCALE_KINDS.get(theorem, "compact"))
     try:
         params = _make(FracParams, "problem", problem)
         if cp.has_section("forcing"):
@@ -191,11 +200,8 @@ def _cmd_kernel(cfg: RunConfig) -> int:
 
 def _cmd_potential(cfg: RunConfig) -> int:
     fs = _require_forcing(cfg)
-    from .radialtransform import RadialFunction
-
-    g = RadialFunction(cfg.grid, fs.amplitude * fs.g(cfg.grid.nodes))
     pot = riesz_potential(
-        g, cfg.mu, cfg.params.dim, grid=cfg.grid,
+        None, cfg.mu, cfg.params.dim, grid=cfg.grid,
         ghat=lambda r: fs.amplitude * fs.ghat(r),
     )
     path = os.path.join(cfg.out_dir, f"potential_mu{cfg.mu:g}.csv")

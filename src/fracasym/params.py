@@ -83,7 +83,7 @@ class FracParams:
 
 def sigma_p(params: FracParams, p: float) -> float:
     """L^p decay exponent of the Duhamel kernel: sigma_* - N*theta/p."""
-    if p < 1.0:
+    if not p >= 1.0:  # refuses a NaN p, which p < 1 lets through
         raise ParameterError(f"p must be in [1, inf], got {p}")
     if math.isinf(p):
         return params.sigma_star
@@ -92,7 +92,7 @@ def sigma_p(params: FracParams, p: float) -> float:
 
 def q_critical(params: FracParams, p: float) -> float:
     """Integrability threshold q_c(p) = Np/(2 beta p + N), N/(2 beta) at p=inf."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ParameterError(f"p must be in [1, inf], got {p}")
     n, b = params.dim, params.beta
     if math.isinf(p):
@@ -108,6 +108,12 @@ class ScaleClass(Enum):
     CRITICAL = "C"
     FAST1 = "F1"
     FAST = "F"
+
+
+# the ScaleSpec fields that each scale kind reads, and so the ones an annulus
+# check's report records; the CLI refuses a scale key its kind does not read
+SCALE_FIELDS = {"compact": ("radius",), "intermediate": ("exponent", "log_exponent", "nu", "mu"),
+                "outer": ("nu",)}
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class ScaleSpec:
     mu: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("compact", "intermediate", "outer"):
+        if self.kind not in SCALE_FIELDS:
             raise ParameterError(f"unknown scale kind {self.kind!r}")
         # a NaN fails every comparison, and so this test
         if not (all(0.0 < v < math.inf for v in (self.radius, self.nu, self.mu))

@@ -94,7 +94,7 @@ def _ghat_from_samples(grid: RadialGrid, samples: bytes, dim: int):
 
 
 def riesz_potential(
-    g: RadialFunction,
+    g: RadialFunction | None,
     mu: float,
     dim: int,
     grid: RadialGrid | None = None,

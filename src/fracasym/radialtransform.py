@@ -545,7 +545,7 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
     """(omega_N int_a^b |u|^p rho^{N-1} drho)^{1/p}; supremum for p = inf."""
     if not b > a >= 0:
         raise TransformError(f"need 0 <= a < b, got [{a}, {b}]")
-    if p < 1:
+    if not p >= 1:
         raise TransformError(f"p must be in [1, inf], got {p}")
     if u.is_zero:
         return 0.0

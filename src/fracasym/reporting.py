@@ -54,13 +54,16 @@ class ConvergenceReport:
         }
 
     def save(self, json_path: str):
-        """Report JSON plus a plot-ready CSV of the error series."""
+        """Report JSON plus a plot-ready CSV of the error series, one row per
+        checkpoint; the normalized column is empty where the normalized series
+        is not one value per checkpoint (kernel-bounds' one slope error)."""
         atomic_write(json_path, json.dumps(self.to_dict(), indent=2) + "\n")
+        norm = self.normalized_errors
+        if len(norm) != len(self.checkpoints):
+            norm = [None] * len(self.checkpoints)
         rows = ["checkpoint,raw_error,normalized_error"]
-        rows += [
-            f"{t:.17g},{r:.17g},{n:.17g}"
-            for t, r, n in zip(self.checkpoints, self.raw_errors, self.normalized_errors)
-        ]
+        rows += [f"{t:.17g},{r:.17g}," + ("" if n is None else f"{n:.17g}")
+                 for t, r, n in zip(self.checkpoints, self.raw_errors, norm)]
         atomic_write(os.path.splitext(json_path)[0] + ".csv", "\n".join(rows) + "\n")
 
 
@@ -80,36 +83,33 @@ def atomic_write(path, text):
         raise
 
 
-def make_report(theorem, checkpoints, raw_errors, normalized_errors, tolerance, **kw):
-    """Assemble a report; verdict = strictly decreasing series with final
-    value below tolerance.  An identically zero series passes: the noise-floor
-    clamps can zero every checkpoint of a difference that has decayed."""
+def make_report(theorem, checkpoints, raw_errors, normalized_errors, tolerance,
+                gates=(), **kw):
+    """Assemble a report; verdict = a finite, strictly decreasing series with
+    final value below tolerance, and every clause in gates (the check's own
+    pass conditions beyond its series).  An identically zero series passes
+    the series rule: the noise-floor clamps can zero every checkpoint of a
+    difference that has decayed."""
     checkpoints = [float(t) for t in checkpoints]
-    raw_errors = [float(e) for e in raw_errors]
     norm = [float(e) for e in normalized_errors]
-    rep = ConvergenceReport(
-        theorem=theorem,
-        checkpoints=checkpoints,
-        raw_errors=raw_errors,
-        normalized_errors=norm,
-        tolerance=tolerance,
-        **kw,
-    )
-    if any(not math.isfinite(e) for e in norm):
-        rep.verdict = "fail"
-        return rep
-    if all(e == 0.0 for e in norm):
-        rep.verdict = "pass"
-        rep.slope = None
-        return rep
-    if all(e > 0 for e in norm) and len(norm) >= 2:
-        rep.slope = float(
-            np.polyfit(np.log(checkpoints), np.log(norm), 1)[0]
-        )
+    finite = all(math.isfinite(e) for e in norm)
+    slope = None
+    if finite and all(e > 0 for e in norm) and len(norm) >= 2:
+        slope = float(np.polyfit(np.log(checkpoints), np.log(norm), 1)[0])
     # ties allowed only at exactly zero (error series that bottom out at the
     # quadrature noise floor get clamped to zero, not frozen at the floor)
     decreasing = all(
         b < a or (a == 0.0 and b == 0.0) for a, b in zip(norm[:-1], norm[1:])
     )
-    rep.verdict = "pass" if (decreasing and norm[-1] < tolerance) else "fail"
-    return rep
+    zero = all(e == 0.0 for e in norm)
+    ok = finite and (zero or decreasing and norm[-1] < tolerance) and all(gates)
+    return ConvergenceReport(
+        theorem=theorem,
+        checkpoints=checkpoints,
+        raw_errors=[float(e) for e in raw_errors],
+        normalized_errors=norm,
+        tolerance=tolerance,
+        verdict="pass" if ok else "fail",
+        slope=slope,
+        **kw,
+    )

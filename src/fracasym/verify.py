@@ -21,17 +21,19 @@ per unit mass.  kappa is the closed form kernels.estimate_kappa, so compact
 and intermediate build no kernel profile.
 
 run_check is the one entry point.  Before any transform it refuses, with
-VerifyError, what no check can state:
+VerifyError, what the theorem's row of THEOREMS says no check can state:
 * a forcing gamma outside the regime of an exterior check (check_gamma, which
   the CLI also applies at parse time);
-* an annulus check on a scale of another kind than SCALE_KINDS names;
+* an annulus check on a scale of another kind than its row names;
 * a zero forcing (amplitude 0) in every check that reads the forcing, that is
   all but constant and kernel-bounds: f = 0 has no profile, and each
   normalized statement would be vacuous or 0/0.
 _region owns each annulus check's region at t and refuses, also before the
 transform, one that the grid leaves empty.  Each check refuses its own
-parameter preconditions (p >= p_*, a kappa term at alpha = 1).  run_check
-stamps the problem parameters and runtime on each report, _report the scale.
+parameter preconditions (p >= p_*, a kappa term at alpha = 1).  The verdict
+is make_report's one rule: the series rule and the check's own clauses.
+run_check stamps the problem parameters and runtime on each report, _report
+the scale.
 
 Checks
 ------
@@ -51,11 +53,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .params import (
+    SCALE_FIELDS,
     FracParams,
     ScaleClass,
     ScaleSpec,
@@ -214,22 +218,18 @@ def _riesz_profiles(params: FracParams, coeffs):
     return symbols, values
 
 
-# the ScaleSpec fields that the report of an annulus check records, by kind
-_SCALE_FIELDS = {"compact": ("radius",), "outer": ("nu",),
-                 "intermediate": ("exponent", "log_exponent", "nu", "mu")}
-
-
-def _report(cfg, theorem, raw, norm):
+def _report(cfg, theorem, raw, norm, gates=()):
     """make_report over cfg.times, stamped with the forcing, p and scale of
-    cfg: the scale's kind (an intermediate one with its class) and fields,
-    and the truncation radius rho_max where an exterior region stops."""
+    cfg: the scale's kind (an intermediate one with its class) and its
+    SCALE_FIELDS, and the truncation radius rho_max where an exterior region
+    stops."""
     s = cfg.scale
     scale = {"kind": s.kind}
     if s.kind == "intermediate":
         scale["class"] = classify_scale(cfg.forcing.gamma, cfg.params, s).value
-    scale.update((f, getattr(s, f)) for f in _SCALE_FIELDS[s.kind])
+    scale.update((f, getattr(s, f)) for f in SCALE_FIELDS[s.kind])
     return make_report(
-        theorem, cfg.times, raw, norm, cfg.tolerance,
+        theorem, cfg.times, raw, norm, cfg.tolerance, gates,
         forcing=cfg.forcing.as_dict(), p=cfg.p, scale=scale,
         truncation_radius=cfg.grid.rho_max if s.kind == "outer" else None,
     )
@@ -350,12 +350,10 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     """gamma > 1: scalar law Gamma(alpha) M(t) t^{1-alpha} -> M_inf, and
     ||u - M_inf Y|| / rate -> 0 on the exterior; both must decrease."""
     scalar, raw, norm = _mass_law(cfg, cfg.times)
-    rep = _report(cfg, "outer-mass", raw, norm)
     scalar_ok = all(b < a_ for a_, b in zip(scalar[:-1], scalar[1:]))
+    rep = _report(cfg, "outer-mass", raw, norm, gates=[scalar_ok])
     rep.notes["scalar_series"] = scalar
     rep.notes["scalar_decreasing"] = scalar_ok
-    if rep.verdict == "pass" and not scalar_ok:
-        rep.verdict = "fail"
     return rep
 
 
@@ -435,12 +433,11 @@ def verify_constant_identity(cfg: VerifyConfig) -> ConvergenceReport:
     series = [
         abs(_y_time_integral(profile, T) / target - 1.0) for T in cfg.times
     ]
-    rep = make_report("constant-identity", cfg.times, series, series, cfg.tolerance)
+    rep = make_report("constant-identity", cfg.times, series, series, cfg.tolerance,
+                      gates=[a_ratio < 1e-3])
     rep.notes["A"] = profile.constant_A
     rep.notes["c_2beta"] = c2b
     rep.notes["A_relative_error"] = a_ratio
-    if a_ratio >= 1e-3:
-        rep.verdict = "fail"
     return rep
 
 
@@ -481,79 +478,67 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
     sp = sigma_p(params, cfg.p)
     slope_err = abs(slope + sp) / abs(sp)
-    rep = make_report("kernel-bounds", cfg.times, norms, [slope_err], 1e-2, p=cfg.p)
+    # the series is the one slope error, so the series rule is its 1% gate
+    gates = [bounds.get(f"{b}_pass", False) for b in ("interior", "exterior", "global", "kappa")]
+    rep = make_report("kernel-bounds", cfg.times, norms, [slope_err], 1e-2, gates, p=cfg.p)
     rep.slope = slope
     rep.notes["bounds"] = bounds
     rep.notes["kappa"] = profile.kappa
     rep.notes["sigma_p"] = sp
     rep.notes["slope_relative_error"] = slope_err
     rep.notes["beyond_grid"] = beyond
-    ok = (
-        slope_err < 1e-2
-        and bounds.get("interior_pass", False)
-        and bounds.get("exterior_pass", False)
-        and bounds.get("global_pass", False)
-        and bounds.get("kappa_pass", False)
-    )
-    rep.verdict = "pass" if ok else "fail"
     return rep
 
 
-_CHECKS = {
-    "compact": verify_compact,
-    "intermediate": verify_intermediate,
-    "outer-general": verify_outer_general,
-    "outer-mass": verify_outer_mass,
-    "outer-log": verify_outer_log,
-    "coherence": verify_coherence,
-    "constant": verify_constant_identity,
-    "kernel-bounds": verify_kernel_estimates,
-}
+class Theorem(NamedTuple):
+    """One theorem's contract: its check, the scale kind it states its limit on
+    (None: the check sets its own), its gamma regime as (rule, words) (None:
+    every gamma), and whether it reads the forcing (and so refuses f = 0)."""
+
+    check: Callable[[VerifyConfig], ConvergenceReport]
+    kind: str | None
+    gamma: tuple | None
+    reads_forcing: bool = True
 
 
-# the forcing regime of each exterior check: theorem -> (message, rule on gamma)
-_GAMMA_RULES = {
-    "outer-mass": ("outer-mass requires gamma > 1", lambda g: g > 1.0),
-    "outer-log": ("outer-log requires gamma = 1", lambda g: g == 1.0),
-    "coherence": ("coherence requires gamma < 1", lambda g: g < 1.0),
+THEOREMS = {
+    "compact": Theorem(verify_compact, "compact", None),
+    "intermediate": Theorem(verify_intermediate, "intermediate", None),
+    "outer-general": Theorem(verify_outer_general, "outer", None),
+    "outer-mass": Theorem(verify_outer_mass, "outer", (lambda g: g > 1.0, "gamma > 1")),
+    "outer-log": Theorem(verify_outer_log, "outer", (lambda g: g == 1.0, "gamma = 1")),
+    "coherence": Theorem(verify_coherence, None, (lambda g: g < 1.0, "gamma < 1")),
+    "constant": Theorem(verify_constant_identity, None, None, reads_forcing=False),
+    "kernel-bounds": Theorem(verify_kernel_estimates, None, None, reads_forcing=False),
 }
 
 
 def check_gamma(theorem: str, gamma: float):
     """Raise VerifyError when gamma lies outside the regime of `theorem`."""
-    if theorem in _GAMMA_RULES and not _GAMMA_RULES[theorem][1](gamma):
-        raise VerifyError(_GAMMA_RULES[theorem][0])
-
-
-# the scale kind each annulus check states its limit on: theorem -> kind; the
-# CLI takes an absent [verify] kind from it
-SCALE_KINDS = {"compact": "compact", "intermediate": "intermediate",
-               "outer-general": "outer", "outer-mass": "outer", "outer-log": "outer"}
-
-
-# the checks that never read the forcing, and so run with any amplitude
-_FORCING_FREE = ("constant", "kernel-bounds")
+    regime = THEOREMS[theorem].gamma if theorem in THEOREMS else None
+    if regime and not regime[0](gamma):
+        raise VerifyError(f"{theorem} requires {regime[1]}")
 
 
 def run_check(cfg: VerifyConfig) -> ConvergenceReport:
-    """Run the check of cfg.theorem after its preconditions (the gamma regime,
-    the scale kind of an annulus check, and a nonzero forcing for every check
-    that reads it); the report carries the problem parameters and the check's
-    wall time."""
-    if cfg.theorem not in _CHECKS:
+    """Run the check of cfg.theorem after the preconditions of its THEOREMS
+    row (the gamma regime, the scale kind, and a nonzero forcing for every
+    check that reads it); the report carries the problem parameters and the
+    check's wall time."""
+    if cfg.theorem not in THEOREMS:
         raise VerifyError(
-            f"unknown theorem {cfg.theorem!r}; options: {sorted(_CHECKS)}"
+            f"unknown theorem {cfg.theorem!r}; options: {sorted(THEOREMS)}"
         )
+    check, kind, _, reads_forcing = THEOREMS[cfg.theorem]
     check_gamma(cfg.theorem, cfg.forcing.gamma)
-    kind = SCALE_KINDS.get(cfg.theorem, cfg.scale.kind)
-    if cfg.scale.kind != kind:
+    if kind and cfg.scale.kind != kind:
         raise VerifyError(f"{cfg.theorem} requires the {kind} scale kind, got {cfg.scale.kind!r}")
-    if cfg.forcing.amplitude == 0.0 and cfg.theorem not in _FORCING_FREE:
+    if cfg.forcing.amplitude == 0.0 and reads_forcing:
         raise VerifyError(
             f"{cfg.theorem} needs a nonzero forcing: f = 0 has no profile"
         )
     t0 = time.perf_counter()
-    rep = _CHECKS[cfg.theorem](cfg)
+    rep = check(cfg)
     rep.runtime_seconds = time.perf_counter() - t0
     rep.params = cfg.params.as_dict()
     return rep

@@ -13,6 +13,8 @@ from fracasym import kernels
 from fracasym.cli import ConfigError, main, parse_config
 from fracasym.params import FracParams, ScaleSpec, rate_at
 from fracasym.potentials import riesz_constant
+from fracasym.solver import ForcingSpec
+from fracasym.verify import THEOREMS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,7 +78,8 @@ def test_parse_times_with_commas():
 
 
 def test_parse_bool_infinity_and_mu_outer(tmp_path, capsys):
-    keys = "validation_mode = no\n[verify]\np = Infinity\nmu_outer = 3.5\n"
+    keys = ("validation_mode = no\n[verify]\np = Infinity\nkind = intermediate\n"
+            "exponent = 0.25\nmu_outer = 3.5\n")
     cfg = parse_config(MINIMAL + keys)
     assert cfg.params.validation_mode is False
     assert math.isinf(cfg.p)
@@ -143,23 +146,70 @@ def test_verify_precondition_exit_code(tmp_path, capsys):
     # rho_min = 1e-2 (it once failed in the norm after a transform, exit 1)
     base = FULL.replace("rho_max = 1e2\npoints = 256", "rho_max = 1e3\npoints = 128")
     compact = base.replace("theorem = coherence", "theorem = compact").replace(
-        "kind = outer", "kind = compact")
+        "kind = outer\nnu = 1.0", "kind = compact")
     outer_log = base.replace("theorem = coherence", "theorem = outer-log").replace(
         "gamma = 0.5", "gamma = 1.0")
     kernel_bounds = base.replace("theorem = coherence", "theorem = kernel-bounds").replace(
         "p = inf", "p = 3")
     log_compact = outer_log.replace("alpha = 0.5", "alpha = 0.9").replace(
-        "times = 1e2 1e3 1e4", "times = 1e4 1e5 1e6").replace("kind = outer", "kind = compact")
+        "times = 1e2 1e3 1e4", "times = 1e4 1e5 1e6").replace(
+        "kind = outer\nnu = 1.0", "kind = compact")
     cases = [(compact.replace("p = inf", "p = 0.5"), "config"),
              (outer_log.replace("times = 1e2 1e3 1e4", "times = 1 10 100"), "config"),
              (kernel_bounds, "precondition"), (log_compact, "precondition"),
-             (compact.replace("nu = 1.0", "radius = 1e-2"), "precondition")]
+             (compact + "radius = 1e-2\n", "precondition")]
     for i, (text, code_) in enumerate(cases):
         path = _write(tmp_path, text, name=f"config{i}.ini")
         out = str(tmp_path / f"out{i}")
         code = main(["verify", "--config", path, "--out", out])
         assert code == 2
         assert f"code={code_} " in capsys.readouterr().err
+
+
+# a scale key the kind does not read: (theorem, gamma, [verify] scale keys, the
+# kind, the INI keys named in the refusal)
+_STRAY_KEYS = {
+    "outer-mass": ("outer-mass", "2.0", "nu = 1.0\nradius = 7\nexponent = 0.3\nmu_outer = 9",
+                   "outer", "exponent, mu_outer, radius"),
+    "compact": ("compact", "0.5", "nu = 1.0", "compact", "nu"),
+    "intermediate": ("intermediate", "0.5", "exponent = 0.25\nradius = 2", "intermediate",
+                     "radius"),
+    "kind-given": ("coherence", "0.5", "kind = compact\nnu = 1.0\nlog_exponent = 1", "compact",
+                   "log_exponent, nu"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRAY_KEYS))
+def test_scale_keys_the_kind_does_not_read_are_fatal(tmp_path, capsys, case):
+    # an ignored radius or exponent invalidates conclusions as silently as a
+    # typo: outer-mass with radius, exponent and mu_outer once exited 0 and
+    # recorded only the outer scale's nu
+    theorem, gamma, keys, kind, named = _STRAY_KEYS[case]
+    text = FULL.replace("theorem = coherence", f"theorem = {theorem}").replace(
+        "gamma = 0.5", f"gamma = {gamma}").replace("kind = outer\nnu = 1.0", keys)
+    code = main(["verify", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"code=config keys in [verify] that the {kind} scale kind does not read: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_absent_kind_is_the_theorems_own(theorem):
+    # the CLI reads the kind from the theorem's row; a check that sets its own
+    # scale takes the compact default
+    cfg = parse_config(MINIMAL + f"[verify]\ntheorem = {theorem}\n")
+    assert cfg.scale.kind == (THEOREMS[theorem].kind or "compact")
+
+
+def test_potential_command_samples_no_g(tmp_path, monkeypatch):
+    # the closed-form g-hat is all the potential reads
+    def no_samples(self, rho):
+        raise AssertionError("g sampled")
+
+    monkeypatch.setattr(ForcingSpec, "g", no_samples)
+    path = _write(tmp_path, FULL + "mu = 1.0\n")
+    assert main(["potential", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("value", ["gamma = nan", "gamma = inf", "amplitude = nan",
@@ -271,7 +321,7 @@ def test_rates_command(tmp_path):
         (outer.replace("gamma = 0.5", "gamma = 1.0"), "outer", -2.0, 1,
          rate_at(params, math.inf, 1.0, outer_scale, t)),
         # compact: t^{-min(gamma, 1 + alpha)}
-        (outer.replace("kind = outer", "kind = compact").replace(
+        (outer.replace("kind = outer\nnu = 1.0", "kind = compact").replace(
             "gamma = 0.5", "gamma = 2.0"), "compact", -1.5, 0, t**-1.5),
         # F1 at phi = t^theta (log t)^{-1/2}: t^{-3/2} log t phi^{-1}
         (intermediate.replace("gamma = 0.5", "gamma = 1.0"), "intermediate-F1", -2.0,

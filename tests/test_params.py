@@ -41,6 +41,13 @@ def test_sigma_p_values():
     assert q_critical(params, 1.0) == pytest.approx(3.0 / 4.0)
 
 
+@pytest.mark.parametrize("fn", [sigma_p, q_critical])
+def test_nan_p_is_refused(fn):
+    # a NaN p passed the test p < 1 and came back as a NaN exponent
+    with pytest.raises(ParameterError, match="p must be in"):
+        fn(FracParams(0.5, 0.5, 3), math.nan)
+
+
 def test_invalid_params():
     with pytest.raises(ParameterError):
         FracParams(0.5, 1.0, 4)  # dim = 4*beta

@@ -471,6 +471,13 @@ def test_lp_norm_argument_errors():
         lp_norm_annulus(u, 1.0, 3, 2.0, 1.0)
 
 
+def test_lp_norm_refuses_nan_p():
+    # a NaN p passed the test p < 1 and came back as a NaN norm
+    grid = RadialGrid(1e-3, 1e3, 128)
+    with pytest.raises(TransformError, match="p must be in"):
+        lp_norm_annulus(RadialFunction(grid, np.exp(-grid.nodes)), math.nan, 3, 1.0, 2.0)
+
+
 def test_radial_integral_gaussian():
     grid = RadialGrid(1e-4, 50.0, 512)
     u = RadialFunction(grid, np.exp(-grid.nodes**2))

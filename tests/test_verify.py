@@ -203,6 +203,48 @@ def test_annulus_check_scale_record(monkeypatch, theorem):
             run_check(_cfg(theorem=theorem, forcing=forcing, scale=other, grid=grid))
 
 
+class _Norms:
+    """A stand-in for kernel-bounds' transform at time t, whose L^p norm is
+    t^{-sigma_p} exactly."""
+
+    inner_exponent = outer_exponent = 0.0
+
+    def __init__(self, t):
+        self.t = t
+
+
+def _clause_case(monkeypatch, theorem, holds):
+    """A config of `theorem` whose series passes, with the check's own
+    clause made to hold or not."""
+    times = (1e2, 1e3, 1e4)
+    if theorem == "outer-mass":
+        scalar = [3e-1, 2e-1, 1e-1] if holds else [1e-1, 2e-1, 1e-3]
+        monkeypatch.setattr(verify, "_mass_law", lambda cfg, kt: (scalar, [1.0] * 3,
+                                                                   [1e-1, 1e-2, 1e-3]))
+        return _cfg(theorem=theorem, forcing=ForcingSpec("gaussian", gamma=2.0, dim=3),
+                    scale=ScaleSpec(kind="outer"))
+    c2b = riesz_constant(1.0, 3)
+    bounds = {f"{b}_pass": True for b in ("interior", "exterior", "global")}
+    bounds["kappa_pass"] = holds
+    profile = type("Profile", (), dict(constant_A=c2b * (1.0 if holds else 1.002),
+                                       bound_report=bounds, kappa=0.0))
+    monkeypatch.setattr(verify, "_y_profile", lambda cfg: profile)
+    monkeypatch.setattr(verify, "_y_time_integral", lambda profile, T: c2b * (1.0 + 1.0 / T))
+    monkeypatch.setattr(verify, "radial_fourier_inverses",
+                        lambda symbols, n, grid: [_Norms(t) for t in times])
+    monkeypatch.setattr(verify, "lp_norm_annulus", lambda u, p, n, a, b: u.t**-0.5)
+    return _cfg(theorem=theorem, times=times)
+
+
+@pytest.mark.parametrize("holds", [True, False])
+@pytest.mark.parametrize("theorem", ["outer-mass", "constant", "kernel-bounds"])
+def test_a_checks_own_clause_decides_with_its_series(monkeypatch, theorem, holds):
+    # outer-mass's decreasing scalar law, constant's |A/c_{2b} - 1| < 1e-3 and
+    # kernel-bounds' profile bounds join the series rule in make_report
+    rep = run_check(_clause_case(monkeypatch, theorem, holds))
+    assert rep.verdict == ("pass" if holds else "fail")
+
+
 def test_compact_check_passes(cache_dir):
     rep = run_check(_cfg(theorem="compact", cache_dir=cache_dir))
     assert rep.verdict == "pass"
