@@ -8,7 +8,6 @@ from .params import (
     ScaleClass,
     ScaleSpec,
     classify_scale,
-    q_critical,
     sigma_p,
 )
 from .radialtransform import (
@@ -29,7 +28,6 @@ from .kernels import (
     build_y_profile,
     build_z_profile,
     evaluate_Y,
-    evaluate_Z,
     validate_bounds,
 )
 from .potentials import (
@@ -42,10 +40,8 @@ from .solver import (
     ForcingSpec,
     SolutionSlice,
     SolverError,
-    forcing_mass,
     solution_mass,
     solve_duhamel,
-    time_integrated_forcing,
 )
 from .reporting import ConvergenceReport
 from .verify import VerifyConfig, VerifyError, run_check

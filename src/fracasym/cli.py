@@ -16,8 +16,12 @@ Exit status: 0 success/pass, 1 check failure or numerical error, 2
 configuration error: a value any of those objects rejects (a non-finite
 forcing value, p < 1 and bad checkpoints among them), a non-finite time, a
 scale key that the kind does not read (params.SCALE_FIELDS) or a gamma
-outside the theorem's regime (verify.check_gamma) exits 2 with code=config;
-what verify.run_check refuses before any transform (a zero forcing, a scale
+outside the theorem's regime (verify.check_gamma) exits 2 with code=config.
+So does, in `verify` only, a [verify] key that the theorem's check does not
+read by its row of verify.THEOREMS: p or tolerance outside the row's
+`reads`, and any scale key where the row has no kind (coherence, constant,
+kernel-bounds); the other commands run no check and accept them.  What
+verify.run_check refuses before any transform (a zero forcing, a scale
 of the wrong kind, a region the grid leaves empty) exits 2 with
 code=precondition.  Diagnostics go to stderr with ``code=`` prefixes.
 """
@@ -63,6 +67,7 @@ class RunConfig:
     times: tuple = VerifyConfig.times
     tolerance: float = VerifyConfig.tolerance
     out_dir: str = "."
+    unread: tuple = ()  # the [verify] keys given that the theorem's check does not read
 
 
 def _parse_times(raw: str) -> tuple:
@@ -149,8 +154,13 @@ def parse_config(text: str) -> RunConfig:
     problem, forcing, grid, scale = (_section(cp, section) for section in _KEYS)
     run = {k: scale.pop(k) for k in list(scale) if k in RunConfig.__dataclass_fields__}
     theorem = run.get("theorem", VerifyConfig.theorem)
-    default = THEOREMS[theorem].kind if theorem in THEOREMS else None
-    kind = scale.setdefault("kind", default or "compact")
+    row = THEOREMS.get(theorem)
+    unread = []  # by the row: p and tolerance by its reads, and the scale keys by its kind
+    if row:
+        unread = [k for k in ("p", "tolerance") if k in run and k not in row.reads]
+        if not row.kind:  # a row without a kind reads no scale key
+            unread += scale
+    kind = scale.setdefault("kind", row and row.kind or "compact")
     if kind in SCALE_FIELDS:  # ScaleSpec refuses any other kind
         read = {"kind", *("mu_outer" if f == "mu" else f for f in SCALE_FIELDS[kind])}
         stray = sorted(set(scale) - read)
@@ -167,7 +177,7 @@ def parse_config(text: str) -> RunConfig:
             forcing = None
         run.setdefault("mu", 2.0 * params.beta)
         cfg = RunConfig(params=params, forcing=forcing, grid=RadialGrid(**grid),
-                        scale=ScaleSpec(**scale), **run)
+                        scale=ScaleSpec(**scale), unread=tuple(sorted(unread)), **run)
         if forcing is not None:
             check_gamma(theorem, forcing.gamma)
     except (ParameterError, SolverError, TransformError, VerifyError) as exc:
@@ -241,6 +251,9 @@ def _cmd_rates(cfg: RunConfig) -> int:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     fs = _require_forcing(cfg)
+    if cfg.unread:
+        raise ConfigError(f"keys in [verify] that {cfg.theorem} does not read: "
+                          f"{', '.join(cfg.unread)}")
     try:  # a value VerifyConfig rejects (p, the times) is a configuration error
         vcfg = VerifyConfig(params=cfg.params, forcing=fs, theorem=cfg.theorem, p=cfg.p,
                             scale=cfg.scale, times=cfg.times, tolerance=cfg.tolerance,

@@ -206,22 +206,11 @@ def constant_A(profile: KernelProfile) -> float:
 def evaluate_Y(profile: KernelProfile, rho, t):
     """Y(rho, t) = t^{-sigma_*} G(rho t^{-theta}), for arrays of rho or of t."""
     _require_g(profile)
-    return _self_similar(profile, rho, t, profile.params.sigma_star)
-
-
-def evaluate_Z(profile: KernelProfile, rho, t):
-    """Z(rho, t) = t^{-N theta} F(rho t^{-theta}), for arrays of rho or of t."""
-    if profile.which != "F":
-        raise KernelError("evaluate_Z requires the F-profile")
-    return _self_similar(profile, rho, t, profile.params.dim * profile.params.theta)
-
-
-def _self_similar(profile: KernelProfile, rho, t, decay: float):
-    """t^{-decay} profile(rho t^{-theta}), the self-similar form of Y and Z."""
     t = np.asarray(t, dtype=float)  # one power routine for scalar and array t
-    if np.any(t <= 0):
-        raise KernelError("t must be positive")
-    return t**-decay * profile.values(np.asarray(rho) * t**-profile.params.theta)
+    if not np.all((t > 0) & (t < np.inf)):  # a NaN fails both comparisons
+        raise KernelError("t must be positive and finite")
+    p = profile.params
+    return t**-p.sigma_star * profile.values(np.asarray(rho) * t**-p.theta)
 
 
 def validate_bounds(profile: KernelProfile) -> dict:

@@ -1,8 +1,8 @@
 """Problem parameters, their exponents and space-time scale classification.
 
 The model is u_t^alpha + (-Laplacian)^beta u = f in dimension N > 4*beta.
-FracParams holds (alpha, beta, N) and derives the exponents theta, sigma_*,
-p_* and p_c from them; ScaleClass is the five intermediate classes S, C1, C,
+FracParams holds (alpha, beta, N) and derives the exponents theta, sigma_*
+and p_* from them; ScaleClass is the five intermediate classes S, C1, C,
 F1 and F; sharp_rate is the one owner of the sharp decay rates of the limit
 theorems, as exponents (e, l, k) of t^e (log t)^l phi(t)^k, and rate_at
 evaluates them.  Everything here is exact arithmetic on (alpha, beta, N,
@@ -23,7 +23,7 @@ class ParameterError(ValueError):
 @dataclass(frozen=True)
 class FracParams:
     """Orders of the Caputo derivative and Laplacian power, plus the dimension,
-    and the exponents theta, sigma_star, p_star and p_crit derived from them.
+    and the exponents theta, sigma_star and p_star derived from them.
 
     alpha = 1 is admitted only with validation_mode=True, in which case the
     kernels degenerate to classical (heat-type) ones and the singular-profile
@@ -75,11 +75,6 @@ class FracParams:
         """p_* = N/(N - 4 beta)."""
         return self.dim / (self.dim - 4.0 * self.beta)
 
-    @property
-    def p_crit(self) -> float:
-        """p_c = N/(N - 2 beta)."""
-        return self.dim / (self.dim - 2.0 * self.beta)
-
 
 def sigma_p(params: FracParams, p: float) -> float:
     """L^p decay exponent of the Duhamel kernel: sigma_* - N*theta/p."""
@@ -88,16 +83,6 @@ def sigma_p(params: FracParams, p: float) -> float:
     if math.isinf(p):
         return params.sigma_star
     return params.sigma_star - params.dim * params.theta / p
-
-
-def q_critical(params: FracParams, p: float) -> float:
-    """Integrability threshold q_c(p) = Np/(2 beta p + N), N/(2 beta) at p=inf."""
-    if not p >= 1.0:
-        raise ParameterError(f"p must be in [1, inf], got {p}")
-    n, b = params.dim, params.beta
-    if math.isinf(p):
-        return n / (2.0 * b)
-    return n * p / (2.0 * b * p + n)
 
 
 class ScaleClass(Enum):

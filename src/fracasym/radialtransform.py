@@ -547,6 +547,8 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
         raise TransformError(f"need 0 <= a < b, got [{a}, {b}]")
     if not p >= 1:
         raise TransformError(f"p must be in [1, inf], got {p}")
+    if math.isinf(p) and math.isinf(b):  # the sup is sampled on [a, b]
+        raise TransformError("the L^inf norm needs a finite b, got b = inf")
     if u.is_zero:
         return 0.0
     g = u.grid

@@ -1,6 +1,5 @@
 """Separable radial forcings f(x,t) = amplitude * g(|x|) (1+t)^{-gamma}, the
-spectral Duhamel solution of the fully nonlocal problem, and the associated
-mass functionals M_f(t), M(t), M_infinity.
+spectral Duhamel solution of the fully nonlocal problem, and its mass M(t).
 
 The solution slice at time t has Fourier transform
 
@@ -175,24 +174,6 @@ class SolutionSlice:
         )
 
 
-def forcing_mass(fs: ForcingSpec, t) -> float:
-    """M_f(t) = M0 (1+t)^{-gamma}."""
-    return fs.M0 * (1.0 + float(t)) ** (-fs.gamma)
-
-
-def time_integrated_forcing(fs: ForcingSpec, grid: RadialGrid | None = None):
-    """F = int_0^inf f(., s) ds = amplitude g / (gamma - 1) and
-    M_inf = M0/(gamma-1); requires gamma > 1."""
-    if fs.gamma <= 1.0:
-        raise SolverError(
-            f"time-integrated forcing diverges for gamma <= 1 (gamma={fs.gamma})"
-        )
-    grid = grid or RadialGrid()
-    scale = fs.amplitude / (fs.gamma - 1.0)
-    F = RadialFunction(grid, scale * fs.g(grid.nodes))
-    return F, fs.M0 / (fs.gamma - 1.0)
-
-
 # --- the time weight W(lam, t) ------------------------------------------------
 
 _LAM_SPAN = 1e10  # table covers lam * t^alpha in [1/span, span]
@@ -300,8 +281,8 @@ def time_weight(alpha: float, gamma: float, t: float):
     alpha k), summed by Horner below x = 1, where the closed form
     (1 - E_alpha(-x))/lam cancels (by 1.3e-9 relative at x = 2e-8), and the
     closed form from x = 1 on; otherwise a cached spline table."""
-    if t <= 0:
-        raise SolverError(f"time must be positive, got t={t}")
+    if not 0 < t < math.inf:  # a NaN fails every comparison, so this test too
+        raise SolverError(f"time must be positive and finite, got t={t}")
     if gamma == 0.0:
         U = t**alpha
         # the series' coefficients 1/Gamma(1 + alpha + alpha k), through the
@@ -400,8 +381,8 @@ def solution_mass(fs: ForcingSpec, params: FracParams, t: float) -> float:
     """M(t) = (1/Gamma(alpha)) int_0^t M_f(s) (t-s)^{alpha-1} ds = M0 W(0, t),
     the sum of the Duhamel quadrature weights; for gamma = 0 it equals
     M0 t^alpha / Gamma(1 + alpha) to rounding."""
-    if t < 0:
-        raise SolverError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise SolverError(f"t must be nonnegative and finite, got t={t}")
     if t == 0.0:
         return 0.0
     _, c = _duhamel_nodes(params.alpha, fs.gamma, t)

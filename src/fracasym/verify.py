@@ -25,15 +25,20 @@ VerifyError, what the theorem's row of THEOREMS says no check can state:
 * a forcing gamma outside the regime of an exterior check (check_gamma, which
   the CLI also applies at parse time);
 * an annulus check on a scale of another kind than its row names;
-* a zero forcing (amplitude 0) in every check that reads the forcing, that is
-  all but constant and kernel-bounds: f = 0 has no profile, and each
+* a zero forcing (amplitude 0) in every check whose row reads the forcing,
+  that is all but constant and kernel-bounds: f = 0 has no profile, and each
   normalized statement would be vacuous or 0/0.
 _region owns each annulus check's region at t and refuses, also before the
 transform, one that the grid leaves empty.  Each check refuses its own
 parameter preconditions (p >= p_*, a kappa term at alpha = 1).  The verdict
 is make_report's one rule: the series rule and the check's own clauses.
-run_check stamps the problem parameters and runtime on each report, _report
-the scale.
+A row's `reads` names the inputs among forcing, p and tolerance that its
+check reads, and a row reads the scale if and only if it has a kind; the
+CLI refuses a [verify] key outside them.  run_check records on each report
+the problem parameters, the runtime and the check's inputs as its row
+names them: the five annulus checks record forcing, p and scale, coherence
+the forcing (and its own xi values as its scale), kernel-bounds p, and
+constant none.
 
 Checks
 ------
@@ -218,23 +223,6 @@ def _riesz_profiles(params: FracParams, coeffs):
     return symbols, values
 
 
-def _report(cfg, theorem, raw, norm, gates=()):
-    """make_report over cfg.times, stamped with the forcing, p and scale of
-    cfg: the scale's kind (an intermediate one with its class) and its
-    SCALE_FIELDS, and the truncation radius rho_max where an exterior region
-    stops."""
-    s = cfg.scale
-    scale = {"kind": s.kind}
-    if s.kind == "intermediate":
-        scale["class"] = classify_scale(cfg.forcing.gamma, cfg.params, s).value
-    scale.update((f, getattr(s, f)) for f in SCALE_FIELDS[s.kind])
-    return make_report(
-        theorem, cfg.times, raw, norm, cfg.tolerance, gates,
-        forcing=cfg.forcing.as_dict(), p=cfg.p, scale=scale,
-        truncation_radius=cfg.grid.rho_max if s.kind == "outer" else None,
-    )
-
-
 # --- compact sets -------------------------------------------------------------
 
 
@@ -261,7 +249,7 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
         return [limit / tm for tm in scales]
 
     _, errs = _checkpoint_series(cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, profiles))
-    return _report(cfg, "compact", errs, errs)
+    return make_report("compact", cfg.times, errs, errs, cfg.tolerance)
 
 
 # --- intermediate scales ------------------------------------------------------
@@ -284,7 +272,7 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
                         cfg.p, params.dim, *_region(cfg, t))
         for value, t in zip(values, cfg.times)
     ]
-    rep = _report(cfg, "intermediate", raw, norm)
+    rep = make_report("intermediate", cfg.times, raw, norm, cfg.tolerance)
     rep.notes["profile_norms"] = prof_norms
     rep.notes["annulus_power_law"] = _annulus_power_law(cfg)
     return rep
@@ -321,7 +309,7 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     spatial = lambda r: fs.amplitude * (fs.ghat(r) - mass_g)
     raw, norm = _checkpoint_series(
         cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, spatial=spatial))
-    return _report(cfg, "outer-general", raw, norm)
+    return make_report("outer-general", cfg.times, raw, norm, cfg.tolerance)
 
 
 def _mass_law(cfg: VerifyConfig, kernel_times):
@@ -351,7 +339,7 @@ def verify_outer_mass(cfg: VerifyConfig) -> ConvergenceReport:
     ||u - M_inf Y|| / rate -> 0 on the exterior; both must decrease."""
     scalar, raw, norm = _mass_law(cfg, cfg.times)
     scalar_ok = all(b < a_ for a_, b in zip(scalar[:-1], scalar[1:]))
-    rep = _report(cfg, "outer-mass", raw, norm, gates=[scalar_ok])
+    rep = make_report("outer-mass", cfg.times, raw, norm, cfg.tolerance, gates=[scalar_ok])
     rep.notes["scalar_series"] = scalar
     rep.notes["scalar_decreasing"] = scalar_ok
     return rep
@@ -373,7 +361,7 @@ def verify_outer_log(cfg: VerifyConfig) -> ConvergenceReport:
         if t <= 1e4 and lo <= 0.5 * hi:
             kernel_times.append(t)
     scalar, _, kernel_series = _mass_law(cfg, kernel_times)
-    rep = _report(cfg, "outer-log", scalar, scalar)
+    rep = make_report("outer-log", cfg.times, scalar, scalar, cfg.tolerance)
     rep.notes["kernel_times"] = kernel_times
     rep.notes["kernel_series"] = kernel_series
     return rep
@@ -406,11 +394,8 @@ def verify_coherence(cfg: VerifyConfig) -> ConvergenceReport:
         params, [_limit_profile(params, fs.gamma, M0, t, ScaleClass.SLOW) for t in cfg.times])[1]
     errs = [abs(float(ref(rho)) / target(rho) - 1.0)
             for ref, target, rho in zip(refs, targets, radii)]
-    return make_report(
-        "coherence", cfg.times, errs, errs, cfg.tolerance,
-        forcing=fs.as_dict(),
-        scale={"xi": list(_COHERENCE_XI)},
-    )
+    return make_report("coherence", cfg.times, errs, errs, cfg.tolerance,
+                       scale={"xi": list(_COHERENCE_XI)})
 
 
 # --- constants and kernel estimates -------------------------------------------
@@ -480,7 +465,7 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     slope_err = abs(slope + sp) / abs(sp)
     # the series is the one slope error, so the series rule is its 1% gate
     gates = [bounds.get(f"{b}_pass", False) for b in ("interior", "exterior", "global", "kappa")]
-    rep = make_report("kernel-bounds", cfg.times, norms, [slope_err], 1e-2, gates, p=cfg.p)
+    rep = make_report("kernel-bounds", cfg.times, norms, [slope_err], 1e-2, gates)
     rep.slope = slope
     rep.notes["bounds"] = bounds
     rep.notes["kappa"] = profile.kappa
@@ -492,13 +477,15 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
 
 class Theorem(NamedTuple):
     """One theorem's contract: its check, the scale kind it states its limit on
-    (None: the check sets its own), its gamma regime as (rule, words) (None:
-    every gamma), and whether it reads the forcing (and so refuses f = 0)."""
+    (None: the check reads no scale and sets its own record), its gamma
+    regime as (rule, words) (None: every gamma), and the VerifyConfig fields
+    among forcing, p and tolerance that the check reads.  run_check records
+    exactly these on the report, and the scale when the row has a kind."""
 
     check: Callable[[VerifyConfig], ConvergenceReport]
     kind: str | None
     gamma: tuple | None
-    reads_forcing: bool = True
+    reads: tuple = ("forcing", "p", "tolerance")
 
 
 THEOREMS = {
@@ -507,9 +494,10 @@ THEOREMS = {
     "outer-general": Theorem(verify_outer_general, "outer", None),
     "outer-mass": Theorem(verify_outer_mass, "outer", (lambda g: g > 1.0, "gamma > 1")),
     "outer-log": Theorem(verify_outer_log, "outer", (lambda g: g == 1.0, "gamma = 1")),
-    "coherence": Theorem(verify_coherence, None, (lambda g: g < 1.0, "gamma < 1")),
-    "constant": Theorem(verify_constant_identity, None, None, reads_forcing=False),
-    "kernel-bounds": Theorem(verify_kernel_estimates, None, None, reads_forcing=False),
+    "coherence": Theorem(verify_coherence, None, (lambda g: g < 1.0, "gamma < 1"),
+                         ("forcing", "tolerance")),
+    "constant": Theorem(verify_constant_identity, None, None, ("tolerance",)),
+    "kernel-bounds": Theorem(verify_kernel_estimates, None, None, ("p",)),
 }
 
 
@@ -523,17 +511,20 @@ def check_gamma(theorem: str, gamma: float):
 def run_check(cfg: VerifyConfig) -> ConvergenceReport:
     """Run the check of cfg.theorem after the preconditions of its THEOREMS
     row (the gamma regime, the scale kind, and a nonzero forcing for every
-    check that reads it); the report carries the problem parameters and the
-    check's wall time."""
+    check that reads it).  The report records the problem parameters, the
+    check's wall time and the inputs the row says the check reads: the
+    forcing, p, and on a row with a kind the scale (its kind, an intermediate
+    one's class and its SCALE_FIELDS) with the truncation radius rho_max
+    where an exterior region stops."""
     if cfg.theorem not in THEOREMS:
         raise VerifyError(
             f"unknown theorem {cfg.theorem!r}; options: {sorted(THEOREMS)}"
         )
-    check, kind, _, reads_forcing = THEOREMS[cfg.theorem]
+    check, kind, _, reads = THEOREMS[cfg.theorem]
     check_gamma(cfg.theorem, cfg.forcing.gamma)
     if kind and cfg.scale.kind != kind:
         raise VerifyError(f"{cfg.theorem} requires the {kind} scale kind, got {cfg.scale.kind!r}")
-    if cfg.forcing.amplitude == 0.0 and reads_forcing:
+    if cfg.forcing.amplitude == 0.0 and "forcing" in reads:
         raise VerifyError(
             f"{cfg.theorem} needs a nonzero forcing: f = 0 has no profile"
         )
@@ -541,4 +532,15 @@ def run_check(cfg: VerifyConfig) -> ConvergenceReport:
     rep = check(cfg)
     rep.runtime_seconds = time.perf_counter() - t0
     rep.params = cfg.params.as_dict()
+    if "forcing" in reads:
+        rep.forcing = cfg.forcing.as_dict()
+    if "p" in reads:
+        rep.p = cfg.p
+    if kind:
+        rep.scale = {"kind": kind}
+        if kind == "intermediate":
+            rep.scale["class"] = classify_scale(cfg.forcing.gamma, cfg.params, cfg.scale).value
+        rep.scale.update((f, getattr(cfg.scale, f)) for f in SCALE_FIELDS[kind])
+        if kind == "outer":
+            rep.truncation_radius = cfg.grid.rho_max
     return rep

@@ -53,6 +53,10 @@ nu = 1.0
 """
 
 
+# FULL's coherence check without the keys it does not read: p and the scale
+COHERENCE = FULL.replace("p = inf\n", "").replace("kind = outer\nnu = 1.0\n", "")
+
+
 def test_parse_minimal_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.params.alpha == 0.5
@@ -150,7 +154,7 @@ def test_verify_precondition_exit_code(tmp_path, capsys):
     outer_log = base.replace("theorem = coherence", "theorem = outer-log").replace(
         "gamma = 0.5", "gamma = 1.0")
     kernel_bounds = base.replace("theorem = coherence", "theorem = kernel-bounds").replace(
-        "p = inf", "p = 3")
+        "p = inf", "p = 3").replace("tolerance = 5e-2\nkind = outer\nnu = 1.0\n", "")
     log_compact = outer_log.replace("alpha = 0.5", "alpha = 0.9").replace(
         "times = 1e2 1e3 1e4", "times = 1e4 1e5 1e6").replace(
         "kind = outer\nnu = 1.0", "kind = compact")
@@ -192,6 +196,47 @@ def test_scale_keys_the_kind_does_not_read_are_fatal(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err == f"code=config keys in [verify] that the {kind} scale kind does not read: {named}\n"
     assert not (tmp_path / "out").exists()
+
+
+# keys the theorem's check does not read: (the [verify] keys, the keys named in
+# the refusal), on FULL's check widened to a grid where kernel-bounds passes
+_UNREAD_KEYS = {
+    "coherence": ("kind = outer\nnu = 7\np = 3", "kind, nu, p"),
+    "kernel-bounds": ("radius = 9\ntolerance = 1e-9", "radius, tolerance"),
+    "constant": ("p = 7\nradius = 3", "p, radius"),
+}
+
+
+@pytest.mark.filterwarnings(  # kernel-bounds' norm runs beyond its grid
+    "ignore::fracasym.radialtransform.ExtrapolationWarning")
+@pytest.mark.parametrize("theorem", sorted(_UNREAD_KEYS))
+def test_keys_the_check_does_not_read_are_fatal(tmp_path, capsys, theorem):
+    # each once exited 0 with a report that dropped the key: coherence
+    # recorded "p": null, kernel-bounds its own tolerance 1e-2
+    keys, named = _UNREAD_KEYS[theorem]
+    text = FULL.replace("theorem = coherence", f"theorem = {theorem}").replace(
+        "rho_min = 1e-2\nrho_max = 1e2\npoints = 256",
+        "rho_min = 1e-3\nrho_max = 1e3\npoints = 128").replace(
+        "p = inf\n", "").replace("tolerance = 5e-2\nkind = outer\nnu = 1.0\n", "")
+    out = tmp_path / "out"
+    code = main(["verify", "--config", _write(tmp_path, text + keys + "\n"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"code=config keys in [verify] that {theorem} does not read: {named}\n"
+    assert not list(out.iterdir())
+    # without them the check runs, and passes
+    path = _write(tmp_path, text, name="read.ini")
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    assert (out / f"report_{theorem}.json").exists()
+
+
+def test_keys_the_check_does_not_read_are_recorded_at_parse(tmp_path):
+    # FULL is coherence with p and an outer scale: parse_config records them
+    # for verify to refuse, and rates, which reads p and the scale whatever
+    # the theorem, runs
+    assert parse_config(FULL).unread == ("kind", "nu", "p")
+    assert parse_config(COHERENCE).unread == ()
+    assert main(["rates", "--config", _write(tmp_path, FULL), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
@@ -282,7 +327,7 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
 
 def test_verify_zero_forcing_exit_code(tmp_path, capsys):
     # f = 0 has no profile: every check that reads the forcing refuses it
-    path = _write(tmp_path, FULL.replace("amplitude = 1.0", "amplitude = 0.0"))
+    path = _write(tmp_path, COHERENCE.replace("amplitude = 1.0", "amplitude = 0.0"))
     code = main(["verify", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
@@ -374,7 +419,7 @@ def test_rates_csv_reproduces_rate_at(tmp_path, gamma, scale, regime):
 
 
 def test_verify_command_exit_zero(tmp_path):
-    path = _write(tmp_path, FULL)
+    path = _write(tmp_path, COHERENCE)
     out = tmp_path / "out"
     code = main(["verify", "--config", path, "--out", str(out)])
     assert code == 0
@@ -382,6 +427,15 @@ def test_verify_command_exit_zero(tmp_path):
         rep = json.load(fh)
     assert rep["verdict"] == "pass"
     assert rep["p"] is None  # coherence is a pointwise ratio, no L^p norm
+
+
+def test_readme_example_runs(tmp_path):
+    # the README's example configuration stays one that verify accepts
+    readme = pathlib.Path(ROOT, "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    code = main(["verify", "--config", _write(tmp_path, example), "--out", str(tmp_path / "out")])
+    assert code in (0, 1)
 
 
 def test_solve_deterministic(tmp_path):

@@ -155,14 +155,6 @@ def test_evaluate_Y_l1_law(g_profile_ref, params_ref):
     assert got == pytest.approx(0.1 / math.sqrt(math.pi), rel=2e-3)
 
 
-def test_evaluate_Z_scaling(f_profile_heat):
-    rho, t = 1.0, 16.0
-    z = kernels.evaluate_Z(f_profile_heat, rho, t)
-    params = f_profile_heat.params
-    ref = t ** (-5.0 * params.theta) * float(f_profile_heat.values(rho * t**-params.theta))
-    assert float(z) == pytest.approx(ref, rel=1e-12)
-
-
 def _g_half_half_3(rho):
     """G at (alpha, beta, N) = (1/2, 1/2, 3) in closed form, at 50 digits.
 
@@ -468,26 +460,24 @@ def test_engine_hash_covers_the_interpolant(monkeypatch):
         assert pathlib.Path(sys.modules[name].__file__).resolve() in hashed
 
 
-def test_evaluate_Y_array_t_matches_scalar_calls(g_profile_ref):
+def test_evaluate_Y_array_t_matches_scalar_calls(g_profile_ref, f_profile_heat):
     t = np.geomspace(1e-8, 1e4, 41)
     vec = kernels.evaluate_Y(g_profile_ref, 1.0, t)
     one_by_one = [kernels.evaluate_Y(g_profile_ref, 1.0, float(s)) for s in t]
     np.testing.assert_array_equal(vec, one_by_one)
     with pytest.raises(kernels.KernelError):
         kernels.evaluate_Y(g_profile_ref, 1.0, np.array([1.0, 0.0]))
+    with pytest.raises(kernels.KernelError):
+        kernels.evaluate_Y(f_profile_heat, 1.0, 1.0)  # Y is G's
 
 
-def test_evaluate_Z_array_t_and_profile_guards(f_profile_heat, g_profile_heat):
-    t = np.array([1.0, 2.0])
-    vec = kernels.evaluate_Z(f_profile_heat, 1.0, t)
-    one_by_one = [kernels.evaluate_Z(f_profile_heat, 1.0, float(s)) for s in t]
-    np.testing.assert_array_equal(vec, one_by_one)
-    with pytest.raises(kernels.KernelError):
-        kernels.evaluate_Z(f_profile_heat, 1.0, np.array([1.0, 0.0]))
-    with pytest.raises(kernels.KernelError):
-        kernels.evaluate_Z(g_profile_heat, 1.0, 1.0)
-    with pytest.raises(kernels.KernelError):
-        kernels.evaluate_Y(f_profile_heat, 1.0, 1.0)
+@pytest.mark.parametrize("t", [math.nan, math.inf, np.array([1.0, math.nan])],
+                         ids=["nan", "inf", "array-nan"])
+def test_evaluate_Y_refuses_a_non_finite_t(g_profile_ref, t):
+    # a NaN t fails every comparison: it returned NaN, and t = inf raised
+    # the transform's "evaluation requires rho > 0"
+    with pytest.raises(kernels.KernelError, match="positive and finite"):
+        kernels.evaluate_Y(g_profile_ref, 1.0, t)
 
 
 def test_profile_positivity(g_profile_ref, g_profile_beta1):

@@ -10,7 +10,6 @@ from fracasym.params import (
     ScaleClass,
     ScaleSpec,
     classify_scale,
-    q_critical,
     rate_at,
     sharp_rate,
     sigma_p,
@@ -22,7 +21,6 @@ def test_reference_exponents():
     assert params.theta == 0.5
     assert params.sigma_star == pytest.approx(2.0)
     assert params.p_star == pytest.approx(3.0)
-    assert params.p_crit == pytest.approx(1.5)
 
 
 def test_beta1_exponents():
@@ -30,18 +28,15 @@ def test_beta1_exponents():
     assert params.theta == 0.25
     assert params.sigma_star == pytest.approx(0.5 + 1.25)
     assert params.p_star == pytest.approx(5.0)
-    assert params.p_crit == pytest.approx(5.0 / 3.0)
 
 
 def test_sigma_p_values():
     params = FracParams(0.5, 0.5, 3)
     assert sigma_p(params, 1.0) == pytest.approx(0.5)  # 1 - alpha
     assert sigma_p(params, math.inf) == pytest.approx(2.0)
-    assert q_critical(params, math.inf) == pytest.approx(3.0)
-    assert q_critical(params, 1.0) == pytest.approx(3.0 / 4.0)
 
 
-@pytest.mark.parametrize("fn", [sigma_p, q_critical])
+@pytest.mark.parametrize("fn", [sigma_p])
 def test_nan_p_is_refused(fn):
     # a NaN p passed the test p < 1 and came back as a NaN exponent
     with pytest.raises(ParameterError, match="p must be in"):

@@ -478,6 +478,17 @@ def test_lp_norm_refuses_nan_p():
         lp_norm_annulus(RadialFunction(grid, np.exp(-grid.nodes)), math.nan, 3, 1.0, 2.0)
 
 
+def test_sup_norm_refuses_an_infinite_b():
+    # the sup is sampled on [a, b]: b = inf once raised OverflowError while
+    # sizing the samples from log(b / lo)
+    grid = RadialGrid(1e-3, 1e3, 128)
+    u = RadialFunction(grid, np.exp(-grid.nodes))
+    with pytest.raises(TransformError, match="finite b"):
+        lp_norm_annulus(u, math.inf, 3, 1.0, math.inf)
+    with pytest.warns(ExtrapolationWarning):  # a finite p integrates the tail
+        assert math.isfinite(lp_norm_annulus(u, 2.0, 3, 1.0, math.inf))
+
+
 def test_radial_integral_gaussian():
     grid = RadialGrid(1e-4, 50.0, 512)
     u = RadialFunction(grid, np.exp(-grid.nodes**2))

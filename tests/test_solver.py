@@ -25,10 +25,8 @@ from fracasym.solver import (
     _duhamel_nodes,
     _w_knots,
     duhamel_symbols,
-    forcing_mass,
     solution_mass,
     solve_duhamel,
-    time_integrated_forcing,
     time_weight,
 )
 
@@ -42,7 +40,6 @@ GRID = RadialGrid(1e-3, 1e3, 512)
 def test_gaussian_mass():
     fs = ForcingSpec("gaussian", gamma=1.0, dim=3)
     assert fs.M0 == pytest.approx(math.pi**1.5, rel=1e-14)
-    assert forcing_mass(fs, 9.0) == pytest.approx(math.pi**1.5 / 10.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("family,dim", [("gaussian", 3), ("bump", 3), ("heavy", 3), ("bump", 5), ("heavy", 5)])
@@ -132,18 +129,6 @@ def test_forcing_validation():
                {"amplitude": -math.inf}, {"width": math.nan}, {"width": math.inf}):
         with pytest.raises(SolverError, match="finite"):
             ForcingSpec("gaussian", **{"gamma": 0.0, **kw})
-
-
-def test_time_integrated_forcing():
-    fs2 = ForcingSpec("gaussian", gamma=2.0, dim=3)
-    F, M_inf = time_integrated_forcing(fs2, GRID)
-    assert M_inf == pytest.approx(fs2.M0, rel=1e-14)
-    assert np.allclose(F.samples, fs2.g(GRID.nodes))
-    fs15 = ForcingSpec("gaussian", gamma=1.5, dim=3)
-    F, M_inf = np.asarray(time_integrated_forcing(fs15, GRID), dtype=object)
-    assert M_inf == pytest.approx(2.0 * fs15.M0, rel=1e-14)
-    with pytest.raises(SolverError):
-        time_integrated_forcing(ForcingSpec("gaussian", gamma=1.0, dim=3))
 
 
 # --- the time weight ----------------------------------------------------------
@@ -281,6 +266,22 @@ def test_w_closed_form_tiny_argument_branch():
 def test_time_weight_errors():
     with pytest.raises(SolverError):
         time_weight(0.5, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_a_non_finite_time_is_refused(t):
+    # a NaN fails every comparison: W and M(t) came back NaN (and W = 1 at
+    # t = inf, gamma = 0), and a tabulated W raised numpy's "Geometric
+    # sequence cannot include zero" at t = inf
+    params = FracParams(0.5, 0.5, 3)
+    fs = ForcingSpec("gaussian", gamma=2.0, dim=3)
+    for gamma in (0.0, 2.0):
+        with pytest.raises(SolverError, match="positive and finite"):
+            time_weight(0.5, gamma, t)
+    with pytest.raises(SolverError, match="positive and finite"):
+        solve_duhamel(fs, params, t, GRID)
+    with pytest.raises(SolverError, match="nonnegative and finite"):
+        solution_mass(fs, params, t)
 
 
 # --- solution slices ----------------------------------------------------------
