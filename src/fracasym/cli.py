@@ -18,12 +18,14 @@ forcing value, p < 1 and bad checkpoints among them), a non-finite time, a
 scale key that the kind does not read (params.SCALE_FIELDS) or a gamma
 outside the theorem's regime (verify.check_gamma) exits 2 with code=config.
 So does, in `verify` only, a [verify] key that the theorem's check does not
-read by its row of verify.THEOREMS: p or tolerance outside the row's
-`reads`, and any scale key where the row has no kind (coherence, constant,
-kernel-bounds); the other commands run no check and accept them.  What
-verify.run_check refuses before any transform (a zero forcing, a scale
-of the wrong kind, a region the grid leaves empty) exits 2 with
-code=precondition.  Diagnostics go to stderr with ``code=`` prefixes.
+read: mu, which only `potential` reads, and by the theorem's row of
+verify.THEOREMS p or tolerance outside the row's `reads` and any scale key
+where the row has no kind (coherence, constant, kernel-bounds); the other
+commands run no check and accept them.  What verify.run_check refuses before
+any transform (a zero forcing, a scale of the wrong kind, a region the grid
+leaves empty) exits 2 with code=precondition.  Diagnostics go to stderr with
+``code=`` prefixes.  --out is created when a command first writes to it, so a
+refused command leaves none.
 """
 
 from __future__ import annotations
@@ -155,9 +157,9 @@ def parse_config(text: str) -> RunConfig:
     run = {k: scale.pop(k) for k in list(scale) if k in RunConfig.__dataclass_fields__}
     theorem = run.get("theorem", VerifyConfig.theorem)
     row = THEOREMS.get(theorem)
-    unread = []  # by the row: p and tolerance by its reads, and the scale keys by its kind
+    unread = ["mu"] if "mu" in run else []  # no check reads mu; the rest by the row
     if row:
-        unread = [k for k in ("p", "tolerance") if k in run and k not in row.reads]
+        unread += [k for k in ("p", "tolerance") if k in run and k not in row.reads]
         if not row.kind:  # a row without a kind reads no scale key
             unread += scale
     kind = scale.setdefault("kind", row and row.kind or "compact")
@@ -279,7 +281,6 @@ _COMMANDS = {
 def run_command(command: str, cfg: RunConfig) -> int:
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     return _COMMANDS[command](cfg)
 
 

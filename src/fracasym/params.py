@@ -80,8 +80,6 @@ def sigma_p(params: FracParams, p: float) -> float:
     """L^p decay exponent of the Duhamel kernel: sigma_* - N*theta/p."""
     if not p >= 1.0:  # refuses a NaN p, which p < 1 lets through
         raise ParameterError(f"p must be in [1, inf], got {p}")
-    if math.isinf(p):
-        return params.sigma_star
     return params.sigma_star - params.dim * params.theta / p
 
 

@@ -213,7 +213,7 @@ def riesz_tail_check(
         cleaned[np.abs(cleaned) < floor] = 0.0
         dev = RadialFunction(grid, cleaned)
     raw, norm = [], []
-    exponent = dim * (1.0 - 1.0 / p) if not math.isinf(p) else float(dim)
+    exponent = dim * (1.0 - 1.0 / p)
     for R in R_list:
         err = lp_norm_annulus(dev, p, dim, nu * R, mu_outer * R)
         raw.append(err)

@@ -291,7 +291,7 @@ def _annulus_power_law(cfg: VerifyConfig) -> dict:
         kern = RadialFunction(cfg.grid, cfg.grid.nodes ** (mu - n))
         norms = [lp_norm_annulus(kern, cfg.p, n, *region) for region in regions]
         slope = float(np.polyfit(np.log(phis), np.log(norms), 1)[0])
-        exact = mu - n + (0.0 if math.isinf(cfg.p) else n / cfg.p)
+        exact = mu - n + n / cfg.p
         out[f"mu={mu:g}"] = {"measured": slope, "exact": exact}
     return out
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+import run_all_checks
 from fracasym.params import FracParams
 from fracasym import kernels
 
@@ -20,6 +21,13 @@ def cache_dir(tmp_path_factory):
     test_profile_metadata_one_key_set reads the sidecars they write there.
     It saves no time: the in-process memo serves repeated builds."""
     return str(tmp_path_factory.mktemp("kernel-cache"))
+
+
+@pytest.fixture(scope="session")
+def battery(cache_dir):
+    """The check battery, label -> VerifyConfig, from its one definition,
+    scripts/run_all_checks.configs(), built through the session cache."""
+    return dict(run_all_checks.configs(cache_dir))
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,12 @@
 Each criterion states a property of the engine (special functions, transforms,
 kernel constants, solver gates, limit-theorem checks) with an explicit
 tolerance; expected values come from closed forms or independent oracles,
-never from the code under test.
+never from the code under test.  The limit-theorem criteria (07, 08, 10-14)
+run the battery's own configs, scripts/run_all_checks.configs(), through the
+`battery` fixture, so a change to the battery reaches this gate.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -13,8 +16,6 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfcx
 
-from fracasym import kernels
-from fracasym.params import FracParams, ScaleSpec
 from fracasym.potentials import riesz_constant, riesz_potential, riesz_tail_check
 from fracasym.radialtransform import (
     ExtrapolationWarning,
@@ -24,9 +25,9 @@ from fracasym.radialtransform import (
     radial_fourier_inverse,
     radial_integral,
 )
-from fracasym.solver import ForcingSpec, _build_w_table, time_weight
+from fracasym.solver import _build_w_table, time_weight
 from fracasym.special import mittag_leffler, ml_tail_coefficient
-from fracasym.verify import VerifyConfig, run_check
+from fracasym.verify import run_check
 
 
 _CAPTURE = None
@@ -132,33 +133,18 @@ def test_criterion_06_constant_identity(g_profile_ref, g_profile_beta1, g_profil
              f"{e3:.2e} (validation)")
 
 
-def test_criterion_07_time_integral(params_ref, cache_dir):
-    cfg = VerifyConfig(
-        params=params_ref,
-        forcing=ForcingSpec("gaussian", gamma=0.5, dim=3),
-        theorem="constant",
-        times=(1e2, 1e3, 1e4),
-        tolerance=1e-2,
-        cache_dir=cache_dir,
-    )
-    rep = run_check(cfg)
+def test_criterion_07_time_integral(battery):
+    rep = run_check(battery["constant"])
     series = rep.normalized_errors
     ok = _decreasing(series) and series[-1] <= 1e-2 and rep.verdict == "pass"
     _verdict(7, "time-integral", ok,
              "T-series " + ", ".join(f"{e:.3e}" for e in series))
 
 
-def test_criterion_08_norm_law(params_ref, cache_dir):
+def test_criterion_08_norm_law(battery):
     details, ok = [], True
     for p in (1.0, 1.2):
-        cfg = VerifyConfig(
-            params=params_ref,
-            forcing=ForcingSpec("gaussian", gamma=0.5, dim=3),
-            theorem="kernel-bounds",
-            p=p,
-            times=(1e2, 1e3, 1e4),
-            cache_dir=cache_dir,
-        )
+        cfg = dataclasses.replace(battery["kernel-bounds"], p=p)
         with pytest.warns(ExtrapolationWarning):  # [1e-9, 1e9] beyond the grid
             rep = run_check(cfg)
         err = rep.notes["slope_relative_error"]
@@ -180,42 +166,19 @@ def test_criterion_09_duhamel_gate():
     _verdict(9, "duhamel-gate", ok, f"max rel err vs closed form {worst:.2e}")
 
 
-def test_criterion_10_compact_sets(params_ref, cache_dir):
-    cfg = VerifyConfig(
-        params=params_ref,
-        forcing=ForcingSpec("gaussian", gamma=2.0, dim=3),
-        theorem="compact",
-        p=math.inf,
-        scale=ScaleSpec(kind="compact", radius=1.0),
-        times=(1e2, 1e3, 1e4),
-        tolerance=5e-2,
-        cache_dir=cache_dir,
-    )
-    rep = run_check(cfg)
+def test_criterion_10_compact_sets(battery):
+    rep = run_check(battery["compact"])
     series = rep.normalized_errors
     ok = rep.verdict == "pass" and _decreasing(series) and series[-1] <= 5e-2
     _verdict(10, "compact-sets", ok,
              "errors " + ", ".join(f"{e:.3e}" for e in series))
 
 
-def test_criterion_11_intermediate(params_ref, cache_dir):
-    # phi(t) = t^{theta/2}; convergence on these scales is slow (the kernel
-    # leaves its kappa power law at xi ~ t^{-theta/2}), so the checkpoints
-    # extend to t = 1e8
+def test_criterion_11_intermediate(battery):
     details, ok = [], True
     power_law_err = 0.0
-    for gamma, label in ((0.5, "S"), (2.0, "F")):
-        cfg = VerifyConfig(
-            params=params_ref,
-            forcing=ForcingSpec("gaussian", gamma=gamma, dim=3),
-            theorem="intermediate",
-            p=1.0,
-            scale=ScaleSpec(kind="intermediate", exponent=0.25, nu=1.0, mu=2.0),
-            times=(1e4, 1e6, 1e8),
-            tolerance=5e-2,
-            cache_dir=cache_dir,
-        )
-        rep = run_check(cfg)
+    for label in ("S", "F"):
+        rep = run_check(battery[f"intermediate-{label}"])
         series = rep.normalized_errors
         ok = ok and rep.verdict == "pass" and series[-1] <= 5e-2
         details.append(f"{label}: " + ", ".join(f"{e:.3e}" for e in series))
@@ -226,62 +189,36 @@ def test_criterion_11_intermediate(params_ref, cache_dir):
              "; ".join(details) + f"; annulus exponent err {power_law_err:.1e}")
 
 
-def test_criterion_12_outer(params_ref, cache_dir):
-    cfg = VerifyConfig(
-        params=params_ref,
-        forcing=ForcingSpec("gaussian", gamma=2.0, dim=3),
-        theorem="outer-mass",
-        p=1.0,
-        scale=ScaleSpec(kind="outer", nu=1.0),
-        times=(1e2, 1e3, 1e4),
-        tolerance=5e-2,
-        cache_dir=cache_dir,
-    )
-    rep = run_check(cfg)
+def test_criterion_12_outer(battery):
+    rep = run_check(battery["outer-mass"])
     series = rep.normalized_errors
     scalar_final = rep.notes["scalar_series"][-1]
+    general = run_check(battery["outer-general"])
+    general_series = general.normalized_errors
     ok = (
         rep.verdict == "pass"
         and _decreasing(series)
         and series[-1] <= 5e-2
         and scalar_final <= 1e-2
+        and general.verdict == "pass"
+        and _decreasing(general_series)
+        and general_series[-1] <= 5e-2
     )
     _verdict(12, "outer-scales", ok,
              "kernel " + ", ".join(f"{e:.3e}" for e in series)
-             + f"; scalar at 1e4 {scalar_final:.3e}")
+             + f"; scalar at 1e4 {scalar_final:.3e}"
+             + "; general " + ", ".join(f"{e:.3e}" for e in general_series))
 
 
-def test_criterion_13_log_law(cache_dir):
-    # scalar quadrature only; the log correction converges at rate 1/log t, so
-    # the subdiffusive exponent is taken near the classical end where the
-    # prefactor is small enough to clear the tolerance at t = 1e6
-    params = FracParams(0.9, 0.5, 3)
-    cfg = VerifyConfig(
-        params=params,
-        forcing=ForcingSpec("gaussian", gamma=1.0, dim=3),
-        theorem="outer-log",
-        scale=ScaleSpec(kind="outer", nu=1.0),
-        times=(1e4, 1e5, 1e6),
-        tolerance=5e-2,
-        cache_dir=cache_dir,
-    )
-    rep = run_check(cfg)
+def test_criterion_13_log_law(battery):
+    rep = run_check(battery["outer-log"])
     series = rep.normalized_errors
     ok = rep.verdict == "pass" and series[-1] <= 5e-2
     _verdict(13, "log-law", ok, "scalar " + ", ".join(f"{e:.3e}" for e in series))
 
 
-def test_criterion_14_coherence(params_ref, cache_dir):
-    cfg = VerifyConfig(
-        params=params_ref,
-        forcing=ForcingSpec("gaussian", gamma=0.5, dim=3),
-        theorem="coherence",
-        scale=ScaleSpec(kind="outer"),
-        times=(1e2, 1e3, 1e4),  # paired with xi = 1e-1, 1e-1.5, 1e-2
-        tolerance=5e-2,
-        cache_dir=cache_dir,
-    )
-    rep = run_check(cfg)
+def test_criterion_14_coherence(battery):
+    rep = run_check(battery["coherence"])
     final = rep.normalized_errors[-1]
     ok = rep.verdict == "pass" and final <= 5e-2
     _verdict(14, "coherence", ok,

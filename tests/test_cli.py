@@ -204,6 +204,7 @@ _UNREAD_KEYS = {
     "coherence": ("kind = outer\nnu = 7\np = 3", "kind, nu, p"),
     "kernel-bounds": ("radius = 9\ntolerance = 1e-9", "radius, tolerance"),
     "constant": ("p = 7\nradius = 3", "p, radius"),
+    "outer-general": ("mu = 7.5", "mu"),
 }
 
 
@@ -212,7 +213,8 @@ _UNREAD_KEYS = {
 @pytest.mark.parametrize("theorem", sorted(_UNREAD_KEYS))
 def test_keys_the_check_does_not_read_are_fatal(tmp_path, capsys, theorem):
     # each once exited 0 with a report that dropped the key: coherence
-    # recorded "p": null, kernel-bounds its own tolerance 1e-2
+    # recorded "p": null, kernel-bounds its own tolerance 1e-2, outer-general
+    # no mu, which only `potential` reads
     keys, named = _UNREAD_KEYS[theorem]
     text = FULL.replace("theorem = coherence", f"theorem = {theorem}").replace(
         "rho_min = 1e-2\nrho_max = 1e2\npoints = 256",
@@ -223,7 +225,7 @@ def test_keys_the_check_does_not_read_are_fatal(tmp_path, capsys, theorem):
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"code=config keys in [verify] that {theorem} does not read: {named}\n"
-    assert not list(out.iterdir())
+    assert not out.exists()
     # without them the check runs, and passes
     path = _write(tmp_path, text, name="read.ini")
     assert main(["verify", "--config", path, "--out", str(out)]) == 0
@@ -332,6 +334,7 @@ def test_verify_zero_forcing_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "code=precondition" in err and "nonzero forcing" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -537,3 +540,4 @@ def test_requires_forcing(tmp_path, capsys):
     code = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "forcing" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

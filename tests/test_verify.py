@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import run_all_checks
 from fracasym import kernels, radialtransform, solver, verify
 from fracasym.params import (
     FracParams,
@@ -426,19 +427,10 @@ def test_mass_convolution_reference_mass():
 
 # --- one engine pass per check ------------------------------------------------
 
-_SHORT, _LONG = (1e2, 1e3, 1e4), (1e4, 1e6, 1e8)
-_ANNULUS = ScaleSpec(kind="intermediate", exponent=0.25, nu=1.0, mu=2.0)
-# the battery's configs of the checks that transform, at (0.5, 0.5, 3):
-# label -> (theorem, gamma, p, scale, times)
-_BATCHED = {
-    "compact": ("compact", 2.0, math.inf, ScaleSpec(kind="compact", radius=1.0), _SHORT),
-    "intermediate-S": ("intermediate", 0.5, 1.0, _ANNULUS, _LONG),
-    "intermediate-F": ("intermediate", 2.0, 1.0, _ANNULUS, _LONG),
-    "outer-general": ("outer-general", 0.5, 1.0, ScaleSpec(kind="outer", nu=1.0), _SHORT),
-    "outer-mass": ("outer-mass", 2.0, 1.0, ScaleSpec(kind="outer", nu=1.0), _SHORT),
-    "coherence": ("coherence", 0.5, 1.0, ScaleSpec(kind="outer"), _SHORT),
-    "kernel-bounds": ("kernel-bounds", 0.5, 1.0, ScaleSpec(kind="compact"), _SHORT),
-}
+# the battery's checks that transform: the constant check runs no transform,
+# and outer-log's kernel comparison has no checkpoint at the battery point
+_BATCHED = {label: cfg for label, cfg in run_all_checks.configs()
+            if cfg.theorem not in ("constant", "outer-log")}
 
 
 def _per_t_symbol(cfg, t):
@@ -487,9 +479,7 @@ def _per_t_symbol(cfg, t):
 def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
     # one engine pass serves every checkpoint, and each of its outputs has
     # the bits of that checkpoint's symbol transformed on its own
-    theorem, gamma, p, scale, times = _BATCHED[label]
-    cfg = _cfg(theorem=theorem, forcing=ForcingSpec("gaussian", gamma=gamma, dim=3),
-               p=p, scale=scale, times=times)
+    cfg = _BATCHED[label]
     kernels.build_y_profile(cfg.params, grid=cfg.grid)  # kernel-bounds reads G
     passes, batches = [], []
     integrate = radialtransform._HankelEngine.integrate
@@ -512,8 +502,8 @@ def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
     assert len(passes) == 1 and len(batches) == 1
     monkeypatch.undo()
     batched, grid = batches[0]
-    assert len(batched) == len(times)
-    for t, u in zip(times, batched):
+    assert len(batched) == len(cfg.times)
+    for t, u in zip(cfg.times, batched):
         single = radial_fourier_inverse(_per_t_symbol(cfg, t), 3, grid)
         assert np.array_equal(u.samples, single.samples)
 
