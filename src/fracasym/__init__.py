@@ -21,7 +21,7 @@ from .radialtransform import (
     radial_fourier_inverses,
     radial_integral,
 )
-from .special import SpecialFunctionError, bessel_j_half, gamma_fn, mittag_leffler
+from .special import SpecialFunctionError, bessel_j_half, mittag_leffler
 from .kernels import (
     KernelError,
     KernelProfile,

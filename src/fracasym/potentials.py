@@ -42,7 +42,6 @@ from .radialtransform import (
     radial_integral,
 )
 from .reporting import ConvergenceReport, make_report
-from .special import gamma_fn
 from .spline import UniformSpline
 
 
@@ -54,8 +53,8 @@ def riesz_constant(mu: float, dim: int) -> float:
     """c_mu = Gamma((N-mu)/2) / (pi^{N/2} 2^mu Gamma(mu/2))."""
     if not 0.0 < mu < dim:
         raise PotentialError(f"mu must be in (0, N), got mu={mu}, N={dim}")
-    return gamma_fn((dim - mu) / 2.0) / (
-        math.pi ** (dim / 2.0) * 2.0**mu * gamma_fn(mu / 2.0)
+    return math.gamma((dim - mu) / 2.0) / (
+        math.pi ** (dim / 2.0) * 2.0**mu * math.gamma(mu / 2.0)
     )
 
 
@@ -133,7 +132,7 @@ def _potential(g, mu, dim, grid, ghat, subtract: bool):
         # the difference symbol exactly vanishing at r = 0 (a quadrature value
         # of the mass would leave a spurious M_err * E_mu residue dominating
         # every far annulus).  Cross-checked against the radial quadrature.
-        mass = float(np.asarray(ghat(np.array([1e-12]))).ravel()[0])
+        mass = float(np.asarray(ghat(np.array([0.0]))).ravel()[0])
         if g is not None:
             mass_quad = radial_integral(g, dim)
             if abs(mass_quad / mass - 1.0) > 1e-6:

@@ -34,8 +34,13 @@ once in the engine) and returns arrays of that shape; no symbol casts its
 argument.  Both directions share one finish: integrate, zero what lies below
 8x the rounding noise, scale by (2pi)^{-+N/2} r^{-N}.
 
+RadialFunction alone decides what a profile is beyond its grid: it stores
+each sample too small to carry a value as +0.0, and `tail` continues the
+profile past a grid end by its fitted power law if and only if that end's
+sample is nonzero.  Evaluation, the moment and the forward refusals read it.
+
 One radial moment, int_a^b |u|^p rho^{k-1} drho (or the signed int of u) over
-the grid plus the fitted power-law pieces beyond it in closed form, serves
+the grid plus the tails' power-law pieces in closed form, serves
 radial_integral, the finite-p lp_norm_annulus (L^p norms over annuli with the
 N-dimensional radial weight) and kernels.constant_A.
 """
@@ -95,29 +100,33 @@ class RadialFunction:
     """Radial profile sampled on a RadialGrid, interpolated in log-log
     coordinates when single-signed (quintic spline; lower orders are too
     inaccurate for the round-trip budget on the default grid), with fitted
-    power-law tails beyond the grid.  Mixed-sign data falls back to a cubic
-    spline on plain values.  Both are `spline.UniformSpline`s over the log of
-    the grid's nodes.
+    power-law tails beyond the grid ends whose sample is nonzero (`tail`).
+    Mixed-sign data falls back to a cubic spline on plain values.  Both are
+    `spline.UniformSpline`s over the log of the grid's nodes.
 
-    Construction refuses a wrong shape or a non-finite sample and finds the
-    core and its sign; the interpolant and the two tail fits are built on
-    first read (`functools.cached_property`), so a function made only to hand
-    on its samples never builds them.  It owns a read-only copy of its
+    Construction refuses a wrong shape or a non-finite sample, stores each
+    sample too small to carry a value as +0.0, and finds the nonzero core
+    and its sign; the interpolant and the two tail fits are built on first
+    read (`functools.cached_property`), so a function made only to hand on
+    its samples never builds them.  It owns a read-only copy of its
     samples: writing into the caller's array cannot make `samples` disagree
     with the spline and the tails built from them, whenever they are built,
     and equal grid and samples always mean the same function."""
 
     def __init__(self, grid: RadialGrid, samples):
         samples = np.array(samples, dtype=float)
-        samples.flags.writeable = False
         if samples.shape != (grid.points,):
             raise TransformError("samples must match the grid size")
         if not np.all(np.isfinite(samples)):
             raise TransformError("non-finite samples")
+        # the one zero: a sample this small (an underflow, or a clamped tail)
+        # is stored as +0.0, so that "nonzero" means the same to every reader
+        samples[np.abs(samples) <= 1e-300] = 0.0
+        samples.flags.writeable = False
         self.grid = grid
         self.samples = samples
 
-        nz = np.abs(samples) > 1e-300
+        nz = samples != 0
         self.is_zero = not nz.any()
         self._core = (0, grid.points - 1)
         self._single_signed = False
@@ -126,10 +135,7 @@ class RadialFunction:
             core = samples[i0 : i1 + 1]
             # single-signed contiguous core (possibly with zero tails, e.g.
             # after sub-noise clamping of a super-exponentially decaying tail)
-            self._single_signed = bool(
-                np.all(np.abs(core) > 1e-300)
-                and np.all(np.sign(core) == np.sign(core[0]))
-            )
+            self._single_signed = bool(np.all(np.sign(core) == np.sign(core[0])))
             if self._single_signed:
                 self._core = (i0, i1)
                 self._sign = float(np.sign(core[0]))
@@ -173,11 +179,22 @@ class RadialFunction:
         edge = u[0] + math.log(10.0) if inner else u[-1] - math.log(10.0)
         sel = u <= edge if inner else u >= edge
         vv = v[sel]
-        if (vv.size < 2 or np.any(np.abs(vv) <= 1e-300)
+        if (vv.size < 2 or np.any(vv == 0)
                 or not (np.sign(vv) == np.sign(vv[0])).all()):
             return 0.0
         slope = np.polyfit(u[sel], np.log(np.abs(vv)), 1)[0]
         return float(slope)
+
+    def tail(self, inner: bool):
+        """The power law (edge sample, edge, exponent) that continues the
+        profile below (inner) or above the grid if that end's sample is
+        nonzero; else None, and the profile is 0 there."""
+        s = self.samples[0 if inner else -1]
+        if not s:
+            return None
+        if inner:
+            return s, self.grid.rho_min, self.inner_exponent
+        return s, self.grid.rho_max, self.outer_exponent
 
     def __call__(self, rho):
         rho_arr = np.asarray(rho, dtype=float)
@@ -187,22 +204,21 @@ class RadialFunction:
         out = np.zeros_like(flat)
         if not self.is_zero:
             i0, i1 = self._core
-            lo_edge, hi_edge = self.grid.nodes[i0], self.grid.nodes[i1]
             u = np.log(flat)
-            lo = flat < lo_edge
-            hi = flat > hi_edge
+            lo = flat < self.grid.nodes[i0]
+            hi = flat > self.grid.nodes[i1]
             mid = ~lo & ~hi
             if mid.any():
                 if self._single_signed:
                     out[mid] = self._sign * np.exp(self._spline(u[mid]))
                 else:
                     out[mid] = self._spline(u[mid])
-            # power-law extrapolation applies only where the core reaches the
-            # grid edge; clamped (zero) tails stay zero
-            if lo.any() and i0 == 0:
-                out[lo] = self.samples[0] * (flat[lo] / lo_edge) ** self.inner_exponent
-            if hi.any() and i1 == self.grid.points - 1:
-                out[hi] = self.samples[-1] * (flat[hi] / hi_edge) ** self.outer_exponent
+            # beyond the core: the tail's power law, or 0 where it has none
+            for beyond, inner in ((lo, True), (hi, False)):
+                law = beyond.any() and self.tail(inner)
+                if law:
+                    s, edge, m = law
+                    out[beyond] = s * (flat[beyond] / edge) ** m
         out = out.reshape(rho_arr.shape)
         return float(out) if np.isscalar(rho) else out
 
@@ -446,11 +462,8 @@ def radial_fourier_inverses(symbols, dim: int, grid: RadialGrid | None = None):
     """
     grid = grid or RadialGrid()
     _check_symbol_decay(symbols)
-    out = []
-    for samples in _engine(dim).transform(symbols, grid.nodes, -1):
-        samples[np.abs(samples) < 1e-300] = 0.0  # underflow clamp
-        out.append(RadialFunction(grid, samples))
-    return out
+    return [RadialFunction(grid, samples)
+            for samples in _engine(dim).transform(symbols, grid.nodes, -1)]
 
 
 def radial_fourier_inverse(symbol, dim: int, grid: RadialGrid | None = None) -> RadialFunction:
@@ -462,10 +475,10 @@ def radial_fourier_inverse(symbol, dim: int, grid: RadialGrid | None = None) -> 
 def radial_fourier_forward(h: RadialFunction, dim: int):
     """Returns the vectorized function r -> (2pi)^{N/2} r^{1-N/2}
     int_0^inf h(rho) J_nu(r rho) rho^{N/2} drho."""
-    if h.inner_exponent <= -dim:
+    inner, outer = h.tail(True), h.tail(False)
+    if inner and inner[2] <= -dim:
         raise TransformError("input not integrable with the radial weight at 0")
-    reaches_edge = not h.is_zero and abs(h.samples[-1]) > 0
-    if reaches_edge and h.outer_exponent >= -dim:
+    if outer and outer[2] >= -dim:
         raise TransformError("input not integrable with the radial weight at infinity")
     eng = _engine(dim)
 
@@ -487,18 +500,18 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None) -> float:
     f = |u|^p otherwise, for 0 <= a < b <= inf.
 
     On the grid: 8-point Gauss-Legendre in log rho per cell the range meets.
-    Beyond it: the power law fitted at that grid end, integrated in closed
-    form.  Only a piece that reaches 0 or inf can diverge, and one that does
-    returns +-inf at once.  A zero edge sample (a clamped tail) has no piece.
+    Beyond it: the grid end's power law (RadialFunction.tail), integrated
+    in closed form; an end without one adds nothing.  Only a piece that
+    reaches 0 or inf can diverge, and one that does returns +-inf at once.
     """
     g = u.grid
 
     def power_law(inner, lo, hi):
-        """int_lo^hi of the power law fitted at the inner or outer grid end."""
-        if inner:
-            s, edge, slope = u.samples[0], g.rho_min, u.inner_exponent
-        else:
-            s, edge, slope = u.samples[-1], g.rho_max, u.outer_exponent
+        """int_lo^hi of the power law beyond the inner or outer grid end."""
+        tail = u.tail(inner)
+        if tail is None:
+            return 0.0
+        s, edge, slope = tail
         f = s if p is None else abs(s) ** p
         m = slope if p is None else p * slope
         e = m + k
@@ -518,10 +531,9 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None) -> float:
     total = 0.0
     lo = a
     if a < g.rho_min:
-        if u.samples[0] != 0:
-            total += power_law(True, a, min(b, g.rho_min))  # may end below the grid
-            if math.isinf(total):
-                return total
+        total += power_law(True, a, min(b, g.rho_min))  # may end below the grid
+        if math.isinf(total):
+            return total
         lo = g.rho_min
     hi = min(b, g.rho_max)
     if hi > lo:
@@ -530,7 +542,7 @@ def _moment(u: RadialFunction, k: float, a: float, b: float, p=None) -> float:
         rho = np.exp(x)
         f = u(rho) if p is None else np.abs(u(rho)) ** p
         total += float(np.dot(w, f * rho**k))
-    if b > g.rho_max and u.samples[-1] != 0:
+    if b > g.rho_max:
         total += power_law(False, max(a, g.rho_max), b)  # may start beyond the grid
     return total
 

@@ -29,8 +29,9 @@ entry holds about 40 KB (721 knots, 6 x 720 coefficients) and takes 6-15 ms
 to build, an expansions entry 3.4 KB, and a run visits only a few (a, b)
 pairs.
 
-Gamma comes from the math module: `gamma_fn` for any real non-pole argument
-and the reciprocal `_rgamma` for the expansions' coefficients.
+Gamma is `math.gamma`, on one positive scalar at every call site; its
+reciprocal `_rgamma` (0 at the poles and on overflow) gives the expansions'
+coefficients.
 
 Only order a in (0, 1] and second parameter b in {1, a} are exercised by the
 rest of the package; any b with a <= b <= 1, the range of the table's error
@@ -54,31 +55,15 @@ class SpecialFunctionError(ValueError):
     pass
 
 
-def _gamma(x: float) -> float:
-    """math.gamma, inf where it overflows."""
-    try:
-        return math.gamma(x)
-    except OverflowError:  # x above 171.62
-        return math.inf
-
-
-def gamma_fn(x):
-    """Gamma function for real non-pole arguments (math.gamma; inf where it
-    overflows)."""
-    x_arr = np.asarray(x, dtype=float)
-    pole = (x_arr <= 0) & (x_arr == np.floor(x_arr))
-    if np.any(pole):
-        raise SpecialFunctionError("Gamma pole: argument is a nonpositive integer")
-    out = np.array([_gamma(v) for v in x_arr.ravel().tolist()]).reshape(x_arr.shape)
-    return float(out) if np.isscalar(x) else out
-
-
 def _rgamma(x: float) -> float:
     """1/Gamma(x), 0 at the poles and where Gamma overflows (x above 171.62,
     where 1/Gamma is below 5.7e-309), as scipy's `rgamma`."""
     if x <= 0 and x == math.floor(x):
         return 0.0
-    return 1.0 / _gamma(x)
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
 
 
 def ml_tail_coefficient(a: float) -> float:

@@ -17,7 +17,7 @@ forcing's transform times the time weight W(r^{2b}, t), built by
 solver.duhamel_symbols.  One owner, _limit_profile, holds the coefficient
 table of every limit profile: the class profiles c2 E_{2b} + c4 E_{4b} at
 time t and the exterior's M* (log t)^l; the compact limit is its t = 1 case
-per unit mass.  kappa is the closed form kernels.estimate_kappa, so compact
+per unit mass, whose Riesz symbol _compact_limit_symbol builds.  kappa is the closed form kernels.estimate_kappa, so compact
 and intermediate build no kernel profile.
 
 run_check is the one entry point.  Before any transform it refuses, with
@@ -79,12 +79,11 @@ from .radialtransform import (
     RadialFunction,
     RadialGrid,
     lp_norm_annulus,
-    radial_fourier_inverse,
     radial_fourier_inverses,
 )
 from .reporting import ConvergenceReport, make_report
 from .solver import ForcingSpec, duhamel_symbols, solution_mass
-from .special import gamma_fn, gl_panels
+from .special import gl_panels
 
 
 class VerifyError(ValueError):
@@ -226,13 +225,11 @@ def _riesz_profiles(params: FracParams, coeffs):
 # --- compact sets -------------------------------------------------------------
 
 
-def limit_profile_compact(cfg: VerifyConfig):
-    """The compact-set limit L of t^{min(gamma,1+alpha)} u: amplitude g
-    convolved with the "compact" row of _limit_profile, built spectrally."""
-    fs, params = cfg.forcing, cfg.params
-    riesz = _riesz_profiles(params, [_limit_profile(params, fs.gamma, 1.0, 1.0, "compact")])[0]
-    symbol = lambda r: fs.amplitude * fs.ghat(r) * riesz(r)[0]
-    return radial_fourier_inverse(symbol, params.dim, cfg.grid)
+def _compact_limit_symbol(params: FracParams, gamma: float):
+    """The Riesz symbol r -> L-hat(r) / (amplitude g-hat(r)) of the compact
+    limit L of t^{min(gamma,1+alpha)} u: the "compact" row of _limit_profile."""
+    symbols = _riesz_profiles(params, [_limit_profile(params, gamma, 1.0, 1.0, "compact")])[0]
+    return lambda r: symbols(r)[0]
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
@@ -241,11 +238,11 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
     min(gamma,1+alpha), with e the t-exponent of params.sharp_rate."""
     fs, params = cfg.forcing, cfg.params
     m = -sharp_rate(params, cfg.p, fs.gamma, cfg.scale)[0]
-    riesz = _riesz_profiles(params, [_limit_profile(params, fs.gamma, 1.0, 1.0, "compact")])[0]
+    riesz = _compact_limit_symbol(params, fs.gamma)
     scales = [t**m for t in cfg.times]
 
     def profiles(r, lam, ag):
-        limit = ag * riesz(r)[0]
+        limit = ag * riesz(r)
         return [limit / tm for tm in scales]
 
     _, errs = _checkpoint_series(cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, profiles))
@@ -320,7 +317,7 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
     fs, params = cfg.forcing, cfg.params
     a = params.alpha
     law = lambda t: _limit_profile(params, fs.gamma, fs.M0, t, "outer")
-    scalar = [abs(gamma_fn(a) * solution_mass(fs, params, t) / (t ** (a - 1.0) * log_l) - limit)
+    scalar = [abs(math.gamma(a) * solution_mass(fs, params, t) / (t ** (a - 1.0) * log_l) - limit)
               / abs(limit) for t, (limit, log_l) in zip(cfg.times, map(law, cfg.times))]
 
     y_hats = kernels._symbol(params, "G", kernel_times)

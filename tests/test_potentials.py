@@ -125,6 +125,16 @@ def test_deviation_mass_cross_check():
         )
 
 
+@pytest.mark.parametrize("family", ["gaussian", "bump", "heavy"])
+def test_closed_form_mass_is_ghat_at_zero(family):
+    # the mass subtracted from a closed-form g-hat is g-hat(0), the forcing's
+    # own mass_g, to the bit; read at r = 1e-12, the heavy family's was
+    # 1.0e-12 low, which left a 1e-12 M r^{-mu} residue in the symbol
+    fs = ForcingSpec(family, gamma=2.0, dim=3)
+    _, mass = potential_deviation(None, 2.0, 3, RadialGrid(1e-2, 50.0, 128), ghat=fs.ghat)
+    assert mass == fs.mass_g
+
+
 @pytest.mark.parametrize("p", [1.0, math.inf])
 def test_tail_check_gaussian(p):
     grid = RadialGrid(1e-2, 50.0, 512)

@@ -510,6 +510,62 @@ def test_radial_integral_is_l1_norm_of_positive_function():
         assert abs(total - norm) <= 4 * np.spacing(norm)
 
 
+# --- zeros and tails: one rule ------------------------------------------------
+
+
+def _planted(zeros=0, edge=None):
+    """rho^{-4} e^{-rho} on 256 points over [1e-3, 1e3], with its first
+    `zeros` samples set to 0 and then its first sample to `edge`."""
+    grid = RadialGrid(1e-3, 1e3, 256)
+    samples = grid.nodes**-4.0 * np.exp(-grid.nodes)
+    samples[:zeros] = 0.0
+    if edge is not None:
+        samples[0] = edge
+    return RadialFunction(grid, samples)
+
+
+def test_no_sample_is_kept_at_or_below_1e_300():
+    # a sample of size at most 1e-300 is stored as +0.0, whatever its sign;
+    # one above it is kept
+    grid = RadialGrid(1e-2, 10.0, 128)
+    samples = np.full(grid.points, 1e-299)
+    samples[:6] = [1e-300, -1e-300, 5e-324, -5e-324, -0.0, 1e-301]
+    u = RadialFunction(grid, samples)
+    assert np.all((u.samples == 0.0) | (np.abs(u.samples) > 1e-300))
+    assert np.array_equal(u.samples[:6], np.zeros(6)) and not np.signbit(u.samples).any()
+    assert np.all(u.samples[6:] == 1e-299)
+    assert RadialFunction(grid, np.full(grid.points, -1e-301)).is_zero
+    # the clamped samples of a transform output are +0.0
+    h = radial_fourier_inverse(lambda r: np.exp(-(r**2)), 3, RadialGrid(1e-3, 1e3, 128))
+    zero = h.samples == 0.0
+    assert zero.any() and not np.signbit(h.samples[zero]).any()
+    assert np.all(np.abs(h.samples[~zero]) > 1e-300)
+
+
+def test_an_edge_sample_below_1e_300_has_no_tail():
+    # the sample 1e-301 is a zero: the profile is 0 below the grid, and its
+    # integral is the one with that sample at 0 (it was inf, from a power law
+    # fitted to the core above and continued from the edge)
+    u, zeroed = _planted(edge=1e-301), _planted(edge=0.0)
+    total = radial_integral(u, 3)
+    assert math.isfinite(total) and total == radial_integral(zeroed, 3)
+    assert total == pytest.approx(11812.21, rel=1e-6)
+    assert u(1e-4) == 0.0 and u.tail(True) is None
+
+
+def test_forward_accepts_a_profile_zero_below_its_core():
+    # zero below its core, the profile has no power law at 0 to refuse (it
+    # was refused as "not integrable at 0" while radial_integral integrated
+    # it); the refusals read the same rule as the integral
+    u = _planted(zeros=10)
+    assert np.all(np.isfinite(radial_fourier_forward(u, 3)(np.array([0.5, 1.0]))))
+    assert radial_integral(u, 3) == pytest.approx(7224.65, rel=1e-6)
+    assert u.tail(True) is None
+    # with its power law at 0, rho^{-4} is refused there
+    with pytest.raises(TransformError, match="at 0"):
+        radial_fourier_forward(_planted(), 3)
+
+
 def test_fitted_exponents():
     grid = RadialGrid(1e-3, 1e3, 512)
     u = RadialFunction(grid, grid.nodes**-2.5)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 from scipy.special import erfcx, rgamma
-from scipy.special import gamma as scipy_gamma
 
 from fracasym import special
 from fracasym.radialtransform import _leggauss_extended
@@ -24,38 +23,10 @@ from fracasym.special import (
     _ml_integral,
     _ml_table,
     bessel_j_half,
-    gamma_fn,
     gl_panels,
     ml_tail_coefficient,
     mittag_leffler,
 )
-
-
-def test_gamma_basic():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-    with pytest.raises(SpecialFunctionError):
-        gamma_fn(-2.0)
-    with pytest.raises(SpecialFunctionError):
-        gamma_fn(0.0)
-
-
-def test_gamma_matches_scipy():
-    # math.gamma behind gamma_fn, scalar and array, against scipy's gamma on
-    # positive arguments up to overflow and on negative non-integers
-    x = np.concatenate([
-        np.geomspace(1e-6, 171.6, 400),
-        -np.geomspace(1e-6, 150.0, 300) * (1.0 + 1e-3),
-        -np.arange(1, 60) + 0.5,
-    ])
-    x = x[x != np.floor(x)]
-    got = gamma_fn(x)
-    assert np.all(np.abs(got / scipy_gamma(x) - 1.0) <= 1e-14)
-    assert gamma_fn(float(x[7])) == got[7]
-    assert gamma_fn(180.0) == math.inf == scipy_gamma(180.0)
-    for pole in (-3.0, np.array([1.5, -1.0])):
-        with pytest.raises(SpecialFunctionError):
-            gamma_fn(pole)
 
 
 def test_reciprocal_gamma_matches_rgamma():

@@ -25,7 +25,6 @@ from fracasym.special import mittag_leffler
 from fracasym.verify import (
     VerifyConfig,
     VerifyError,
-    limit_profile_compact,
     run_check,
 )
 
@@ -78,7 +77,6 @@ def test_zero_forcing_trivial_reports(monkeypatch):
     def no_transform(*args, **kwargs):
         raise AssertionError("transform run before the precondition")
 
-    monkeypatch.setattr(verify, "radial_fourier_inverse", no_transform)
     monkeypatch.setattr(solver, "radial_fourier_inverse", no_transform)
     monkeypatch.setattr(radialtransform._HankelEngine, "integrate", no_transform)
     # the guard fires on a check that does transform
@@ -376,12 +374,21 @@ def test_compact_and_intermediate_take_kappa_from_params(monkeypatch):
     assert rep.scale["class"] == "F"
 
 
+def _compact_limit(cfg):
+    """The compact limit L that verify_compact compares against: amplitude
+    g-hat times the check's own Riesz symbol, inverted."""
+    fs = cfg.forcing
+    riesz = verify._compact_limit_symbol(cfg.params, fs.gamma)
+    return radial_fourier_inverse(
+        lambda r: fs.amplitude * fs.ghat(r) * riesz(r), cfg.params.dim, cfg.grid)
+
+
 def test_cross_regime_coherence_of_compact_profile(cache_dir):
     # for gamma < 1 + alpha the compact limit is c_{2b} I_{2b}[g]; far out it
     # must match the inner edge of the outer description:
     # rho^{N-2b} L(rho) -> M0 c_{2b}
     cfg = _cfg(cache_dir=cache_dir, grid=RadialGrid(1e-3, 1e3, 768))
-    L = limit_profile_compact(cfg)
+    L = _compact_limit(cfg)
     rho = 50.0
     c2b = riesz_constant(1.0, 3)
     got = rho**2.0 * float(L(rho)) / (cfg.forcing.M0 * c2b)
@@ -407,7 +414,7 @@ def test_compact_limit_matches_riesz_potentials(gamma):
         want = c2b * I2 + (kappa / params.alpha) * I4
     else:
         want = (kappa / (gamma - 1.0)) * I4
-    got = limit_profile_compact(cfg).samples
+    got = _compact_limit(cfg).samples
     assert np.array_equal(got == 0.0, want == 0.0)
     nonzero = want != 0.0
     assert np.all(np.abs(got[nonzero] / want[nonzero] - 1.0) <= 1e-15)
