@@ -35,9 +35,10 @@ argument.  Both directions share one finish: integrate, zero what lies below
 8x the rounding noise, scale by (2pi)^{-+N/2} r^{-N}.
 
 RadialFunction alone decides what a profile is beyond its grid: it stores
-each sample too small to carry a value as +0.0, and `tail` continues the
-profile past a grid end by its fitted power law if and only if that end's
-sample is nonzero.  Evaluation, the moment and the forward refusals read it.
+each sample too small to carry a value as +0.0, and `tail`, the only reader
+of a fitted end, continues the profile past a grid end by its fitted power
+law if and only if that end's sample is nonzero.  lp_norm_annulus warns
+(ExtrapolationWarning) iff [a, b] leaves the grid on a side with a tail.
 
 One radial moment, int_a^b |u|^p rho^{k-1} drho (or the signed int of u) over
 the grid plus the tails' power-law pieces in closed form, serves
@@ -69,7 +70,7 @@ class TransformError(RuntimeError):
 
 
 class ExtrapolationWarning(UserWarning):
-    """Requested range extends beyond the grid; power-law tails were used."""
+    """The range leaves the grid on a side whose fitted power law is read."""
 
 
 def omega_n(dim: int) -> float:
@@ -100,18 +101,19 @@ class RadialFunction:
     """Radial profile sampled on a RadialGrid, interpolated in log-log
     coordinates when single-signed (quintic spline; lower orders are too
     inaccurate for the round-trip budget on the default grid), with fitted
-    power-law tails beyond the grid ends whose sample is nonzero (`tail`).
-    Mixed-sign data falls back to a cubic spline on plain values.  Both are
-    `spline.UniformSpline`s over the log of the grid's nodes.
+    power-law tails beyond the grid ends whose sample is nonzero (`tail`,
+    the only reader of a fitted end).  Mixed-sign data falls back to a cubic
+    spline on plain values.  Both are `spline.UniformSpline`s over the log
+    of the grid's nodes.
 
     Construction refuses a wrong shape or a non-finite sample, stores each
     sample too small to carry a value as +0.0, and finds the nonzero core
-    and its sign; the interpolant and the two tail fits are built on first
-    read (`functools.cached_property`), so a function made only to hand on
-    its samples never builds them.  It owns a read-only copy of its
-    samples: writing into the caller's array cannot make `samples` disagree
-    with the spline and the tails built from them, whenever they are built,
-    and equal grid and samples always mean the same function."""
+    and its sign; the interpolant (a `functools.cached_property`) and each
+    end's fit (in `tail`) are built on first read, so a function made only
+    to hand on its samples never builds them.  It owns a read-only copy of
+    its samples: writing into the caller's array cannot make `samples`
+    disagree with the spline and the tails built from them, whenever they
+    are built, and equal grid and samples always mean the same function."""
 
     def __init__(self, grid: RadialGrid, samples):
         samples = np.array(samples, dtype=float)
@@ -125,6 +127,7 @@ class RadialFunction:
         samples.flags.writeable = False
         self.grid = grid
         self.samples = samples
+        self._exponents = {}  # inner (True) / outer (False) -> fitted, by `tail`
 
         nz = samples != 0
         self.is_zero = not nz.any()
@@ -161,19 +164,9 @@ class RadialFunction:
             )
         return UniformSpline(self._log_nodes, self.samples, k=3)
 
-    @cached_property
-    def inner_exponent(self) -> float:
-        return self._fit_exponent(inner=True)
-
-    @cached_property
-    def outer_exponent(self) -> float:
-        return self._fit_exponent(inner=False)
-
     def _fit_exponent(self, inner: bool) -> float:
         """Least-squares log-log slope over the lowest/highest covered decade;
         0 where that decade holds one sample, a zero or a sign change."""
-        if self.is_zero:
-            return 0.0
         i0, i1 = self._core
         u, v = self._log_nodes[i0 : i1 + 1], self.samples[i0 : i1 + 1]
         edge = u[0] + math.log(10.0) if inner else u[-1] - math.log(10.0)
@@ -186,15 +179,15 @@ class RadialFunction:
         return float(slope)
 
     def tail(self, inner: bool):
-        """The power law (edge sample, edge, exponent) that continues the
-        profile below (inner) or above the grid if that end's sample is
-        nonzero; else None, and the profile is 0 there."""
+        """The power law (edge sample, edge, exponent), fitted once, that
+        continues the profile below (inner) or above the grid if that end's
+        sample is nonzero; else None, and the profile is 0 there."""
         s = self.samples[0 if inner else -1]
         if not s:
             return None
-        if inner:
-            return s, self.grid.rho_min, self.inner_exponent
-        return s, self.grid.rho_max, self.outer_exponent
+        if inner not in self._exponents:
+            self._exponents[inner] = self._fit_exponent(inner)
+        return s, self.grid.rho_min if inner else self.grid.rho_max, self._exponents[inner]
 
     def __call__(self, rho):
         rho_arr = np.asarray(rho, dtype=float)
@@ -224,18 +217,9 @@ class RadialFunction:
 
     # --- serialization --------------------------------------------------
 
-    def metadata(self) -> dict:
-        return {
-            "rho_min": self.grid.rho_min,
-            "rho_max": self.grid.rho_max,
-            "points": self.grid.points,
-            "inner_exponent": self.inner_exponent,
-            "outer_exponent": self.outer_exponent,
-            "convention": _CONVENTION,
-        }
-
     def save(self, csv_path, extra_metadata=None):
-        """CSV (`rho,value`, 17 significant digits) plus a JSON sidecar."""
+        """CSV (`rho,value`, 17 significant digits) plus a JSON sidecar: the
+        grid, each end's `tail` exponent or null, the convention, extras."""
         lines = ["rho,value"]
         # Python floats format faster than numpy scalars, to the same bytes
         lines += [
@@ -243,9 +227,16 @@ class RadialFunction:
             for rho, val in zip(self.grid.nodes.tolist(), self.samples.tolist())
         ]
         atomic_write(csv_path, "\n".join(lines) + "\n")
-        meta = self.metadata()
-        if extra_metadata:
-            meta.update(extra_metadata)
+        inner, outer = self.tail(True), self.tail(False)
+        meta = {
+            "rho_min": self.grid.rho_min,
+            "rho_max": self.grid.rho_max,
+            "points": self.grid.points,
+            "inner_exponent": inner[2] if inner else None,
+            "outer_exponent": outer[2] if outer else None,
+            "convention": _CONVENTION,
+            **(extra_metadata or {}),
+        }
         atomic_write(
             os.path.splitext(csv_path)[0] + ".json", json.dumps(meta, indent=2) + "\n"
         )
@@ -554,7 +545,9 @@ def radial_integral(u: RadialFunction, dim: int) -> float:
 
 
 def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -> float:
-    """(omega_N int_a^b |u|^p rho^{N-1} drho)^{1/p}; supremum for p = inf."""
+    """(omega_N int_a^b |u|^p rho^{N-1} drho)^{1/p}; supremum for p = inf,
+    inf over a = 0 if the inner `tail` (the one reader of a fitted end) grows
+    there.  ExtrapolationWarning iff [a, b] leaves the grid on a side with one."""
     if not b > a >= 0:
         raise TransformError(f"need 0 <= a < b, got [{a}, {b}]")
     if not p >= 1:
@@ -564,7 +557,7 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
     if u.is_zero:
         return 0.0
     g = u.grid
-    if a < g.rho_min or b > g.rho_max:
+    if (a < g.rho_min and u.tail(True)) or (b > g.rho_max and u.tail(False)):
         warnings.warn(
             f"annulus [{a}, {b}] exceeds grid [{g.rho_min}, {g.rho_max}]; "
             "fitted power-law tails in use",
@@ -573,6 +566,9 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
         )
 
     if math.isinf(p):
+        law = a == 0 and u.tail(True)
+        if law and law[2] < 0:  # unbounded at 0, where the moment diverges too
+            return math.inf
         # six decades below the grid, or below b where b lies beneath it, so
         # that every sample stays in [a, b]
         lo = max(a, min(g.rho_min, b) * 1e-6)

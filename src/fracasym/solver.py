@@ -51,7 +51,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .params import FracParams
-from .radialtransform import RadialFunction, RadialGrid, radial_fourier_inverse
+from .radialtransform import RadialFunction, RadialGrid, TransformError, radial_fourier_inverse
 from .special import _horner, _rgamma, bessel_j_half, gl_panels, mittag_leffler
 from .spline import UniformSpline
 
@@ -269,7 +269,7 @@ def _build_w_table(alpha: float, gamma: float, t: float):
     """Spline table of log W over log lam, cached per (alpha, gamma, t)."""
     lam, w_vals = _w_knots(alpha, gamma, t)
     if np.any(w_vals <= 0) or not np.all(np.isfinite(w_vals)):
-        raise SolverError("time-weight quadrature produced nonpositive values")
+        raise TransformError("time-weight quadrature produced nonpositive values")
     spline = UniformSpline(np.log(lam), np.log(w_vals), k=3)
     return lam[0], lam[-1], w_vals[0], w_vals[-1], spline
 
@@ -367,7 +367,7 @@ def solve_duhamel(
         if neg.any():
             floor = 1e-12 * np.max(np.abs(u.samples))
             if np.any(u.samples < -floor):
-                raise SolverError("solution slice significantly negative")
+                raise TransformError("solution slice significantly negative")
             cleaned = u.samples.copy()
             cleaned[neg] = 0.0
             u = RadialFunction(grid, cleaned)

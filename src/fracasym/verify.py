@@ -431,10 +431,11 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     at the origin is in L^p only for p < p_*, so larger p is refused.
 
     The norms run over [1e-9, 1e9], beyond the [1e-3, 1e5] grid, so they
-    rest partly on the power laws fitted at the grid ends.  notes
-    ["beyond_grid"] says by how much, per checkpoint: the share 1 - (norm over
-    the grid) / (norm over [1e-9, 1e9]), that the tails were fitted, and the
-    fitted inner and outer exponents."""
+    rest partly on the power laws fitted at the grid ends (and warn where an
+    end has one).  notes["beyond_grid"] says by how much, per checkpoint: the
+    share 1 - (norm over the grid) / (norm over [1e-9, 1e9]), and, from
+    RadialFunction.tail (the only reader of a fitted end), "fitted" or null
+    and each exponent or null."""
     params = cfg.params
     if params.alpha >= 1.0:
         raise VerifyError("kernel estimates apply to alpha < 1 only")
@@ -454,9 +455,11 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
         # what the norm rests on beyond the grid: the share it takes from the
         # power laws fitted at the grid ends, and their exponents
         on_grid = lp_norm_annulus(u, cfg.p, params.dim, wide.rho_min, wide.rho_max)
-        beyond.append({"t": t, "share": 1.0 - on_grid / norms[-1], "tails": "fitted",
-                       "inner_exponent": u.inner_exponent,
-                       "outer_exponent": u.outer_exponent})
+        inner, outer = u.tail(True), u.tail(False)
+        beyond.append({"t": t, "share": 1.0 - on_grid / norms[-1],
+                       "tails": "fitted" if inner or outer else None,
+                       "inner_exponent": inner[2] if inner else None,
+                       "outer_exponent": outer[2] if outer else None})
     slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
     sp = sigma_p(params, cfg.p)
     slope_err = abs(slope + sp) / abs(sp)

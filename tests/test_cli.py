@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from fracasym import kernels
+from fracasym import kernels, solver
 from fracasym.cli import ConfigError, main, parse_config
 from fracasym.params import FracParams, ScaleSpec, rate_at
 from fracasym.potentials import riesz_constant
+from fracasym.radialtransform import RadialFunction
 from fracasym.solver import ForcingSpec
 from fracasym.verify import THEOREMS
 
@@ -168,6 +169,65 @@ def test_verify_precondition_exit_code(tmp_path, capsys):
         code = main(["verify", "--config", path, "--out", out])
         assert code == 2
         assert f"code={code_} " in capsys.readouterr().err
+
+
+def _plant_negative_sample(module, monkeypatch):
+    """Make module's radial_fourier_inverse return its output with sample 100
+    set to minus the largest sample."""
+    inverse = module.radial_fourier_inverse
+
+    def planted(symbol, dim, grid):
+        samples = inverse(symbol, dim, grid).samples.copy()
+        samples[100] = -samples.max()
+        return RadialFunction(grid, samples)
+
+    monkeypatch.setattr(module, "radial_fourier_inverse", planted)
+
+
+def _numerical_failure(tmp_path, capsys, command, text):
+    """Run command on text and return its stderr, which must follow exit 1."""
+    out = str(tmp_path / "out")
+    assert main([command, "--config", _write(tmp_path, text), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("code=numerical ")
+    return err
+
+
+def test_solver_numerical_failures_exit_1(tmp_path, capsys, monkeypatch):
+    # a significantly negative solution slice and a nonpositive time-weight
+    # knot are numerical errors (they exited 2 as preconditions); a time of 0
+    # is still refused as one
+    solve = FULL.replace("times = 1e2 1e3 1e4", "times = 10")
+    path = _write(tmp_path, solve.replace("times = 10", "times = 0"), name="zero.ini")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "zero")]) == 2
+    assert "code=precondition time must be positive" in capsys.readouterr().err
+    with monkeypatch.context() as m:
+        _plant_negative_sample(solver, m)
+        assert "significantly negative" in _numerical_failure(tmp_path, capsys, "solve", solve)
+    knots = solver._w_knots
+
+    def nonpositive_knot(*args):
+        lam, w = knots(*args)
+        w[600] = 0.0
+        return lam, w
+
+    monkeypatch.setattr(solver, "_w_knots", nonpositive_knot)
+    solver._build_w_table.cache_clear()  # a cached table would skip the knots
+    assert "nonpositive values" in _numerical_failure(tmp_path, capsys, "verify", COHERENCE)
+
+
+def test_kernel_refusals_exit_1(tmp_path, capsys, monkeypatch):
+    # a G profile negative on the grid, and a constant A that is not finite,
+    # are numerical errors; the refused profile is not written
+    kernels._profile.cache_clear()  # a cached profile would skip the build
+    with monkeypatch.context() as m:
+        _plant_negative_sample(kernels, m)
+        assert "G-profile not positive on the grid" in _numerical_failure(
+            tmp_path, capsys, "kernel", FULL)
+    monkeypatch.setattr(kernels, "_moment", lambda *args: math.nan)
+    assert "constant A not finite/positive: nan" in _numerical_failure(
+        tmp_path, capsys, "kernel", FULL)
+    assert not (tmp_path / "out" / "profile_G.csv").exists()
 
 
 # a scale key the kind does not read: (theorem, gamma, [verify] scale keys, the

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -426,6 +427,20 @@ def test_lp_inf_annulus_below_the_grid():
         assert sup == pytest.approx(1e-20, rel=1e-9, abs=0.0)
 
 
+def test_sup_at_zero_is_inf_where_the_inner_tail_is_unbounded(monkeypatch):
+    # rho^{-1} continues as rho^{-1} below the grid: its sup over (0, 1] is
+    # inf, as its L^3 norm there is (the sup read 1e9, its value six decades
+    # below the grid); a sup inside the grid fits no tail
+    _, fits = _count_builds(monkeypatch)
+    grid = RadialGrid()
+    u = RadialFunction(grid, 1.0 / grid.nodes)
+    assert lp_norm_annulus(u, math.inf, 3, 0.1, 1.0) == pytest.approx(10.0, rel=1e-12)
+    assert fits == []
+    for p in (math.inf, 3.0):
+        with pytest.warns(ExtrapolationWarning):
+            assert lp_norm_annulus(u, p, 3, 0.0, 1.0) == math.inf
+
+
 def test_lp_norm_zero_function():
     grid = RadialGrid(1e-3, 1e3, 128)
     z = RadialFunction(grid, np.zeros(grid.points))
@@ -485,7 +500,11 @@ def test_sup_norm_refuses_an_infinite_b():
     u = RadialFunction(grid, np.exp(-grid.nodes))
     with pytest.raises(TransformError, match="finite b"):
         lp_norm_annulus(u, math.inf, 3, 1.0, math.inf)
-    with pytest.warns(ExtrapolationWarning):  # a finite p integrates the tail
+    # a finite p integrates to infinity; the last sample is 0, so no fitted
+    # piece is read and nothing warns
+    assert u.tail(False) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert math.isfinite(lp_norm_annulus(u, 2.0, 3, 1.0, math.inf))
 
 
@@ -566,11 +585,39 @@ def test_forward_accepts_a_profile_zero_below_its_core():
         radial_fourier_forward(_planted(), 3)
 
 
+def test_no_warning_where_the_range_leaves_the_grid_without_a_tail():
+    # the warning names the fitted pieces a norm rests on: the planted
+    # profile's last sample is 0 (e^{-1000} underflows), so [1, inf) reads no
+    # fitted piece, and with its first 10 samples zero neither does [0, 1]
+    u, cored = _planted(), _planted(zeros=10)
+    assert u.tail(False) is None and cored.tail(True) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp_norm_annulus(u, 2.0, 3, 1.0, math.inf)
+        for p in (1.0, math.inf):
+            lp_norm_annulus(cored, p, 3, 0.0, 1.0)
+    with pytest.warns(ExtrapolationWarning):  # rho^{-4} below the grid is fitted
+        lp_norm_annulus(u, 1.0, 3, 1e-4, 1.0)
+
+
+def test_save_writes_null_for_an_end_without_a_tail(tmp_path):
+    # the sidecar records tail's exponents: the fitted one at 0, and null
+    # above the grid, where the last sample is 0 (it read a fitted -241.36)
+    u = _planted()
+    path = str(tmp_path / "u.csv")
+    u.save(path)
+    with open(tmp_path / "u.json") as fh:
+        meta = json.load(fh)
+    assert meta["outer_exponent"] is None
+    assert meta["inner_exponent"] == u.tail(True)[2] == pytest.approx(-4.0, abs=1e-2)
+    assert np.array_equal(RadialFunction.load(path)[0].samples, u.samples)
+
+
 def test_fitted_exponents():
     grid = RadialGrid(1e-3, 1e3, 512)
     u = RadialFunction(grid, grid.nodes**-2.5)
-    assert u.inner_exponent == pytest.approx(-2.5, abs=1e-8)
-    assert u.outer_exponent == pytest.approx(-2.5, abs=1e-8)
+    assert u.tail(True)[2] == pytest.approx(-2.5, abs=1e-8)
+    assert u.tail(False)[2] == pytest.approx(-2.5, abs=1e-8)
 
 
 @pytest.mark.parametrize("n_core", [1, 2, 3, 4, 5, 6, 768])
@@ -590,8 +637,8 @@ def test_single_signed_core_is_the_interpolant(n_core):
     ref = np.exp(spline(np.log(rho)))
     assert np.max(np.abs(u(rho) / ref - 1.0)) < 1e-14
     if n_core == 1:
-        # an edge decade of one sample fits no slope
-        assert u.inner_exponent == u.outer_exponent == 0.0
+        # the one-sample core lies inside the grid: no end has a tail
+        assert u.tail(True) is None and u.tail(False) is None
 
 
 def _cubic_user(name):
@@ -706,13 +753,15 @@ def test_radial_function_builds_interpolant_on_first_read(shape, monkeypatch):
     assert splines == [5 if shape == "single-signed" else 3] and fits == []
 
     inner, outer = logs <= logs[0] + math.log(10.0), logs >= logs[-1] - math.log(10.0)
-    assert u.inner_exponent == np.polyfit(logs[inner], np.log(samples[inner]), 1)[0]
+    assert u.tail(True)[2] == np.polyfit(logs[inner], np.log(samples[inner]), 1)[0]
     if shape == "single-signed":
-        assert u.outer_exponent == np.polyfit(logs[outer], np.log(samples[outer]), 1)[0]
-    else:  # the outer decade has underflowed to zero: no slope
-        assert u.outer_exponent == 0.0
-    u.inner_exponent, u.outer_exponent
-    assert fits == [True, False] and len(splines) == 1
+        assert u.tail(False)[2] == np.polyfit(logs[outer], np.log(samples[outer]), 1)[0]
+        ends = [True, False]
+    else:  # the outer end has underflowed to zero: no tail, and no fit
+        assert u.tail(False) is None
+        ends = [True]
+    u.tail(True), u.tail(False)
+    assert fits == ends and len(splines) == 1
 
 
 @pytest.mark.parametrize(
