@@ -14,8 +14,8 @@ bound report, one (alpha, beta, N) per config.  Profiles are built in the
 process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure or numerical error, 2
 configuration error: a value any of those objects rejects (a non-finite
-forcing value, p < 1 and bad checkpoints among them), a non-finite time, a
-scale key that the kind does not read (params.SCALE_FIELDS) or a gamma
+forcing value and bad checkpoints among them), a p outside [1, inf] (NaN
+too), a non-finite time, a scale key that the kind does not read (params.SCALE_FIELDS) or a gamma
 outside the theorem's regime (verify.check_gamma) exits 2 with code=config.
 So does, in `verify` only, a [verify] key that the theorem's check does not
 read: mu, which only `potential` reads, and by the theorem's row of
@@ -87,6 +87,14 @@ def _parse_tolerance(raw: str) -> float:
     return float(raw)
 
 
+def _parse_p(raw: str) -> float:
+    """The norm's exponent; "inf" and "Infinity" read as p = inf, and a NaN or
+    p < 1 names no L^p norm, in any command."""
+    if not float(raw) >= 1.0:
+        raise ValueError(f"p must be in [1, inf], got {raw!r}")
+    return float(raw)
+
+
 def _parse_bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
@@ -100,7 +108,7 @@ _KEYS = {
     "grid": {"rho_min": float, "rho_max": float, "points": int},
     "verify": {
         "theorem": str,
-        "p": float,  # reads "inf" and "Infinity" too
+        "p": _parse_p,
         "times": _parse_times,
         "tolerance": _parse_tolerance,
         "mu": float,

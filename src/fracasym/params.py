@@ -188,11 +188,14 @@ def sharp_rate(params: FracParams, p: float, gamma: float, scale: ScaleSpec) -> 
       phi^{(1+alpha-sigma_p)/theta} on F1, and the same without log t on F;
     * outer:        t^{1-gamma-sigma_p} for gamma < 1, t^{-sigma_p} log t at
       gamma = 1 and t^{-sigma_p} above (k = 0).
+
+    A p outside [1, inf] raises ParameterError on every kind, compact included,
+    whose rate does not read p.
     """
     a = params.alpha
+    sp = sigma_p(params, p)
     if scale.kind == "compact":
         return -min(gamma, 1.0 + a), 0, 0
-    sp = sigma_p(params, p)
     if scale.kind == "outer":
         if gamma < 1.0:
             return 1.0 - gamma - sp, 0, 0

@@ -387,6 +387,22 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, value):
     assert "code=config bad value for [verify] tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0.5", "nan"])
+@pytest.mark.parametrize("theorem", ["compact", "outer-mass"])
+def test_rates_refuses_p_outside_one_to_inf(tmp_path, capsys, theorem, value):
+    # on a compact scale, whose rate does not read p, rates.csv once recorded
+    # p = 0.5 or nan with exit 0; outer-mass refused it as a precondition
+    text = FULL.replace("theorem = coherence", f"theorem = {theorem}").replace(
+        "gamma = 0.5", "gamma = 2.0").replace("p = inf", f"p = {value}")
+    if theorem == "compact":
+        text = text.replace("kind = outer\nnu = 1.0", "kind = compact")
+    out = tmp_path / "out"
+    code = main(["rates", "--config", _write(tmp_path, text), "--out", str(out)])
+    assert code == 2
+    assert "code=config bad value for [verify] p" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()
+
+
 def test_verify_zero_forcing_exit_code(tmp_path, capsys):
     # f = 0 has no profile: every check that reads the forcing refuses it
     path = _write(tmp_path, COHERENCE.replace("amplitude = 1.0", "amplitude = 0.0"))

@@ -97,6 +97,15 @@ def test_rates():
     assert rate_at(params, 1.0, 0.25, outer, 100.0) == pytest.approx(100.0**0.25)
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan])
+@pytest.mark.parametrize("kind", ["compact", "intermediate", "outer"])
+def test_sharp_rate_refuses_p_outside_one_to_inf(p, kind):
+    # the compact rate does not read p, yet it names no L^p norm either
+    scale = ScaleSpec(kind=kind, exponent=0.25)
+    with pytest.raises(ParameterError, match="p must be in"):
+        sharp_rate(FracParams(0.5, 0.5, 3), p, 2.0, scale)
+
+
 @given(
     p=st.one_of(st.floats(1.0, 50.0), st.just(math.inf)),
     alpha=st.floats(0.1, 0.95),
