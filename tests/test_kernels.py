@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from fracasym import kernels
 from fracasym.params import FracParams
 from fracasym.potentials import riesz_constant
-from fracasym.radialtransform import RadialFunction, RadialGrid, radial_integral
+from fracasym.radialtransform import RadialFunction, RadialGrid, _moment, radial_integral
 from fracasym.special import mittag_leffler, ml_tail_coefficient
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -194,6 +194,35 @@ def test_g_closed_form_integral_half_half_3():
     grid = RadialGrid()
     g = RadialFunction(grid, [float(_g_half_half_3(r)) for r in grid.nodes])
     assert radial_integral(g, 3) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha, beta, dim, gates", [
+    # |relative error| of G at s = 0.3 and 0.7, then of F
+    (0.5, 0.5, 3, (9.7e-8, 2.3e-7, 5.6e-7, 3.0e-5)),
+    (0.5, 1.0, 5, (2.1e-14, 1.2e-12, 2.7e-13, 4.6e-10)),
+    (0.5, 0.4, 3, (2.1e-5, 2.4e-6, 1.4e-5, 1.8e-4)),
+    (0.5, 0.7, 3, (1.7e-8, 9.4e-8, 5.9e-8, 1.2e-5)),
+])
+def test_profile_mellin_moments(alpha, beta, dim, gates, cache_dir):
+    # G's symbol is E_{a,a}(-lam), lam = r^{2 beta}, whose Mellin transform in
+    # lam is Gamma(s) Gamma(1-s) / Gamma(a - a s); with the Riesz pair
+    # |x|^{z-N} <-> r^{-z} / c_z that gives G's moment in closed form,
+    #   int_0^inf G rho^{z-1} drho
+    #     = (2 pi)^{-N} (2 beta c_z)^{-1} Gamma(s) Gamma(1-s) / Gamma(a - a s)
+    # with s = (N - z) / (2 beta), and F's with Gamma(1 - a s) for E_a.  No
+    # quadrature in the oracle; the error tracks the share of the moment that
+    # lies beyond the grid, in the fitted tails, so each is gated at its
+    # achieved level
+    params = FracParams(alpha, beta, dim)
+    errors = []
+    for build, b in ((kernels.build_y_profile, alpha), (kernels.build_z_profile, 1.0)):
+        profile = build(params, cache_dir=cache_dir)
+        for s in (0.3, 0.7):
+            z = dim - 2.0 * beta * s
+            want = (math.gamma(s) * math.gamma(1.0 - s) / math.gamma(b - alpha * s)
+                    / ((2.0 * math.pi) ** dim * 2.0 * beta * riesz_constant(z, dim)))
+            errors.append(_moment(profile.values, z, 0.0, math.inf) / want - 1.0)
+    assert np.all(np.abs(errors) < gates)
 
 
 @given(
