@@ -212,6 +212,56 @@ def test_w_table_between_knots(alpha, gamma, t, gate):
     assert np.max(np.abs(got / _w_direct(alpha, gamma, t, mid) - 1.0)) < gate
 
 
+def _talbot_w(alpha, gamma, t, lam):
+    """W(lam, t) by Talbot's inversion of its Laplace transform in t at 30
+    digits: H(z) / (z^alpha + lam), with H(z) = e^z z^{gamma-1} Gamma(1-gamma, z)
+    the transform of (1+t)^{-gamma} and 1/(z^alpha + lam) that of t^{alpha-1}
+    E_{alpha,alpha}(-lam t^alpha).  No quadrature node, no Mittag-Leffler
+    evaluation and no table knot in common with the engine's W."""
+    with mpmath.workdps(30):
+        a, g, lam = mpmath.mpf(alpha), mpmath.mpf(gamma), mpmath.mpf(lam)
+
+        def transform(z):
+            h = mpmath.exp(z) * z ** (g - 1) * mpmath.gammainc(1 - g, z)
+            return h / (z**a + lam)
+
+        return float(mpmath.invertlaplace(transform, t, method="talbot"))
+
+
+@pytest.mark.parametrize("alpha, t", [(0.5, 1e2), (0.9, 1e8)])
+def test_talbot_w_matches_the_exact_w_at_gamma_zero(alpha, t):
+    # the oracle's own error: at gamma = 0, W = t^alpha E_{alpha,1+alpha}(-x)
+    # exactly, x = lam t^alpha, and time_weight sums that closed form
+    lam = np.array([1e-3, 1.0, 3.0, 1e3]) / t**alpha
+    got = time_weight(alpha, 0.0, t)(lam)
+    ref = np.array([_talbot_w(alpha, 0.0, t, v) for v in lam])
+    assert np.max(np.abs(got / ref - 1.0)) < 4.5e-16
+
+
+@pytest.mark.parametrize("alpha, gamma, t, knot_gate, mid_gate", [
+    (0.5, 2.0, 1e2, 8.2e-14, 3.5e-9),
+    (0.9, 1.0, 1e2, 6.8e-14, 4.3e-9),
+    (0.5, 0.5, 1e2, 8.2e-14, 1.7e-9),
+    (0.9, 0.5, 1e2, 6.9e-14, 1.8e-9),
+    (0.5, 2.0, 1e8, 8.4e-14, 3.4e-9),
+    (0.9, 1.0, 1e8, 6.4e-14, 2.6e-8),
+])
+def test_w_table_vs_talbot(alpha, gamma, t, knot_gate, mid_gate):
+    # pointwise, against an oracle that shares nothing with the table: at the
+    # knots nearest x = lam t^alpha = 1e-3 and 1e3 the table is the
+    # quadrature, and at the midpoints after the knots nearest x = 1 and 3,
+    # where the cubic spline errs most, it is the interpolation; each case is
+    # gated at its achieved level
+    lam = _w_knots(alpha, gamma, t)[0]
+    x = lam * t**alpha
+    j = np.array([np.argmin(np.abs(np.log(x / v))) for v in (1e-3, 1e3, 1.0, 3.0)])
+    points = np.concatenate([lam[j[:2]], np.sqrt(lam[j[2:]] * lam[j[2:] + 1])])
+    err = time_weight(alpha, gamma, t)(points) / [
+        _talbot_w(alpha, gamma, t, v) for v in points] - 1.0
+    assert np.max(np.abs(err[:2])) < knot_gate
+    assert np.max(np.abs(err[2:])) < mid_gate
+
+
 def test_w_knots_call_the_module_mittag_leffler(monkeypatch):
     # E is looked up in the solver namespace at call time, so a wrapper bound
     # there (as a tracer does) sees every point: about 455,000 per table, not
