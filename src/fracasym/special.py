@@ -2,7 +2,9 @@
 two-parameter Mittag-Leffler function on the closed negative real axis.
 
 The Mittag-Leffler evaluator E_{a,b}(-y) is vectorized, and each range of y
-has exactly one path, each with an error contract against 40-digit mpmath:
+has exactly one path, each with an error contract against a reference that
+shares none of them, Talbot's inversion of the Laplace transform
+s^{a-b}/(s^a + y) in 40-digit mpmath (tests/test_special.py):
 
 * y < 1e-2: the power series in -y, one Horner sum, within 1e-15 relative
   (2.2e-16 measured);
@@ -18,8 +20,8 @@ as numpy's `polyval`, at 0.42 ms instead of 1.05 ms for 20 coefficients on a
 
 The table's knots are valued by the series up to y = 0.9 and above it by a
 real-line integral (the collapsed Hankel contour, i.e. the spectral density of
-the completely monotone function), which is within 1e-15 of a 40-digit mpmath
-integral for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
+the completely monotone function), which is within 1e-15 of the 40-digit
+Talbot reference for a in [0.3, 0.9] and b in {a, 1}.  Neither serves any other
 point.  The knots are log-uniform, so a point's interval is found by
 arithmetic, and one degree-5 Horner sum gives its value: with the log and the
 exp, 10.2-11.4 ns per point on the 476,801 table arguments of a default-grid
@@ -194,7 +196,7 @@ def _ml_table(a: float, b: float):
     Error contract: within 1e-13 relative of E_{a,b}(-y) on the whole range
     for 0 < a <= 0.9 and a <= b <= 1.  Measured at every knot midpoint
     against the fixed branches, the worst is 4.6e-14 at (0.9, 0.9), y = 6.8,
-    and at most 1.0e-14 for a <= 0.8; the 40-digit mpmath integral agrees.
+    and at most 1.0e-14 for a <= 0.8; the 40-digit Talbot reference agrees.
     Closer to a = 1 the contour integral itself loses accuracy.  The log
     needs E > 0, which holds for b >= a, where E_{a,b}(-y) is completely
     monotone."""
