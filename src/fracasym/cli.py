@@ -15,8 +15,9 @@ process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure or numerical error, 2
 configuration error: a value any of those objects rejects (a non-finite
 forcing value and bad checkpoints among them), a p outside [1, inf] (NaN
-too), a non-finite time, a scale key that the kind does not read (params.SCALE_FIELDS) or a gamma
-outside the theorem's regime (verify.check_gamma) exits 2 with code=config.
+too), a non-finite time, a scale key that the kind does not read
+(params.SCALE_FIELDS) or a gamma outside the theorem's regime
+(verify.check_gamma) exits 2 with code=config.
 So does, in `verify` only, a [verify] key that the theorem's check does not
 read: mu, which only `potential` reads, and by the theorem's row of
 verify.THEOREMS p or tolerance outside the row's `reads` and any scale key
@@ -264,7 +265,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.unread:
         raise ConfigError(f"keys in [verify] that {cfg.theorem} does not read: "
                           f"{', '.join(cfg.unread)}")
-    try:  # a value VerifyConfig rejects (p, the times) is a configuration error
+    try:  # a value VerifyConfig rejects (the times) is a configuration error
         vcfg = VerifyConfig(params=cfg.params, forcing=fs, theorem=cfg.theorem, p=cfg.p,
                             scale=cfg.scale, times=cfg.times, tolerance=cfg.tolerance,
                             grid=cfg.grid)

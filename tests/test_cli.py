@@ -143,9 +143,10 @@ def test_exit_code_missing_config(tmp_path, capsys):
 
 
 def test_verify_precondition_exit_code(tmp_path, capsys):
-    # each is refused before any work is done.  p < 1 and a checkpoint at
-    # t = 1 are values VerifyConfig rejects, so configuration errors.  The
-    # checks refuse kernel-bounds at p = p_* = 3 (G is not in L^p there),
+    # each is refused before any work is done.  p < 1, which the parser
+    # refuses, and a checkpoint at t = 1, which VerifyConfig rejects, are
+    # configuration errors.  The checks refuse kernel-bounds at p = p_* = 3
+    # (G is not in L^p there),
     # outer-log on a compact scale at (0.9, 0.5, 3), where no exterior starts
     # inside the grid (it once passed with exit 0), and a ball of radius
     # rho_min = 1e-2 (it once failed in the norm after a transform, exit 1)

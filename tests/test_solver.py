@@ -216,8 +216,8 @@ def _talbot_w(alpha, gamma, t, lam):
     """W(lam, t) by Talbot's inversion of its Laplace transform in t at 30
     digits: H(z) / (z^alpha + lam), with H(z) = e^z z^{gamma-1} Gamma(1-gamma, z)
     the transform of (1+t)^{-gamma} and 1/(z^alpha + lam) that of t^{alpha-1}
-    E_{alpha,alpha}(-lam t^alpha).  No quadrature node, no Mittag-Leffler
-    evaluation and no table knot in common with the engine's W."""
+    E_{alpha,alpha}(-lam t^alpha).  It shares no quadrature node and no
+    Mittag-Leffler evaluation with the engine's W."""
     with mpmath.workdps(30):
         a, g, lam = mpmath.mpf(alpha), mpmath.mpf(gamma), mpmath.mpf(lam)
 
