@@ -99,18 +99,22 @@ def _identity(params: FracParams, which: str) -> dict:
 
 
 def _symbol(params: FracParams, which: str, times=(1.0,)):
-    """lam -> the kernel symbols at each t in times, as K arrays of lam's
-    shape, where lam = r^{2b} is formed once by the caller (and shared with
-    the time weights of solver): Z-hat = E_a(-lam t^a) for "F", Y-hat =
-    t^{a-1} E_{a,a}(-lam t^a) for "G".  The single-t symbol is the case
-    times = (t,).  At a = 1 both are exp(-lam t), bit for bit: the second
-    parameter is 1 and the scale t^0 is exactly 1, which multiplies
-    exactly."""
+    """lam -> the kernel symbols at each t in times, yielded one at a time as
+    K arrays of lam's shape, where lam = r^{2b} is formed once by the caller
+    (and shared with the time weights of solver): Z-hat = E_a(-lam t^a) for
+    "F", Y-hat = t^{a-1} E_{a,a}(-lam t^a) for "G".  The single-t symbol is
+    the case times = (t,), read with next.  At a = 1 both are exp(-lam t),
+    bit for bit: the second parameter is 1 and the scale t^0 is exactly 1,
+    which multiplies exactly."""
     a = params.alpha
     b = 1.0 if which == "F" else a
     factors = [(1.0 if which == "F" else t ** (a - 1.0), -(t**a)) for t in times]
-    return lambda lam: [scale * mittag_leffler(a, b, lam * minus_ta)
-                        for scale, minus_ta in factors]
+
+    def symbols(lam):
+        for scale, minus_ta in factors:
+            yield scale * mittag_leffler(a, b, lam * minus_ta)
+
+    return symbols
 
 
 def _grid_key(grid: RadialGrid) -> str:
@@ -159,7 +163,7 @@ def _profile(params: FracParams, which: str, grid: RadialGrid) -> KernelProfile:
     if which == "G" and params.alpha == 1.0:
         return KernelProfile(params, "G", _profile(params, "F", grid).values)
     symbol, two_b = _symbol(params, which), 2.0 * params.beta
-    values = radial_fourier_inverse(lambda r: symbol(r**two_b)[0], params.dim, grid)
+    values = radial_fourier_inverse(lambda r: next(symbol(r**two_b)), params.dim, grid)
     if params.beta == 1.0:
         # exponential-type spatial tail: the profile is positive, so from the
         # first non-positive sample on the samples are quadrature residue

@@ -22,17 +22,19 @@ pass on a 2-vCPU Xeon).  Each output row needs only its own row of x/rho, so
 the engine forms, evaluates, sums and checks _BLOCK_ROWS = 16 rows at a time,
 a working set that stays in a 2 MiB L2, bit for bit the result of one call on
 the whole array.  One pass serves K symbols: the symbol is called once per
-block and returns K arrays, so the factors they share (the division, a
-forcing transform, r^{2b}) are formed once, and each output is summed and
-checked on its own, with the bits it would have alone.
+block and yields K arrays, one at a time, so the factors they share (the
+division, a forcing transform, r^{2b}) are formed once, and each output is
+summed and checked on its own, with the bits it would have alone, and let
+go before the next is asked for: one output is alive at a time, whatever K.
 radial_fourier_inverses is that batched inverse; radial_fourier_inverse and
 radial_fourier_forward are its K = 1 case.  A default-grid G transform takes
-72-73 ms and peaks at 1.8 MiB of traced allocations; the compact check's
-three checkpoints take 215-237 ms in one pass and 242-279 ms in three
-(3.3 MiB).  A symbol gets float64 r (at most _BLOCK_ROWS x 1904, rounded
-once in the engine) and returns arrays of that shape; no symbol casts its
-argument.  Both directions share one finish: integrate, zero what lies below
-8x the rounding noise, scale by (2pi)^{-+N/2} r^{-N}.
+72-73 ms and peaks at 1.6 MiB of traced allocations; a Duhamel pass at three
+checkpoints peaks 0.03 MiB above one at a single checkpoint (numpy 2.4.6).
+A symbol gets float64 r (at most _BLOCK_ROWS x 1904, rounded once in the
+engine) and yields arrays of that shape (a list or a tuple of them serves
+too); no symbol casts its argument.  Both directions share one finish:
+integrate, zero what lies below 8x the rounding noise, scale by
+(2pi)^{-+N/2} r^{-N}.
 
 RadialFunction alone decides what a profile is beyond its grid: it stores
 each sample too small to carry a value as +0.0, and `tail`, the only reader
@@ -54,6 +56,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -262,10 +265,10 @@ class RadialFunction:
 # --- Hankel quadrature engine ------------------------------------------------
 
 # Rows of r = x/rho per symbol call.  A 16 x 1904 block is 0.24 MB per
-# float64 array, so a symbol's elementwise passes, with K outputs alive, work
-# out of a 2 MiB L2 where whole-grid arrays (11.7 MB each) streamed through
-# memory.  Measured at 8 / 16 / 32 rows (2-vCPU Xeon, 2 MiB L2 per core):
-# per default-grid transform, medians of 9 in three runs, a G symbol took
+# float64 array, so a symbol's elementwise passes work out of a 2 MiB L2
+# where whole-grid arrays (11.7 MB each) streamed through memory.  Measured
+# at 8 / 16 / 32 rows (2-vCPU Xeon, 2 MiB L2 per core), while a block held
+# all K outputs at once: per default-grid transform, medians of 9 in three runs, a G symbol took
 # 81-88 / 72-73 / 64-65 ms and peaked at 1.0 / 1.8 / 3.5 MiB traced, and the
 # compact check's three checkpoints in one pass 207-238 / 215-237 / 236-250 ms
 # at 1.7 / 3.3 / 6.1 MiB; end to end (perfbench --seconds 6, six seeds in
@@ -356,7 +359,7 @@ class _HankelEngine:
 
     def integrate(self, symbol, rho):
         """int_0^inf s(x/rho) J_nu(x) x^{N/2} dx for each rho and each of the
-        K arrays s that symbol returns per call.
+        K arrays s that symbol yields per call.
 
         Returns (integral, noise), each K x len(rho), where noise estimates
         the absolute rounding floor of each integral (values cancelling below
@@ -366,12 +369,14 @@ class _HankelEngine:
         _BLOCK_ROWS at a time: one block of r = x/rho is formed, the symbol is
         called once on it, and each of its K outputs is checked for shape,
         summed (a non-finite row sum raises) and noise-estimated on its own
-        before the next block.  For a symbol that is elementwise the results
-        are the same bits as one call on all rows, and output k has the same
-        bits as a symbol returning it alone.  The symbol contract: each call
-        gets a float64 array r of at most _BLOCK_ROWS x len(x), divided in
-        long double (the precision of x) and rounded once, here, and returns
-        the same number K of arrays of that shape at every call.
+        as it is yielded, then dropped before the next is asked for.  K is
+        the first block's count; a later block with another count raises.
+        For a symbol that is elementwise the results are the same bits as one
+        call on all rows, and output k has the same bits as a symbol yielding
+        it alone.  The symbol contract: each call gets a float64 array r of
+        at most _BLOCK_ROWS x len(x), divided in long double (the precision
+        of x) and rounded once, here, and yields (or returns as a list or a
+        tuple) the same number K of arrays of that shape at every call.
         """
         rho = np.asarray(rho, dtype=float)
         integral = noise = None
@@ -382,18 +387,21 @@ class _HankelEngine:
             # written: no long-double block is allocated
             r = np.empty((rho[rows].size, self.x.size))
             np.divide(self.x, rho[rows, None].astype(np.longdouble), out=r)
-            outs = symbol(r)
+            # map hands each output to _block and drops it before it asks the
+            # symbol for the next: one output is alive at a time
+            block = list(map(self._block, symbol(r), repeat(r.shape)))
             if integral is None:
-                integral = np.empty((len(outs), rho.size))
+                integral = np.empty((len(block), rho.size))
                 noise = np.empty_like(integral)
-            if len(outs) != len(integral):
+            if len(block) != len(integral):
                 raise TransformError("symbol changed its number of outputs")
-            for k, vals in enumerate(outs):
-                integral[k, rows], noise[k, rows] = self._block(np.asarray(vals), r.shape)
+            for k, (sums, err) in enumerate(block):
+                integral[k, rows], noise[k, rows] = sums, err
         return integral, noise
 
     def _block(self, vals, shape):
         """(sums, noise) of one symbol output over one block of rows."""
+        vals = np.asarray(vals)
         if vals.shape != shape:
             raise TransformError("symbol must evaluate elementwise on arrays")
         # long double because k_eff is: the sum cancels by many orders of
@@ -444,9 +452,10 @@ def _check_symbol_decay(symbols):
 
 def radial_fourier_inverses(symbols, dim: int, grid: RadialGrid | None = None):
     """The inverse transforms of K symbols in one pass of the engine, as a
-    list of K RadialFunctions: symbols(r) returns the K arrays of r's shape,
-    so that the factors they share are formed once per block.  Output k has
-    the same bits as radial_fourier_inverse of the symbol r -> symbols(r)[k].
+    list of K RadialFunctions: symbols(r) yields the K arrays of r's shape one
+    at a time, so that the factors they share are formed once per block and
+    only one output is alive.  Output k has the same bits as
+    radial_fourier_inverse of the symbol r -> list(symbols(r))[k].
 
     Each symbol must be vectorized over positive r, bounded (or integrably
     singular) near 0, and algebraically decaying at infinity.

@@ -325,15 +325,16 @@ def time_weight(alpha: float, gamma: float, t: float):
 
 
 def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, spatial=None):
-    """r -> [spatial(r) W(r^{2b}, t) - profile-hat_t(r) for t in times], the
-    K symbols whose inverse transforms are the Duhamel solution at each
-    checkpoint minus its comparison profile, all served by one engine pass:
-    the one path for u-hat minus profile-hat.  spatial defaults to amplitude
-    g-hat, which makes the first term u-hat.  The t-independent factors
-    s = spatial(r) and lam = r^{2b} are formed once per block and handed to
-    profiles(r, lam, s), which returns the K profile-hats with their
-    amplitude and mass factors; without profiles the symbols are the Duhamel
-    terms alone."""
+    """r -> spatial(r) W(r^{2b}, t) - profile-hat_t(r) for t in times, yielded
+    one at a time: the K symbols whose inverse transforms are the Duhamel
+    solution at each checkpoint minus its comparison profile, all served by
+    one engine pass, the one path for u-hat minus profile-hat.  spatial
+    defaults to amplitude g-hat, which makes the first term u-hat.  The
+    t-independent factors s = spatial(r) and lam = r^{2b} are formed once per
+    block and handed to profiles(r, lam, s), which yields the K profile-hats
+    with their amplitude and mass factors, each taken as its term needs it;
+    without profiles the symbols are the Duhamel terms alone.  No output is
+    referenced once the next is asked for."""
     if spatial is None:
         spatial = lambda r: fs.amplitude * fs.ghat(r)
     weights = [time_weight(params.alpha, fs.gamma, t) for t in times]
@@ -341,11 +342,13 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
 
     def symbols(r):
         s, lam = spatial(r), r**two_beta
-        out = [s * w(lam) for w in weights]
-        if profiles is not None:
-            for d, profile in zip(out, profiles(r, lam, s), strict=True):
-                d -= profile  # in d's own buffer: s is shared
-        return out
+        hats = None if profiles is None else iter(profiles(r, lam, s))
+        for w in weights:
+            d = s * w(lam)
+            if hats is not None:
+                d -= next(hats)  # in d's own buffer: s is shared
+            yield d
+            del d  # before the next term is formed
 
     return symbols
 
@@ -360,7 +363,7 @@ def solve_duhamel(
         )
     grid = grid or RadialGrid()
     symbols = duhamel_symbols(fs, params, (t,))
-    u = radial_fourier_inverse(lambda r: symbols(r)[0], params.dim, grid)
+    u = radial_fourier_inverse(lambda r: next(symbols(r)), params.dim, grid)
     if fs.amplitude > 0:
         # Y >= 0 forces u >= 0; sub-noise negative garbage is clamped
         neg = u.samples < 0

@@ -8,8 +8,9 @@ every checkpoint t (solver.duhamel_symbols), inverts all of them in one pass
 of the transform engine, takes each L^p norm over its region (_region) and
 divides it by the sharp rate params.rate_at on its scale.  The factors that
 do not depend on t (the forcing's transform, r^{2b}, the Riesz powers) are
-formed once per block of the pass; coherence and kernel-bounds batch their
-checkpoints the same way.  Forming the difference in the symbol, never as a
+formed once per block of the pass, and the K differences are yielded, and
+summed by the engine, one at a time; coherence and kernel-bounds batch
+their checkpoints the same way.  Forming the difference in the symbol, never as a
 difference of two transformed functions, makes the far-field cancellation
 between u and its limit profile exact, so the quadrature error budget stays
 at the level of the difference itself.  The solution's symbol is always the
@@ -153,7 +154,7 @@ def _region(cfg: VerifyConfig, t: float):
 
 def _checkpoint_series(cfg: VerifyConfig, times, symbols):
     """At each checkpoint t: the L^p norm over _region(cfg, t) of the inverse
-    transform of its symbol, one of the K that symbols returns (all
+    transform of its symbol, one of the K that symbols yields (all
     transformed in one pass), and that norm divided by the sharp rate
     params.rate_at on cfg's scale.  Returns (raw, normalized), empty for no
     checkpoints."""
@@ -205,9 +206,9 @@ def _limit_profile(params: FracParams, gamma: float, mass: float, t: float, klas
 def _riesz_profiles(params: FracParams, coeffs):
     """The profiles c2 E_{2b} + c4 E_{4b}, one per (c2, c4) in coeffs, as
     (symbols, values): E_mu has the transform r^{-mu}/c_mu, so symbols(r)
-    returns the K arrays (c2/c_{2b}) r^{-2b} + (c4/c_{4b}) r^{-4b}, each
-    power of r formed once per call, and values[k](rho) = c2 rho^{2b-N} +
-    c4 rho^{4b-N}.  A zero coefficient drops its term."""
+    yields the K arrays (c2/c_{2b}) r^{-2b} + (c4/c_{4b}) r^{-4b} one at a
+    time, each power of r formed once per call, and values[k](rho) =
+    c2 rho^{2b-N} + c4 rho^{4b-N}.  A zero coefficient drops its term."""
     n = params.dim
     mus = (2.0 * params.beta, 4.0 * params.beta)
     terms = [[(c, mu) for c, mu in zip(cs, mus) if c] for cs in coeffs]
@@ -216,7 +217,8 @@ def _riesz_profiles(params: FracParams, coeffs):
 
     def symbols(r):
         powers = {mu: r**-mu for mu in used}
-        return [sum(c * powers[mu] for c, mu in ts) for ts in spectral]
+        for ts in spectral:
+            yield sum(c * powers[mu] for c, mu in ts)
 
     values = [lambda rho, ts=ts: sum(c * rho ** (mu - n) for c, mu in ts) for ts in terms]
     return symbols, values
@@ -229,7 +231,7 @@ def _compact_limit_symbol(params: FracParams, gamma: float):
     """The Riesz symbol r -> L-hat(r) / (amplitude g-hat(r)) of the compact
     limit L of t^{min(gamma,1+alpha)} u: the "compact" row of _limit_profile."""
     symbols = _riesz_profiles(params, [_limit_profile(params, gamma, 1.0, 1.0, "compact")])[0]
-    return lambda r: symbols(r)[0]
+    return lambda r: next(symbols(r))
 
 
 def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
@@ -243,7 +245,8 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
 
     def profiles(r, lam, ag):
         limit = ag * riesz(r)
-        return [limit / tm for tm in scales]
+        for tm in scales:
+            yield limit / tm
 
     _, errs = _checkpoint_series(cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, profiles))
     return make_report("compact", cfg.times, errs, errs, cfg.tolerance)
@@ -324,7 +327,9 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
     amps = [limit * log_l for limit, log_l in map(law, kernel_times)]
 
     def profiles(r, lam, ag):
-        return [amp * y_hat for amp, y_hat in zip(amps, y_hats(lam))]
+        kernel = y_hats(lam)
+        for amp in amps:
+            yield amp * next(kernel)
 
     raw, norm = _checkpoint_series(
         cfg, kernel_times, duhamel_symbols(fs, params, kernel_times, profiles))

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def _whole_array_integrate(eng, symbol, rho):
 
 def _g_symbol(params, t):
     g = kernels._symbol(params, "G", (t,))
-    return lambda r: g(r ** (2.0 * params.beta))[0]
+    return lambda r: next(g(r ** (2.0 * params.beta)))
 
 
 def _block_symbols(dim):
@@ -227,7 +228,7 @@ def _block_symbols(dim):
     duhamel = duhamel_symbols(ForcingSpec("gaussian", gamma=2.0, dim=dim), params, (1e4,))
     return {
         "G": _g_symbol(params, 1e3),
-        "duhamel": lambda r: duhamel(r)[0],
+        "duhamel": lambda r: next(duhamel(r)),
         "gaussian": lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
     }
 
@@ -277,18 +278,57 @@ def test_inverses_match_single_transforms():
         assert np.array_equal(u.samples, radial_fourier_inverse(symbol, 3).samples)
 
 
-def test_transform_memory_is_bounded():
-    # one default-grid G transform evaluates its symbol block by block: the
-    # whole-array version peaked at 102 MiB of traced allocations
-    symbol = _g_symbol(FracParams(0.5, 0.5, 3), 1e3)
-    radial_fourier_inverse(symbol, 3)  # warm-up: engine and Mittag-Leffler table
+def _traced_peak(transform):
+    """tracemalloc's peak over one call of transform, after a warm-up call
+    (engine, Mittag-Leffler table, time-weight tables)."""
+    transform()
     tracemalloc.start()
     try:
-        radial_fourier_inverse(symbol, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        transform()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+
+
+def test_transform_memory_is_bounded():
+    # one default-grid G transform evaluates its symbol block by block: the
+    # whole-array version peaked at 102 MiB of traced allocations, this one
+    # at 1.61 MiB (numpy 2.4.6)
+    symbol = _g_symbol(FracParams(0.5, 0.5, 3), 1e3)
+    assert _traced_peak(lambda: radial_fourier_inverse(symbol, 3)) < 2 * 2**20
+
+
+def test_batched_pass_holds_one_output_at_a_time():
+    # the engine sums each output of a block as the symbol yields it, so K
+    # checkpoints in one pass peak where one does: a pass that held all K
+    # outputs of a block peaked 0.95 MiB above K = 1 at K = 3, this one 0.03
+    fs, params = ForcingSpec("gaussian", gamma=2.0, dim=3), FracParams(0.5, 0.5, 3)
+    peaks = [
+        _traced_peak(lambda symbols=duhamel_symbols(fs, params, times):
+                     radial_fourier_inverses(symbols, 3))
+        for times in ((1e2,), (1e2, 1e3, 1e4))
+    ]
+    assert peaks[1] - peaks[0] < 0.25 * 2**20
+
+
+def test_engine_keeps_no_reference_to_an_output():
+    # by the time the symbol forms its next output, the engine has summed
+    # the last one and let it go
+    grid = RadialGrid(1e-3, 1e3, 100)
+    refs = []
+
+    def symbols(r):
+        block = r.shape[0] > 1  # an engine block, not the 1 x 4 decay probe
+        for k in range(3):
+            assert all(ref() is None for ref in refs), "an earlier output is alive"
+            out = np.exp(-(k + 1.0) * r**2)
+            if block:
+                refs.append(weakref.ref(out))
+            yield out
+            del out
+
+    assert len(radial_fourier_inverses(symbols, 3, grid)) == 3
+    assert len(refs) == 3 * -(-grid.points // _BLOCK_ROWS)  # every block's outputs
 
 
 def test_engine_rejects_non_finite_in_last_block():

@@ -427,7 +427,7 @@ def test_mass_convolution_reference_mass():
     fs = ForcingSpec("gaussian", gamma=1.5, dim=3)
     cfg = _cfg(forcing=fs, grid=RadialGrid(1e-3, 1e3, 512))
     symbols = solver.duhamel_symbols(fs, cfg.params, (100.0,), spatial=lambda r: fs.M0)
-    ref = radial_fourier_inverse(lambda r: symbols(r)[0], 3, cfg.grid)
+    ref = radial_fourier_inverse(lambda r: next(symbols(r)), 3, cfg.grid)
     assert radial_integral(ref, 3) == pytest.approx(
         solution_mass(fs, cfg.params, 100.0), rel=1e-3
     )
@@ -468,7 +468,7 @@ def _per_t_symbol(cfg, t):
         limit = verify._riesz_profiles(
             params, [verify._limit_profile(params, fs.gamma, 1.0, 1.0, "compact")])[0]
         tm = t ** -sharp_rate(params, cfg.p, fs.gamma, cfg.scale)[0]
-        return difference(lambda r, ag: ag * limit(r)[0] / tm)
+        return difference(lambda r, ag: ag * next(limit(r)) / tm)
     if theorem == "intermediate":
         klass = classify_scale(fs.gamma, params, cfg.scale)
         profile = riesz(*verify._limit_profile(params, fs.gamma, fs.M0, t, klass))
