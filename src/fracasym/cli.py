@@ -14,7 +14,8 @@ bound report, one (alpha, beta, N) per config.  Profiles are built in the
 process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure or numerical error, 2
 configuration error: a value any of those objects rejects (a non-finite
-forcing value and bad checkpoints among them), a p outside [1, inf] (NaN
+forcing value, a heavy forcing's width other than 1 and bad checkpoints
+among them), a p outside [1, inf] (NaN
 too), a non-finite time, a scale key that the kind does not read
 (params.SCALE_FIELDS) or a gamma outside the theorem's regime
 (verify.check_gamma) exits 2 with code=config.

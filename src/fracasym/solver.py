@@ -71,10 +71,13 @@ class ForcingSpec:
     * "bump":     g = (1 - rho^2 / width^2)_+^2   (compactly supported)
     * "heavy":    g = (1 + rho^2)^{-(N+1)/2}      (slow algebraic decay)
 
-    Each is bounded (0 <= g <= 1) with finite mass, read off its closed-form
-    g-hat at 0 (mass_g); the gaussian and the bump have every moment, the
-    heavy family's g ~ rho^{-N-1} an infinite first one.  That is all that is
-    checked: the paper's hypotheses on the forcing are not encoded.
+    The heavy family has no width: it takes width = 1 only, as the bump takes
+    an odd dim only, and refuses any other value rather than record one that
+    g and g-hat never read.  Each is bounded (0 <= g <= 1) with finite mass,
+    read off its closed-form g-hat at 0 (mass_g); the gaussian and the bump
+    have every moment, the heavy family's g ~ rho^{-N-1} an infinite first
+    one.  That is all that is checked: the paper's hypotheses on the forcing
+    are not encoded.
     """
 
     family: str
@@ -96,6 +99,9 @@ class ForcingSpec:
         if self.family == "bump" and self.dim % 2 == 0:
             # its g-hat needs J_{N/2+2}, which bessel_j_half gives at odd N only
             raise SolverError(f"the bump family needs an odd dim, got {self.dim}")
+        if self.family == "heavy" and self.width != 1.0:
+            raise SolverError(f"the heavy family has no width: it needs width = 1, "
+                              f"got {self.width}")
 
     def g(self, rho):
         """Spatial factor g(rho) (without amplitude)."""

@@ -136,6 +136,23 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert "code=config" in capsys.readouterr().err
 
 
+
+
+def test_heavy_forcing_with_a_width_is_a_config_error(tmp_path, capsys):
+    # the heavy family reads no width: outer-general on width = 2 once ran
+    # and recorded width 2.0 beside the errors of width = 1, bit for bit
+    heavy = FULL.replace("theorem = coherence", "theorem = outer-general").replace(
+        "family = gaussian", "family = heavy").replace("p = inf", "p = 2").replace(
+        "rho_max = 1e2\npoints = 256", "rho_max = 1e3\npoints = 128")
+    out = tmp_path / "out"
+    path = _write(tmp_path, heavy.replace("width = 1.0", "width = 2.0"))
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    assert "code=config the heavy family has no width" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "--config", _write(tmp_path, heavy), "--out", str(out)]) == 0
+    assert json.loads((out / "report_outer-general.json").read_text())["forcing"]["width"] == 1.0
+
+
 def test_exit_code_missing_config(tmp_path, capsys):
     code = main(["rates", "--config", str(tmp_path / "nope.ini")])
     assert code == 2

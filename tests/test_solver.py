@@ -57,6 +57,17 @@ def test_ghat_zero_limit_is_mass(family):
     assert float(fs.ghat(np.array([1e-10]))[0]) == pytest.approx(fs.mass_g, rel=1e-9)
 
 
+def test_heavy_family_refuses_a_width():
+    # g and g-hat of the heavy family never read width, yet reports recorded
+    # the configured value: a width other than 1 is refused, not recorded
+    for width in (2.0, 0.5):
+        with pytest.raises(SolverError, match="heavy family has no width"):
+            ForcingSpec("heavy", gamma=1.0, width=width)
+    assert ForcingSpec("heavy", gamma=1.0, width=1.0).as_dict()["width"] == 1.0
+    for family in ("gaussian", "bump"):
+        assert ForcingSpec(family, gamma=1.0, width=2.0).width == 2.0
+
+
 def test_ghat_matches_numeric_transform():
     # closed-form transforms against the Hankel engine for all families
     from fracasym.radialtransform import RadialFunction, radial_fourier_forward
