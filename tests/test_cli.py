@@ -136,6 +136,18 @@ def test_exit_code_config_error(tmp_path, capsys):
         assert "code=config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL.replace("dim = 3\n", ""), "missing required key [problem] dim"),
+    (MINIMAL + "[forcing]\ngamma = 1.0\n", "missing required key [forcing] family"),
+    ("alpha = 0.5\n" + MINIMAL, "malformed config"),
+    (MINIMAL.replace("[problem]", "[problem"), "malformed config"),
+    ("[grid]\npoints = 128\n", "missing required section [problem]"),
+], ids=["problem-key", "forcing-key", "no-section-header", "unclosed-header", "no-problem"])
+def test_incomplete_or_malformed_config_exits_2(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    assert main(["verify", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert f"code=config {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_heavy_forcing_with_a_width_is_a_config_error(tmp_path, capsys):

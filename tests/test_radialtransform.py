@@ -830,6 +830,19 @@ def test_save_load_round_trip(tmp_path):
     assert meta["points"] == 256
 
 
+def test_load_refuses_nodes_off_the_sidecars_grid(tmp_path):
+    # the profile cache's guard against values sampled on another grid: a
+    # CSV whose nodes are not the grid its sidecar names is refused
+    grid = RadialGrid(1e-3, 1e2, 256)
+    path = tmp_path / "profile.csv"
+    RadialFunction(grid, np.exp(-grid.nodes)).save(str(path))
+    sidecar = tmp_path / "profile.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "rho_max": 1e3}))
+    with pytest.raises(TransformError, match="grid mismatch"):
+        RadialFunction.load(str(path))
+
+
 @given(
     c=st.floats(0.1, 10.0),
     p=st.sampled_from([1.0, 2.0, math.inf]),

@@ -1,8 +1,9 @@
 import math
+import os
 
 import pytest
 
-from fracasym.reporting import make_report
+from fracasym.reporting import atomic_write, make_report
 
 _TIMES = (1e2, 1e3, 1e4)
 
@@ -34,3 +35,13 @@ def test_one_csv_row_per_checkpoint(tmp_path):
     make_report("t", _TIMES, norms, [1.0, 0.5, 0.0], 5e-2).save(str(tmp_path / "t.json"))
     assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
         "100,0.5,1", "1000,0.25,0.5", "10000,0.125,0"]
+
+
+def test_atomic_write_leaves_nothing_when_the_write_fails(tmp_path):
+    # a failed write removes its temporary file and never creates the target
+    target = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        atomic_write(str(target), 12345)  # not text: the write itself raises
+    assert os.listdir(tmp_path) == []
+    atomic_write(str(target), "ok\n")
+    assert os.listdir(tmp_path) == ["report.json"] and target.read_text() == "ok\n"

@@ -396,6 +396,25 @@ def test_slice_positivity_and_mass_consistency():
     assert abs(got / ref - 1.0) < 1e-3
 
 
+def test_sub_noise_negative_sample_is_clamped(monkeypatch):
+    # a negative sample within 1e-12 of the largest is rounding residue: it
+    # reads 0.0 and the slice is kept, where one below that floor raises
+    params = FracParams(0.5, 0.5, 3)
+    fs = ForcingSpec("gaussian", gamma=1.5, dim=3)
+    clean = solve_duhamel(fs, params, 100.0, GRID).u.samples
+    inverse = solver.radial_fourier_inverse
+
+    def planted(symbol, dim, grid):
+        samples = inverse(symbol, dim, grid).samples.copy()
+        samples[100] = -0.5e-12 * samples.max()
+        return RadialFunction(grid, samples)
+
+    monkeypatch.setattr(solver, "radial_fourier_inverse", planted)
+    got = solve_duhamel(fs, params, 100.0, GRID).u.samples
+    assert got[100] == 0.0 and not np.signbit(got[100])
+    assert np.array_equal(np.delete(got, 100), np.delete(clean, 100))
+
+
 def test_linearity_in_amplitude():
     params = FracParams(0.5, 0.5, 3)
     a1 = solve_duhamel(ForcingSpec("gaussian", gamma=0.5, amplitude=1.0, dim=3), params, 10.0, GRID)

@@ -62,6 +62,33 @@ def test_config_validation():
             _cfg(tolerance=tolerance)
 
 
+def test_coherence_refusals(monkeypatch):
+    # coherence pairs its three xi values with as many checkpoints, and reads
+    # the reference at xi t^theta, which must lie on the grid: each is
+    # refused before any transform
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform reached")
+
+    monkeypatch.setattr(radialtransform._HankelEngine, "integrate", no_transform)
+    coherence = lambda **kw: _cfg(theorem="coherence", scale=ScaleSpec(kind="outer"), **kw)
+    for times in ((1e2, 1e3), (1e2, 1e3, 1e4, 1e5)):
+        with pytest.raises(VerifyError, match="pairs 3 xi-values with as many times"):
+            run_check(coherence(times=times))
+    # theta = 1/2: the radii are 1e4 (beyond rho_max = 1e3), and 1 (below
+    # rho_min = 10)
+    for times, grid in (((1e10, 1e11, 1e12), RadialGrid()),
+                        ((1e2, 1e3, 1e4), RadialGrid(10.0, 1e3, 64))):
+        with pytest.raises(VerifyError, match="outside the grid"):
+            run_check(coherence(times=times, grid=grid))
+
+
+def test_kernel_bounds_refuses_alpha_one():
+    # in validation mode G is bounded and has no kappa: nothing to bound
+    cfg = _cfg(params=FracParams(1.0, 0.5, 3, validation_mode=True), theorem="kernel-bounds")
+    with pytest.raises(VerifyError, match="alpha < 1 only"):
+        run_check(cfg)
+
+
 def test_unknown_theorem():
     cfg = _cfg()
     cfg.theorem = "bogus"
