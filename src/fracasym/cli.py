@@ -14,11 +14,12 @@ bound report, one (alpha, beta, N) per config.  Profiles are built in the
 process; no command caches them on disk.
 Exit status: 0 success/pass, 1 check failure or numerical error, 2
 configuration error: a value any of those objects rejects (a non-finite
-forcing value, a heavy forcing's width other than 1 and bad checkpoints
-among them), a p outside [1, inf] (NaN
-too), a non-finite time, a scale key that the kind does not read
-(params.SCALE_FIELDS) or a gamma outside the theorem's regime
-(verify.check_gamma) exits 2 with code=config.
+forcing value, a heavy forcing's width other than 1, validation_mode at
+alpha < 1 and bad checkpoints among them), a theorem outside
+verify.THEOREMS, a p outside [1, inf] (NaN too), a non-finite time, a
+scale key that the kind does not read (params.SCALE_FIELDS) or a gamma
+outside the theorem's regime (verify.check_gamma) exits 2 with code=config,
+in every command.
 So does, in `verify` only, a [verify] key that the theorem's check does not
 read: mu, which only `potential` reads, and by the theorem's row of
 verify.THEOREMS p or tolerance outside the row's `reads` and any scale key
@@ -97,6 +98,14 @@ def _parse_p(raw: str) -> float:
     return float(raw)
 
 
+def _parse_theorem(raw: str) -> str:
+    """A row of verify.THEOREMS, in any command: a misspelled theorem would
+    take the default scale kind, not the theorem's."""
+    if raw not in THEOREMS:
+        raise ValueError(f"unknown theorem {raw!r}")
+    return raw
+
+
 def _parse_bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
@@ -109,7 +118,7 @@ _KEYS = {
     "forcing": {"family": str, "gamma": float, "amplitude": float, "width": float},
     "grid": {"rho_min": float, "rho_max": float, "points": int},
     "verify": {
-        "theorem": str,
+        "theorem": _parse_theorem,
         "p": _parse_p,
         "times": _parse_times,
         "tolerance": _parse_tolerance,
@@ -166,13 +175,12 @@ def parse_config(text: str) -> RunConfig:
     problem, forcing, grid, scale = (_section(cp, section) for section in _KEYS)
     run = {k: scale.pop(k) for k in list(scale) if k in RunConfig.__dataclass_fields__}
     theorem = run.get("theorem", VerifyConfig.theorem)
-    row = THEOREMS.get(theorem)
+    row = THEOREMS[theorem]
     unread = ["mu"] if "mu" in run else []  # no check reads mu; the rest by the row
-    if row:
-        unread += [k for k in ("p", "tolerance") if k in run and k not in row.reads]
-        if not row.kind:  # a row without a kind reads no scale key
-            unread += scale
-    kind = scale.setdefault("kind", row and row.kind or "compact")
+    unread += [k for k in ("p", "tolerance") if k in run and k not in row.reads]
+    if not row.kind:  # a row without a kind reads no scale key
+        unread += scale
+    kind = scale.setdefault("kind", row.kind or "compact")
     if kind in SCALE_FIELDS:  # ScaleSpec refuses any other kind
         read = {"kind", *("mu_outer" if f == "mu" else f for f in SCALE_FIELDS[kind])}
         stray = sorted(set(scale) - read)

@@ -94,8 +94,10 @@ class KernelProfile:
 
 def _identity(params: FracParams, which: str) -> dict:
     """The sidecar keys that name a profile; a disk hit matches all of them
-    and the grid."""
-    return {"which": which, **params.as_dict(), "engine": _engine()}
+    and the grid.  precision_bits is among them: a profile made in another
+    extended precision is a miss."""
+    return {"which": which, **params.as_dict(), "engine": _engine(),
+            "precision_bits": special.precision_bits()}
 
 
 def _symbol(params: FracParams, which: str, times=(1.0,)):

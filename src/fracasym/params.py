@@ -27,7 +27,8 @@ class FracParams:
 
     alpha = 1 is admitted only with validation_mode=True, in which case the
     kernels degenerate to classical (heat-type) ones and the singular-profile
-    machinery reports "not applicable".
+    machinery reports "not applicable".  The flag is refused at alpha < 1,
+    where nothing reads it: it equals alpha == 1 exactly.
     """
 
     alpha: float
@@ -42,6 +43,8 @@ class FracParams:
             raise ParameterError(
                 "alpha = 1 requires validation_mode=True (classical-kernel oracles only)"
             )
+        if self.validation_mode and self.alpha != 1.0:
+            raise ParameterError(f"validation_mode=True requires alpha = 1, got {self.alpha}")
         if not (0.0 < self.beta <= 1.0):
             raise ParameterError(f"beta must be in (0, 1], got {self.beta}")
         if int(self.dim) != self.dim:

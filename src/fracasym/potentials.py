@@ -220,7 +220,7 @@ def riesz_tail_check(
     rep = make_report(
         "riesz-tail", R_list, raw, norm, tolerance,
         params={"mu": mu, "dim": dim, "mass": mass},
-        p=p, scale={"nu": nu, "mu_outer": mu_outer},
+        p=p, scale={"nu": nu, "mu_outer": mu_outer}, grid=grid.as_dict(),
     )
     rep.runtime_seconds = time.perf_counter() - t0
     return rep

@@ -13,19 +13,21 @@ the partial sums of the alternating panel series.  Substituting x = r*rho puts
 all Bessel evaluations at rho-independent abscissas, and the averaging is
 linear in the panel sums, so both fold into one weight per abscissa, the
 kernel J_nu(x) x^{N/2} w times its panel's averaging weight, built once per
-dimension (in extended precision: the sum cancels by many orders of magnitude
-where the output is small).  A transform is then one long-double
+dimension in the one extended precision, `special._EXTENDED` (80-bit long
+double on x86-64 Linux): the sum cancels by many orders of magnitude where
+the output is small.  A transform is then one extended-precision
 matrix-vector product, symbol values times weights, plus one float64 pass for
-the noise floor, over the arguments x/rho, which are divided in long double
-(on the default 768-point grid, 1904 abscissas: 11-13 ms of division per
-pass on a 2-vCPU Xeon).  Each output row needs only its own row of x/rho, so
-the engine forms, evaluates, sums and checks _BLOCK_ROWS = 16 rows at a time,
-a working set that stays in a 2 MiB L2, bit for bit the result of one call on
-the whole array.  One pass serves K symbols: the symbol is called once per
-block and yields K arrays, one at a time, so the factors they share (the
-division, a forcing transform, r^{2b}) are formed once, and each output is
-summed and checked on its own, with the bits it would have alone, and let
-go before the next is asked for: one output is alive at a time, whatever K.
+the noise floor, over the arguments x/rho, which are divided in the
+abscissas' precision (on the default 768-point grid, 1904 abscissas: 11-13
+ms of division per pass on a 2-vCPU Xeon).  Each output row needs only its
+own row of x/rho, so the engine forms, evaluates, sums and checks
+_BLOCK_ROWS = 16 rows at a time, a working set that stays in a 2 MiB L2, bit
+for bit the result of one call on the whole array.  One pass serves K
+symbols: the symbol is called once per block and yields K arrays, one at a
+time, so the factors they share (the division, a forcing transform, r^{2b})
+are formed once, and each output is summed and checked on its own, with the
+bits it would have alone, and let go before the next is asked for: one
+output is alive at a time, whatever K.
 radial_fourier_inverses is that batched inverse; radial_fourier_inverse and
 radial_fourier_forward are its K = 1 case.  A default-grid G transform takes
 72-73 ms and peaks at 1.6 MiB of traced allocations; a Duhamel pass at three
@@ -61,6 +63,7 @@ from itertools import repeat
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import special
 from .reporting import atomic_write
 from .special import bessel_j_half, gl_panels
 from .spline import UniformSpline
@@ -98,6 +101,10 @@ class RadialGrid:
     @cached_property
     def nodes(self) -> np.ndarray:
         return np.geomspace(self.rho_min, self.rho_max, self.points)
+
+    def as_dict(self) -> dict:
+        """The grid as reports and sidecars record it."""
+        return {"rho_min": self.rho_min, "rho_max": self.rho_max, "points": self.points}
 
 
 class RadialFunction:
@@ -222,7 +229,8 @@ class RadialFunction:
 
     def save(self, csv_path, extra_metadata=None):
         """CSV (`rho,value`, 17 significant digits) plus a JSON sidecar: the
-        grid, each end's `tail` exponent or null, the convention, extras."""
+        grid, each end's `tail` exponent or null, the convention, the
+        precision_bits of special._EXTENDED, extras."""
         lines = ["rho,value"]
         # Python floats format faster than numpy scalars, to the same bytes
         lines += [
@@ -232,12 +240,11 @@ class RadialFunction:
         atomic_write(csv_path, "\n".join(lines) + "\n")
         inner, outer = self.tail(True), self.tail(False)
         meta = {
-            "rho_min": self.grid.rho_min,
-            "rho_max": self.grid.rho_max,
-            "points": self.grid.points,
+            **self.grid.as_dict(),
             "inner_exponent": inner[2] if inner else None,
             "outer_exponent": outer[2] if outer else None,
             "convention": _CONVENTION,
+            "precision_bits": special.precision_bits(),
             **(extra_metadata or {}),
         }
         atomic_write(
@@ -288,7 +295,7 @@ def _leggauss_extended(n):
             p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
         return p, n * (x * p - p_prev) / (x * x - 1.0)
 
-    x = leggauss(n)[0].astype(np.longdouble)
+    x = leggauss(n)[0].astype(special._EXTENDED)
     for _ in range(3):
         p, dp = legendre(x)
         x = x - p / dp
@@ -322,14 +329,12 @@ class _HankelEngine:
         self.dim = dim
         nu = dim / 2.0 - 1.0
 
-        pi_ld = np.longdouble(np.pi)
-        zeros = (
-            np.arange(1, self.N_OSC + 1, dtype=np.longdouble) + nu / 2.0 - 0.25
-        ) * pi_ld
+        ext = special._EXTENDED
+        zeros = (np.arange(1, self.N_OSC + 1, dtype=ext) + nu / 2.0 - 0.25) * ext(np.pi)
         head_breaks = zeros[0] * np.exp(
             np.linspace(
-                np.log(np.longdouble(self.HEAD_FLOOR)),
-                np.longdouble(0.0),
+                np.log(ext(self.HEAD_FLOOR)),
+                ext(0.0),
                 self.HEAD_PANELS + 1,
             )
         )
@@ -338,8 +343,8 @@ class _HankelEngine:
         x, w = gl_panels(breaks, *_leggauss_extended(self.GL_PTS))
 
         self.x = x
-        # long-double abscissas keep the Bessel recurrence in extended precision
-        self.kernel = bessel_j_half(nu, x) * x ** np.longdouble(dim / 2.0) * w
+        # extended abscissas keep the Bessel recurrence in extended precision
+        self.kernel = bessel_j_half(nu, x) * x ** ext(dim / 2.0) * w
 
         # Euler-type acceleration of the alternating tail (exact on polynomial
         # envelopes): m passes of pairwise averaging over its partial sums
@@ -350,10 +355,10 @@ class _HankelEngine:
         n_fixed = self.HEAD_PANELS + self.N_DIRECT
         m = len(breaks) - 2 - n_fixed
         counts = [sum(math.comb(m, k) for k in range(j, m + 1)) for j in range(m + 1)]
-        hi = np.array([c >> 32 for c in counts], dtype=np.longdouble)
-        lo = np.array([c & 0xFFFFFFFF for c in counts], dtype=np.longdouble)
-        tail = (hi * np.longdouble(2.0**32) + lo) / np.longdouble(2.0**m)
-        self.panel_weights = np.concatenate([np.ones(n_fixed, dtype=np.longdouble), tail])
+        hi = np.array([c >> 32 for c in counts], dtype=ext)
+        lo = np.array([c & 0xFFFFFFFF for c in counts], dtype=ext)
+        tail = (hi * ext(2.0**32) + lo) / ext(2.0**m)
+        self.panel_weights = np.concatenate([np.ones(n_fixed, dtype=ext), tail])
         self.k_eff = self.kernel * np.repeat(self.panel_weights, self.GL_PTS)
         self.kernel_f64 = self.kernel.astype(float)  # for the noise floor
 
@@ -374,19 +379,20 @@ class _HankelEngine:
         For a symbol that is elementwise the results are the same bits as one
         call on all rows, and output k has the same bits as a symbol yielding
         it alone.  The symbol contract: each call gets a float64 array r of
-        at most _BLOCK_ROWS x len(x), divided in long double (the precision
-        of x) and rounded once, here, and yields (or returns as a list or a
-        tuple) the same number K of arrays of that shape at every call.
+        at most _BLOCK_ROWS x len(x), divided in the precision of x
+        (special._EXTENDED when the engine was built) and rounded once,
+        here, and yields (or returns as a list or a tuple) the same number K
+        of arrays of that shape at every call.
         """
         rho = np.asarray(rho, dtype=float)
         integral = noise = None
         # at least one block, so that K is known for an empty rho too
         for i in range(0, max(rho.size, 1), _BLOCK_ROWS):
             rows = slice(i, i + _BLOCK_ROWS)
-            # each long-double quotient is rounded into float64 r as it is
-            # written: no long-double block is allocated
+            # each quotient is rounded into float64 r as it is written: no
+            # extended-precision block is allocated
             r = np.empty((rho[rows].size, self.x.size))
-            np.divide(self.x, rho[rows, None].astype(np.longdouble), out=r)
+            np.divide(self.x, rho[rows, None].astype(self.x.dtype), out=r)
             # map hands each output to _block and drops it before it asks the
             # symbol for the next: one output is alive at a time
             block = list(map(self._block, symbol(r), repeat(r.shape)))

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import special
+
 
 @dataclass
 class ConvergenceReport:
@@ -28,6 +30,9 @@ class ConvergenceReport:
     p: float | None = None
     scale: dict | None = None
     truncation_radius: float | None = None
+    grid: dict | None = None  # the RadialGrid's rho_min, rho_max and points
+    # the significand bits of the extended precision the numbers were made in
+    precision_bits: int = field(default_factory=special.precision_bits)
     runtime_seconds: float = 0.0
     notes: dict = field(default_factory=dict)
 
@@ -47,6 +52,8 @@ class ConvergenceReport:
             "normalized_errors": list(self.normalized_errors),
             "slope": self.slope,
             "truncation_radius": self.truncation_radius,
+            "grid": self.grid,
+            "precision_bits": self.precision_bits,
             "verdict": self.verdict,
             "tolerances": {"final": self.tolerance},
             "notes": self.notes,

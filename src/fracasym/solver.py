@@ -50,6 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
+from . import special
 from .params import FracParams
 from .radialtransform import RadialFunction, RadialGrid, TransformError, radial_fourier_inverse
 from .special import _horner, _rgamma, bessel_j_half, gl_panels, mittag_leffler
@@ -147,7 +148,7 @@ class ForcingSpec:
             # (40-digit mpmath) at N = 7, where double loses 1.5e-11 near
             # x = 1.5
             xb = x[big]
-            out[big] = bessel_j_half(nu, xb.astype(np.longdouble)).astype(float) / xb**nu
+            out[big] = bessel_j_half(nu, xb.astype(special._EXTENDED)).astype(float) / xb**nu
         return 8.0 * (2.0 * math.pi) ** (n / 2.0) * w**n * out
 
     @property

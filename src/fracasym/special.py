@@ -35,6 +35,14 @@ Gamma is `math.gamma`, on one positive scalar at every call site; its
 reciprocal `_rgamma` (0 at the poles and on overflow) gives the expansions'
 coefficients.
 
+`_EXTENDED` is the package's one extended precision (long double): the
+Hankel engine's abscissas, weights and sums (`radialtransform`), the bump
+forcing's Bessel recurrence (`solver`) and the Bessel series' coefficients
+here read it, through this module, when they run.  It is 80-bit x87 on
+x86-64 Linux, where every gate was measured, and float64 on Windows and
+macOS arm64; `precision_bits()` is what reports, sidecars and the profile
+cache record of it.  No option sets it.
+
 Only order a in (0, 1] and second parameter b in {1, a} are exercised by the
 rest of the package; any b with a <= b <= 1, the range of the table's error
 contract, is accepted.  Below a, E_{a,b}(-y) is not completely monotone and
@@ -51,6 +59,17 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .spline import UniformSpline
+
+
+# The one extended precision, read as special._EXTENDED at call time: 80-bit
+# x87 on x86-64 Linux, float64 on Windows and macOS arm64.
+_EXTENDED = np.longdouble
+
+
+def precision_bits() -> int:
+    """The significand bits of _EXTENDED, as reports, sidecars and the
+    profile cache's identity record them: 64 on x86-64 Linux."""
+    return int(np.finfo(_EXTENDED).nmant) + 1
 
 
 class SpecialFunctionError(ValueError):
@@ -248,7 +267,7 @@ def bessel_j_half(order: float, x):
     The recurrence (x > 1.5) runs in the input's precision, so long-double
     abscissas get extended-precision values; the series (no cancellation
     there) runs in double.  Its coefficients 1/Gamma(order + 1 + m) are formed
-    in long double from Gamma(1/2) = sqrt(pi) and Gamma(y + 1) = y Gamma(y),
+    in _EXTENDED from Gamma(1/2) = sqrt(pi) and Gamma(y + 1) = y Gamma(y),
     then rounded once.  They agree with scipy's `rgamma` to 2 ulp, and give
     the Hankel kernels of N = 3 to 9 the bits they had with it."""
     k = order - 0.5
@@ -268,7 +287,7 @@ def bessel_j_half(order: float, x):
     small = xf <= 1.5
     if small.any():
         xs = xf[small].astype(float)
-        coef = 1.0 / np.sqrt(np.arccos(np.longdouble(-1.0)))  # 1/Gamma(1/2)
+        coef = 1.0 / np.sqrt(np.arccos(_EXTENDED(-1.0)))  # 1/Gamma(1/2)
         for j in range(k + 1):
             coef /= j + 0.5
         z = -0.25 * xs * xs

@@ -508,7 +508,7 @@ THEOREMS = {
 
 def check_gamma(theorem: str, gamma: float):
     """Raise VerifyError when gamma lies outside the regime of `theorem`."""
-    regime = THEOREMS[theorem].gamma if theorem in THEOREMS else None
+    regime = THEOREMS[theorem].gamma
     if regime and not regime[0](gamma):
         raise VerifyError(f"{theorem} requires {regime[1]}")
 
@@ -517,7 +517,7 @@ def run_check(cfg: VerifyConfig) -> ConvergenceReport:
     """Run the check of cfg.theorem after the preconditions of its THEOREMS
     row (the gamma regime, the scale kind, and a nonzero forcing for every
     check that reads it).  The report records the problem parameters, the
-    check's wall time and the inputs the row says the check reads: the
+    grid, the check's wall time and the inputs the row says the check reads: the
     forcing, p, and on a row with a kind the scale (its kind, an intermediate
     one's class and its SCALE_FIELDS) with the truncation radius rho_max
     where an exterior region stops."""
@@ -537,6 +537,7 @@ def run_check(cfg: VerifyConfig) -> ConvergenceReport:
     rep = check(cfg)
     rep.runtime_seconds = time.perf_counter() - t0
     rep.params = cfg.params.as_dict()
+    rep.grid = cfg.grid.as_dict()
     if "forcing" in reads:
         rep.forcing = cfg.forcing.as_dict()
     if "p" in reads:

@@ -536,6 +536,33 @@ def test_verify_command_exit_zero(tmp_path):
         rep = json.load(fh)
     assert rep["verdict"] == "pass"
     assert rep["p"] is None  # coherence is a pointwise ratio, no L^p norm
+    # the report names its grid and the extended precision it was made in
+    assert rep["grid"] == {"rho_min": 1e-2, "rho_max": 1e2, "points": 256}
+    assert rep["precision_bits"] == np.finfo(np.longdouble).nmant + 1
+
+
+@pytest.mark.parametrize("command", ["rates", "solve", "verify"])
+def test_misspelled_theorem_is_a_config_error(tmp_path, capsys, command):
+    # rates wrote the compact rate t^-1.5 for "outer-generall" with exit 0,
+    # solve ignored it, and verify refused it as a precondition
+    text = FULL.replace("theorem = coherence", "theorem = outer-generall").replace(
+        "kind = outer\nnu = 1.0\n", "")
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "code=config bad value for [verify] theorem: 'outer-generall'\n"
+    assert not out.exists()
+
+
+def test_validation_mode_below_alpha_one_is_a_config_error(tmp_path, capsys):
+    # at alpha = 0.5 nothing read the flag: verify passed, and its report did
+    # not record it
+    text = COHERENCE.replace("dim = 3", "dim = 3\nvalidation_mode = true")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "code=config validation_mode=True requires alpha = 1, got 0.5\n"
+    assert not out.exists()
 
 
 def test_readme_example_runs(tmp_path):
@@ -571,6 +598,7 @@ def test_potential_command(tmp_path):
     with open(out / "potential_mu1.json") as fh:
         meta = json.load(fh)
     assert meta["mu"] == 1.0
+    assert meta["precision_bits"] == np.finfo(np.longdouble).nmant + 1
 
 
 def test_kernel_command_deterministic(tmp_path, capsys):
@@ -624,7 +652,7 @@ def test_profile_metadata_one_key_set(tmp_path, cache_dir, g_profile_heat, f_pro
             for f in (sidecar, cli_out / f"profile_{which}.json")
         ]
         assert {"which", "alpha", "beta", "dim", "kappa", "constant_A",
-                "bound_report"} <= cached.keys()
+                "bound_report", "precision_bits"} <= cached.keys()
         assert cli_meta == cached
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracasym import kernels
+from fracasym import kernels, special
 from fracasym.params import FracParams
 from fracasym.potentials import riesz_constant
 from fracasym.radialtransform import RadialFunction, RadialGrid, _moment, radial_integral
@@ -331,8 +331,10 @@ def test_cache_stale_engine_or_corrupt_file_is_a_miss(params_ref, tmp_path, monk
     hit = kernels.build_y_profile(params_ref, cache_dir=cdir)
     assert np.array_equal(hit.values.samples, planted.values.samples)
     stale = {**json.loads(sidecar.read_text()), "engine": "0" * 64}
+    other = {**json.loads(sidecar.read_text()), "precision_bits": special.precision_bits() + 1}
     for path, text in [
         (sidecar, json.dumps(stale)),  # a profile built by other engine code
+        (sidecar, json.dumps(other)),  # or in another extended precision
         (sidecar, "{"),  # truncated sidecar
         (csv_path, "rho,value\n1,"),  # truncated values
         (csv_path, ""),  # empty values file

@@ -55,6 +55,12 @@ def test_invalid_params():
     FracParams(1.0, 1.0, 5, validation_mode=True)
 
 
+def test_validation_mode_below_alpha_one_is_refused():
+    # nothing reads the flag at alpha < 1: accepted, it went unrecorded
+    with pytest.raises(ParameterError, match="validation_mode=True requires alpha = 1"):
+        FracParams(0.5, 0.5, 3, validation_mode=True)
+
+
 @pytest.mark.parametrize(
     "gamma,e_exp,l_exp,expected",
     [

@@ -162,6 +162,8 @@ def test_tail_check_heavy_tail():
         R_list=[1e2, 1e3, 1e4], ghat=ghat, tolerance=1e-2,
     )
     assert rep.verdict == "pass"
+    # the report records the grid the check builds, out to 2 mu_outer R
+    assert rep.to_dict()["grid"] == {"rho_min": 1e-2, "rho_max": 4e4, "points": 768}
     ratios = [
         rep.normalized_errors[i + 1] / rep.normalized_errors[i] for i in range(2)
     ]

@@ -152,8 +152,8 @@ def _panel_averaging(eng, symbol, rho):
     """Reference: the panel series summed step by step, with no folded
     weights.  Long-double panel sums, the head and first panels summed
     directly, the partial sums of the rest averaged pairwise until one value
-    is left; the same noise floor."""
-    r = eng.x[None, :] / rho.astype(np.longdouble)[:, None]
+    is left; the same noise floor.  r is divided in the engine's precision."""
+    r = eng.x[None, :] / rho.astype(eng.x.dtype)[:, None]
     contrib = np.asarray(symbol(r)).astype(np.longdouble) * eng.kernel[None, :]
     panels = contrib.reshape(len(rho), -1, eng.GL_PTS).sum(axis=2)
     n_fixed = eng.HEAD_PANELS + eng.N_DIRECT
@@ -208,9 +208,9 @@ def test_engine_panel_weights(dim):
 
 def _whole_array_integrate(eng, symbol, rho):
     """Reference: the symbol evaluated on all rows of r = x/rho at once (divided
-    in long double, passed as float64), then one long-double product and one
-    noise pass over the whole array."""
-    r = (eng.x[None, :] / rho.astype(np.longdouble)[:, None]).astype(float)
+    in the engine's precision, passed as float64), then one product in it and
+    one noise pass over the whole array."""
+    r = (eng.x[None, :] / rho.astype(eng.x.dtype)[:, None]).astype(float)
     vals = np.asarray(symbol(r))
     integral = np.einsum("ij,j->i", vals, eng.k_eff)
     cf = np.abs(vals.astype(float, copy=False) * eng.kernel.astype(float))
@@ -335,7 +335,8 @@ def test_engine_rejects_non_finite_in_last_block():
     # NaN only at the last node, rho = rho_max, in the ragged final block of
     # a 100-point grid; r_last is rounded to float64 as the engine rounds r
     grid = RadialGrid(1e-3, 1e3, 100)
-    r_last = float(_engine(3).x[0] / np.longdouble(grid.nodes[-1]))
+    x = _engine(3).x
+    r_last = float(x[0] / x.dtype.type(grid.nodes[-1]))
     rows = []
 
     def symbol(r):

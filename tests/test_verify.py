@@ -92,7 +92,8 @@ def test_kernel_bounds_refuses_alpha_one():
 def test_unknown_theorem():
     cfg = _cfg()
     cfg.theorem = "bogus"
-    with pytest.raises(VerifyError):
+    # the library's own refusal, which the command line's parse never reaches
+    with pytest.raises(VerifyError, match="unknown theorem 'bogus'; options: "):
         run_check(cfg)
 
 
