@@ -13,21 +13,19 @@ the partial sums of the alternating panel series.  Substituting x = r*rho puts
 all Bessel evaluations at rho-independent abscissas, and the averaging is
 linear in the panel sums, so both fold into one weight per abscissa, the
 kernel J_nu(x) x^{N/2} w times its panel's averaging weight, built once per
-dimension in the one extended precision, `special._EXTENDED` (80-bit long
-double on x86-64 Linux): the sum cancels by many orders of magnitude where
-the output is small.  A transform is then one extended-precision
+dimension (in extended precision: the sum cancels by many orders of magnitude
+where the output is small).  A transform is then one long-double
 matrix-vector product, symbol values times weights, plus one float64 pass for
-the noise floor, over the arguments x/rho, which are divided in the
-abscissas' precision (on the default 768-point grid, 1904 abscissas: 11-13
-ms of division per pass on a 2-vCPU Xeon).  Each output row needs only its
-own row of x/rho, so the engine forms, evaluates, sums and checks
-_BLOCK_ROWS = 16 rows at a time, a working set that stays in a 2 MiB L2, bit
-for bit the result of one call on the whole array.  One pass serves K
-symbols: the symbol is called once per block and yields K arrays, one at a
-time, so the factors they share (the division, a forcing transform, r^{2b})
-are formed once, and each output is summed and checked on its own, with the
-bits it would have alone, and let go before the next is asked for: one
-output is alive at a time, whatever K.
+the noise floor, over the arguments x/rho, which are divided in long double
+(on the default 768-point grid, 1904 abscissas: 11-13 ms of division per
+pass on a 2-vCPU Xeon).  Each output row needs only its own row of x/rho, so
+the engine forms, evaluates, sums and checks _BLOCK_ROWS = 16 rows at a time,
+a working set that stays in a 2 MiB L2, bit for bit the result of one call on
+the whole array.  One pass serves K symbols: the symbol is called once per
+block and yields K arrays, one at a time, so the factors they share (the
+division, a forcing transform, r^{2b}) are formed once, and each output is
+summed and checked on its own, with the bits it would have alone, and let
+go before the next is asked for: one output is alive at a time, whatever K.
 radial_fourier_inverses is that batched inverse; radial_fourier_inverse and
 radial_fourier_forward are its K = 1 case.  A default-grid G transform takes
 72-73 ms and peaks at 1.6 MiB of traced allocations; a Duhamel pass at three
@@ -37,6 +35,10 @@ engine) and yields arrays of that shape (a list or a tuple of them serves
 too); no symbol casts its argument.  Both directions share one finish:
 integrate, zero what lies below 8x the rounding noise, scale by
 (2pi)^{-+N/2} r^{-N}.
+
+Long double here is `special._EXTENDED`, the package's one extended
+precision (80-bit x87 on x86-64 Linux): the engine reads it when it is
+built, and integrate divides x/rho in the dtype of its abscissas.
 
 RadialFunction alone decides what a profile is beyond its grid: it stores
 each sample too small to carry a value as +0.0, and `tail`, the only reader
@@ -343,7 +345,7 @@ class _HankelEngine:
         x, w = gl_panels(breaks, *_leggauss_extended(self.GL_PTS))
 
         self.x = x
-        # extended abscissas keep the Bessel recurrence in extended precision
+        # long-double abscissas keep the Bessel recurrence in extended precision
         self.kernel = bessel_j_half(nu, x) * x ** ext(dim / 2.0) * w
 
         # Euler-type acceleration of the alternating tail (exact on polynomial
@@ -379,18 +381,17 @@ class _HankelEngine:
         For a symbol that is elementwise the results are the same bits as one
         call on all rows, and output k has the same bits as a symbol yielding
         it alone.  The symbol contract: each call gets a float64 array r of
-        at most _BLOCK_ROWS x len(x), divided in the precision of x
-        (special._EXTENDED when the engine was built) and rounded once,
-        here, and yields (or returns as a list or a tuple) the same number K
-        of arrays of that shape at every call.
+        at most _BLOCK_ROWS x len(x), divided in long double (the precision
+        of x) and rounded once, here, and yields (or returns as a list or a
+        tuple) the same number K of arrays of that shape at every call.
         """
         rho = np.asarray(rho, dtype=float)
         integral = noise = None
         # at least one block, so that K is known for an empty rho too
         for i in range(0, max(rho.size, 1), _BLOCK_ROWS):
             rows = slice(i, i + _BLOCK_ROWS)
-            # each quotient is rounded into float64 r as it is written: no
-            # extended-precision block is allocated
+            # each long-double quotient is rounded into float64 r as it is
+            # written: no long-double block is allocated
             r = np.empty((rho[rows].size, self.x.size))
             np.divide(self.x, rho[rows, None].astype(self.x.dtype), out=r)
             # map hands each output to _block and drops it before it asks the

@@ -517,10 +517,10 @@ def run_check(cfg: VerifyConfig) -> ConvergenceReport:
     """Run the check of cfg.theorem after the preconditions of its THEOREMS
     row (the gamma regime, the scale kind, and a nonzero forcing for every
     check that reads it).  The report records the problem parameters, the
-    grid, the check's wall time and the inputs the row says the check reads: the
-    forcing, p, and on a row with a kind the scale (its kind, an intermediate
-    one's class and its SCALE_FIELDS) with the truncation radius rho_max
-    where an exterior region stops."""
+    grid, the check's wall time and the inputs the row says the check reads:
+    the forcing, p, and on a row with a kind the scale (its kind, an
+    intermediate one's class and its SCALE_FIELDS) with the truncation
+    radius rho_max where an exterior region stops."""
     if cfg.theorem not in THEOREMS:
         raise VerifyError(
             f"unknown theorem {cfg.theorem!r}; options: {sorted(THEOREMS)}"

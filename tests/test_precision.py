@@ -49,7 +49,8 @@ def test_battery_verdicts_hold_in_float64(monkeypatch, request):
     for label, rep in plain.items():
         ref = extended[label]
         assert (rep.verdict, ref.verdict) == ("pass", "pass"), label
-        assert (rep.precision_bits, ref.precision_bits) == (53, np.finfo(np.longdouble).nmant + 1)
+        bits = (rep.precision_bits, ref.precision_bits)
+        assert bits == (53, np.finfo(np.longdouble).nmant + 1)
         assert rep.checkpoints == ref.checkpoints
         # the achieved levels: 3.8e-7 for kernel-bounds, 2.5e-12 elsewhere
         rtol = 1e-6 if label == "kernel-bounds" else 1e-11
