@@ -187,9 +187,14 @@ def riesz_tail_check(
     """Normalized far-field errors R^{N(1-1/p)-mu} ||I_mu[g] - M E_mu||_{L^p}
     over the annuli nu R < rho < mu_outer R for R in R_list (at least two
     finite, positive, strictly increasing radii); pass iff strictly
-    decreasing and final value below tolerance.  A zero g is refused."""
-    if not 0 < nu < mu_outer:
-        raise PotentialError("need 0 < nu < mu_outer")
+    decreasing and final value below tolerance.  A zero g, a non-finite
+    mu_outer and a tolerance that is not finite and positive (a NaN or
+    non-positive one fails every series, an infinite one passes every
+    decreasing one) are refused."""
+    if not 0 < nu < mu_outer < math.inf:
+        raise PotentialError("need 0 < nu < mu_outer < inf")
+    if not 0.0 < tolerance < math.inf:
+        raise PotentialError(f"tolerance must be finite and positive, got {tolerance}")
     if not p >= 1:
         raise PotentialError(f"p must be in [1, inf], got {p}")
     R_list = [float(R) for R in R_list]

@@ -161,9 +161,7 @@ class RadialFunction:
 
     @cached_property
     def _spline(self):
-        """The interpolant of the core: None for a zero function."""
-        if self.is_zero:
-            return None
+        """The interpolant of the core."""
         if self._single_signed:
             i0, i1 = self._core
             # quintic in log-log: cubic's O(h^4) error is the round-trip

@@ -1,9 +1,13 @@
+import contextlib
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 import run_all_checks
 from fracasym.params import FracParams
 from fracasym import kernels
+from fracasym.radialtransform import ExtrapolationWarning
+from fracasym.verify import run_check
 
 settings.register_profile(
     "suite",
@@ -28,6 +32,21 @@ def battery(cache_dir):
     """The check battery, label -> VerifyConfig, from its one definition,
     scripts/run_all_checks.configs(), built through the session cache."""
     return dict(run_all_checks.configs(cache_dir))
+
+
+@pytest.fixture(scope="session")
+def battery_reports(battery):
+    """label -> the report of each battery config, each run once per session:
+    the acceptance criteria, the golden test and the tests of one check read
+    these rather than run the config again."""
+    reports = {}
+    for label, cfg in battery.items():
+        # kernel-bounds integrates its norms over [1e-9, 1e9], beyond its grid
+        held = (pytest.warns(ExtrapolationWarning) if label == "kernel-bounds"
+                else contextlib.nullcontext())
+        with held:
+            reports[label] = run_check(cfg)
+    return reports
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import golden
 from fracasym import kernels, solver
 from fracasym.cli import ConfigError, main, parse_config
 from fracasym.params import FracParams, ScaleSpec, rate_at
@@ -566,12 +567,12 @@ def test_validation_mode_below_alpha_one_is_a_config_error(tmp_path, capsys):
 
 
 def test_readme_example_runs(tmp_path):
-    # the README's example configuration stays one that verify accepts
-    readme = pathlib.Path(ROOT, "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
-    code = main(["verify", "--config", _write(tmp_path, example), "--out", str(tmp_path / "out")])
-    assert code in (0, 1)
+    # the README's example configuration stays one that verify accepts, and
+    # the five commands on it write the golden files and exit codes
+    out = str(tmp_path / "out")
+    assert golden.run_cli(out)["verify"] in (0, 1)
+    moved = golden.compare_dirs(out, os.path.join(golden.GOLDEN, "cli"))
+    assert not moved, "\n".join([golden.platform_note(), *moved])
 
 
 def test_solve_deterministic(tmp_path):

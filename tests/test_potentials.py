@@ -202,6 +202,22 @@ def test_tail_check_rejects_p_before_transforming(p):
     assert _misses() == (0, 0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"tolerance": math.nan}, {"tolerance": -1.0}, {"tolerance": 0.0},
+    {"tolerance": math.inf}, {"mu_outer": math.inf},
+])
+def test_tail_check_rejects_bad_tolerance_or_mu_outer_before_transforming(bad):
+    # criterion 15's g and radii: a NaN or non-positive tolerance failed every
+    # series, an infinite one passed every decreasing one, and an infinite
+    # mu_outer raised TransformError about a grid the caller never gave
+    grid = RadialGrid(1e-2, 200.0, 640)
+    kw = {"nu": 1.0, "mu_outer": 2.0, "R_list": [5.0, 10.0, 20.0], **bad}
+    _clear_memos()
+    with pytest.raises(PotentialError):
+        riesz_tail_check(_gaussian(grid), 2.0, 3, 1.0, **kw)
+    assert _misses() == (0, 0)
+
+
 @pytest.mark.parametrize(
     "zero, R_list",
     [

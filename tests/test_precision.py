@@ -4,7 +4,7 @@ special._EXTENDED is the one extended precision that every long-double site
 reads (80-bit on x86-64 Linux).  Rebound to float64, as on hosts without
 80-bit long double, the battery gives the same 9 verdicts; its errors move
 by at most 3.8e-7 relative (kernel-bounds' slope error) and 2.5e-12 in the
-other checks.
+other checks.  The long-double side is the session's `battery_reports`.
 """
 
 import contextlib
@@ -38,8 +38,8 @@ def _clear_memos():
     kernels._profile.cache_clear()
 
 
-def test_battery_verdicts_hold_in_float64(monkeypatch, request):
-    extended = _battery()
+def test_battery_verdicts_hold_in_float64(battery_reports, monkeypatch, request):
+    extended = battery_reports
     _clear_memos()
     request.addfinalizer(_clear_memos)  # monkeypatch restores the constant
     monkeypatch.setattr(special, "_EXTENDED", np.float64)

@@ -280,11 +280,11 @@ def test_compact_check_passes(cache_dir):
     assert rep.normalized_errors[0] > rep.normalized_errors[-1]
 
 
-def test_coherence_check_passes(cache_dir):
-    rep = run_check(
-        _cfg(theorem="coherence", scale=ScaleSpec(kind="outer"), cache_dir=cache_dir)
-    )
-    assert rep.verdict == "pass"
+def test_coherence_check_passes(battery, battery_reports, cache_dir):
+    # the battery's config, whose report the session holds
+    cfg = _cfg(theorem="coherence", scale=ScaleSpec(kind="outer"), cache_dir=cache_dir)
+    assert cfg == battery["coherence"]
+    assert battery_reports["coherence"].verdict == "pass"
 
 
 def test_outer_log_kernel_comparison_runs(cache_dir):
@@ -305,19 +305,23 @@ def test_outer_log_kernel_comparison_runs(cache_dir):
     assert all(b < a for a, b in zip(series[:-1], series[1:]))
 
 
-def test_constant_identity(cache_dir, g_profile_ref):
-    rep = run_check(
-        _cfg(theorem="constant", tolerance=1e-2, cache_dir=cache_dir)
-    )
+def test_constant_identity(battery, battery_reports, cache_dir):
+    # the battery's config, whose report the session holds
+    cfg = _cfg(theorem="constant", tolerance=1e-2, cache_dir=cache_dir)
+    assert cfg == battery["constant"]
+    rep = battery_reports["constant"]
     assert rep.verdict == "pass"
     assert rep.notes["A_relative_error"] < 1e-3
     assert rep.notes["c_2beta"] == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-12)
 
 
-def test_kernel_bounds(cache_dir, g_profile_ref):
-    # the norms integrate over [1e-9, 1e9], beyond the [1e-3, 1e5] grid
-    with pytest.warns(ExtrapolationWarning):
-        rep = run_check(_cfg(theorem="kernel-bounds", p=1.0, cache_dir=cache_dir))
+def test_kernel_bounds(battery, battery_reports, cache_dir):
+    # the battery's config, whose report the session holds; the norms
+    # integrate over [1e-9, 1e9], beyond the [1e-3, 1e5] grid, and the
+    # fixture holds the ExtrapolationWarning that says so
+    cfg = _cfg(theorem="kernel-bounds", p=1.0, cache_dir=cache_dir)
+    assert cfg == battery["kernel-bounds"]
+    rep = battery_reports["kernel-bounds"]
     assert rep.verdict == "pass"
     # L^1 norm of the kernel decays like t^{alpha-1}: slope -(1 - alpha)
     assert rep.slope == pytest.approx(-0.5, abs=1e-2)
@@ -544,8 +548,8 @@ def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
         assert np.array_equal(u.samples, single.samples)
 
 
-def test_report_serialization(tmp_path, cache_dir):
-    rep = run_check(_cfg(theorem="coherence", scale=ScaleSpec(kind="outer"), cache_dir=cache_dir))
+def test_report_serialization(tmp_path, battery_reports):
+    rep = battery_reports["coherence"]
     path = str(tmp_path / "report.json")
     rep.save(path)
     import json
