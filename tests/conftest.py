@@ -34,19 +34,31 @@ def battery(cache_dir):
     return dict(run_all_checks.configs(cache_dir))
 
 
-@pytest.fixture(scope="session")
-def battery_reports(battery):
-    """label -> the report of each battery config, each run once per session:
-    the acceptance criteria, the golden test and the tests of one check read
-    these rather than run the config again."""
+def _run_battery(configs):
+    """label -> the report of each (label, VerifyConfig) in configs, holding
+    kernel-bounds' one ExtrapolationWarning: it integrates its norms over
+    [1e-9, 1e9], beyond its grid."""
     reports = {}
-    for label, cfg in battery.items():
-        # kernel-bounds integrates its norms over [1e-9, 1e9], beyond its grid
+    for label, cfg in configs:
         held = (pytest.warns(ExtrapolationWarning) if label == "kernel-bounds"
                 else contextlib.nullcontext())
         with held:
             reports[label] = run_check(cfg)
     return reports
+
+
+@pytest.fixture(scope="session")
+def run_battery():
+    """The battery's runner, for a test that runs it in other settings."""
+    return _run_battery
+
+
+@pytest.fixture(scope="session")
+def battery_reports(battery):
+    """label -> the report of each battery config, each run once per session:
+    the acceptance criteria, the golden test and the tests of one check read
+    these rather than run the config again."""
+    return _run_battery(battery.items())
 
 
 @pytest.fixture(scope="session")

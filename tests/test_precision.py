@@ -7,29 +7,10 @@ by at most 3.8e-7 relative (kernel-bounds' slope error) and 2.5e-12 in the
 other checks.  The long-double side is the session's `battery_reports`.
 """
 
-import contextlib
-
 import numpy as np
-import pytest
 
 import run_all_checks
 from fracasym import kernels, radialtransform, special
-from fracasym.radialtransform import ExtrapolationWarning
-from fracasym.verify import run_check
-
-
-def _battery():
-    """label -> report of every battery config.  No disk cache: each profile
-    is built in the precision bound now, and none is written over the
-    session cache's."""
-    reports = {}
-    for label, cfg in run_all_checks.configs():
-        # kernel-bounds integrates its norms beyond its grid
-        held = (pytest.warns(ExtrapolationWarning) if label == "kernel-bounds"
-                else contextlib.nullcontext())
-        with held:
-            reports[label] = run_check(cfg)
-    return reports
 
 
 def _clear_memos():
@@ -38,12 +19,14 @@ def _clear_memos():
     kernels._profile.cache_clear()
 
 
-def test_battery_verdicts_hold_in_float64(battery_reports, monkeypatch, request):
+def test_battery_verdicts_hold_in_float64(battery_reports, run_battery, monkeypatch, request):
     extended = battery_reports
     _clear_memos()
     request.addfinalizer(_clear_memos)  # monkeypatch restores the constant
     monkeypatch.setattr(special, "_EXTENDED", np.float64)
-    plain = _battery()
+    # no disk cache: each profile is built in the precision bound now, and
+    # none is written over the session cache's
+    plain = run_battery(run_all_checks.configs())
     assert radialtransform._engine(3).x.dtype == np.float64
     assert plain.keys() == extended.keys()
     for label, rep in plain.items():
