@@ -86,15 +86,19 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
 
     failures = 0
+    total = 0.0
     for label, cfg in configs():
         report = run_check(cfg)
         path = os.path.join(args.out, f"report_{label}.json")
         report.save(path)
         errs = ", ".join(f"{e:.3e}" for e in report.normalized_errors)
+        # milliseconds: a check takes 0.1-0.2 s, which tenths of a second hide
         print(f"{label:16s} {report.verdict:14s} [{errs}] "
-              f"({report.runtime_seconds:.1f}s)")
+              f"({1e3 * report.runtime_seconds:.0f} ms)")
+        total += report.runtime_seconds
         if not report.passed:
             failures += 1
+    print(f"{'total':16s} {1e3 * total:.0f} ms")
     print(f"{failures} failing check(s)" if failures else "all checks passed")
     return 1 if failures else 0
 

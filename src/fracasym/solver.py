@@ -10,7 +10,12 @@ The solution slice at time t has Fourier transform
 duhamel_symbols builds that product at K checkpoints, each minus an optional
 comparison profile: the one path for u-hat minus profile-hat, which
 solve_duhamel inverts at K = 1 and every check in fracasym.verify inverts
-at its checkpoints.
+at its checkpoints.  It evaluates W by whole columns of the engine's block
+(the index on its last axis): only through the last column where the
+spatial factor is nonzero in some row, and the table's spline only on the
+columns that hold a point inside the table.  Every other point's value is
+the one the product would give it, so each output keeps every bit.  On the
+battery's Gaussian symbols that skips about half of the spline's points.
 
 The substitution tau = (t-s)^alpha removes the endpoint singularity exactly:
 W(lam, t) = (1/alpha) int_0^{t^alpha} (1+t-tau^{1/alpha})^{-gamma}
@@ -37,7 +42,9 @@ _w_knots): about 455,000 points per table rather than 1201 x 1250.  The table
 cache has no bound: an entry holds about 48 KB (a 1201-knot spline) and takes
 13-20 ms to build (72-94 ms with one E per knot and node; 2-vCPU Xeon), and a
 run visits only a few (alpha, gamma, t) keys, so the cache stays well under a
-megabyte.
+megabyte.  Where gamma != 0 the quadrature takes t <= 1e18 and refuses a
+larger t with SolverError (see _duhamel_nodes): that bounds W and M(t), and
+with them every solve and check.
 """
 
 from __future__ import annotations
@@ -193,6 +200,8 @@ _PANEL_EDGES = 10.0 ** np.linspace(-26.0, 0.0, 26 * _PANELS_PER_DECADE + 1)
 if _PTS_PER_DECADE % _PANELS_PER_DECADE:
     raise ImportError("lam knots per decade must be a multiple of panels per decade")
 _KNOTS_PER_PANEL = _PTS_PER_DECADE // _PANELS_PER_DECADE
+# the largest t the quadrature takes where gamma != 0 (see _duhamel_nodes)
+_T_MAX = 1e18
 
 
 def _duhamel_nodes(alpha: float, gamma: float, t: float):
@@ -205,7 +214,15 @@ def _duhamel_nodes(alpha: float, gamma: float, t: float):
     tau = (t-s)^alpha (which also removes the endpoint singularity exactly).
     The nodes come in that order, s-half then tau-half panel by panel, then
     the two stubs.
+
+    The s-half's stub [0, 0.5 t 1e-26] is summed as a constant, which errs
+    by about gamma (gamma - 1)/2 (0.5e-26 t)^2 relative: 2.5e-9 at t = 1e22
+    and 5e3 at 1e30 (gamma = 2, alpha = 1).  So where gamma != 0, whose
+    integrand that stub does not hold constant, t > _T_MAX is refused.
     """
+    if gamma != 0.0 and t > _T_MAX:
+        raise SolverError(f"the Duhamel quadrature needs t <= {_T_MAX:g} "
+                          f"where gamma != 0, got t={t:g}")
     # old-forcing half: s in [0, t/2], graded toward s = 0
     s_edges = 0.5 * t * _PANEL_EDGES
     s_nodes, s_w = gl_panels(s_edges, *_GL_TAU)
@@ -282,11 +299,16 @@ def _build_w_table(alpha: float, gamma: float, t: float):
 
 
 def time_weight(alpha: float, gamma: float, t: float):
-    """Vectorized lam -> W(lam, t).  gamma = 0 is exact: W = U E_{alpha,1+alpha}(-x)
+    """Vectorized lam -> W(lam, t), written into out when it is given (an
+    array of lam's shape).  gamma = 0 is exact: W = U E_{alpha,1+alpha}(-x)
     with U = t^alpha and x = lam U, that is U sum_k (-x)^k / Gamma(1 + alpha +
     alpha k), summed by Horner below x = 1, where the closed form
     (1 - E_alpha(-x))/lam cancels (by 1.3e-9 relative at x = 2e-8), and the
-    closed form from x = 1 on; otherwise a cached spline table."""
+    closed form from x = 1 on; otherwise a cached spline table, whose log,
+    spline and exp run only from the first to the last column (index on the
+    last axis; a 1-D lam is one row) that holds a point inside the table,
+    with the closed forms written over every point outside it.  Where
+    gamma != 0, t must be at most 1e18 (_duhamel_nodes)."""
     if not 0 < t < math.inf:  # a NaN fails every comparison, so this test too
         raise SolverError(f"time must be positive and finite, got t={t}")
     if gamma == 0.0:
@@ -297,9 +319,10 @@ def time_weight(alpha: float, gamma: float, t: float):
         while abs(coef[-1]) > 1e-18 * coef[0]:
             coef.append(_rgamma(1.0 + alpha * (len(coef) + 1)))
 
-        def w_exact(lam):
+        def w_exact(lam, out=None):
             lam = np.asarray(lam, dtype=float)
-            out = np.empty_like(lam)
+            if out is None:
+                out = np.empty_like(lam)
             x = lam * U
             small = x < 1.0
             if small.any():
@@ -315,18 +338,27 @@ def time_weight(alpha: float, gamma: float, t: float):
 
     lam_lo, lam_hi, w_lo, w_hi, spline = _build_w_table(alpha, gamma, t)
 
-    def w_interp(lam):
-        # the spline on every lam, then the closed forms written over the
-        # points outside the table, whose spline values (which may overflow)
-        # are dropped
+    def w_interp(lam, out=None):
+        # the spline from the first to the last column (index on the last
+        # axis; a 1-D lam is one row) that holds a point inside the table,
+        # then the closed forms written over every point outside it, whose
+        # spline values (which may overflow) are dropped
         lam = np.asarray(lam, dtype=float)
-        with np.errstate(all="ignore"):
-            out = spline(np.log(lam))
-            np.exp(out, out=out)
-        out[lam <= lam_lo] = w_lo
-        high = lam >= lam_hi
+        shape, lam = lam.shape, np.atleast_1d(lam)
+        if out is None:
+            out = np.empty_like(lam)
+        low, high = lam <= lam_lo, lam >= lam_hi
+        inside = ~(low | high)
+        cols = np.flatnonzero(inside.any(axis=tuple(range(lam.ndim - 1))))
+        if cols.size:
+            span = slice(cols[0], cols[-1] + 1)
+            part = out[..., span]
+            with np.errstate(all="ignore"):
+                np.log(lam[..., span], out=part)
+                np.exp(spline(part), out=part)
+        out[low] = w_lo
         out[high] = w_hi * (lam_hi / lam[high])
-        return out
+        return out.reshape(shape)
 
     return w_interp
 
@@ -341,7 +373,13 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
     block and handed to profiles(r, lam, s), which yields the K profile-hats
     with their amplitude and mass factors, each taken as its term needs it;
     without profiles the symbols are the Duhamel terms alone.  No output is
-    referenced once the next is asked for."""
+    referenced once the next is asked for.
+
+    W is formed only through the last column (index on r's last axis) where s
+    is nonzero in some row, in the output's own buffer, and multiplied by s
+    there; past that column the output is s's own zero, sign kept, which is
+    s W for any finite positive W.  A scalar s, or one without a trailing
+    zero column, takes W on the full width.  t <= 1e18 where gamma != 0."""
     if spatial is None:
         spatial = lambda r: fs.amplitude * fs.ghat(r)
     weights = [time_weight(params.alpha, fs.gamma, t) for t in times]
@@ -350,12 +388,21 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
     def symbols(r):
         s, lam = spatial(r), r**two_beta
         hats = None if profiles is None else iter(profiles(r, lam, s))
+        # W only through the last column (index on the last axis) where s is
+        # nonzero in some row: past it s W is s's own zero, sign and all
+        full = np.broadcast_to(s, lam.shape)
+        nonzero = np.flatnonzero(full.any(axis=tuple(range(lam.ndim - 1))))
+        j = nonzero[-1] + 1 if nonzero.size else 0
         for w in weights:
-            d = s * w(lam)
+            d = np.empty(lam.shape)
+            head = d[..., :j]
+            w(lam[..., :j], out=head)
+            head *= full[..., :j]
+            d[..., j:] = full[..., j:]
             if hats is not None:
                 d -= next(hats)  # in d's own buffer: s is shared
             yield d
-            del d  # before the next term is formed
+            del d, head  # before the next term is formed
 
     return symbols
 

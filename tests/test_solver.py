@@ -10,8 +10,10 @@ from scipy.special import jv
 from fracasym.params import FracParams
 from fracasym.potentials import riesz_potential
 from fracasym.radialtransform import (
+    _BLOCK_ROWS,
     RadialFunction,
     RadialGrid,
+    _engine,
     lp_norm_annulus,
     radial_fourier_inverses,
     radial_integral,
@@ -296,26 +298,117 @@ def test_w_monotone_decreasing_in_lam():
     assert np.all(np.diff(v) <= 0)
 
 
-@pytest.mark.parametrize("alpha, gamma, t", [(0.5, 1.5, 100.0), (0.7, 2.0, 3.0)])
-def test_w_spline_is_the_masked_form(alpha, gamma, t):
-    # the spline runs on every lam and the closed forms are written over the
-    # points outside the table: the same values as evaluating each range on
-    # its own points, and no warning from the spline's values out there (at
-    # lam = 0 and inf the log and the interval index are not finite)
+def _w_masked(alpha, gamma, t, lam):
+    """W at each point of a 1-D lam by its range: the spline on the points
+    inside the table alone, the closed forms on the rest."""
     lam_lo, lam_hi, w_lo, w_hi, spline = _build_w_table(alpha, gamma, t)
-    lam = np.concatenate([np.geomspace(lam_lo * 1e-30, lam_hi * 1e30, 3001),
-                          [lam_lo, lam_hi, 1e300, 1e-300, 0.0, np.inf]])
     want = np.empty_like(lam)
     low, high = lam <= lam_lo, lam >= lam_hi
     mid = ~low & ~high
     want[low] = w_lo
     want[high] = w_hi * (lam_hi / lam[high])
     want[mid] = np.exp(spline(np.log(lam[mid])))
+    return want
+
+
+def _same_bits(got, want):
+    # array_equal takes -0.0 for +0.0: the bytes tell them apart
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha, gamma, t", [(0.5, 1.5, 100.0), (0.7, 2.0, 3.0)])
+def test_w_spline_is_the_masked_form(alpha, gamma, t):
+    # the spline runs on the columns that hold a point inside the table and
+    # the closed forms are written over the points outside it: the same
+    # values as evaluating each range on its own points, and no warning from
+    # the spline's values out there (at lam = 0 and inf the log and the
+    # interval index are not finite)
+    lam_lo, lam_hi = _build_w_table(alpha, gamma, t)[:2]
+    lam = np.concatenate([np.geomspace(lam_lo * 1e-30, lam_hi * 1e30, 3001),
+                          [lam_lo, lam_hi, 1e300, 1e-300, 0.0, np.inf]])
+    low, high = lam <= lam_lo, lam >= lam_hi
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = time_weight(alpha, gamma, t)(lam)
-    assert np.array_equal(got, want)
-    assert low.sum() > 100 and high.sum() > 100 and mid.sum() > 100
+    assert _same_bits(got, _w_masked(alpha, gamma, t, lam))
+    assert low.sum() > 100 and high.sum() > 100 and (~low & ~high).sum() > 100
+
+
+@pytest.mark.parametrize("alpha, gamma, t", [(0.5, 1.5, 100.0), (0.7, 2.0, 3.0)])
+def test_w_spline_skips_whole_columns_outside_the_table(alpha, gamma, t):
+    # a 2-D lam whose leading columns lie below the table in every row and
+    # whose trailing columns lie above it in every row, with columns between
+    # that mix all three ranges: the spline skips the outer columns, and
+    # every point keeps the masked form's bits, written into out or not
+    lam_lo, lam_hi = _build_w_table(alpha, gamma, t)[:2]
+    lam = np.geomspace(lam_lo * 1e-3, lam_hi * 1e3, 400) * np.array([[1.0], [3.0], [0.2], [1.7]])
+    low, high = lam <= lam_lo, lam >= lam_hi
+    assert low.all(axis=0).sum() > 20 and high.all(axis=0).sum() > 20
+    assert (low.any(axis=0) & ~low.all(axis=0)).any()
+    assert (high.any(axis=0) & ~high.all(axis=0)).any()
+    want = _w_masked(alpha, gamma, t, lam.ravel()).reshape(lam.shape)
+    w = time_weight(alpha, gamma, t)
+    assert _same_bits(w(lam), want)
+    out = np.full((4, 500), np.nan)
+    w(lam, out=out[:, 50:450])
+    assert _same_bits(out[:, 50:450], want)
+    assert np.isnan(out[:, :50]).all() and np.isnan(out[:, 450:]).all()
+    # a scalar lam is one point
+    scalar = w(lam[1, 200])
+    assert scalar.shape == () and scalar == want[1, 200]
+
+
+def _engine_block(first):
+    """The engine's block of rows first, first + 1, ... of r = x/rho on the
+    default grid, as it hands it to a symbol."""
+    eng, rho = _engine(3), RadialGrid().nodes[first : first + _BLOCK_ROWS]
+    r = np.empty((rho.size, eng.x.size))
+    np.divide(eng.x, rho[:, None].astype(eng.x.dtype), out=r)
+    return r
+
+
+@pytest.mark.parametrize("gamma", [2.0, 0.0])
+@pytest.mark.parametrize("amplitude", [1.0, -2.5])
+@pytest.mark.parametrize("case", ["ghat", "ghat-profiles", "no-zeros", "scalar"])
+def test_duhamel_symbols_cut_keeps_every_bit(gamma, amplitude, case):
+    # W runs only through the last column where the spatial factor is
+    # nonzero in some row: every output equals s W - hat over the whole
+    # block, W over the whole block too, bit for bit, a negative
+    # amplitude's -0.0 included
+    params = FracParams(0.5, 0.5, 3)
+    fs = ForcingSpec("gaussian", gamma=gamma, amplitude=amplitude, dim=3)
+    times = (1e2, 1e3, 1e4)
+    spatial = {
+        "no-zeros": lambda r: fs.amplitude * (fs.ghat(r) - fs.mass_g),
+        "scalar": lambda r: fs.M0,
+    }.get(case)
+    profiles = None
+    if case == "ghat-profiles":
+        profiles = lambda r, lam, s: (s * r**-1.0 / t + lam / t for t in times)
+    r = _engine_block(0)
+    lam = r ** (2.0 * params.beta)
+    s = (spatial or (lambda r: fs.amplitude * fs.ghat(r)))(r)
+    zero_cols = (np.broadcast_to(s, r.shape) == 0).all(axis=0)
+    if case.startswith("ghat"):
+        # the cut has a zero suffix to skip, whose -0.0 the sign keeps
+        assert zero_cols[-500:].all() and not zero_cols[:500].any()
+        assert np.signbit(s[:, -1]).all() == (amplitude < 0)
+    else:
+        assert not zero_cols[-1]  # no zero suffix: W on the full width
+    hats = iter(profiles(r, lam, s)) if profiles else None
+    got = list(duhamel_symbols(fs, params, times, profiles, spatial)(r))
+    assert len(got) == len(times)
+    for t, d in zip(times, got):
+        if gamma == 0.0:
+            w = time_weight(params.alpha, gamma, t)(lam)
+        else:
+            # the leading columns lie below the table in every row
+            assert (lam[:, :100] <= _build_w_table(params.alpha, gamma, t)[0]).all()
+            w = _w_masked(params.alpha, gamma, t, lam.ravel()).reshape(lam.shape)
+        want = s * w
+        if hats is not None:
+            want = want - next(hats)
+        assert _same_bits(d, want)
 
 
 def test_w_closed_form_tiny_argument_branch():
@@ -343,6 +436,27 @@ def test_a_non_finite_time_is_refused(t):
         solve_duhamel(fs, params, t, GRID)
     with pytest.raises(SolverError, match="nonnegative and finite"):
         solution_mass(fs, params, t)
+
+
+def test_quadrature_refuses_t_above_its_stub_bound():
+    # the s-half's stub [0, 0.5e-26 t] is summed as a constant: at alpha = 1,
+    # gamma = 2 M(t) missed M0 t/(1+t) by 2.5e-9 at t = 1e22 and 5e3 at 1e30,
+    # and a W table died in numpy's geomspace from t near 1.8e298; at
+    # alpha = 0.5 W was off by a factor 5000 at t = 1e30.  With gamma = 0 the
+    # stub is exact and W is the closed form, so large t stays admitted
+    params = FracParams(1.0, 0.5, 3, validation_mode=True)
+    fs = ForcingSpec("gaussian", gamma=2.0, dim=3)
+    for t in (1e8, 1e18):
+        exact = fs.M0 * t / (1.0 + t)
+        assert abs(solution_mass(fs, params, t) / exact - 1.0) < 1e-13
+    for t in (1.01e18, 1e22, 1e300):
+        with pytest.raises(SolverError, match="t <= 1e\\+18 where gamma != 0"):
+            time_weight(0.5, 2.0, t)
+        with pytest.raises(SolverError, match="t <= 1e\\+18 where gamma != 0"):
+            solution_mass(fs, params, t)
+    fs0 = ForcingSpec("gaussian", gamma=0.0, dim=3)
+    assert solution_mass(fs0, params, 1e22) == pytest.approx(fs0.M0 * 1e22, rel=1e-15)
+    assert time_weight(0.5, 0.0, 1e22)(np.array([1e-20]))[0] > 0
 
 
 # --- solution slices ----------------------------------------------------------
