@@ -26,7 +26,9 @@ verify.THEOREMS p or tolerance outside the row's `reads` and any scale key
 where the row has no kind (coherence, constant, kernel-bounds); the other
 commands run no check and accept them.  What verify.run_check refuses before
 any transform (a zero forcing, a scale of the wrong kind, a region the grid
-leaves empty) exits 2 with code=precondition.  Diagnostics go to stderr with
+leaves empty) exits 2 with code=precondition, and so does, in solve and
+verify, a time above 1e18 where gamma != 0 (the Duhamel quadrature's
+bound).  Diagnostics go to stderr with
 ``code=`` prefixes.  --out is created when a command first writes to it, so a
 refused command leaves none.
 """
