@@ -247,17 +247,36 @@ def test_solver_numerical_failures_exit_1(tmp_path, capsys, monkeypatch):
     assert "nonpositive values" in _numerical_failure(tmp_path, capsys, "verify", COHERENCE)
 
 
-def test_solve_beyond_the_quadrature_bound_exits_2(tmp_path, capsys):
-    # a t above 1e18 with gamma != 0 is refused before any table is built:
-    # at alpha = 1 and t = 1e300 numpy's geomspace raised with no code= line
-    for alpha, t in (("0.5", "1e20"), ("1.0", "1e300")):
-        text = FULL.replace("times = 1e2 1e3 1e4", f"times = {t}")
-        if alpha == "1.0":
-            text = text.replace("alpha = 0.5", "alpha = 1.0\nvalidation_mode = true")
-        out = tmp_path / f"out{alpha}"
-        assert main(["solve", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
-        assert "code=precondition the Duhamel quadrature needs t <= 1e+18" in capsys.readouterr().err
-        assert not out.exists()
+_BEYOND_BOUND = """
+[problem]
+alpha = {alpha}
+beta = 0.5
+dim = 3
+
+[forcing]
+family = gaussian
+gamma = 2.0
+
+[verify]
+theorem = outer-mass
+p = 1
+times = {times}
+"""
+
+
+@pytest.mark.parametrize("command, alpha, times", [
+    ("solve", "0.5", "1e20"),
+    ("solve", "1.0\nvalidation_mode = true", "1e300"),
+    ("verify", "0.5", "1e17 1e18 1e19"),
+])
+def test_time_beyond_the_quadrature_bound_exits_2(tmp_path, capsys, command, alpha, times):
+    # a t above 1e18 with gamma != 0 is refused before any transform: at
+    # alpha = 1 and t = 1e300 numpy's geomspace raised with no code= line
+    path = _write(tmp_path, _BEYOND_BOUND.format(alpha=alpha, times=times))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert "code=precondition the Duhamel quadrature needs t <= 1e+18" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_refusals_exit_1(tmp_path, capsys, monkeypatch):
