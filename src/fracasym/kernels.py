@@ -13,20 +13,22 @@ the moments int_0^inf e^{-u^2 - rho u} u^k du, and the tests hold every node
 of the default grid to it.
 
 A profile is built once per (alpha, beta, N, grid) in the process, in one
-memo, and touches no file unless the caller names a cache_dir, whose hits
-match the identity, the engine source and the grid.  In validation mode
-(alpha = 1) both symbols are exp(-r^{2b}), so G is F: a G build holds the F
-build's samples, and G and F (in either order) transform once.  A profile
-is its samples and identity: the constants derived from them (kappa, A, the
-bound report) are worked out on first use, never read back from disk.
+memo, and touches no file unless the caller names a cache_dir.  A cache
+file's name carries the parameters and the grid; a hit matches its sidecar
+to the identity, a checksum of the engine source and the grid.  In
+validation mode (alpha = 1) both symbols are exp(-r^{2b}), so G is F: a G
+build holds the F build's samples, and G and F (in either order) transform
+once.  A profile is its samples and identity: the constants derived from
+them (kappa, A, the bound report) are worked out on first use, never read
+back from disk.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,10 +53,13 @@ class KernelError(RuntimeError):
 
 @functools.cache
 def _engine() -> str:
-    """sha256 of the source that computes profile values, so that a profile
-    cached by other code is a miss."""
+    """The crc32 and adler32 of the source that computes profile values, 16
+    hex digits, so that a profile cached by other code is a miss.  zlib is
+    loaded at interpreter start-up; hashlib would load OpenSSL's libcrypto,
+    3.7 MB of the process's RSS."""
     sources = (special.__file__, spline.__file__, radialtransform.__file__, __file__)
-    return hashlib.sha256(b"".join(Path(f).read_bytes() for f in sources)).hexdigest()
+    data = b"".join(Path(f).read_bytes() for f in sources)
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
 
 
 @dataclass(frozen=True)
@@ -119,15 +124,10 @@ def _symbol(params: FracParams, which: str, times=(1.0,)):
     return symbols
 
 
-def _grid_key(grid: RadialGrid) -> str:
-    raw = f"{grid.rho_min:.17g}|{grid.rho_max:.17g}|{grid.points}"
-    return hashlib.md5(raw.encode()).hexdigest()[:12]
-
-
 def _cache_path(params: FracParams, which: str, grid: RadialGrid, cache_dir: str) -> str:
     name = (
         f"profile_{which}_a{params.alpha!r}_b{params.beta!r}_N{params.dim}"
-        f"_{_grid_key(grid)}.csv"
+        f"_rho{grid.rho_min!r}_{grid.rho_max!r}_n{grid.points}.csv"
     )
     return os.path.join(cache_dir, name)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracasym import kernels, special
+from fracasym import kernels, radialtransform, special, spline
 from fracasym.params import FracParams
 from fracasym.potentials import riesz_constant
 from fracasym.radialtransform import RadialFunction, RadialGrid, _moment, radial_integral
@@ -347,10 +347,43 @@ def test_cache_stale_engine_or_corrupt_file_is_a_miss(params_ref, tmp_path, monk
             kernels.build_y_profile(params_ref, cache_dir=cdir)
 
 
+def test_engine_checksum_follows_each_source_and_file_names_the_exact_grid(
+        params_ref, tmp_path, monkeypatch):
+    # one byte appended to any engine source changes the checksum, so a
+    # profile saved under the old one is a miss; and the file name keeps
+    # every digit of the grid
+    planted = _planted_profile(params_ref, monkeypatch)
+    cdir = str(tmp_path)
+    planted.save(kernels._cache_path(params_ref, "G", RadialGrid(), cdir))
+    kernels._engine.cache_clear()
+    unedited = kernels._engine()
+    read_bytes = pathlib.Path.read_bytes
+    try:
+        for module in (special, spline, radialtransform, kernels):
+            edited = pathlib.Path(module.__file__).resolve()
+            monkeypatch.setattr(pathlib.Path, "read_bytes", lambda self, edited=edited:
+                                read_bytes(self) + (b" " if self.resolve() == edited else b""))
+            kernels._engine.cache_clear()
+            assert kernels._engine() != unedited, module.__name__
+            with pytest.raises(Rebuilt):
+                kernels.build_y_profile(params_ref, cache_dir=cdir)
+    finally:
+        monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
+        kernels._engine.cache_clear()
+    assert kernels._engine() == unedited
+    hit = kernels.build_y_profile(params_ref, cache_dir=cdir)
+    assert np.array_equal(hit.values.samples, planted.values.samples)
+
+    near = RadialGrid(rho_max=math.nextafter(1e3, math.inf))  # 1000.0000000000001
+    assert kernels._cache_path(params_ref, "G", near, cdir) != kernels._cache_path(
+        params_ref, "G", RadialGrid(), cdir)
+
+
 def test_cache_read_imports_no_network_stack(tmp_path):
     # a disk miss (build and save) and then a hit (load) read and write the
     # profile with open() alone: np.loadtxt would import numpy's DataSource
-    # and with it urllib, http, ssl and email
+    # and with it urllib, http, ssl and email.  Nor does naming or checking
+    # a cache entry load _hashlib: OpenSSL's libcrypto is 3.7 MB of RSS
     code = f"""
 import sys
 from fracasym import kernels
@@ -362,7 +395,7 @@ kernels._profile.cache_clear()
 loaded = kernels.build_y_profile(params, cache_dir={str(tmp_path)!r})
 assert loaded is not built
 assert (loaded.values.samples == built.values.samples).all()
-print(sorted(m for m in ("urllib.request", "http.client", "ssl", "email")
+print(sorted(m for m in ("urllib.request", "http.client", "ssl", "email", "_hashlib")
              if m in sys.modules))
 """
     src = str(pathlib.Path(kernels.__file__).parents[1])
