@@ -82,7 +82,10 @@ class ExtrapolationWarning(UserWarning):
 
 
 def omega_n(dim: int) -> float:
-    """Surface area of the unit sphere: 2 pi^{N/2} / Gamma(N/2)."""
+    """Surface area of the unit sphere: 2 pi^{N/2} / Gamma(N/2), for N a
+    positive whole number (3.0 as well as 3; odd or even)."""
+    if not (dim >= 1 and float(dim).is_integer()):  # nan and inf fail too
+        raise TransformError(f"dimension must be a positive whole number, got {dim}")
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
@@ -568,6 +571,7 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
         raise TransformError(f"p must be in [1, inf], got {p}")
     if math.isinf(p) and math.isinf(b):  # the sup is sampled on [a, b]
         raise TransformError("the L^inf norm needs a finite b, got b = inf")
+    omega = omega_n(dim)  # refuses an N that is not a positive whole number
     if u.is_zero:
         return 0.0
     g = u.grid
@@ -592,4 +596,4 @@ def lp_norm_annulus(u: RadialFunction, p: float, dim: int, a: float, b: float) -
         if a > 0:
             sup = max(sup, abs(u(a)))
         return sup
-    return (omega_n(dim) * _moment(u, dim, a, b, p)) ** (1.0 / p)
+    return (omega * _moment(u, dim, a, b, p)) ** (1.0 / p)

@@ -15,8 +15,9 @@ and Pinkus, 1977; de Boor, *A Practical Guide to Splines*).  The factors of
 the system and the B-splines' polynomial pieces on each interval depend only
 on (n, k), so they are cached per (n, k), and a build is one forward and one
 back substitution and one product of the coefficients with the pieces.  Most
-builds find their (n, k) cached: 40 of 44 in a pass of the benchmark's
-battery, 12 of 16 in profile-sweep and 53 of 60 in potentials.
+builds find their (n, k) cached: 39 of 43 in a pass of the benchmark's
+battery, 8 of 12 in profile-sweep and 9 of 16 in potentials (seed 1,
+`_system.cache_info()` at the end of one pass process).
 
 Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds in each of
 three processes: a 768-site quintic builds in 0.38-0.69 ms (4.7-7.4 ms with

@@ -37,6 +37,26 @@ def test_omega_n():
     assert omega_n(5) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-14)
 
 
+def test_omega_n_refuses_a_dimension_that_is_not_a_positive_whole_number():
+    # a norm may pass N as 3.0, and an even N is a sphere too; before this
+    # refusal N = -1 gave a complex norm, N = 0 a bare ValueError from
+    # math.gamma and N = nan a nan, and the sup (p = inf), which needs no
+    # omega_N, took any N
+    assert omega_n(3.0) == omega_n(3)
+    assert omega_n(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    grid = RadialGrid(1e-3, 1e3, 256)
+    f = RadialFunction(grid, np.exp(-grid.nodes**2))
+    assert lp_norm_annulus(f, 2.0, 3.0, 0.5, 1.0) == lp_norm_annulus(f, 2.0, 3, 0.5, 1.0)
+    for dim in (-1, 0, 0.5, 2.5, math.nan, math.inf):
+        with pytest.raises(TransformError, match="positive whole number"):
+            omega_n(dim)
+        for p in (2.0, math.inf):
+            with pytest.raises(TransformError, match="positive whole number"):
+                lp_norm_annulus(f, p, dim, 0.5, 1.0)
+        with pytest.raises(TransformError, match="positive whole number"):
+            radial_integral(f, dim)
+
+
 def test_grid_validation():
     with pytest.raises(TransformError):
         RadialGrid(1.0, 0.5)
