@@ -128,9 +128,10 @@ def run_cli(out_dir):
 
 def criterion_lines():
     """The criterion lines test_acceptance.py prints; it prints each one
-    before it compares it, so a stale set still yields all 15."""
+    before it compares it, so a stale set still yields all 15; --tb=no keeps
+    a failed comparison's message, which quotes both lines, out of stdout."""
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
          "tests/test_acceptance.py"],
         cwd=ROOT, capture_output=True, text=True,
     )

@@ -44,7 +44,7 @@ from .radialtransform import (
     _moment,
     radial_fourier_inverse,
 )
-from .special import mittag_leffler, ml_tail_coefficient
+from .special import lsq_slope, mittag_leffler, ml_tail_coefficient
 
 
 class KernelError(RuntimeError):
@@ -251,7 +251,7 @@ def validate_bounds(profile: KernelProfile) -> dict:
 
     rel = scaled / profile.kappa - 1.0
     first = nodes <= 10.0 * grid.rho_min
-    order = float(np.polyfit(np.log(nodes[first]), np.log(np.abs(rel[first])), 1)[0])
+    order = lsq_slope(np.log(nodes[first]), np.log(np.abs(rel[first])))
     report.update(
         kappa_error=float(rel[0]),
         kappa_order=order,
@@ -260,7 +260,7 @@ def validate_bounds(profile: KernelProfile) -> dict:
 
     if b < 1.0:
         sel = (nodes >= 5.0) & (nodes <= 0.5 * grid.rho_max)
-        slope = float(np.polyfit(np.log(nodes[sel]), np.log(samples[sel]), 1)[0])
+        slope = lsq_slope(np.log(nodes[sel]), np.log(samples[sel]))
         target = -(n + 2.0 * b)
         report.update(
             exterior_slope=slope,

@@ -49,6 +49,8 @@ class FracParams:
             raise ParameterError(f"beta must be in (0, 1], got {self.beta}")
         if int(self.dim) != self.dim:
             raise ParameterError(f"dim must be an integer, got {self.dim}")
+        # stored as an int, so that N = 3.0 names, records and caches as N = 3
+        object.__setattr__(self, "dim", int(self.dim))
         if self.dim <= 4.0 * self.beta:
             raise ParameterError(
                 f"dim > 4*beta violated: dim={self.dim}, 4*beta={4 * self.beta}"

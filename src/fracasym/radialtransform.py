@@ -63,11 +63,10 @@ from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import special
 from .reporting import atomic_write
-from .special import bessel_j_half, gl_panels
+from .special import bessel_j_half, gauss_legendre, gl_panels, lsq_slope
 from .spline import UniformSpline
 
 _CONVENTION = "angular-frequency, (2pi)^{-N} inverse"
@@ -188,8 +187,7 @@ class RadialFunction:
         if (vv.size < 2 or np.any(vv == 0)
                 or not (np.sign(vv) == np.sign(vv[0])).all()):
             return 0.0
-        slope = np.polyfit(u[sel], np.log(np.abs(vv)), 1)[0]
-        return float(slope)
+        return lsq_slope(u[sel], np.log(np.abs(vv)))
 
     def tail(self, inner: bool):
         """The power law (edge sample, edge, exponent), fitted once, that
@@ -298,7 +296,7 @@ def _leggauss_extended(n):
             p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
         return p, n * (x * p - p_prev) / (x * x - 1.0)
 
-    x = leggauss(n)[0].astype(special._EXTENDED)
+    x = gauss_legendre(n)[0].astype(special._EXTENDED)
     for _ in range(3):
         p, dp = legendre(x)
         x = x - p / dp
@@ -500,7 +498,7 @@ def radial_fourier_forward(h: RadialFunction, dim: int):
 
 # --- radial moments and annulus norms ----------------------------------------
 
-_GL8 = leggauss(8)
+_GL8 = gauss_legendre(8)
 
 
 def _moment(u: RadialFunction, k: float, a: float, b: float, p=None) -> float:

@@ -102,7 +102,7 @@ def make_report(theorem, checkpoints, raw_errors, normalized_errors, tolerance,
     finite = all(math.isfinite(e) for e in norm)
     slope = None
     if finite and all(e > 0 for e in norm) and len(norm) >= 2:
-        slope = float(np.polyfit(np.log(checkpoints), np.log(norm), 1)[0])
+        slope = special.lsq_slope(np.log(checkpoints), np.log(norm))
     # ties allowed only at exactly zero (error series that bottom out at the
     # quadrature noise floor get clamped to zero, not frozen at the floor)
     decreasing = all(

@@ -56,12 +56,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 from . import special
 from .params import FracParams
 from .radialtransform import RadialFunction, RadialGrid, TransformError, radial_fourier_inverse
-from .special import _horner, _rgamma, bessel_j_half, gl_panels, mittag_leffler
+from .special import _horner, _rgamma, bessel_j_half, gauss_legendre, gl_panels, mittag_leffler
 from .spline import UniformSpline
 
 
@@ -192,7 +191,7 @@ class SolutionSlice:
 
 _LAM_SPAN = 1e10  # table covers lam * t^alpha in [1/span, span]
 _PTS_PER_DECADE = 60
-_GL_TAU = leggauss(12)
+_GL_TAU = gauss_legendre(12)
 # Both halves of the Duhamel quadrature are graded over 26 decades with this
 # many geometric panels per decade.  A tau-panel then spans a whole number of
 # lam-knot steps, which _w_knots uses to evaluate each E argument once.

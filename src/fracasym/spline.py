@@ -14,7 +14,11 @@ totally positive, so Gaussian elimination without pivoting is stable (de Boor
 and Pinkus, 1977; de Boor, *A Practical Guide to Splines*).  The factors of
 the system and the B-splines' polynomial pieces on each interval depend only
 on (n, k), so they are cached per (n, k), and a build is one forward and one
-back substitution and one product of the coefficients with the pieces.  Most
+back substitution and one product of the coefficients with the pieces.  The
+factor rows repeat away from the ends: a cubic has 21 distinct rows from 22
+sites on and a quintic 34 from 35, and each is one tuple that every position
+holding it refers to (`_factor`), so a cached 721-site quintic holds 34 rows
+of floats, not 721.  Most
 builds find their (n, k) cached: 39 of 43 in a pass of the benchmark's
 battery, 8 of 12 in profile-sweep and 9 of 16 in potentials (seed 1,
 `_system.cache_info()` at the end of one pass process).
@@ -31,6 +35,7 @@ transform, it takes 10.2-11.4 ns per point, scipy's `PPoly` 16.2-16.7 ns.
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 
@@ -74,25 +79,37 @@ def _bspline_pieces(windows, d):
 def _factor(band):
     """Gaussian elimination without pivoting of the banded matrix `band` (row
     i holds columns i - w .. i + w), row by row: the rows of its factors, L's
-    multipliers left of the diagonal and U right of it and on it."""
+    multipliers left of the diagonal and U right of it and on it.
+
+    Each distinct row, by its bits, is one tuple that every position holding
+    it refers to.  A band row equal to the one above it, under w + 1 equal
+    factor rows, has the same inputs as that row, so its factor row is that
+    row again, with no arithmetic: away from the ends the rows of a
+    collocation matrix repeat and its factor rows settle within a few dozen."""
     w = band.shape[1] // 2
-    lu = []
+    bits = band.view(np.uint64)
+    repeat = [False, *np.all(bits[1:] == bits[:-1], axis=1).tolist()]
+    lu, distinct, streak = [], {}, 0
     for i, row in enumerate(band.tolist()):
+        if repeat[i] and streak > w:
+            lu.append(lu[-1])
+            continue
         for c in range(max(0, w - i), w):
             if row[c]:  # outside the matrix's own profile: nothing to do
                 upper = lu[i - w + c]
                 f = row[c] = row[c] / upper[w]
                 for s in range(1, w + 1):
                     row[c + s] -= f * upper[w + s]
-        lu.append(tuple(row))
+        row = distinct.setdefault(struct.pack(f"{len(row)}d", *row), tuple(row))
+        streak = streak + 1 if lu and row is lu[-1] else 1
+        lu.append(row)
     return lu
 
 
-@functools.lru_cache(maxsize=16)
-def _system(n: int, k: int):
-    """Everything of a build that depends only on (n, k): the factor rows of
-    the collocation matrix, and for each interval the B-splines nonzero on it
-    and their polynomial pieces."""
+def _collocation(n: int, k: int):
+    """The collocation matrix of the degree-k spline on n sites as a band of
+    half-width 4, and for each interval the B-splines nonzero on it and their
+    polynomial pieces."""
     d = min(k, n - 1)
     inner = np.arange((k + 1) // 2, n - (k + 1) // 2) if n > k + 1 else np.arange(0)
     t = np.concatenate([np.zeros(d + 1), inner, np.full(d + 1, n - 1.0)])
@@ -112,7 +129,15 @@ def _system(n: int, k: int):
     band = np.zeros((n, 2 * w + 1))
     nz = vals != 0.0
     band[np.nonzero(nz)[0], cols[nz]] = vals[nz]
+    return band, windows, pieces
 
+
+@functools.lru_cache(maxsize=16)
+def _system(n: int, k: int):
+    """Everything of a build that depends only on (n, k): the factor rows of
+    the collocation matrix, and for each interval the B-splines nonzero on it
+    and their polynomial pieces."""
+    band, windows, pieces = _collocation(n, k)
     for a in (windows, pieces):  # every build of this (n, k) reads them
         a.flags.writeable = False
     return _factor(band), windows, pieces

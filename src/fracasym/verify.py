@@ -84,7 +84,7 @@ from .radialtransform import (
 )
 from .reporting import ConvergenceReport, make_report
 from .solver import ForcingSpec, duhamel_symbols, solution_mass
-from .special import gl_panels
+from .special import gl_panels, lsq_slope
 
 
 class VerifyError(ValueError):
@@ -290,7 +290,7 @@ def _annulus_power_law(cfg: VerifyConfig) -> dict:
     for mu in (2.0 * params.beta, 4.0 * params.beta):
         kern = RadialFunction(cfg.grid, cfg.grid.nodes ** (mu - n))
         norms = [lp_norm_annulus(kern, cfg.p, n, *region) for region in regions]
-        slope = float(np.polyfit(np.log(phis), np.log(norms), 1)[0])
+        slope = lsq_slope(np.log(phis), np.log(norms))
         exact = mu - n + n / cfg.p
         out[f"mu={mu:g}"] = {"measured": slope, "exact": exact}
     return out
@@ -465,7 +465,7 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
                        "tails": "fitted" if inner or outer else None,
                        "inner_exponent": inner[2] if inner else None,
                        "outer_exponent": outer[2] if outer else None})
-    slope = float(np.polyfit(np.log(cfg.times), np.log(norms), 1)[0])
+    slope = lsq_slope(np.log(cfg.times), np.log(norms))
     sp = sigma_p(params, cfg.p)
     slope_err = abs(slope + sp) / abs(sp)
     # the series is the one slope error, so the series rule is its 1% gate

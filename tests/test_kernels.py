@@ -257,6 +257,22 @@ def test_cache_reuse(params_ref, tmp_path):
     )
 
 
+def test_float_dim_names_and_records_as_the_int(params_ref, tmp_path):
+    # N = 3.0 is the problem N = 3: one cache file pair, and "dim": 3 in
+    # every record, not 3.0
+    real = FracParams(0.5, 0.5, 3.0)
+    assert real == params_ref and type(real.dim) is int
+    assert json.dumps(real.as_dict()) == json.dumps(params_ref.as_dict())
+    cdir = str(tmp_path)
+    assert kernels._cache_path(real, "G", RadialGrid(), cdir) == kernels._cache_path(
+        params_ref, "G", RadialGrid(), cdir)
+    kernels.build_y_profile(params_ref, cache_dir=cdir)
+    kernels.build_y_profile(real, cache_dir=cdir)
+    assert len(os.listdir(cdir)) == 2
+    with open(kernels._cache_path(real, "G", RadialGrid(), cdir)[: -len(".csv")] + ".json") as fh:
+        assert '"dim": 3,' in fh.read()
+
+
 class Rebuilt(Exception):
     pass
 
@@ -403,6 +419,41 @@ print(sorted(m for m in ("urllib.request", "http.client", "ssl", "email", "_hash
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_no_path_runs_lapack_or_imports_numpy_polynomial(tmp_path):
+    # the quadrature rules are constants and every straight-line fit is a
+    # closed form: importing the package, a G and an F build and a Duhamel
+    # check look up no LAPACK gufunc (leggauss would call eigvalsh, polyfit
+    # lstsq) and import no numpy.polynomial
+    code = f"""
+import sys
+import numpy.linalg._linalg as linalg
+
+class NoLapack:
+    def __getattr__(self, name):
+        raise RuntimeError("LAPACK gufunc looked up: " + name)
+
+linalg._umath_linalg = NoLapack()
+import fracasym
+import run_all_checks
+from fracasym import kernels
+from fracasym.params import FracParams
+from fracasym.verify import run_check
+
+params = FracParams(0.5, 0.5, 3)
+g = kernels.build_y_profile(params, cache_dir={str(tmp_path)!r})
+assert g.bound_report["kappa_pass"] and g.values.tail(True) and g.values.tail(False)
+kernels.build_z_profile(params, cache_dir={str(tmp_path)!r})
+report = run_check(dict(run_all_checks.configs({str(tmp_path)!r}))["compact"])
+assert report.verdict == "pass" and report.slope is not None
+print("numpy.polynomial" in sys.modules)
+"""
+    paths = [str(pathlib.Path(kernels.__file__).parents[1]), str(PERFBENCH.parent / "scripts")]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def _count_transforms(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, make_interp_spline
 from scipy.stats import binom
 
-from fracasym import kernels, radialtransform
+from fracasym import kernels, radialtransform, spline
 from fracasym.params import FracParams
 from fracasym.radialtransform import (
     _BLOCK_ROWS,
@@ -29,6 +29,7 @@ from fracasym.radialtransform import (
 )
 from fracasym.potentials import _ghat_from_samples
 from fracasym.solver import ForcingSpec, _build_w_table, _w_knots, duhamel_symbols
+from fracasym.special import lsq_slope
 from fracasym.spline import SplineError, UniformSpline
 
 
@@ -734,6 +735,39 @@ def test_cubic_users_are_the_cubic_spline(name):
     assert np.max(np.abs(evaluate(u) - ref)) <= 1e-14 * np.max(np.abs(y))
 
 
+def _factor_reference(band):
+    """The factor rows as built before rows were shared: one tuple per row,
+    every row eliminated."""
+    w = band.shape[1] // 2
+    lu = []
+    for i, row in enumerate(band.tolist()):
+        for c in range(max(0, w - i), w):
+            if row[c]:
+                upper = lu[i - w + c]
+                f = row[c] = row[c] / upper[w]
+                for s in range(1, w + 1):
+                    row[c + s] -= f * upper[w + s]
+        lu.append(tuple(row))
+    return lu
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_spline_factor_rows_are_shared_and_keep_their_bits(k):
+    # every site count up to 300 and the counts the package builds: the
+    # shared rows hold the bytes of the rows eliminated one by one (keyed on
+    # bits, so no -0.0 is merged with a 0.0), one tuple per distinct row,
+    # 21 of them for a cubic from 22 sites on and 34 for a quintic from 35
+    for n in [*range(2, 301), 512, 721, 768, 900, 1201, 2000]:
+        band = spline._collocation(n, k)[0]
+        lu = spline._factor(band)
+        assert np.array(lu).tobytes() == np.array(_factor_reference(band)).tobytes(), n
+        distinct = {np.array(row).tobytes() for row in lu}
+        assert len({id(row) for row in lu}) == len(distinct), n
+        if n >= {3: 22, 5: 35}[k]:
+            assert len(distinct) == {3: 21, 5: 34}[k], n
+    assert spline._system(768, k)[0] == spline._factor(spline._collocation(768, k)[0])
+
+
 def test_spline_refuses_non_uniform_sites():
     # the interval of a point is found by arithmetic on uniform sites, so
     # other sites must be refused, not misread
@@ -814,9 +848,9 @@ def test_radial_function_builds_interpolant_on_first_read(shape, monkeypatch):
     assert splines == [5 if shape == "single-signed" else 3] and fits == []
 
     inner, outer = logs <= logs[0] + math.log(10.0), logs >= logs[-1] - math.log(10.0)
-    assert u.tail(True)[2] == np.polyfit(logs[inner], np.log(samples[inner]), 1)[0]
+    assert u.tail(True)[2] == lsq_slope(logs[inner], np.log(samples[inner]))
     if shape == "single-signed":
-        assert u.tail(False)[2] == np.polyfit(logs[outer], np.log(samples[outer]), 1)[0]
+        assert u.tail(False)[2] == lsq_slope(logs[outer], np.log(samples[outer]))
         ends = [True, False]
     else:  # the outer end has underflowed to zero: no tail, and no fit
         assert u.tail(False) is None

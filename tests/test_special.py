@@ -26,7 +26,9 @@ from fracasym.special import (
     _ml_integral,
     _ml_table,
     bessel_j_half,
+    gauss_legendre,
     gl_panels,
+    lsq_slope,
     ml_tail_coefficient,
     mittag_leffler,
 )
@@ -253,6 +255,10 @@ def test_ml_domain_errors():
     with pytest.raises(SpecialFunctionError):
         mittag_leffler(0.5, 1.0, 1.0)  # positive argument
     with pytest.raises(SpecialFunctionError):
+        mittag_leffler(0.5, 0.5, np.array([np.nan, -1.0]))  # x > 0 lets NaN through
+    with pytest.raises(SpecialFunctionError):
+        mittag_leffler(1.0, 1.0, math.nan)
+    with pytest.raises(SpecialFunctionError):
         mittag_leffler(1.0, 0.5, -1.0)
     with pytest.raises(SpecialFunctionError):
         ml_tail_coefficient(1.0)
@@ -326,6 +332,24 @@ def test_ml_derivative_identity(a, lam, t):
     ) / (2.0 * h)
     ana = -lam * t ** (a - 1.0) * mittag_leffler(a, a, -lam * t**a)
     assert num == pytest.approx(ana, rel=1e-5, abs=1e-12)
+
+
+def test_ml_minus_infinity_is_zero():
+    out = mittag_leffler(0.5, 0.5, np.array([-np.inf, -1.0]))
+    assert out[0] == 0.0 and out[1] == mittag_leffler(0.5, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+def test_gauss_legendre_is_leggauss_bit_for_bit(n):
+    # the committed half-rules give back numpy's eigvalsh-based rule exactly
+    for got, want in zip(gauss_legendre(n), leggauss(n)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_lsq_slope_exact_on_an_exact_line():
+    x = np.arange(-4.0, 6.0) * 0.5
+    assert lsq_slope(x, 7.0 - 2.5 * x) == -2.5
+    assert lsq_slope(np.log([1e2, 1e3, 1e4]), [1.0, 1.0, 1.0]) == 0.0
 
 
 @pytest.mark.parametrize("rule", [leggauss, _leggauss_extended])

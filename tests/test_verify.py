@@ -1,11 +1,13 @@
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import run_all_checks
-from fracasym import kernels, radialtransform, solver, verify
+from fracasym import kernels, radialtransform, solver, special, verify
 from fracasym.params import (
     FracParams,
     ScaleSpec,
@@ -337,6 +339,50 @@ def test_kernel_bounds(battery, battery_reports, cache_dir):
         assert b["tails"] == "fitted"
         assert b["inner_exponent"] == pytest.approx(-1.0, abs=1e-3)
         assert b["outer_exponent"] == pytest.approx(-4.0, abs=1e-3)
+
+
+def _exact_slope(x, y):
+    """The least-squares slope of the float data, in rational arithmetic."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return float(sum((a - mx) * (b - my) for a, b in zip(xs, ys))
+                 / sum((a - mx) ** 2 for a in xs))
+
+
+def test_every_straight_line_fit_is_polyfit_to_rounding(
+        battery, battery_reports, run_battery, g_profile_ref, monkeypatch):
+    # each fit the package makes, on the data it makes it on: the bounds'
+    # two, the tails', the annulus power law, kernel-bounds' norm law and
+    # every report's slope.  The closed form is within a few ulp of numpy's
+    # LAPACK least squares and within 1 ulp of the exact slope, where polyfit
+    # was up to 10 ulp from it
+    fit, fits = special.lsq_slope, []
+
+    def recorded(x, y):
+        fits.append((sys._getframe(1).f_code.co_name, np.array(x, float), np.array(y, float)))
+        return fit(x, y)
+
+    for module in (special, kernels, radialtransform, verify):
+        monkeypatch.setattr(module, "lsq_slope", recorded)
+    kernels.validate_bounds(g_profile_ref)
+    run_battery([(label, battery[label]) for label in ("intermediate-S", "kernel-bounds")])
+    monkeypatch.undo()
+    assert {name for name, _, _ in fits} == {
+        "validate_bounds", "make_report", "_annulus_power_law", "_fit_exponent",
+        "verify_kernel_estimates"}
+    series = {label: (np.log(rep.checkpoints), np.log(rep.normalized_errors))
+              for label, rep in battery_reports.items()
+              if rep.slope is not None and len(rep.normalized_errors) > 1}
+    assert {label: battery_reports[label].slope for label in series} == {
+        label: fit(*xy) for label, xy in series.items()}
+    fits += [(label, *xy) for label, xy in series.items()]
+    eps = np.finfo(float).eps
+    for name, x, y in fits:
+        got, ref = fit(x, y), np.polyfit(x, y, 1)[0]
+        scale = max(abs(ref), math.sqrt(np.sum((y - y.mean()) ** 2) / np.sum((x - x.mean()) ** 2)))
+        assert abs(got - ref) <= 16 * eps * scale, name
+        exact = _exact_slope(x, y)
+        assert abs(got - exact) <= math.ulp(exact), name
 
 
 @pytest.mark.parametrize("p", [3.0, math.inf])
