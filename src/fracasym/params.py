@@ -47,7 +47,11 @@ class FracParams:
             raise ParameterError(f"validation_mode=True requires alpha = 1, got {self.alpha}")
         if not (0.0 < self.beta <= 1.0):
             raise ParameterError(f"beta must be in (0, 1], got {self.beta}")
-        if int(self.dim) != self.dim:
+        try:
+            whole = int(self.dim) == self.dim
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
+            whole = False
+        if not whole:
             raise ParameterError(f"dim must be an integer, got {self.dim}")
         # stored as an int, so that N = 3.0 names, records and caches as N = 3
         object.__setattr__(self, "dim", int(self.dim))

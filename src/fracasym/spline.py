@@ -14,19 +14,22 @@ totally positive, so Gaussian elimination without pivoting is stable (de Boor
 and Pinkus, 1977; de Boor, *A Practical Guide to Splines*).  The factors of
 the system and the B-splines' polynomial pieces on each interval depend only
 on (n, k), so they are cached per (n, k), and a build is one forward and one
-back substitution and one product of the coefficients with the pieces.  The
-factor rows repeat away from the ends: a cubic has 21 distinct rows from 22
-sites on and a quintic 34 from 35, and each is one tuple that every position
-holding it refers to (`_factor`), so a cached 721-site quintic holds 34 rows
-of floats, not 721.  Most
+back substitution and one product of the coefficients with the pieces.  Most
 builds find their (n, k) cached: 39 of 43 in a pass of the benchmark's
 battery, 8 of 12 in profile-sweep and 9 of 16 in potentials (seed 1,
 `_system.cache_info()` at the end of one pass process).
 
+The factor rows repeat away from the ends: a cubic has 21 distinct rows from
+22 sites on and a quintic 34 from 35, and each is one tuple that every
+position holding it refers to (`_factor`).  So a cached 721-site quintic
+holds 34 rows of floats, not 721, and the four systems cached after a pass of
+the benchmark's battery hold 1,104 objects (66 KB) where one tuple per row
+held 34,584 (1.1 MiB, `sys.getsizeof`).
+
 Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds in each of
-three processes: a 768-site quintic builds in 0.38-0.69 ms (4.7-7.4 ms with
-its (n, k) not yet cached) and a 1201-site cubic in 0.84-1.00 ms (4.4-6.0
-ms), where scipy's `make_interp_spline` with `PPoly.from_spline` took
+three processes: a 768-site quintic builds in 0.38-0.69 ms (3.1-5.2 ms with
+its (n, k) not yet cached) and a 1201-site cubic in 0.84-1.00 ms (2.8 ms),
+where scipy's `make_interp_spline` with `PPoly.from_spline` took
 0.74-1.01 ms and its `CubicSpline` 0.34-0.37 ms.  Evaluated with the log and
 the exp on the 476,801 Mittag-Leffler table arguments of a default-grid G
 transform, it takes 10.2-11.4 ns per point, scipy's `PPoly` 16.2-16.7 ns.

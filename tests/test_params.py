@@ -52,6 +52,9 @@ def test_invalid_params():
         FracParams(1.0, 0.5, 3)  # alpha = 1 needs validation_mode
     with pytest.raises(ParameterError):
         FracParams(0.5, 0.5, 4)  # even dim unsupported
+    for dim in (3.5, math.nan, math.inf, "3", None):  # NaN and inf raised bare errors
+        with pytest.raises(ParameterError):
+            FracParams(0.5, 0.5, dim)
     FracParams(1.0, 1.0, 5, validation_mode=True)
 
 
