@@ -102,8 +102,14 @@ class ForcingSpec:
                 f"gamma and amplitude must be finite, got {self.gamma}, {self.amplitude}")
         if not 0 < self.width < math.inf:
             raise SolverError(f"width must be positive and finite, got {self.width}")
-        if self.dim < 1:
-            raise SolverError("dim must be a positive integer")
+        try:
+            whole = int(self.dim) == self.dim
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
+            whole = False
+        if not whole or self.dim < 1:
+            raise SolverError(f"dim must be a positive integer, got {self.dim}")
+        # stored as an int, as FracParams stores its dim
+        object.__setattr__(self, "dim", int(self.dim))
         if self.family == "bump" and self.dim % 2 == 0:
             # its g-hat needs J_{N/2+2}, which bessel_j_half gives at odd N only
             raise SolverError(f"the bump family needs an odd dim, got {self.dim}")

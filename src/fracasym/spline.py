@@ -14,10 +14,10 @@ totally positive, so Gaussian elimination without pivoting is stable (de Boor
 and Pinkus, 1977; de Boor, *A Practical Guide to Splines*).  The factors of
 the system and the B-splines' polynomial pieces on each interval depend only
 on (n, k), so they are cached per (n, k), and a build is one forward and one
-back substitution and one product of the coefficients with the pieces.  Most
-builds find their (n, k) cached: 39 of 43 in a pass of the benchmark's
-battery, 8 of 12 in profile-sweep and 9 of 16 in potentials (seed 1,
-`_system.cache_info()` at the end of one pass process).
+back substitution and one product of the coefficients with the pieces, taken
+segment by segment.  Most builds find their (n, k) cached: 39 of 43 in a
+pass of the benchmark's battery, 8 of 12 in profile-sweep and 9 of 16 in
+potentials (seed 1, `_system.cache_info()` at the end of one pass process).
 
 The factor rows repeat away from the ends: a cubic has 21 distinct rows from
 22 sites on and a quintic 34 from 35, and each is one tuple that every
@@ -26,13 +26,29 @@ holds 34 rows of floats, not 721, and the four systems cached after a pass of
 the benchmark's battery hold 1,104 objects (66 KB) where one tuple per row
 held 34,584 (1.1 MiB, `sys.getsizeof`).
 
+The pieces repeat too: every interval but the first and the last four of a
+cubic, or seven of a quintic, has the same set, so a cubic has at most 9
+distinct sets and a quintic at most 15.  A cached system holds each head and tail set once, the
+interior set as a tile of _TILE = 64 copies, and the first B-spline of each
+interval, where it held every interval's pieces and its window of indices:
+a cached 768-site quintic holds 48 KiB (`tracemalloc`), not 216 KiB of
+pieces and 36 KiB of windows.  The product runs over at most 64 intervals at
+a time and gives the bytes of the one product over every interval.  It
+relies on the heap regime that `radialtransform` sets at import: without it
+the 216 KiB arrays the cache no longer holds were what kept glibc's mmap
+threshold above the Hankel blocks, and a battery pass took 142k-158k minor
+faults instead of 2.0k (0.74k with the regime).
+
 Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds in each of
 three processes: a 768-site quintic builds in 0.38-0.69 ms (3.1-5.2 ms with
 its (n, k) not yet cached) and a 1201-site cubic in 0.84-1.00 ms (2.8 ms),
 where scipy's `make_interp_spline` with `PPoly.from_spline` took
-0.74-1.01 ms and its `CubicSpline` 0.34-0.37 ms.  Evaluated with the log and
-the exp on the 476,801 Mittag-Leffler table arguments of a default-grid G
-transform, it takes 10.2-11.4 ns per point, scipy's `PPoly` 16.2-16.7 ns.
+0.74-1.01 ms and its `CubicSpline` 0.34-0.37 ms.  The segments cost nothing
+resolvable: on a busier day a warm 768-site quintic read 0.53-0.75 ms
+against 0.63-0.74 ms with every interval's pieces held.  Evaluated with the
+log and the exp on the 476,801 Mittag-Leffler table arguments of a
+default-grid G transform, it takes 10.2-11.4 ns per point, scipy's `PPoly`
+16.2-16.7 ns.
 """
 
 from __future__ import annotations
@@ -45,6 +61,10 @@ import numpy as np
 
 # points per evaluation step: 64 KB per temporary array
 _CHUNK = 8192
+
+# copies of the interior's B-spline pieces a cached system holds: 18 KiB for
+# a quintic, and a 768-site quintic's build is 12 products over them
+_TILE = 64
 
 
 class SplineError(ValueError):
@@ -111,15 +131,16 @@ def _factor(band):
 
 def _collocation(n: int, k: int):
     """The collocation matrix of the degree-k spline on n sites as a band of
-    half-width 4, and for each interval the B-splines nonzero on it and their
-    polynomial pieces."""
+    half-width 4, and for each interval the first of the B-splines nonzero on
+    it and their polynomial pieces."""
     d = min(k, n - 1)
     inner = np.arange((k + 1) // 2, n - (k + 1) // 2) if n > k + 1 else np.arange(0)
     t = np.concatenate([np.zeros(d + 1), inner, np.full(d + 1, n - 1.0)])
     left = np.arange(n - 1)
     m = np.searchsorted(t, left, side="right") - 1  # the knot span of each interval
     pieces = _bspline_pieces(t[m[:, None] + np.arange(-d, d + 2)] - left[:, None], d)
-    windows = (m - d)[:, None] + np.arange(d + 1)
+    first = m - d
+    windows = first[:, None] + np.arange(d + 1)
 
     # row i: the B-splines at site i, the left end of interval i; at the last
     # site, where the knots end (d + 1)-fold, only the last B-spline is not
@@ -132,18 +153,33 @@ def _collocation(n: int, k: int):
     band = np.zeros((n, 2 * w + 1))
     nz = vals != 0.0
     band[np.nonzero(nz)[0], cols[nz]] = vals[nz]
-    return band, windows, pieces
+    return band, first, pieces
 
 
 @functools.lru_cache(maxsize=16)
 def _system(n: int, k: int):
     """Everything of a build that depends only on (n, k): the factor rows of
-    the collocation matrix, and for each interval the B-splines nonzero on it
-    and their polynomial pieces."""
-    band, windows, pieces = _collocation(n, k)
-    for a in (windows, pieces):  # every build of this (n, k) reads them
+    the collocation matrix, the first B-spline nonzero on each interval, and
+    the B-splines' pieces as segments (start, stop, sets).  Intervals start
+    .. stop - 1 take the sets in turn, from the first again every len(sets)
+    intervals: the head's and the tail's sets once each, and the one interior
+    set, which the intervals between repeat, as a tile of _TILE copies."""
+    band, first, pieces = _collocation(n, k)
+    # the interior: the run of intervals whose pieces have the bits of the
+    # middle one's
+    mid = (n - 1) // 2
+    bits = pieces.reshape(n - 1, -1).view(np.uint64)
+    other = np.flatnonzero(np.any(bits != bits[mid], axis=1))
+    h = int(other[other < mid].max(initial=-1)) + 1
+    e = int(other[other > mid].min(initial=n - 1))
+    segments = tuple((a, b, sets) for a, b, sets in (
+        (0, h, pieces[:h].copy()),
+        (h, e, np.repeat(pieces[mid : mid + 1], min(_TILE, e - h), axis=0)),
+        (e, n - 1, pieces[e:].copy()),
+    ) if a < b)
+    for a in (first, *(sets for _, _, sets in segments)):  # every build reads them
         a.flags.writeable = False
-    return _factor(band), windows, pieces
+    return _factor(band), first, segments
 
 
 def _substitute(lu, y):
@@ -191,10 +227,18 @@ class UniformSpline:
         if n == 1:
             self._coef = y.reshape(1, 1).copy()
             return
-        lu, windows, pieces = _system(n, k)
+        lu, first, segments = _system(n, k)
         c = _substitute(lu, y.tolist())
-        # one contiguous row per power, for the gathers in __call__
-        self._coef = np.einsum("ij,ijp->pi", c[windows], pieces, order="C")
+        # each interval's coefficients times its pieces, a segment of at most
+        # len(sets) intervals at a time, into one contiguous row per power
+        # for the gathers in __call__
+        width = segments[0][2].shape[1]
+        c = c[first[:, None] + np.arange(width)]
+        self._coef = coef = np.empty((width, n - 1))
+        for start, stop, sets in segments:
+            for a in range(start, stop, len(sets)):
+                b = min(stop, a + len(sets))
+                np.einsum("ij,ijp->pi", c[a:b], sets[: b - a], out=coef[:, a:b])
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -63,6 +67,16 @@ def test_grid_validation():
         RadialGrid(1.0, 0.5)
     with pytest.raises(TransformError):
         RadialGrid(1e-3, 1e3, 10)
+
+
+def test_grid_points_must_be_a_whole_number():
+    # NaN passed the `points < 64` test, and 100.5 failed only at .nodes,
+    # with a bare TypeError
+    for points in (math.nan, math.inf, 100.5, "768", None):
+        with pytest.raises(TransformError, match="whole number"):
+            RadialGrid(1e-3, 1e3, points)
+    grid = RadialGrid(1e-3, 1e3, 768.0)
+    assert type(grid.points) is int and grid == RadialGrid()
 
 
 # --- Gaussian transform pairs -------------------------------------------------
@@ -766,6 +780,93 @@ def test_spline_factor_rows_are_shared_and_keep_their_bits(k):
         if n >= {3: 22, 5: 35}[k]:
             assert len(distinct) == {3: 21, 5: 34}[k], n
     assert spline._system(768, k)[0] == spline._factor(spline._collocation(768, k)[0])
+
+
+def _coef_reference(x, y, k):
+    """A spline's coefficients as built before the pieces were held once per
+    distinct set: every interval's window of coefficients and its own pieces,
+    in one product."""
+    n = x.size
+    d = min(k, n - 1)
+    inner = np.arange((k + 1) // 2, n - (k + 1) // 2) if n > k + 1 else np.arange(0)
+    t = np.concatenate([np.zeros(d + 1), inner, np.full(d + 1, n - 1.0)])
+    left = np.arange(n - 1)
+    m = np.searchsorted(t, left, side="right") - 1
+    pieces = spline._bspline_pieces(t[m[:, None] + np.arange(-d, d + 2)] - left[:, None], d)
+    windows = (m - d)[:, None] + np.arange(d + 1)
+    c = spline._substitute(spline._system(n, k)[0], y.tolist())
+    return np.einsum("ij,ijp->pi", c[windows], pieces, order="C"), windows, pieces
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_spline_holds_each_piece_set_once_and_keeps_the_coefficients(k):
+    # every site count up to 300 and the counts the package builds: the
+    # segments expand to every interval's own pieces, hold a cubic's 9 and
+    # a quintic's 15 distinct sets once (the interior's as one tile), and
+    # the segment-by-segment product has the bytes of the one product
+    rng = np.random.default_rng(k)
+    for n in [*range(2, 301), 512, 721, 768, 900, 1201, 2000]:
+        x = np.linspace(-2.0, 3.0, n)
+        y = rng.standard_normal(n)
+        want, windows, pieces = _coef_reference(x, y, k)
+        got = UniformSpline(x, y, k)._coef
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), n
+        _, first, segments = spline._system(n, k)
+        assert np.array_equal(first, windows[:, 0]), n
+        expanded = np.concatenate([
+            np.resize(sets, (stop - start, *sets.shape[1:]))
+            for start, stop, sets in segments
+        ])
+        assert expanded.tobytes() == pieces.tobytes(), n
+        if n >= 64:
+            (_, _, head), (_, _, tile), (_, _, tail) = segments
+            assert len(tile) == min(spline._TILE, n - 1 - len(head) - len(tail)), n
+            assert len(head) + len(tail) + 1 == {3: 9, 5: 15}[k], n
+
+
+def test_cached_spline_system_holds_under_64_kib():
+    # a 768-site quintic (the default grid's RadialFunction) held 216 KiB of
+    # pieces and 36 KiB of windows per cached system; its 15 distinct sets,
+    # the interior's as a 64-interval tile, and one first column hold ~48 KiB
+    spline._system.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spline._system(768, 5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
+
+
+_FAULTS_CODE = """
+import resource
+
+import run_all_checks
+from fracasym.verify import run_check
+
+configs = dict(run_all_checks.configs())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for label in ("compact", "outer-mass"):
+    run_check(configs[label])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc's dynamic mmap threshold, read as minor page faults")
+def test_block_temporaries_reuse_the_heap():
+    # with the heap regime every 0.24 MB block temporary and spline product
+    # comes from the heap: the compact and outer-mass checks take about 650
+    # minor faults in a fresh process, 1.9k before the regime, and 46k with
+    # the spline's compact pieces but no regime, which mapped and unmapped
+    # the block temporaries
+    src = pathlib.Path(radialtransform.__file__).parents[1]
+    path = os.pathsep.join([str(src), str(src.parent / "scripts")])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_CODE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 5000
 
 
 def test_spline_refuses_non_uniform_sites():

@@ -142,6 +142,12 @@ def test_forcing_validation():
                {"amplitude": -math.inf}, {"width": math.nan}, {"width": math.inf}):
         with pytest.raises(SolverError, match="finite"):
             ForcingSpec("gaussian", **{"gamma": 0.0, **kw})
+    # mass_g read nan, inf, or 8.07 for heavy at 2.5
+    for dim in (2.5, math.nan, math.inf, 0, "3", None):
+        with pytest.raises(SolverError, match="positive integer"):
+            ForcingSpec("heavy", gamma=0.0, dim=dim)
+    fs = ForcingSpec("gaussian", gamma=0.0, dim=3.0)  # stored as FracParams stores it
+    assert type(fs.dim) is int and fs == ForcingSpec("gaussian", gamma=0.0, dim=3)
 
 
 # --- the time weight ----------------------------------------------------------
