@@ -20,6 +20,16 @@ class ParameterError(ValueError):
     """Raised when (alpha, beta, dim) fall outside the supported regime."""
 
 
+def is_whole(x) -> bool:
+    """Whether x is a number with a whole value: 3 and 3.0, not 3.5, NaN,
+    inf, "3" or None.  FracParams, ForcingSpec and omega_n test their dim
+    with it, RadialGrid its points."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
+        return False
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Orders of the Caputo derivative and Laplacian power, plus the dimension,
@@ -47,11 +57,7 @@ class FracParams:
             raise ParameterError(f"validation_mode=True requires alpha = 1, got {self.alpha}")
         if not (0.0 < self.beta <= 1.0):
             raise ParameterError(f"beta must be in (0, 1], got {self.beta}")
-        try:
-            whole = int(self.dim) == self.dim
-        except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
-            whole = False
-        if not whole:
+        if not is_whole(self.dim):
             raise ParameterError(f"dim must be an integer, got {self.dim}")
         # stored as an int, so that N = 3.0 names, records and caches as N = 3
         object.__setattr__(self, "dim", int(self.dim))

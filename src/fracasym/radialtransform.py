@@ -72,6 +72,7 @@ from itertools import repeat
 import numpy as np
 
 from . import special
+from .params import is_whole
 from .reporting import atomic_write
 from .special import bessel_j_half, gauss_legendre, gl_panels, lsq_slope
 from .spline import UniformSpline
@@ -90,7 +91,7 @@ class ExtrapolationWarning(UserWarning):
 def omega_n(dim: int) -> float:
     """Surface area of the unit sphere: 2 pi^{N/2} / Gamma(N/2), for N a
     positive whole number (3.0 as well as 3; odd or even)."""
-    if not (dim >= 1 and float(dim).is_integer()):  # nan and inf fail too
+    if not (is_whole(dim) and dim >= 1):  # nan and inf fail too
         raise TransformError(f"dimension must be a positive whole number, got {dim}")
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
@@ -106,11 +107,7 @@ class RadialGrid:
     def __post_init__(self):
         if not (0 < self.rho_min < self.rho_max < math.inf):
             raise TransformError("need 0 < rho_min < rho_max < inf")
-        try:
-            whole = int(self.points) == self.points
-        except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
-            whole = False
-        if not whole:
+        if not is_whole(self.points):
             raise TransformError(f"points must be a whole number, got {self.points}")
         # stored as an int, so that 768.0 points name and cache as 768
         object.__setattr__(self, "points", int(self.points))

@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import special
-from .params import FracParams
+from .params import FracParams, is_whole
 from .radialtransform import RadialFunction, RadialGrid, TransformError, radial_fourier_inverse
 from .special import _horner, _rgamma, bessel_j_half, gauss_legendre, gl_panels, mittag_leffler
 from .spline import UniformSpline
@@ -102,11 +102,7 @@ class ForcingSpec:
                 f"gamma and amplitude must be finite, got {self.gamma}, {self.amplitude}")
         if not 0 < self.width < math.inf:
             raise SolverError(f"width must be positive and finite, got {self.width}")
-        try:
-            whole = int(self.dim) == self.dim
-        except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
-            whole = False
-        if not whole or self.dim < 1:
+        if not is_whole(self.dim) or self.dim < 1:
             raise SolverError(f"dim must be a positive integer, got {self.dim}")
         # stored as an int, as FracParams stores its dim
         object.__setattr__(self, "dim", int(self.dim))

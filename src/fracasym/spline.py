@@ -26,18 +26,19 @@ holds 34 rows of floats, not 721, and the four systems cached after a pass of
 the benchmark's battery hold 1,104 objects (66 KB) where one tuple per row
 held 34,584 (1.1 MiB, `sys.getsizeof`).
 
-The pieces repeat too: every interval but the first and the last four of a
-cubic, or seven of a quintic, has the same set, so a cubic has at most 9
-distinct sets and a quintic at most 15.  A cached system holds each head and tail set once, the
-interior set as a tile of _TILE = 64 copies, and the first B-spline of each
-interval, where it held every interval's pieces and its window of indices:
-a cached 768-site quintic holds 48 KiB (`tracemalloc`), not 216 KiB of
-pieces and 36 KiB of windows.  The product runs over at most 64 intervals at
-a time and gives the bytes of the one product over every interval.  It
-relies on the heap regime that `radialtransform` sets at import: without it
-the 216 KiB arrays the cache no longer holds were what kept glibc's mmap
-threshold above the Hankel blocks, and a battery pass took 142k-158k minor
-faults instead of 2.0k (0.74k with the regime).
+The pieces repeat too: every interval but the first four and the last four
+of a cubic (seven and seven of a quintic) has the same set, so a cubic has
+at most 9 distinct sets and a quintic at most 15.  A cached system holds each head and
+tail set once, the interior set as a tile of _TILE = 64 copies, and the
+first B-spline of each interval, where it held every interval's pieces and
+its window of indices: a cached 768-site quintic holds 48 KiB
+(`tracemalloc`), not 216 KiB of pieces and 36 KiB of windows.  The product
+runs over at most 64 intervals at a time and gives the bytes of the one
+product over every interval.  It relies on the heap regime that
+`radialtransform` sets at import: without it the 216 KiB arrays the cache no
+longer holds were what kept glibc's mmap threshold above the Hankel blocks,
+and a battery pass took 142k-158k minor faults instead of 2.0k (0.74k with
+the regime).
 
 Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds in each of
 three processes: a 768-site quintic builds in 0.38-0.69 ms (3.1-5.2 ms with
