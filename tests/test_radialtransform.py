@@ -67,9 +67,6 @@ def test_grid_validation():
         RadialGrid(1.0, 0.5)
     with pytest.raises(TransformError):
         RadialGrid(1e-3, 1e3, 10)
-
-
-def test_grid_points_must_be_a_whole_number():
     # NaN passed the `points < 64` test, and 100.5 failed only at .nodes,
     # with a bare TypeError
     for points in (math.nan, math.inf, 100.5, "768", None):
