@@ -119,7 +119,10 @@ def _symbol(params: FracParams, which: str, times=(1.0,)):
 
     def symbols(lam):
         for scale, minus_ta in factors:
-            yield scale * mittag_leffler(a, b, lam * minus_ta)
+            e = mittag_leffler(a, b, lam * minus_ta)  # a fresh array: scaled in place
+            e *= scale
+            yield e
+            del e  # before the next is formed
 
     return symbols
 

@@ -28,8 +28,10 @@ summed and checked on its own, with the bits it would have alone, and let
 go before the next is asked for: one output is alive at a time, whatever K.
 radial_fourier_inverses is that batched inverse; radial_fourier_inverse and
 radial_fourier_forward are its K = 1 case.  A default-grid G transform takes
-72-73 ms and peaks at 1.6 MiB of traced allocations; a Duhamel pass at three
-checkpoints peaks 0.03 MiB above one at a single checkpoint (numpy 2.4.6).
+72-73 ms and peaks at 1.56 MiB of traced allocations (1.86 MiB when each
+symbol and Mittag-Leffler branch took a new array per operation); a Duhamel
+pass at three checkpoints peaks 0.03 MiB above one at a single checkpoint
+(numpy 2.4.6).
 A symbol gets float64 r (at most _BLOCK_ROWS x 1904, rounded once in the
 engine) and yields arrays of that shape (a list or a tuple of them serves
 too); no symbol casts its argument.  Both directions share one finish:
@@ -214,7 +216,7 @@ class RadialFunction:
 
     def __call__(self, rho):
         rho_arr = np.asarray(rho, dtype=float)
-        if np.any(rho_arr <= 0):
+        if not np.all(rho_arr > 0):  # so a NaN radius is refused too
             raise TransformError("evaluation requires rho > 0")
         flat = rho_arr.ravel()
         out = np.zeros_like(flat)

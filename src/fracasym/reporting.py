@@ -76,13 +76,17 @@ class ConvergenceReport:
 
 def atomic_write(path, text):
     """Write text to path through a temporary file and os.replace, so readers
-    never see a partial file."""
+    never see a partial file.  The file gets the mode a plain open would give
+    a new one, 0o666 less the umask: mkstemp makes its file 0o600."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
+    umask = os.umask(0)  # the one way to read it is to set it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

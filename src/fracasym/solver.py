@@ -16,7 +16,10 @@ spatial factor is nonzero in some row, and the table's spline only on the
 columns that hold a point inside the table.  Every other point's value is
 the one the product would give it, so each output keeps every bit.  On the
 battery's Gaussian symbols the spline then runs on 51-53% of the points, or
-87% where the spatial factor has no zero (outer-general, coherence).
+87% where the spatial factor has no zero (outer-general, coherence).  Each
+block's arrays are the code's own: the default spatial factor is scaled in
+place, r^{2b} is r itself at 2b = 1, and W's log and spline share one
+buffer, so no array that spatial returned is written.
 
 The substitution tau = (t-s)^alpha removes the endpoint singularity exactly:
 W(lam, t) = (1/alpha) int_0^{t^alpha} (1+t-tau^{1/alpha})^{-gamma}
@@ -39,7 +42,8 @@ t = 1e8, and always at x = lam t^alpha between 1 and 6 (tests/test_solver.py,
 at the knot midpoints).
 
 The quadrature evaluates E_{alpha,alpha} once per distinct argument (see
-_w_knots): about 455,000 points per table rather than 1201 x 1250.  The table
+_w_knots): about 455,000 points per table rather than 1201 x 1250, and a
+cold table peaks at 1.16 MiB of traced allocations.  The table
 cache has no bound: an entry holds about 48 KB (a 1201-knot spline) and takes
 13-20 ms to build (72-94 ms with one E per knot and node; 2-vCPU Xeon), and a
 run visits only a few (alpha, gamma, t) keys, so the cache stays well under a
@@ -127,13 +131,20 @@ class ForcingSpec:
         r = np.asarray(r, dtype=float)
         n, w = self.dim, self.width
         if self.family == "gaussian":
-            # exp is exactly 0 at or below -746, where it costs 6-32 ns a
-            # point against about 1 ns above (numpy 2.4.6): it runs only
-            # where the argument is above that, or NaN
-            arg = -(w * r) ** 2 / 4.0
-            e = np.zeros_like(arg)
-            np.exp(arg, out=e, where=~(arg <= -746.0))
-            return (math.pi * w * w) ** (n / 2.0) * e
+            # -(w r)^2 / 4, then its exp, in one array of its own, operation
+            # by operation as the expression runs.  exp is exactly 0 at or
+            # below -746, where it costs 6-32 ns a point against about 1 ns
+            # above (numpy 2.4.6): it runs only where the argument is above
+            # that, or NaN, and the rest is set to 0
+            e = np.multiply(w, r, out=np.empty(r.shape))
+            np.square(e, out=e)
+            np.negative(e, out=e)
+            e /= 4.0
+            under = e <= -746.0
+            np.exp(e, out=e, where=~under)
+            e[under] = 0.0
+            e *= (math.pi * w * w) ** (n / 2.0)
+            return e
         if self.family == "heavy":
             return math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0) * np.exp(-r)
         # bump: 8 (2 pi)^{N/2} R^N J_{N/2+2}(rR) / (rR)^{N/2+2}
@@ -258,8 +269,8 @@ def _w_knots(alpha: float, gamma: float, t: float):
     * tau-half: panel i's nodes are panel 0's times 10^{i/2} and knot j is
       lam_0 10^{j/60}, so lam_j tau_{i,k} = lam_0 tau_{0,k} 10^{(j + 30 i)/60}
       (30 = _KNOTS_PER_PANEL).  E is evaluated once on the 1201 + 30 x 51
-      merged arguments of each of the 12 panel-0 nodes, and knot j sums the
-      52 at j, j + 30, ..., j + 30 x 51.
+      merged arguments of each of the 12 panel-0 nodes, one node per call,
+      and knot j sums the 52 at j, j + 30, ..., j + 30 x 51.
     """
     U = t**alpha
     a, c = _duhamel_nodes(alpha, gamma, t)
@@ -272,7 +283,9 @@ def _w_knots(alpha: float, gamma: float, t: float):
     c_s = np.bincount(inverse, weights=np.concatenate([c[:n], c[2 * n :]]))
     w_vals = np.empty_like(lam)
     # 64 knots per call: all 1201 at once took 33 ms, not 15 ms, per table at
-    # a 17.7 MiB traced peak, not 1.9 MiB; 128 took 21 ms (2-vCPU Xeon)
+    # a 17.7 MiB traced peak, not 1.9 MiB; 128 took 21 ms (2-vCPU Xeon).
+    # With the tau-half below one node per call, these calls set the build's
+    # peak: 1.16 MiB traced
     chunk = 64
     for i in range(0, lam.size, chunk):
         e = mittag_leffler(alpha, alpha, -(lam[i : i + chunk, None] * a_s))
@@ -284,7 +297,12 @@ def _w_knots(alpha: float, gamma: float, t: float):
     # exponent's rounding, ~1e-14 relative
     q, r = np.divmod(np.arange(lam.size + span), _PTS_PER_DECADE)
     lam_ext = lam[0] * 10.0**q * 10.0 ** (r / _PTS_PER_DECADE)
-    e = mittag_leffler(alpha, alpha, -(tau0[:, None] * lam_ext))
+    # one panel-0 node per call, into one array: all 12 in one call held 12
+    # rows of each of mittag_leffler's temporaries, and a cold table build
+    # peaked at 1.66 MiB traced, not 1.16
+    e = np.empty((n_gl, lam_ext.size))
+    for k, node in enumerate(tau0):
+        e[k] = mittag_leffler(alpha, alpha, -(node * lam_ext))
     windows = sliding_window_view(e, span + 1, axis=1)[:, :, ::_KNOTS_PER_PANEL]
     w_vals += np.einsum("kji,ik->j", windows, c_tau)
     return lam, w_vals
@@ -355,7 +373,9 @@ def time_weight(alpha: float, gamma: float, t: float):
         if cols.size:
             span = slice(cols[0], cols[-1] + 1)
             with np.errstate(all="ignore"):
-                np.exp(spline(np.log(lam[..., span])), out=out[..., span])
+                # the log and the spline in one buffer, the exp into out
+                v = np.log(lam[..., span])
+                np.exp(spline(v, out=v), out=out[..., span])
         out[low] = w_lo
         out[high] = w_hi * (lam_hi / lam[high])
         return out.reshape(shape)
@@ -381,12 +401,18 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
     s W for any finite positive W.  A scalar s, or one without a trailing
     zero column, takes W on the full width.  t <= 1e18 where gamma != 0."""
     if spatial is None:
-        spatial = lambda r: fs.amplitude * fs.ghat(r)
+
+        def spatial(r):
+            s = fs.ghat(r)  # a fresh array: scaled in place
+            s *= fs.amplitude
+            return s
+
     weights = [time_weight(params.alpha, fs.gamma, t) for t in times]
     two_beta = 2.0 * params.beta
 
     def symbols(r):
-        s, lam = spatial(r), r**two_beta
+        # r^1 is r to the bit; nothing writes into lam
+        s, lam = spatial(r), r if two_beta == 1.0 else r**two_beta
         hats = None if profiles is None else iter(profiles(r, lam, s))
         # W only through the last column (index on the last axis) where s is
         # nonzero in some row: past it s W is s's own zero, sign and all; a

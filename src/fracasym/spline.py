@@ -32,7 +32,10 @@ at most 9 distinct sets and a quintic at most 15.  A cached system holds each he
 tail set once, the interior set as a tile of _TILE = 64 copies, and the
 first B-spline of each interval, where it held every interval's pieces and
 its window of indices: a cached 768-site quintic holds 48 KiB
-(`tracemalloc`), not 216 KiB of pieces and 36 KiB of windows.  The product
+(`tracemalloc`), not 216 KiB of pieces and 36 KiB of windows.  The pieces
+are built only for the distinct knot windows, at most 17 of a quintic and
+11 of a cubic, so a cold 721-site quintic system peaks at 0.35 MiB traced,
+where one set per interval peaked at 1.51 MiB.  The product
 runs over at most 64 intervals at a time and gives the bytes of the one
 product over every interval.  It relies on the heap regime that
 `radialtransform` sets at import: without it the 216 KiB arrays the cache no
@@ -49,7 +52,9 @@ resolvable: on a busier day a warm 768-site quintic read 0.53-0.75 ms
 against 0.63-0.74 ms with every interval's pieces held.  Evaluated with the
 log and the exp on the 476,801 Mittag-Leffler table arguments of a
 default-grid G transform, it takes 10.2-11.4 ns per point, scipy's `PPoly`
-16.2-16.7 ns.
+16.2-16.7 ns.  It writes into an `out` array when given one, which may be
+the points themselves: the Mittag-Leffler table and the W table run their
+log, the spline and the exp in one buffer.
 """
 
 from __future__ import annotations
@@ -132,29 +137,37 @@ def _factor(band):
 
 def _collocation(n: int, k: int):
     """The collocation matrix of the degree-k spline on n sites as a band of
-    half-width 4, and for each interval the first of the B-splines nonzero on
-    it and their polynomial pieces."""
+    half-width 4, for each interval the first of the B-splines nonzero on it,
+    and their polynomial pieces as (sets, which): interval i's are
+    sets[which[i]].  Only the distinct knot windows, relative to each
+    interval's left end and merged by their bits, get pieces: 17 of a
+    quintic's and 11 of a cubic's, for any n, where every interval's set was
+    built before (a 721-site quintic's build then peaked at 1.51 MiB traced,
+    not 0.35).  Each set has the bits it had, as no row's arithmetic reads
+    another's."""
     d = min(k, n - 1)
     inner = np.arange((k + 1) // 2, n - (k + 1) // 2) if n > k + 1 else np.arange(0)
     t = np.concatenate([np.zeros(d + 1), inner, np.full(d + 1, n - 1.0)])
     left = np.arange(n - 1)
     m = np.searchsorted(t, left, side="right") - 1  # the knot span of each interval
-    pieces = _bspline_pieces(t[m[:, None] + np.arange(-d, d + 2)] - left[:, None], d)
+    windows = t[m[:, None] + np.arange(-d, d + 2)] - left[:, None]
+    distinct, which = np.unique(windows.view(np.uint64), axis=0, return_inverse=True)
+    sets = _bspline_pieces(distinct.view(float), d)
     first = m - d
-    windows = first[:, None] + np.arange(d + 1)
 
     # row i: the B-splines at site i, the left end of interval i; at the last
     # site, where the knots end (d + 1)-fold, only the last B-spline is not
     # zero, and it is 1
-    vals = np.concatenate([pieces[:, :, 0], np.eye(1, d + 1, d)])
+    vals = np.concatenate([sets[which, :, 0], np.eye(1, d + 1, d)])
     # the matrix spans at most k - 1 columns either side of the diagonal, so
     # a band of half-width 4 holds either degree and one substitution serves
     w = 4
-    cols = np.concatenate([windows, windows[-1:]]) - np.arange(n)[:, None] + w
+    cols = first[:, None] + np.arange(d + 1)
+    cols = np.concatenate([cols, cols[-1:]]) - np.arange(n)[:, None] + w
     band = np.zeros((n, 2 * w + 1))
     nz = vals != 0.0
     band[np.nonzero(nz)[0], cols[nz]] = vals[nz]
-    return band, first, pieces
+    return band, first, (sets, which)
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,18 +178,18 @@ def _system(n: int, k: int):
     .. stop - 1 take the sets in turn, from the first again every len(sets)
     intervals: the head's and the tail's sets once each, and the one interior
     set, which the intervals between repeat, as a tile of _TILE copies."""
-    band, first, pieces = _collocation(n, k)
+    band, first, (pieces, which) = _collocation(n, k)
     # the interior: the run of intervals whose pieces have the bits of the
     # middle one's
     mid = (n - 1) // 2
-    bits = pieces.reshape(n - 1, -1).view(np.uint64)
-    other = np.flatnonzero(np.any(bits != bits[mid], axis=1))
+    bits = pieces.reshape(len(pieces), -1).view(np.uint64)
+    other = np.flatnonzero(np.any(bits != bits[which[mid]], axis=1)[which])
     h = int(other[other < mid].max(initial=-1)) + 1
     e = int(other[other > mid].min(initial=n - 1))
     segments = tuple((a, b, sets) for a, b, sets in (
-        (0, h, pieces[:h].copy()),
-        (h, e, np.repeat(pieces[mid : mid + 1], min(_TILE, e - h), axis=0)),
-        (e, n - 1, pieces[e:].copy()),
+        (0, h, pieces[which[:h]]),
+        (h, e, np.repeat(pieces[which[mid : mid + 1]], min(_TILE, e - h), axis=0)),
+        (e, n - 1, pieces[which[e:]]),
     ) if a < b)
     for a in (first, *(sets for _, _, sets in segments)):  # every build reads them
         a.flags.writeable = False
@@ -241,15 +254,22 @@ class UniformSpline:
                 b = min(stop, a + len(sets))
                 np.einsum("ij,ijp->pi", c[a:b], sets[: b - a], out=coef[:, a:b])
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
+        """The spline at u, written into out when it is given: a C-contiguous
+        float64 array of u's size, which may be u itself."""
         u = np.asarray(u, dtype=float)
         flat = u.ravel()
-        out = np.empty(flat.shape)
+        if out is None:
+            out = np.empty(u.shape)
+        elif not (out.flags.c_contiguous and out.dtype == float and out.size == u.size):
+            raise SplineError("out must be a C-contiguous float64 array of u's size")
+        acc_flat = out.reshape(-1)
         coef, inv_h = self._coef, self._inv_h
         # _CHUNK points at a time, in place where it can: the temporaries then
         # stay under glibc's 128 KB mmap threshold.  On a transform's 30,000-
         # point blocks, whole-array ones cost about 100,000 more page faults
-        # per potentials pass and made it 20% slower (2-vCPU Xeon).
+        # per potentials pass and made it 20% slower (2-vCPU Xeon).  A chunk
+        # reads its points (v) before it writes its values, so out may be u.
         for a in range(0, flat.size, _CHUNK):
             v = flat[a : a + _CHUNK]
             s = v - self._x0
@@ -259,9 +279,9 @@ class UniformSpline:
             term = np.take(self._left, i, mode="clip")
             np.subtract(v, term, out=s)  # from the site itself: no drift along x
             s *= inv_h
-            acc = out[a : a + _CHUNK]
+            acc = acc_flat[a : a + _CHUNK]
             np.take(coef[-1], i, out=acc, mode="clip")
             for col in coef[-2::-1]:
                 acc *= s
                 acc += np.take(col, i, out=term, mode="clip")
-        return out.reshape(u.shape)
+        return out

@@ -329,7 +329,10 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
     def profiles(r, lam, ag):
         kernel = y_hats(lam)
         for amp in amps:
-            yield amp * next(kernel)
+            e = next(kernel)
+            e *= amp  # y_hats' own array
+            yield e
+            del e  # before the next is formed
 
     raw, norm = _checkpoint_series(
         cfg, kernel_times, duhamel_symbols(fs, params, kernel_times, profiles))

@@ -325,7 +325,7 @@ def _traced_peak(transform):
 def test_transform_memory_is_bounded():
     # one default-grid G transform evaluates its symbol block by block: the
     # whole-array version peaked at 102 MiB of traced allocations, this one
-    # at 1.61 MiB (numpy 2.4.6)
+    # at 1.56 MiB (numpy 2.4.6)
     symbol = _g_symbol(FracParams(0.5, 0.5, 3), 1e3)
     assert _traced_peak(lambda: radial_fourier_inverse(symbol, 3)) < 2 * 2**20
 
@@ -836,6 +836,40 @@ def test_cached_spline_system_holds_under_64_kib():
     assert held < 64 * 1024
 
 
+def test_spline_system_build_memory_is_bounded():
+    # a cold 721-site quintic system (the Mittag-Leffler table's) builds the
+    # B-spline pieces of its 17 distinct knot windows alone: 0.35 MiB traced,
+    # where one set per interval peaked at 1.51 MiB (numpy 2.4.6)
+    spline._system(100, 5)
+    tracemalloc.start()
+    try:
+        spline._system.__wrapped__(721, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_spline_writes_over_its_points_with_the_same_bytes(k):
+    # out=u: each chunk reads its points before it writes their values, so
+    # the spline over u itself has the bytes of the spline into a new array,
+    # on more points than one chunk, outside the sites too, in any shape
+    rng = np.random.default_rng(k)
+    s = UniformSpline(np.linspace(-2.0, 3.0, 40), rng.standard_normal(40), k)
+    for shape in [(), (7,), (3, spline._CHUNK + 5), (2, 3, 4001)]:
+        u = rng.uniform(-3.0, 4.0, shape)
+        want = s(u)
+        got = s(u, out=u)
+        assert got is u and got.tobytes() == want.tobytes(), shape
+    u = np.linspace(-1.0, 2.0, 20)
+    into = np.empty((4, 5))
+    assert s(u, out=into) is into and into.tobytes() == s(u).tobytes()
+    for bad in (np.empty((20, 2))[:, 0], np.empty(19), np.empty(20, dtype=np.float32)):
+        with pytest.raises(SplineError, match="out must be"):
+            s(u, out=bad)
+
+
 _FAULTS_CODE = """
 import resource
 
@@ -970,6 +1004,21 @@ def test_radial_function_builds_interpolant_on_first_read(shape, monkeypatch):
 def test_radial_function_refuses_bad_samples_at_construction(samples, match):
     with pytest.raises(TransformError, match=match):
         RadialFunction(RadialGrid(1e-2, 10.0, 128), samples)
+
+
+def test_radial_function_refuses_a_nan_radius():
+    # rho <= 0 is false at NaN, so a NaN radius once read nan (with numpy's
+    # cast warning); every radius must be positive, and a valid one keeps
+    # its value
+    grid = RadialGrid(1e-2, 10.0, 128)
+    u = RadialFunction(grid, np.exp(-grid.nodes))
+    rho = np.geomspace(1e-3, 1e2, 9)
+    want = u(rho).tobytes()
+    for bad in (np.nan, [1.0, np.nan], 0.0, [-1.0, 1.0]):
+        with pytest.raises(TransformError, match="rho > 0"):
+            u(bad)
+    assert u(rho).tobytes() == want
+    assert u(1.0) == float(u(np.array([1.0]))[0])
 
 
 def test_save_load_round_trip(tmp_path):

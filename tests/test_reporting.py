@@ -45,3 +45,18 @@ def test_atomic_write_leaves_nothing_when_the_write_fails(tmp_path):
     assert os.listdir(tmp_path) == []
     atomic_write(str(target), "ok\n")
     assert os.listdir(tmp_path) == ["report.json"] and target.read_text() == "ok\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    # mkstemp makes its file 0o600; the written file takes 0o666 less the
+    # umask, as open(path, "w") gives a new file
+    old = os.umask(umask)
+    try:
+        atomic_write(str(tmp_path / "atomic.json"), "{}\n")
+        with open(tmp_path / "plain.json", "w") as fh:
+            fh.write("{}\n")
+    finally:
+        os.umask(old)
+    mode = lambda name: os.stat(tmp_path / name).st_mode & 0o777
+    assert mode("atomic.json") == mode("plain.json") == 0o666 & ~umask

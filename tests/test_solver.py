@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -129,6 +130,48 @@ def test_gaussian_ghat_is_the_closed_form(width):
     assert scalar == pref * np.exp(-(width * 54.0 / width) ** 2 / 4.0)
     assert zero_d == pref * np.exp(-(width * 55.0 / width) ** 2 / 4.0)
     assert float(fs.ghat(0.0)) == pref
+
+
+def _ghat_reference(fs, r):
+    """The gaussian g-hat as it was formed before it ran in one array: a new
+    array per operation."""
+    w = fs.width
+    arg = -(w * np.asarray(r, dtype=float)) ** 2 / 4.0
+    e = np.zeros_like(arg)
+    np.exp(arg, out=e, where=~(arg <= -746.0))
+    return (math.pi * w * w) ** (fs.dim / 2.0) * e
+
+
+@pytest.mark.parametrize("width", [1.0, 0.3])
+def test_gaussian_ghat_keeps_its_bits_in_one_array(width):
+    # formed in place in one array of its own, g-hat has the bytes of the
+    # expression formed operation by operation: around the argument -746
+    # (where exp stops running; one r of each width hits it exactly), at
+    # NaN, +-inf, 0 and on 0-d input.  One engine block of it peaks at
+    # 1.26 block-sized arrays traced (the result and two masks), where the
+    # expression formed that way peaked at 3.0 (numpy 2.4.6)
+    fs = ForcingSpec("gaussian", gamma=2.0, width=width, dim=3)
+    r0 = math.sqrt(2984.0) / width
+    r = np.concatenate([r0 + np.arange(-50, 51) * np.spacing(r0), np.geomspace(1e-3, 1e5, 999),
+                        [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+    assert np.count_nonzero(-(width * r) ** 2 / 4.0 == -746.0) >= 1
+    before = r.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fs.ghat(r).tobytes() == _ghat_reference(fs, r).tobytes()
+        for v in (r0, np.nan, 0.0):
+            zero_d = np.array(v)
+            assert np.asarray(fs.ghat(zero_d)).tobytes() == _ghat_reference(fs, zero_d).tobytes()
+    assert r.tobytes() == before.tobytes()  # the argument is left as it was
+    block = np.geomspace(1e-3, 1e2, _BLOCK_ROWS * 1904).reshape(_BLOCK_ROWS, 1904)
+    fs.ghat(block)
+    tracemalloc.start()
+    try:
+        fs.ghat(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * block.nbytes
 
 
 def test_forcing_validation():
@@ -294,6 +337,22 @@ def test_w_knots_call_the_module_mittag_leffler(monkeypatch):
     monkeypatch.setattr(solver, "mittag_leffler", counting)
     _w_knots(0.5, 2.0, 1e4)
     assert 400_000 < sum(points) < 460_000
+
+
+def test_w_table_build_memory_is_bounded():
+    # a cold W table with its Mittag-Leffler table and spline system cached:
+    # the tau-half's E one panel-0 node at a time into one array, and the
+    # spline system's pieces on its distinct knot windows alone, peak at
+    # 1.16 MiB traced, where all 12 nodes in one call peaked at 1.66 MiB
+    # (numpy 2.4.6)
+    _build_w_table(0.5, 2.0, 1e4)
+    tracemalloc.start()
+    try:
+        _build_w_table.__wrapped__(0.5, 2.0, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_w_monotone_decreasing_in_lam():

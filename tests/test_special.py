@@ -189,6 +189,22 @@ def test_ml_asymptotic_branch_near_gamma_poles(a, second):
         assert g == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 1.0), (1.0, 1.0)])
+def test_mittag_leffler_writes_into_no_argument(a, b):
+    # its output is its own copy of -x (a tracer reads x after the call), and
+    # the branches' sums read y without writing it
+    x = -np.concatenate([[0.0], np.geomspace(1e-9, 1e9, 3002)]).reshape(-1, 7)
+    before = x.copy()
+    out = mittag_leffler(a, b, x)
+    assert x.tobytes() == before.tobytes() and not np.shares_memory(out, x)
+    y = -x.ravel()
+    for part, branch in ((y[y < _TABLE_LO], special._ml_series),
+                         (y[y >= _ASYMP_CUT], special._ml_asymptotic)):
+        kept = part.copy()
+        branch(a, b, part)
+        assert part.tobytes() == kept.tobytes()
+
+
 @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 1.0), (0.9, 0.9), (0.3, 1.0)])
 def test_horner_sums_are_polyval(a, b, monkeypatch):
     # the in-place Horner sums give numpy's polyval bit for bit, on the series

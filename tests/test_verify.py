@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -592,6 +593,41 @@ def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
     for t, u in zip(cfg.times, batched):
         single = radial_fourier_inverse(_per_t_symbol(cfg, t), 3, grid)
         assert np.array_equal(u.samples, single.samples)
+
+
+# the traced peak of one engine block (rows 400-415) of the check's symbol,
+# in block-sized arrays (16 x 1904 float64), the block's r among them: 6.05,
+# 7.52 and 6.42 with each symbol scaled in its own array and the
+# Mittag-Leffler mid branch's log, spline and exp in place, where a new
+# array per operation peaked at 7.22, 9.46 and 7.35 (numpy 2.4.6)
+_BLOCK_PEAKS = {"compact": 6.3, "outer-mass": 7.8, "kernel-bounds": 6.7}
+
+
+@pytest.mark.parametrize("label", sorted(_BLOCK_PEAKS))
+def test_one_engine_block_holds_few_block_arrays(label, monkeypatch):
+    cfg = _BATCHED[label]
+    captured = []
+    inverses = verify.radial_fourier_inverses
+
+    def recorded(symbols, dim, grid=None):
+        captured.append((symbols, grid))
+        return inverses(symbols, dim, grid)
+
+    monkeypatch.setattr(verify, "radial_fourier_inverses", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)  # kernel-bounds
+        run_check(cfg)
+    (symbols, grid), = captured
+    engine = radialtransform._engine(cfg.params.dim)
+    rho = (grid or cfg.grid).nodes[400 : 400 + radialtransform._BLOCK_ROWS]
+    engine.integrate(symbols, rho)  # every table the block reads is built
+    tracemalloc.start()
+    try:
+        engine.integrate(symbols, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _BLOCK_PEAKS[label] * rho.size * engine.x.size * 8
 
 
 def test_report_serialization(tmp_path, battery_reports):
