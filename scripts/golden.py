@@ -17,7 +17,9 @@ Each JSON is kept without what varies from run to run: a report's
 runtime_seconds and a profile sidecar's engine hash (a digest of the source).
 The tests compare against the set with `compare_dirs` and `moved`, which name
 every field that moved; a change that moves a value runs this script in the
-same commit.
+same commit.  It writes the whole set either way and exits 1 when a check of
+the battery fails, as `run_all_checks.py` does, so a failing verdict stops CI
+even where the golden set records it.
 """
 
 import json
@@ -157,7 +159,7 @@ def _store(src_dir, dst_dir):
 def main():
     lines = criterion_lines()
     with tempfile.TemporaryDirectory() as tmp:
-        run_all_checks.main(["--out", os.path.join(tmp, "battery")])
+        failing = run_all_checks.main(["--out", os.path.join(tmp, "battery")])
         run_cli(os.path.join(tmp, "cli"))
         for sub in ("battery", "cli"):
             _store(os.path.join(tmp, sub), os.path.join(GOLDEN, sub))
@@ -165,7 +167,7 @@ def main():
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(GOLDEN, "platform.json"), "w") as fh:
         fh.write(json.dumps(platform(), indent=2) + "\n")
-    return 0
+    return failing
 
 
 if __name__ == "__main__":

@@ -107,9 +107,10 @@ def _identity(params: FracParams, which: str) -> dict:
 
 def _symbol(params: FracParams, which: str, times=(1.0,)):
     """lam -> the kernel symbols at each t in times, yielded one at a time as
-    K arrays of lam's shape, where lam = r^{2b} is formed once by the caller
-    (and shared with the time weights of solver): Z-hat = E_a(-lam t^a) for
-    "F", Y-hat = t^{a-1} E_{a,a}(-lam t^a) for "G".  The single-t symbol is
+    K arrays of lam's shape, where lam = r^{2b} is formed once per block by
+    FracParams.lam (and shared with the time weights of solver) and never
+    written: Z-hat = E_a(-lam t^a) for "F", Y-hat = t^{a-1} E_{a,a}(-lam
+    t^a) for "G".  The single-t symbol is
     the case times = (t,), read with next.  At a = 1 both are exp(-lam t),
     bit for bit: the second parameter is 1 and the scale t^0 is exactly 1,
     which multiplies exactly."""
@@ -167,8 +168,8 @@ def _profile(params: FracParams, which: str, grid: RadialGrid) -> KernelProfile:
     and their logs, the quintic's 767 x 6 coefficients): under 0.5 MB."""
     if which == "G" and params.alpha == 1.0:
         return KernelProfile(params, "G", _profile(params, "F", grid).values)
-    symbol, two_b = _symbol(params, which), 2.0 * params.beta
-    values = radial_fourier_inverse(lambda r: next(symbol(r**two_b)), params.dim, grid)
+    symbol = _symbol(params, which)
+    values = radial_fourier_inverse(lambda r: next(symbol(params.lam(r))), params.dim, grid)
     if params.beta == 1.0:
         # exponential-type spatial tail: the profile is positive, so from the
         # first non-positive sample on the samples are quadrature residue

@@ -6,7 +6,8 @@ and p_* from them; ScaleClass is the five intermediate classes S, C1, C,
 F1 and F; sharp_rate is the one owner of the sharp decay rates of the limit
 theorems, as exponents (e, l, k) of t^e (log t)^l phi(t)^k, and rate_at
 evaluates them.  Everything here is exact arithmetic on (alpha, beta, N,
-gamma); no grids.
+gamma), but for one array method, FracParams.lam, the one place that forms
+the symbols' variable lambda = r^{2 beta}; no grids.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ class FracParams:
     def as_dict(self) -> dict:
         """(alpha, beta, N) as reports and sidecars record them."""
         return {"alpha": self.alpha, "beta": self.beta, "dim": self.dim}
+
+    def lam(self, r):
+        """lambda = r^{2 beta}, the variable of every kernel and Duhamel
+        symbol, formed nowhere else: r itself at beta = 1/2, where r^1 is r to
+        the bit and a copy would cost a block-sized array.  So it may be r,
+        and no caller may write into it."""
+        return r if self.beta == 0.5 else r ** (2.0 * self.beta)
 
     @property
     def theta(self) -> float:

@@ -187,9 +187,10 @@ def riesz_tail_check(
     """Normalized far-field errors R^{N(1-1/p)-mu} ||I_mu[g] - M E_mu||_{L^p}
     over the annuli nu R < rho < mu_outer R for R in R_list (at least two
     finite, positive, strictly increasing radii); pass iff strictly
-    decreasing and final value below tolerance.  A zero g, a non-finite
-    mu_outer and a tolerance that is not finite and positive (a NaN or
-    non-positive one fails every series, an infinite one passes every
+    decreasing and final value below tolerance.  A zero g (zero samples, or
+    a closed-form ghat whose deviation is identically zero at mass 0), a
+    non-finite mu_outer and a tolerance that is not finite and positive (a
+    NaN or non-positive one fails every series, an infinite one passes every
     decreasing one) are refused."""
     if not 0 < nu < mu_outer < math.inf:
         raise PotentialError("need 0 < nu < mu_outer < inf")
@@ -203,11 +204,14 @@ def riesz_tail_check(
     ):
         raise PotentialError(
             f"need at least two finite, positive, increasing radii, got {R_list}")
+    vacuous = "g = 0 has no mass, so its tail statement is vacuous"
     if g is not None and g.is_zero:
-        raise PotentialError("g = 0 has no mass, so its tail statement is vacuous")
+        raise PotentialError(vacuous)
     t0 = time.perf_counter()
     grid = RadialGrid(1e-2, max(mu_outer * max(R_list) * 2.0, 1e3), 768)
     dev, mass = potential_deviation(g, mu, dim, grid, ghat=ghat)
+    if mass == 0.0 and dev.is_zero:  # a closed-form ghat of a zero g
+        raise PotentialError(vacuous)
     # information floor: samples 15+ orders below the peak deviation are
     # quadrature residue (they would otherwise dominate far annuli where the
     # true deviation has decayed super-algebraically)

@@ -18,8 +18,8 @@ the one the product would give it, so each output keeps every bit.  On the
 battery's Gaussian symbols the spline then runs on 51-53% of the points, or
 87% where the spatial factor has no zero (outer-general, coherence).  Each
 block's arrays are the code's own: the default spatial factor is scaled in
-place, r^{2b} is r itself at 2b = 1, and W's log and spline share one
-buffer, so no array that spatial returned is written.
+place, r^{2b} is FracParams.lam's (r itself at 2b = 1), and W's log and
+spline share one buffer, so no array that spatial returned is written.
 
 The substitution tau = (t-s)^alpha removes the endpoint singularity exactly:
 W(lam, t) = (1/alpha) int_0^{t^alpha} (1+t-tau^{1/alpha})^{-gamma}
@@ -389,10 +389,11 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
     solution at each checkpoint minus its comparison profile, all served by
     one engine pass, the one path for u-hat minus profile-hat.  spatial
     defaults to amplitude g-hat, which makes the first term u-hat.  The
-    t-independent factors s = spatial(r) and lam = r^{2b} are formed once per
-    block and handed to profiles(r, lam, s), which yields the K profile-hats
-    with their amplitude and mass factors, each taken as its term needs it;
-    without profiles the symbols are the Duhamel terms alone.  No output is
+    t-independent factors s = spatial(r) and lam = r^{2b} (FracParams.lam)
+    are formed once per block and handed to profiles(r, lam, s), which
+    yields the K profile-hats with their amplitude and mass factors, each
+    taken as its term needs it; without profiles the symbols are the
+    Duhamel terms alone.  No output is
     referenced once the next is asked for.
 
     W is formed only through the last column (index on r's last axis) where s
@@ -408,11 +409,9 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
             return s
 
     weights = [time_weight(params.alpha, fs.gamma, t) for t in times]
-    two_beta = 2.0 * params.beta
 
     def symbols(r):
-        # r^1 is r to the bit; nothing writes into lam
-        s, lam = spatial(r), r if two_beta == 1.0 else r**two_beta
+        s, lam = spatial(r), params.lam(r)  # lam may be r: nothing writes into it
         hats = None if profiles is None else iter(profiles(r, lam, s))
         # W only through the last column (index on the last axis) where s is
         # nonzero in some row: past it s W is s's own zero, sign and all; a
@@ -436,14 +435,18 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
     return symbols
 
 
-def solve_duhamel(
-    fs: ForcingSpec, params: FracParams, t: float, grid: RadialGrid | None = None
-) -> SolutionSlice:
-    """Solution slice u(., t) by inverse transform of the Duhamel symbol."""
+def _check_dim(fs: ForcingSpec, params: FracParams):
     if fs.dim != params.dim:
         raise SolverError(
             f"forcing dim {fs.dim} does not match problem dim {params.dim}"
         )
+
+
+def solve_duhamel(
+    fs: ForcingSpec, params: FracParams, t: float, grid: RadialGrid | None = None
+) -> SolutionSlice:
+    """Solution slice u(., t) by inverse transform of the Duhamel symbol."""
+    _check_dim(fs, params)
     grid = grid or RadialGrid()
     symbols = duhamel_symbols(fs, params, (t,))
     u = radial_fourier_inverse(lambda r: next(symbols(r)), params.dim, grid)
@@ -465,7 +468,9 @@ def solve_duhamel(
 def solution_mass(fs: ForcingSpec, params: FracParams, t: float) -> float:
     """M(t) = (1/Gamma(alpha)) int_0^t M_f(s) (t-s)^{alpha-1} ds = M0 W(0, t),
     the sum of the Duhamel quadrature weights; for gamma = 0 it equals
-    M0 t^alpha / Gamma(1 + alpha) to rounding."""
+    M0 t^alpha / Gamma(1 + alpha) to rounding.  A forcing in another
+    dimension than the problem's is refused, as solve_duhamel refuses it."""
+    _check_dim(fs, params)
     if not 0 <= t < math.inf:
         raise SolverError(f"t must be nonnegative and finite, got t={t}")
     if t == 0.0:

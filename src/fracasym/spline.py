@@ -15,7 +15,7 @@ and Pinkus, 1977; de Boor, *A Practical Guide to Splines*).  The factors of
 the system and the B-splines' polynomial pieces on each interval depend only
 on (n, k), so they are cached per (n, k), and a build is one forward and one
 back substitution and one product of the coefficients with the pieces, taken
-segment by segment.  Most builds find their (n, k) cached: 39 of 43 in a
+_STEP intervals at a time.  Most builds find their (n, k) cached: 39 of 43 in a
 pass of the benchmark's battery, 8 of 12 in profile-sweep and 9 of 16 in
 potentials (seed 1, `_system.cache_info()` at the end of one pass process).
 
@@ -28,15 +28,15 @@ held 34,584 (1.1 MiB, `sys.getsizeof`).
 
 The pieces repeat too: every interval but the first four and the last four
 of a cubic (seven and seven of a quintic) has the same set, so a cubic has
-at most 9 distinct sets and a quintic at most 15.  A cached system holds each head and
-tail set once, the interior set as a tile of _TILE = 64 copies, and the
-first B-spline of each interval, where it held every interval's pieces and
-its window of indices: a cached 768-site quintic holds 48 KiB
-(`tracemalloc`), not 216 KiB of pieces and 36 KiB of windows.  The pieces
-are built only for the distinct knot windows, at most 17 of a quintic and
-11 of a cubic, so a cold 721-site quintic system peaks at 0.35 MiB traced,
-where one set per interval peaked at 1.51 MiB.  The product
-runs over at most 64 intervals at a time and gives the bytes of the one
+at most 9 distinct sets and a quintic at most 15.  They are built only for
+the distinct knot windows, at most 11 of a cubic and 17 of a quintic, and a
+cached system holds them in one form, (sets, which): interval i's pieces are
+sets[which[i]], with which one uint8 per interval, beside each interval's
+first B-spline.  A cached 768-site quintic holds 36.6 KiB (`tracemalloc`),
+where every interval's pieces and windows held 216 KiB and 36 KiB, and a
+cold 721-site quintic system peaks at 0.35 MiB traced, where one set per
+interval peaked at 1.51 MiB.  A build's product takes _STEP = 64 intervals
+at a time, their pieces gathered by which, and gives the bytes of the one
 product over every interval.  It relies on the heap regime that
 `radialtransform` sets at import: without it the 216 KiB arrays the cache no
 longer holds were what kept glibc's mmap threshold above the Hankel blocks,
@@ -47,11 +47,11 @@ Measured on a 2-vCPU Xeon (numpy 2.4.6), medians of 41 builds in each of
 three processes: a 768-site quintic builds in 0.38-0.69 ms (3.1-5.2 ms with
 its (n, k) not yet cached) and a 1201-site cubic in 0.84-1.00 ms (2.8 ms),
 where scipy's `make_interp_spline` with `PPoly.from_spline` took
-0.74-1.01 ms and its `CubicSpline` 0.34-0.37 ms.  The segments cost nothing
-resolvable: on a busier day a warm 768-site quintic read 0.53-0.75 ms
-against 0.63-0.74 ms with every interval's pieces held.  Evaluated with the
-log and the exp on the 476,801 Mittag-Leffler table arguments of a
-default-grid G transform, it takes 10.2-11.4 ns per point, scipy's `PPoly`
+0.74-1.01 ms and its `CubicSpline` 0.34-0.37 ms.  The gather by which
+costs a warm build 5-8 us (1-2%, medians of 400 builds alternating in one
+process) over holding the interior's pieces as a tile of 64 copies.
+Evaluated with the log and the exp on the 476,801 Mittag-Leffler table
+arguments of a default-grid G transform, it takes 10.2-11.4 ns per point, scipy's `PPoly`
 16.2-16.7 ns.  It writes into an `out` array when given one, which may be
 the points themselves: the Mittag-Leffler table and the W table run their
 log, the spline and the exp in one buffer.
@@ -68,9 +68,9 @@ import numpy as np
 # points per evaluation step: 64 KB per temporary array
 _CHUNK = 8192
 
-# copies of the interior's B-spline pieces a cached system holds: 18 KiB for
-# a quintic, and a 768-site quintic's build is 12 products over them
-_TILE = 64
+# intervals per product of a build: the gathered pieces of a quintic's step
+# are 18 KiB, and a 768-site quintic's build is 12 products
+_STEP = 64
 
 
 class SplineError(ValueError):
@@ -138,7 +138,7 @@ def _factor(band):
 def _collocation(n: int, k: int):
     """The collocation matrix of the degree-k spline on n sites as a band of
     half-width 4, for each interval the first of the B-splines nonzero on it,
-    and their polynomial pieces as (sets, which): interval i's are
+    and their polynomial pieces as sets and which (uint8): interval i's are
     sets[which[i]].  Only the distinct knot windows, relative to each
     interval's left end and merged by their bits, get pieces: 17 of a
     quintic's and 11 of a cubic's, for any n, where every interval's set was
@@ -167,33 +167,18 @@ def _collocation(n: int, k: int):
     band = np.zeros((n, 2 * w + 1))
     nz = vals != 0.0
     band[np.nonzero(nz)[0], cols[nz]] = vals[nz]
-    return band, first, (sets, which)
+    return band, first, sets, which.astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=16)
 def _system(n: int, k: int):
     """Everything of a build that depends only on (n, k): the factor rows of
     the collocation matrix, the first B-spline nonzero on each interval, and
-    the B-splines' pieces as segments (start, stop, sets).  Intervals start
-    .. stop - 1 take the sets in turn, from the first again every len(sets)
-    intervals: the head's and the tail's sets once each, and the one interior
-    set, which the intervals between repeat, as a tile of _TILE copies."""
-    band, first, (pieces, which) = _collocation(n, k)
-    # the interior: the run of intervals whose pieces have the bits of the
-    # middle one's
-    mid = (n - 1) // 2
-    bits = pieces.reshape(len(pieces), -1).view(np.uint64)
-    other = np.flatnonzero(np.any(bits != bits[which[mid]], axis=1)[which])
-    h = int(other[other < mid].max(initial=-1)) + 1
-    e = int(other[other > mid].min(initial=n - 1))
-    segments = tuple((a, b, sets) for a, b, sets in (
-        (0, h, pieces[which[:h]]),
-        (h, e, np.repeat(pieces[which[mid : mid + 1]], min(_TILE, e - h), axis=0)),
-        (e, n - 1, pieces[which[e:]]),
-    ) if a < b)
-    for a in (first, *(sets for _, _, sets in segments)):  # every build reads them
+    the B-splines' pieces as (sets, which), all read-only."""
+    band, first, sets, which = _collocation(n, k)
+    for a in (first, sets, which):  # every build reads them
         a.flags.writeable = False
-    return _factor(band), first, segments
+    return _factor(band), first, sets, which
 
 
 def _substitute(lu, y):
@@ -241,18 +226,16 @@ class UniformSpline:
         if n == 1:
             self._coef = y.reshape(1, 1).copy()
             return
-        lu, first, segments = _system(n, k)
+        lu, first, sets, which = _system(n, k)
         c = _substitute(lu, y.tolist())
-        # each interval's coefficients times its pieces, a segment of at most
-        # len(sets) intervals at a time, into one contiguous row per power
-        # for the gathers in __call__
-        width = segments[0][2].shape[1]
+        # each interval's coefficients times its pieces, _STEP intervals at a
+        # time, into one contiguous row per power for the gathers in __call__
+        width = sets.shape[1]
         c = c[first[:, None] + np.arange(width)]
         self._coef = coef = np.empty((width, n - 1))
-        for start, stop, sets in segments:
-            for a in range(start, stop, len(sets)):
-                b = min(stop, a + len(sets))
-                np.einsum("ij,ijp->pi", c[a:b], sets[: b - a], out=coef[:, a:b])
+        for a in range(0, n - 1, _STEP):
+            b = a + _STEP
+            np.einsum("ij,ijp->pi", c[a:b], sets.take(which[a:b], axis=0), out=coef[:, a:b])
 
     def __call__(self, u, out=None):
         """The spline at u, written into out when it is given: a C-contiguous

@@ -455,10 +455,10 @@ def verify_kernel_estimates(cfg: VerifyConfig) -> ConvergenceReport:
     # of the t=1 profile), on a grid wide enough that both power-law tails
     # are asymptotically clean
     wide = RadialGrid(1e-3, 1e5, cfg.grid.points)
-    y_hats, two_b = kernels._symbol(params, "G", cfg.times), 2.0 * params.beta
+    y_hats = kernels._symbol(params, "G", cfg.times)
     norms, beyond = [], []
     for t, u in zip(cfg.times, radial_fourier_inverses(
-            lambda r: y_hats(r**two_b), params.dim, wide)):
+            lambda r: y_hats(params.lam(r)), params.dim, wide)):
         norms.append(lp_norm_annulus(u, cfg.p, params.dim, 1e-9, 1e9))
         # what the norm rests on beyond the grid: the share it takes from the
         # power laws fitted at the grid ends, and their exponents

@@ -48,3 +48,19 @@ def test_comparator_names_each_moved_field(tmp_path):
     assert golden.compare_dirs(str(tmp_path / "got"), BATTERY) == [
         "report_constant.json: dropped",
         f"report_compact.csv[2]: {lines[2]!r}, golden {lines[2][:-1]!r}"]
+
+
+def test_golden_exits_nonzero_when_a_battery_check_fails(monkeypatch, tmp_path):
+    # CI runs no battery of its own: golden.py writes the whole set, then
+    # exits with the battery's status, so a failing verdict stops the job
+    monkeypatch.setattr(golden, "GOLDEN", str(tmp_path))
+    monkeypatch.setattr(golden, "criterion_lines", lambda: ["criterion 01 [stub]"])
+    monkeypatch.setattr(golden, "run_cli", os.makedirs)
+    for status in (0, 1):
+        def battery(argv, status=status):
+            os.makedirs(argv[-1])
+            return status
+
+        monkeypatch.setattr(golden.run_all_checks, "main", battery)
+        assert golden.main() == status
+        assert sorted(os.listdir(tmp_path)) == ["battery", "cli", "criteria.txt", "platform.json"]

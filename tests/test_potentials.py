@@ -185,6 +185,18 @@ def test_tail_check_zero_input(monkeypatch):
         riesz_tail_check(z, 2.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=[10.0, 100.0])
 
 
+def test_tail_check_refuses_a_zero_closed_form_ghat():
+    # a closed-form ghat of g = 0 gives mass 0 and a deviation that is
+    # identically zero, which read "pass" with errors [0, 0]; a zero-mass g
+    # that is not zero keeps its check
+    with pytest.raises(PotentialError, match="vacuous"):
+        riesz_tail_check(None, 2.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=[10.0, 100.0],
+                         ghat=lambda r: np.zeros(np.shape(r)))
+    rep = riesz_tail_check(None, 2.0, 3, 1.0, nu=1.0, mu_outer=2.0, R_list=[10.0, 100.0],
+                           ghat=lambda r: r**2 * np.exp(-(r**2)))
+    assert rep.params["mass"] == 0.0 and any(rep.raw_errors)
+
+
 def test_tail_check_bad_annulus():
     grid = RadialGrid(1e-2, 10.0, 128)
     g = _gaussian(grid)

@@ -797,10 +797,10 @@ def _coef_reference(x, y, k):
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_spline_holds_each_piece_set_once_and_keeps_the_coefficients(k):
-    # every site count up to 300 and the counts the package builds: the
-    # segments expand to every interval's own pieces, hold a cubic's 9 and
-    # a quintic's 15 distinct sets once (the interior's as one tile), and
-    # the segment-by-segment product has the bytes of the one product
+    # every site count up to 300 and the counts the package builds: sets
+    # gathered by which are every interval's own pieces, 9 distinct sets of a
+    # cubic from 10 sites on and 15 of a quintic from 16, and the product
+    # _STEP intervals at a time has the bytes of the one product
     rng = np.random.default_rng(k)
     for n in [*range(2, 301), 512, 721, 768, 900, 1201, 2000]:
         x = np.linspace(-2.0, 3.0, n)
@@ -808,32 +808,32 @@ def test_spline_holds_each_piece_set_once_and_keeps_the_coefficients(k):
         want, windows, pieces = _coef_reference(x, y, k)
         got = UniformSpline(x, y, k)._coef
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), n
-        _, first, segments = spline._system(n, k)
+        _, first, sets, which = spline._system(n, k)
         assert np.array_equal(first, windows[:, 0]), n
-        expanded = np.concatenate([
-            np.resize(sets, (stop - start, *sets.shape[1:]))
-            for start, stop, sets in segments
-        ])
-        assert expanded.tobytes() == pieces.tobytes(), n
-        if n >= 64:
-            (_, _, head), (_, _, tile), (_, _, tail) = segments
-            assert len(tile) == min(spline._TILE, n - 1 - len(head) - len(tail)), n
-            assert len(head) + len(tail) + 1 == {3: 9, 5: 15}[k], n
+        assert which.dtype == np.uint8 and len(sets) <= 17, n
+        assert sets[which].tobytes() == pieces.tobytes(), n
+        if n >= {3: 10, 5: 16}[k]:
+            assert len({p.tobytes() for p in sets}) == {3: 9, 5: 15}[k], n
 
 
 def test_cached_spline_system_holds_under_64_kib():
     # a 768-site quintic (the default grid's RadialFunction) held 216 KiB of
-    # pieces and 36 KiB of windows per cached system; its 15 distinct sets,
-    # the interior's as a 64-interval tile, and one first column hold ~48 KiB
-    spline._system.cache_clear()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        spline._system(768, 5)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held < 64 * 1024
+    # pieces and 36 KiB of windows per cached system, then 53.5 KiB with the
+    # interior's pieces as a 64-interval tile; its factor rows, first column,
+    # at most 17 piece sets and uint8 which hold 36.6 KiB, and the Mittag-
+    # Leffler table's (721, 5), the W table's (1201, 3) and the sampled
+    # g-hat's (900, 3) 30.1, 31.9 and 27.1 KiB (47.0, 38.7 and 34.0 with
+    # the tile)
+    for (n, k), kib in {(768, 5): 38, (721, 5): 31, (1201, 3): 33, (900, 3): 28}.items():
+        spline._system.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            spline._system(n, k)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < kib * 1024, (n, k, held)
 
 
 def test_spline_system_build_memory_is_bounded():

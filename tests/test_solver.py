@@ -648,6 +648,12 @@ def test_dim_mismatch_and_bad_time():
         solution_mass(ForcingSpec("gaussian", gamma=0.0, dim=3), params, -1.0)
 
 
+def test_solution_mass_refuses_a_forcing_of_another_dim():
+    # as solve_duhamel does; it read 1.0063 for this N = 5 forcing
+    with pytest.raises(SolverError, match="forcing dim 5 does not match problem dim 3"):
+        solution_mass(ForcingSpec("gaussian", 2.0, dim=5), FracParams(0.5, 0.5, 3), 100.0)
+
+
 def test_outer_reference_mass():
     # the mass-concentrated reference carries the same total mass as u; it is
     # the Duhamel symbol with g-hat replaced by the constant M0, the one that
