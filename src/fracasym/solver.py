@@ -393,14 +393,15 @@ def duhamel_symbols(fs: ForcingSpec, params: FracParams, times, profiles=None, s
     are formed once per block and handed to profiles(r, lam, s), which
     yields the K profile-hats with their amplitude and mass factors, each
     taken as its term needs it; without profiles the symbols are the
-    Duhamel terms alone.  No output is
-    referenced once the next is asked for.
+    Duhamel terms alone.  No output is referenced once the next is asked
+    for.  A forcing in another dimension than the problem's is refused.
 
     W is formed only through the last column (index on r's last axis) where s
     is nonzero in some row, in the output's own buffer, and multiplied by s
     there; past that column the output is s's own zero, sign kept, which is
     s W for any finite positive W.  A scalar s, or one without a trailing
     zero column, takes W on the full width.  t <= 1e18 where gamma != 0."""
+    _check_dim(fs, params)
     if spatial is None:
 
         def spatial(r):
@@ -446,7 +447,6 @@ def solve_duhamel(
     fs: ForcingSpec, params: FracParams, t: float, grid: RadialGrid | None = None
 ) -> SolutionSlice:
     """Solution slice u(., t) by inverse transform of the Duhamel symbol."""
-    _check_dim(fs, params)
     grid = grid or RadialGrid()
     symbols = duhamel_symbols(fs, params, (t,))
     u = radial_fourier_inverse(lambda r: next(symbols(r)), params.dim, grid)
@@ -469,7 +469,7 @@ def solution_mass(fs: ForcingSpec, params: FracParams, t: float) -> float:
     """M(t) = (1/Gamma(alpha)) int_0^t M_f(s) (t-s)^{alpha-1} ds = M0 W(0, t),
     the sum of the Duhamel quadrature weights; for gamma = 0 it equals
     M0 t^alpha / Gamma(1 + alpha) to rounding.  A forcing in another
-    dimension than the problem's is refused, as solve_duhamel refuses it."""
+    dimension than the problem's is refused, as duhamel_symbols refuses it."""
     _check_dim(fs, params)
     if not 0 <= t < math.inf:
         raise SolverError(f"t must be nonnegative and finite, got t={t}")

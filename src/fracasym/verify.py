@@ -2,24 +2,23 @@
 
 Each check evaluates the literal o(1) statement of one limit theorem at
 geometric time checkpoints and reports strict monotone decrease plus a final
-tolerance.  Each annulus check (compact, intermediate, exterior) runs one
-checkpoint series: it builds one batched symbol, u-hat minus profile-hat at
-every checkpoint t (solver.duhamel_symbols), inverts all of them in one pass
-of the transform engine, takes each L^p norm over its region (_region) and
-divides it by the sharp rate params.rate_at on its scale.  The factors that
-do not depend on t (the forcing's transform, r^{2b}, the Riesz powers) are
-formed once per block of the pass, and the K differences are yielded, and
-summed by the engine, one at a time; coherence and kernel-bounds batch
-their checkpoints the same way.  Forming the difference in the symbol, never as a
-difference of two transformed functions, makes the far-field cancellation
-between u and its limit profile exact, so the quadrature error budget stays
-at the level of the difference itself.  The solution's symbol is always the
-forcing's transform times the time weight W(r^{2b}, t), built by
-solver.duhamel_symbols.  One owner, _limit_profile, holds the coefficient
-table of every limit profile: the class profiles c2 E_{2b} + c4 E_{4b} at
-time t and the exterior's M* (log t)^l; the compact limit is its t = 1 case
-per unit mass, whose Riesz symbol _compact_limit_symbol builds.  kappa is the closed form kernels.estimate_kappa, so compact
-and intermediate build no kernel profile.
+tolerance.  On every annulus scale it is one statement: the L^p norm of u
+minus its profile over the scale's region, divided by the sharp rate.  A
+check states its profile as solver.duhamel_symbols takes it (profiles or
+spatial), and the runner _checkpoint_series alone builds the K difference
+symbols, inverts them in one engine pass, takes each norm over _region and
+divides it by params.rate_at.  The t-independent factors (the forcing's
+transform, r^{2b}, the Riesz powers) are formed once per block of the pass,
+and the K differences are yielded, and summed, one at a time.  Forming the
+difference in the symbol, not of two transformed functions, makes the
+far-field cancellation between u and its profile exact.  coherence reads
+each inverse at one radius as a ratio, with no region norm and no rate, so
+it builds and inverts its symbols itself, in one pass too, as kernel-bounds
+does.  _limit_profile holds the table of every limit profile: c2 E_{2b} +
+c4 E_{4b} at time t and the exterior's M* (log t)^l; the compact limit is
+its t = 1 case per unit mass, built by _compact_limit_symbol.  kappa is the
+closed form kernels.estimate_kappa, so compact and intermediate build no
+kernel profile.
 
 run_check is the one entry point.  Before any transform it refuses, with
 VerifyError, what the theorem's row of THEOREMS says no check can state:
@@ -152,16 +151,19 @@ def _region(cfg: VerifyConfig, t: float):
     return lo, hi
 
 
-def _checkpoint_series(cfg: VerifyConfig, times, symbols):
-    """At each checkpoint t: the L^p norm over _region(cfg, t) of the inverse
-    transform of its symbol, one of the K that symbols yields (all
-    transformed in one pass), and that norm divided by the sharp rate
-    params.rate_at on cfg's scale.  Returns (raw, normalized), empty for no
-    checkpoints."""
+def _checkpoint_series(cfg: VerifyConfig, times, profiles=None, spatial=None):
+    """The runner of every annulus check, from its statement to its series:
+    at each checkpoint t, u - profile built by solver.duhamel_symbols from
+    the check's profiles or spatial factor (as it takes them), inverted with
+    the other K - 1 in one engine pass, its L^p norm over _region(cfg, t),
+    and that norm divided by the sharp rate params.rate_at on cfg's scale.
+    Every region is refused or found before the transform.  Returns (raw,
+    normalized), empty for no checkpoints."""
     if not times:
         return [], []
     n = cfg.params.dim
     regions = [_region(cfg, t) for t in times]
+    symbols = duhamel_symbols(cfg.forcing, cfg.params, times, profiles, spatial)
     diffs = radial_fourier_inverses(symbols, n, cfg.grid)
     raw = [lp_norm_annulus(d, cfg.p, n, lo, hi) for d, (lo, hi) in zip(diffs, regions)]
     rate = lambda t: rate_at(cfg.params, cfg.p, cfg.forcing.gamma, cfg.scale, t)
@@ -248,7 +250,7 @@ def verify_compact(cfg: VerifyConfig) -> ConvergenceReport:
         for tm in scales:
             yield limit / tm
 
-    _, errs = _checkpoint_series(cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, profiles))
+    _, errs = _checkpoint_series(cfg, cfg.times, profiles)
     return make_report("compact", cfg.times, errs, errs, cfg.tolerance)
 
 
@@ -263,10 +265,7 @@ def verify_intermediate(cfg: VerifyConfig) -> ConvergenceReport:
     klass = classify_scale(fs.gamma, params, cfg.scale)
     symbols, values = _riesz_profiles(
         params, [_limit_profile(params, fs.gamma, fs.M0, t, klass) for t in cfg.times])
-    raw, norm = _checkpoint_series(
-        cfg, cfg.times,
-        duhamel_symbols(fs, params, cfg.times, lambda r, lam, ag: symbols(r)),
-    )
+    raw, norm = _checkpoint_series(cfg, cfg.times, lambda r, lam, ag: symbols(r))
     prof_norms = [
         lp_norm_annulus(RadialFunction(cfg.grid, value(cfg.grid.nodes)),
                         cfg.p, params.dim, *_region(cfg, t))
@@ -303,12 +302,11 @@ def verify_outer_general(cfg: VerifyConfig) -> ConvergenceReport:
     """u vs the mass convolution int_0^t M_f(s) Y(., t-s) ds on the exterior.
 
     The difference symbol is amplitude (g-hat(r) - mass_g) W(r^{2b}, t)."""
-    fs, params = cfg.forcing, cfg.params
+    fs = cfg.forcing
     mass_g = fs.mass_g
     # kept factored: ghat W - mass_g W would reintroduce far-field cancellation
     spatial = lambda r: fs.amplitude * (fs.ghat(r) - mass_g)
-    raw, norm = _checkpoint_series(
-        cfg, cfg.times, duhamel_symbols(fs, params, cfg.times, spatial=spatial))
+    raw, norm = _checkpoint_series(cfg, cfg.times, spatial=spatial)
     return make_report("outer-general", cfg.times, raw, norm, cfg.tolerance)
 
 
@@ -334,8 +332,7 @@ def _mass_law(cfg: VerifyConfig, kernel_times):
             yield e
             del e  # before the next is formed
 
-    raw, norm = _checkpoint_series(
-        cfg, kernel_times, duhamel_symbols(fs, params, kernel_times, profiles))
+    raw, norm = _checkpoint_series(cfg, kernel_times, profiles)
     return scalar, raw, norm
 
 

@@ -654,6 +654,14 @@ def test_solution_mass_refuses_a_forcing_of_another_dim():
         solution_mass(ForcingSpec("gaussian", 2.0, dim=5), FracParams(0.5, 0.5, 3), 100.0)
 
 
+def test_duhamel_symbols_refuses_a_forcing_of_another_dim():
+    # the one path for u-hat minus profile-hat refuses it for every caller,
+    # before any time weight is built; this N = 5 forcing once inverted
+    # without complaint (u(1) = 3.94e-4)
+    with pytest.raises(SolverError, match="forcing dim 5 does not match problem dim 3"):
+        duhamel_symbols(ForcingSpec("gaussian", 2.0, dim=5), FracParams(0.5, 0.5, 3), (100.0,))
+
+
 def test_outer_reference_mass():
     # the mass-concentrated reference carries the same total mass as u; it is
     # the Duhamel symbol with g-hat replaced by the constant M0, the one that

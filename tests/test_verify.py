@@ -514,10 +514,14 @@ def test_mass_convolution_reference_mass():
 
 # --- one engine pass per check ------------------------------------------------
 
-# the battery's checks that transform: the constant check runs no transform,
-# and outer-log's kernel comparison has no checkpoint at the battery point
+# the battery's checks that transform (constant runs none); outer-log's
+# kernel comparison has no checkpoint at the battery point, so it runs here
+# at (0.5, 0.5, 3), where every checkpoint has one
 _BATCHED = {label: cfg for label, cfg in run_all_checks.configs()
             if cfg.theorem not in ("constant", "outer-log")}
+_BATCHED["outer-log"] = VerifyConfig(
+    params=FracParams(0.5, 0.5, 3), forcing=ForcingSpec("gaussian", gamma=1.0, dim=3),
+    theorem="outer-log", scale=ScaleSpec(kind="outer", nu=1.0), times=(1e2, 1e3, 1e4))
 
 
 def _per_t_symbol(cfg, t):
@@ -557,6 +561,8 @@ def _per_t_symbol(cfg, t):
     if theorem == "outer-mass":
         amp = fs.M0 / (fs.gamma - 1.0)
         return difference(lambda r, ag: amp * y_hat(r))
+    if theorem == "outer-log":
+        return difference(lambda r, ag: fs.M0 * math.log(t) * y_hat(r))
     if theorem == "coherence":
         return lambda r: fs.M0 * w(r**two_b)
     return y_hat  # kernel-bounds
@@ -565,12 +571,14 @@ def _per_t_symbol(cfg, t):
 @pytest.mark.parametrize("label", sorted(_BATCHED))
 def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
     # one engine pass serves every checkpoint, and each of its outputs has
-    # the bits of that checkpoint's symbol transformed on its own
+    # the bits of that checkpoint's symbol transformed on its own.  Every
+    # Duhamel check builds its symbols once, in the runner, but coherence,
+    # which reads points, not norms; kernel-bounds builds none
     cfg = _BATCHED[label]
     kernels.build_y_profile(cfg.params, grid=cfg.grid)  # kernel-bounds reads G
-    passes, batches = [], []
+    passes, batches, callers = [], [], []
     integrate = radialtransform._HankelEngine.integrate
-    inverses = verify.radial_fourier_inverses
+    inverses, duhamel = verify.radial_fourier_inverses, verify.duhamel_symbols
 
     def counted(self, symbol, rho):
         passes.append(rho.size)
@@ -581,12 +589,19 @@ def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
         batches.append((out, grid))
         return out
 
+    def built(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return duhamel(*args, **kwargs)
+
     monkeypatch.setattr(radialtransform._HankelEngine, "integrate", counted)
     monkeypatch.setattr(verify, "radial_fourier_inverses", recorded)
+    monkeypatch.setattr(verify, "duhamel_symbols", built)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationWarning)  # kernel-bounds
         run_check(cfg)
     assert len(passes) == 1 and len(batches) == 1
+    assert callers == {"coherence": ["verify_coherence"], "kernel-bounds": []}.get(
+        label, ["_checkpoint_series"])
     monkeypatch.undo()
     batched, grid = batches[0]
     assert len(batched) == len(cfg.times)
@@ -596,11 +611,16 @@ def test_check_transforms_all_checkpoints_in_one_pass(label, monkeypatch):
 
 
 # the traced peak of one engine block (rows 400-415) of the check's symbol,
-# in block-sized arrays (16 x 1904 float64), the block's r among them: 6.05,
-# 7.52 and 6.42 with each symbol scaled in its own array and the
-# Mittag-Leffler mid branch's log, spline and exp in place, where a new
-# array per operation peaked at 7.22, 9.46 and 7.35 (numpy 2.4.6)
-_BLOCK_PEAKS = {"compact": 6.3, "outer-mass": 7.8, "kernel-bounds": 6.7}
+# in block-sized arrays (16 x 1904 float64), the block's r among them, gated
+# about 4% above its level (numpy 2.4.6): compact 6.05, intermediate-S and
+# -F 6.06, outer-general 5.45, outer-mass 7.52, coherence 4.40 and
+# kernel-bounds 5.42, with each symbol scaled in its own array, the
+# Mittag-Leffler mid branch's log, spline and exp in place and lambda = r
+# itself at 2b = 1, where a new array per operation peaked at 7.22 (compact)
+# and 9.46 (outer-mass)
+_BLOCK_PEAKS = {"compact": 6.3, "intermediate-S": 6.3, "intermediate-F": 6.3,
+                "outer-general": 5.7, "outer-mass": 7.8, "coherence": 4.6,
+                "kernel-bounds": 5.7}
 
 
 @pytest.mark.parametrize("label", sorted(_BLOCK_PEAKS))
